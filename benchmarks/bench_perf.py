@@ -221,12 +221,12 @@ def _kernels_section(mode: str) -> dict:
     ct = to_clifford_t(compiled.circuit)
     gates = ct.gates
 
-    pure_s, pure_out = _timed(_cancel_to_fixpoint_pure, list(gates), 64, 20)
+    pure_s, pure_out = _timed(_cancel_to_fixpoint_pure, ct, 64, 20)
     ext_s = ext_speedup = ext_identical = None
     if _kernels.extension_available():
-        ext_s, ext_out = _timed(_kernels.cancel_fixpoint, list(gates), 64, 20)
+        ext_s, ext_out = _timed(_kernels.cancel_fixpoint, ct, 64, 20)
         ext_speedup = round(pure_s / ext_s, 2) if ext_s else None
-        ext_identical = ext_out == pure_out
+        ext_identical = ext_out.gates == pure_out
     cancel = {
         "input": f"{name}@{depth} clifford+t",
         "gates": len(gates),
@@ -236,10 +236,8 @@ def _kernels_section(mode: str) -> dict:
         "identical_gates": ext_identical,
     }
 
-    stream = GateStream.from_gates(gates, ct.num_qubits)
-    sweep_s, sweep_out = _timed(
-        _fold_stream, GateStream.from_gates(gates, ct.num_qubits)
-    )
+    stream = GateStream(ct)
+    sweep_s, sweep_out = _timed(_fold_stream, GateStream(ct))
     grouped_s, grouped_out = _timed(_fold_stream_grouped, stream)
     keys = _kernels.fold_classify(stream)
     if keys is None:

@@ -2,8 +2,10 @@
 
 This package holds the plain-C implementation of the innermost optimizer
 scan (the cancellation stack sweep run to fixpoint) plus the ctypes
-loader and the array packing that feeds it.  Selection happens once at
-import time:
+loader and the array packing that feeds it.  The cancel kernel reads a
+circuit's row column as is: only the rows of its gate table are
+described to C, and the surviving rows become the output circuit.
+Selection happens once at import time:
 
 * ``REPRO_NO_EXT=1`` in the environment disables the extension outright.
 * Otherwise, if ``_cancel_kernel.so`` exists next to this file (built by
@@ -20,20 +22,19 @@ runs its own vectorized pure-Python sweep.  Both paths are exercised by
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..circuit.gates import Gate
+    from ..circuit.circuit import Circuit
 
 #: ABI stamp expected from the shared object; must match
 #: ``REPRO_KERNELS_ABI`` in ``cancel.c``.  A stale .so from an older
 #: checkout is ignored rather than trusted.
 KERNELS_ABI = 1
-
-_MASK64 = (1 << 64) - 1
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
@@ -135,106 +136,76 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def cancel_fixpoint(
-    gates: Sequence["Gate"], window: int, max_passes: int
-) -> Optional[list]:
-    """Run the cancel fixpoint through the compiled kernel.
+def _mask_words(qubit_lists: list, words: int) -> np.ndarray:
+    """Row ``r`` of the result is the bitmask of ``qubit_lists[r]``,
+    split into ``words`` little-endian 64-bit words."""
+    lengths = [len(qubits) for qubits in qubit_lists]
+    qubits = np.fromiter(itertools.chain.from_iterable(qubit_lists), np.int64, sum(lengths))
+    rows = np.repeat(np.arange(len(qubit_lists)), lengths)
+    out = np.zeros((len(qubit_lists), words), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (rows, qubits >> 6), bits)
+    return out
 
-    Returns the surviving gate list, or ``None`` when the extension is
-    unavailable or declines the input (the caller then falls back to the
-    pure-Python sweep).  Output gates compare equal to the fallback's —
-    merged phase gates come from the same memoized builders.
+
+def cancel_fixpoint(
+    circuit: "Circuit", window: int, max_passes: int
+) -> Optional["Circuit"]:
+    """Run the cancel fixpoint over ``circuit`` through the compiled kernel.
+
+    Returns the reduced circuit (same width and registers), or ``None``
+    when the extension is unavailable or declines the input (the caller
+    then falls back to the pure-Python sweep).  The kernel reads the
+    circuit's row column directly and describes each table row once; the
+    output circuit is built from the surviving rows, and its gates
+    compare equal to the fallback's — merged phase gates come from the
+    same memoized builders.
     """
     lib = _get_lib()
     if lib is None:
         return None
-    n = len(gates)
+    n = len(circuit)
     if n == 0 or max_passes <= 0:
         return None
+    from ..circuit.circuit import Circuit
     from ..circuit.gates import EIGHTHS_TO_KINDS, GateKind, phase_gate
-    from ..circuit.gatestream import (
-        CODE_EIGHTHS,
-        FIRST_PHASE_CODE,
-        INVERSE_CODES,
-        KIND_CODES,
-    )
+    from ..circuit.gatestream import INVERSE_CODES, qubit_ordinals, table_columns
 
-    # Deduplicate by object identity: the memoized gate builders make
-    # real streams share a small set of distinct Gate objects, so the
-    # per-gate cost collapses to one dict probe.  Equal-but-distinct
-    # objects just occupy extra rows, which is still correct because the
-    # sweep compares interned (controls, targets) ordinals, not rows.
-    row_of: dict = {}
-    objs: list = []
-    gate_rows = np.empty(n, dtype=np.int64)
-    for i, g in enumerate(gates):
-        key = id(g)
-        r = row_of.get(key)
-        if r is None:
-            r = len(objs)
-            row_of[key] = r
-            objs.append(g)
-        gate_rows[i] = r
-
-    num_qubits = 0
-    for g in objs:
-        for q in g.qubits:
-            if q >= num_qubits:
-                num_qubits = q + 1
-    if num_qubits == 0:
-        num_qubits = 1
+    table = circuit.table
+    num_qubits = 1 + max(max(g.qubits) for g in table)
     words = (num_qubits + 63) // 64
 
-    # Pre-register one row per (phase kind, qubit) so merged phase gates
-    # are addressable by row id from inside the C sweep.
+    # One row per (phase kind, qubit) so merged phase gates are
+    # addressable by row id from inside the C sweep; a memoized phase
+    # gate already in the table keeps its own row.
+    objs = list(table)
+    row_of = {id(g): r for r, g in enumerate(objs)}
     phase_kinds = (GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z)
-    synth_row: dict = {}
-    for kind in phase_kinds:
+    synth_row = np.empty((len(phase_kinds), num_qubits), dtype=np.int64)
+    for k, kind in enumerate(phase_kinds):
         for q in range(num_qubits):
-            synth_row[(kind, q)] = len(objs)
-            objs.append(phase_gate(kind, q))
-
-    m = len(objs)
-    kinds = np.empty(m, dtype=np.uint8)
-    invk = np.empty(m, dtype=np.uint8)
-    ph = np.empty(m, dtype=np.int8)
-    ords = np.empty(m, dtype=np.int64)
-    tgt = np.zeros(m, dtype=np.int32)
-    cm = np.zeros((m, words), dtype=np.uint64)
-    tm = np.zeros((m, words), dtype=np.uint64)
-    qm = np.zeros((m, words), dtype=np.uint64)
-    intern: dict = {}
-    for r, g in enumerate(objs):
-        code = KIND_CODES[g.kind]
-        kinds[r] = code
-        invk[r] = INVERSE_CODES[code]
-        cmask = g.control_mask
-        tmask = g.target_mask
-        if code >= FIRST_PHASE_CODE and not cmask:
-            ph[r] = CODE_EIGHTHS[code]
-            tgt[r] = g.targets[0]
-        else:
-            ph[r] = -1
-        key = (g.controls, g.targets)
-        o = intern.get(key)
-        if o is None:
-            o = len(intern)
-            intern[key] = o
-        ords[r] = o
-        qmask = cmask | tmask
-        for w in range(words):
-            shift = 64 * w
-            cm[r, w] = (cmask >> shift) & _MASK64
-            tm[r, w] = (tmask >> shift) & _MASK64
-            qm[r, w] = (qmask >> shift) & _MASK64
-
+            gate = phase_gate(kind, q)
+            r = row_of.get(id(gate))
+            if r is None:
+                r = row_of[id(gate)] = len(objs)
+                objs.append(gate)
+            synth_row[k, q] = r
     merge_rows = np.full((8, num_qubits, 2), -1, dtype=np.int64)
     for eighths in range(8):
-        seq = EIGHTHS_TO_KINDS[eighths]
-        for q in range(num_qubits):
-            for j, kind in enumerate(seq):
-                merge_rows[eighths, q, j] = synth_row[(kind, q)]
+        for j, kind in enumerate(EIGHTHS_TO_KINDS[eighths]):
+            merge_rows[eighths, :, j] = synth_row[phase_kinds.index(kind)]
 
+    m = len(objs)
+    kinds, _, ph = table_columns(objs)
+    invk = np.array(INVERSE_CODES, dtype=np.uint8)[kinds]
+    tgt = np.fromiter((g.targets[0] for g in objs), np.int32, m)
+    tgt[ph < 0] = 0
+    cm = _mask_words([g.controls for g in objs], words)
+    tm = _mask_words([g.targets for g in objs], words)
+    qm = cm | tm
+    ords = qubit_ordinals(objs)
+
+    gate_rows = circuit.rows.astype(np.int64)
     out_rows = np.empty(n, dtype=np.int64)
     res = lib.repro_cancel_fixpoint(
         n,
@@ -256,7 +227,9 @@ def cancel_fixpoint(
     )
     if res < 0:
         return None
-    return [objs[r] for r in out_rows[:res].tolist()]
+    return Circuit.from_rows(
+        objs, out_rows[:res], max(circuit.num_qubits, num_qubits), circuit.registers
+    )
 
 
 def fold_classify(stream) -> Optional[np.ndarray]:
@@ -271,7 +244,7 @@ def fold_classify(stream) -> Optional[np.ndarray]:
     lib = _get_lib()
     if lib is None:
         return None
-    n = len(stream.gates)
+    n = len(stream)
     eighths = stream.phase_eighths
     phase_count = int(np.count_nonzero(eighths >= 0))
     if n == 0 or phase_count == 0:

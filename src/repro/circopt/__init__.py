@@ -7,7 +7,7 @@ from .base import (
     get_optimizer,
     optimizer_names,
 )
-from .cancel import CliffordTPeephole, cancel_pass, cancel_to_fixpoint
+from .cancel import CliffordTPeephole, cancel_circuit, cancel_pass, cancel_to_fixpoint
 from .phase_poly import PhaseFolder, RotationMerging, fold_phases
 from .search import GreedySearch
 from .toffoli_cancel import ToffoliCancel
@@ -20,6 +20,7 @@ __all__ = [
     "get_optimizer",
     "optimizer_names",
     "CliffordTPeephole",
+    "cancel_circuit",
     "cancel_pass",
     "cancel_to_fixpoint",
     "PhaseFolder",

@@ -32,7 +32,7 @@ this behaviour.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..circuit.gatestream import (
     INVERSE_CODES,
     KIND_CODES,
     MCX_CODE,
+    qubit_ordinals,
 )
 from .base import CircuitOptimizer, register
 from .. import _kernels
@@ -91,21 +92,12 @@ def _placeable_flags(
     return placeable
 
 
-def _pack(gates: List[Gate]) -> List[_Entry]:
+def _pack(circuit: Circuit) -> List[_Entry]:
     """Pack gates into integer tuples via the struct-of-arrays stream."""
-    stream = GateStream.from_gates(gates)
-    intern: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    ords = np.empty(len(gates), dtype=np.int64)
-    for i, gate in enumerate(stream.gates):
-        key = (gate.controls, gate.targets)
-        o = intern.get(key)
-        if o is None:
-            o = len(intern)
-            intern[key] = o
-        ords[i] = o
+    stream = GateStream(circuit)
+    ords = qubit_ordinals(circuit.table)[circuit.rows]
     kinds = stream.kinds.astype(np.int64)
-    eighths = stream.phase_eighths
-    flags = _placeable_flags(kinds, eighths, ords)
+    flags = _placeable_flags(kinds, stream.phase_eighths, ords)
     return [
         (gate, kind, INVERSE_CODES[kind], cm, tm, qm, ph, flag)
         for gate, kind, cm, tm, qm, ph, flag in zip(
@@ -203,11 +195,11 @@ def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
 
 def cancel_pass(gates: List[Gate], window: int = 64) -> List[Gate]:
     """One stack sweep of cancellation and phase merging."""
-    return [entry[0] for entry in _cancel_pass_packed(_pack(list(gates)), window)]
+    return [entry[0] for entry in _cancel_pass_packed(_pack(Circuit(0, gates)), window)]
 
 
 def _cancel_to_fixpoint_pure(
-    gates: List[Gate], window: int, max_passes: int
+    circuit: Circuit, window: int, max_passes: int
 ) -> List[Gate]:
     """Pure-Python fixpoint: pack once, reuse packed entries across passes.
 
@@ -215,7 +207,7 @@ def _cancel_to_fixpoint_pure(
     iterations — merged phase gates enter as pre-packed entries — so no
     pass ever re-derives masks or re-runs the pre-filter.
     """
-    current = _pack(list(gates))
+    current = _pack(circuit)
     for _ in range(max_passes):
         reduced = _cancel_pass_packed(current, window)
         if len(reduced) == len(current):
@@ -224,20 +216,26 @@ def _cancel_to_fixpoint_pure(
     return [entry[0] for entry in current]
 
 
-def cancel_to_fixpoint(
-    gates: List[Gate], window: int = 64, max_passes: int = 20
-) -> List[Gate]:
-    """Iterate :func:`cancel_pass` until no gate is removed.
+def cancel_circuit(circuit: Circuit, window: int = 64, max_passes: int = 20) -> Circuit:
+    """Iterate :func:`cancel_pass` over ``circuit`` until no gate is removed.
 
     Dispatches to the compiled kernel when available (see
     :mod:`repro._kernels`); otherwise runs the vectorized pure-Python
-    sweep.  Both produce identical gate lists.
+    sweep.  Both produce identical gates; the result keeps the circuit's
+    width and registers.
     """
-    gates = list(gates)
-    result = _kernels.cancel_fixpoint(gates, window, max_passes)
-    if result is not None:
-        return result
-    return _cancel_to_fixpoint_pure(gates, window, max_passes)
+    result = _kernels.cancel_fixpoint(circuit, window, max_passes)
+    if result is None:
+        gates = _cancel_to_fixpoint_pure(circuit, window, max_passes)
+        result = Circuit(circuit.num_qubits, gates, circuit.registers)
+    return result
+
+
+def cancel_to_fixpoint(
+    gates: List[Gate], window: int = 64, max_passes: int = 20
+) -> List[Gate]:
+    """:func:`cancel_circuit` over a bare gate list."""
+    return cancel_circuit(Circuit(0, gates), window, max_passes).gates
 
 
 @register
@@ -255,6 +253,4 @@ class CliffordTPeephole(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        clifford_t = self._to_clifford_t(circuit)
-        gates = cancel_to_fixpoint(clifford_t.gates, self.window)
-        return Circuit(clifford_t.num_qubits, gates, dict(clifford_t.registers))
+        return cancel_circuit(self._to_clifford_t(circuit), self.window)

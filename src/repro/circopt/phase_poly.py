@@ -47,7 +47,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, PHASE_KINDS, Gate, GateKind, phase_gate
 from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_circuit
 from .. import _kernels
 
 
@@ -331,14 +331,13 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     lookup tables, and one ``argsort`` splices them back in position
     order.
     """
-    gates = stream.gates
-    n = len(gates)
+    n = len(stream)
     if n == 0:
         return []
     eighths = stream.phase_eighths
     phase_sel = eighths >= 0
     if not bool(phase_sel.any()):
-        return list(gates)
+        return list(stream.gates)
 
     packed = _kernels.fold_classify(stream)
     if packed is None:
@@ -353,9 +352,9 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     pph = pph[keep]
     packed = packed[keep]
 
-    gates_arr = np.empty(n, dtype=object)
-    gates_arr[:] = gates
-    nonphase_arr = gates_arr[nonphase_pos]
+    table = np.empty(len(stream.circuit.table), dtype=object)
+    table[:] = stream.circuit.table
+    nonphase_arr = table[stream.circuit.rows[nonphase_pos]]
     if len(phase_pos) == 0:
         return nonphase_arr.tolist()
 
@@ -370,15 +369,7 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     const0 = pconst[first]
     final8 = np.where(const0 != 0, (8 - sums) % 8, sums)
     pos0 = phase_pos[first]
-    cols = stream._fold_cols  # cached when the compiled classifier ran
-    if cols is not None:
-        qubit0 = cols[1][pos0].astype(np.int64)
-    else:
-        qubit0 = np.fromiter(
-            (gates[p].targets[0] for p in pos0.tolist()),
-            dtype=np.int64,
-            count=len(pos0),
-        )
+    qubit0 = stream.fold_columns()[1][pos0].astype(np.int64)
 
     # materialize placeholders by table lookup; order keys are
     # 2*position (+1 for the second gate of a two-gate phase sequence),
@@ -400,10 +391,8 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
 
 def fold_phases(circuit: Circuit) -> Circuit:
     """Apply one phase-folding sweep to a Clifford+T circuit."""
-    stream = GateStream.from_gates(circuit.gates, circuit.num_qubits)
-    return Circuit(
-        circuit.num_qubits, _fold_stream_grouped(stream), dict(circuit.registers)
-    )
+    gates = _fold_stream_grouped(GateStream(circuit))
+    return Circuit(circuit.num_qubits, gates, circuit.registers)
 
 
 @register
@@ -421,8 +410,5 @@ class RotationMerging(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        clifford_t = self._to_clifford_t(circuit)
-        folded = fold_phases(clifford_t)
-        gates = cancel_to_fixpoint(folded.gates, self.window)
-        folded2 = fold_phases(Circuit(folded.num_qubits, gates, dict(folded.registers)))
-        return folded2
+        folded = fold_phases(self._to_clifford_t(circuit))
+        return fold_phases(cancel_circuit(folded, self.window))

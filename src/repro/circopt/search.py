@@ -21,7 +21,7 @@ import time
 
 from ..circuit.circuit import Circuit
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_circuit
 from .phase_poly import fold_phases
 
 
@@ -51,11 +51,8 @@ class GreedySearch(CircuitOptimizer):
         deadline = time.monotonic() + self.timeout
         window = 16
         while time.monotonic() < deadline:
-            gates = cancel_to_fixpoint(current.gates, window)
-            next_circuit = fold_phases(
-                Circuit(current.num_qubits, gates, dict(current.registers))
-            )
-            if len(next_circuit.gates) == len(current.gates) and window > 1024:
+            next_circuit = fold_phases(cancel_circuit(current, window))
+            if len(next_circuit) == len(current) and window > 1024:
                 break
             current = next_circuit
             window *= 4

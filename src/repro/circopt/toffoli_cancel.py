@@ -15,10 +15,9 @@ self-inverse gates to fixpoint -> decompose surviving Toffolis (Figure 6)
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import decompose_toffoli_to_clifford_t
-from ..circuit.gates import Gate, GateKind
+from ..circuit.decompose import expand_toffolis
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_circuit
 
 
 @register
@@ -35,13 +34,5 @@ class ToffoliCancel(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        toffoli_level = self._to_toffoli(circuit)
-        reduced = cancel_to_fixpoint(toffoli_level.gates, self.window)
-        clifford_t: list[Gate] = []
-        for gate in reduced:
-            if gate.kind is GateKind.MCX and len(gate.controls) == 2:
-                clifford_t.extend(decompose_toffoli_to_clifford_t(gate))
-            else:
-                clifford_t.append(gate)
-        final = cancel_to_fixpoint(clifford_t, self.window)
-        return Circuit(toffoli_level.num_qubits, final, dict(toffoli_level.registers))
+        reduced = cancel_circuit(self._to_toffoli(circuit), self.window)
+        return cancel_circuit(expand_toffolis(reduced), self.window)

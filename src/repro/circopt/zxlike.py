@@ -19,10 +19,9 @@ wide scan windows:
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import decompose_toffoli_to_clifford_t
-from ..circuit.gates import Gate, GateKind
+from ..circuit.decompose import expand_toffolis
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_circuit
 from .phase_poly import fold_phases
 
 
@@ -40,20 +39,11 @@ class ZXLike(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        toffoli_level = self._to_toffoli(circuit)
-        reduced = cancel_to_fixpoint(toffoli_level.gates, self.window)
-        clifford_t: list[Gate] = []
-        for gate in reduced:
-            if gate.kind is GateKind.MCX and len(gate.controls) == 2:
-                clifford_t.extend(decompose_toffoli_to_clifford_t(gate))
-            else:
-                clifford_t.append(gate)
-        current = Circuit(toffoli_level.num_qubits, clifford_t, dict(toffoli_level.registers))
+        reduced = cancel_circuit(self._to_toffoli(circuit), self.window)
+        current = expand_toffolis(reduced)
         for _ in range(4):
             before = current.t_count()
-            current = fold_phases(current)
-            gates = cancel_to_fixpoint(current.gates, self.window)
-            current = Circuit(current.num_qubits, gates, dict(current.registers))
+            current = cancel_circuit(fold_phases(current), self.window)
             if current.t_count() == before:
                 break
         return current

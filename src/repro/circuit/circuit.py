@@ -1,8 +1,23 @@
 """Circuit container and gate-count reports.
 
-A :class:`Circuit` is an ordered list of :class:`~repro.circuit.gates.Gate`
+A :class:`Circuit` is an ordered sequence of :class:`~repro.circuit.gates.Gate`
 applications over ``num_qubits`` wires, with an optional mapping from named
 registers (program variables, memory cells, scratch space) to qubit ranges.
+
+Storage is dictionary-encoded.  A circuit holds a *table* of distinct
+``Gate`` objects and an ``int32`` *row column* with one entry per gate
+application, naming the table row it applies.  :meth:`Circuit.append` and
+:meth:`Circuit.extend` intern gates by object identity: the memoized gate
+builders make real circuits share few ``Gate`` objects across many
+applications (``length@3`` under Spire is 977 gates over 319 rows), so the
+table stays small.  Two equal but distinct objects simply occupy two rows.  ``num_qubits`` grows only when a
+new row enters the table.  :attr:`Circuit.gates` is a list view built on
+first use and kept in step with later appends; it is read-only.
+
+Every consumer between the compiler and the artifact cache works on this
+storage: snapshots write the table and the row column
+(:mod:`repro.circuit.snapshot`), :class:`~repro.circuit.gatestream.GateStream`
+gathers per-row columns, and the compiled cancel kernel reads the rows.
 
 The two complexity metrics of the paper are computed here:
 
@@ -14,15 +29,25 @@ The two complexity metrics of the paper are computed here:
   For an MCX-level circuit this is computed analytically (without
   materializing the decomposition); for a Clifford+T circuit it simply counts
   ``T``/``T†`` gates.  The two agree, which the test suite verifies.
+
+Every count is one value per table row, weighted by ``np.bincount`` of the
+row column.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .gates import Gate, GateKind
+
+_T_KINDS = (GateKind.T, GateKind.TDG)
+
+_EMPTY_ROWS = np.empty(0, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -49,7 +74,11 @@ class Register:
 
 
 class Circuit:
-    """An ordered sequence of gates over a fixed number of qubits."""
+    """An ordered sequence of gates over a fixed number of qubits.
+
+    Stored as a table of distinct gates plus a row column (see the module
+    docstring).  Circuits are append-only.
+    """
 
     def __init__(
         self,
@@ -58,38 +87,110 @@ class Circuit:
         registers: Dict[str, Register] | None = None,
     ) -> None:
         self.num_qubits = num_qubits
-        self.gates: List[Gate] = list(gates)
         self.registers: Dict[str, Register] = dict(registers or {})
-        for gate in self.gates:
-            self._grow(gate)
+        #: distinct gates, in order of first use; row ``r`` is ``table[r]``
+        self.table: List[Gate] = []
+        self._row_of: Dict[int, int] | None = {}  # id(gate) -> row
+        self._buf = _EMPTY_ROWS  # row column, with spare capacity
+        self._size = 0
+        self._gates: List[Gate] | None = None
+        self.extend(gates)
+
+    @classmethod
+    def from_rows(
+        cls,
+        table: Sequence[Gate],
+        rows: np.ndarray,
+        num_qubits: int,
+        registers: Dict[str, Register] | None = None,
+    ) -> "Circuit":
+        """A circuit applying ``table[rows[0]], table[rows[1]], ...``.
+
+        ``table`` must hold distinct objects and ``num_qubits`` must cover
+        every qubit they touch.  Rows the column never names are dropped,
+        so every table row of a circuit is applied at least once.
+        """
+        rows = np.array(rows, dtype=np.int32)
+        used = np.bincount(rows, minlength=len(table)) > 0
+        if not used.all():
+            table = [table[r] for r in np.flatnonzero(used).tolist()]
+            rows = (np.cumsum(used, dtype=np.int32) - 1)[rows]
+        circuit = cls(num_qubits, (), registers)
+        circuit.table = list(table)
+        circuit._row_of = None  # built on the first append
+        circuit._buf = rows
+        circuit._size = len(rows)
+        return circuit
 
     # ----------------------------------------------------------- construction
-    def _grow(self, gate: Gate) -> None:
-        top = max(gate.qubits, default=-1)
-        if top >= self.num_qubits:
-            self.num_qubits = top + 1
+    def _index(self) -> Dict[int, int]:
+        row_of = self._row_of
+        if row_of is None:
+            row_of = self._row_of = {id(g): r for r, g in enumerate(self.table)}
+        return row_of
+
+    def _intern(self, gates: Iterable[Gate]) -> List[int]:
+        """Table rows of ``gates``, adding a row for each new object."""
+        row_of = self._index()
+        table = self.table
+        rows = []
+        for gate in gates:
+            key = id(gate)
+            row = row_of.get(key)
+            if row is None:
+                row = row_of[key] = len(table)
+                table.append(gate)
+                top = max(gate.qubits, default=-1)
+                if top >= self.num_qubits:
+                    self.num_qubits = top + 1
+            rows.append(row)
+        return rows
+
+    def _push(self, rows) -> None:
+        n = self._size
+        end = n + len(rows)
+        if end > len(self._buf):
+            grown = np.empty(max(end, 2 * len(self._buf), 16), dtype=np.int32)
+            grown[:n] = self._buf[:n]
+            self._buf = grown
+        self._buf[n:end] = rows
+        self._size = end
 
     def append(self, gate: Gate) -> None:
-        """Append one gate, growing the qubit count if needed."""
-        self._grow(gate)
-        self.gates.append(gate)
+        """Append one gate, growing the qubit count if it is a new row."""
+        self._push(self._intern((gate,)))
+        if self._gates is not None:
+            self._gates.append(gate)
 
     def extend(self, gates: Iterable[Gate]) -> None:
-        """Append several gates, growing the qubit count once for the batch.
-
-        Equivalent to repeated :meth:`append` but performs a single growth
-        update: million-gate extends (decomposition output, optimizer
-        rewrites) otherwise pay a per-gate bound check and method dispatch.
-        """
+        """Append several gates."""
         batch = list(gates)
-        top = -1
-        for gate in batch:
-            high = max(gate.qubits, default=-1)
-            if high > top:
-                top = high
-        if top >= self.num_qubits:
-            self.num_qubits = top + 1
-        self.gates.extend(batch)
+        if not batch:
+            return
+        self._push(self._intern(batch))
+        if self._gates is not None:
+            self._gates.extend(batch)
+
+    def expand_rows(self, expansions: Sequence[Sequence[Gate]]) -> "Circuit":
+        """A new circuit with each application of row ``r`` replaced by the
+        gate sequence ``expansions[r]`` (registers and width kept).
+
+        Each table row is expanded once; the applications are gathered by
+        row with numpy.
+        """
+        out = Circuit(self.num_qubits, (), self.registers)
+        pieces = [out._intern(seq) for seq in expansions]
+        lengths = np.array([len(p) for p in pieces], dtype=np.int64)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(pieces), np.int32, int(lengths.sum())
+        )
+        rows = self.rows
+        take = lengths[rows]
+        total = int(take.sum())
+        # position j of the output reads flat[start of its row + offset]
+        shift = np.repeat((np.cumsum(lengths) - lengths)[rows] - (np.cumsum(take) - take), take)
+        out._push(flat[shift + np.arange(total)])
+        return out
 
     def add_register(self, register: Register) -> Register:
         """Record a named register; returns it for convenience."""
@@ -101,25 +202,45 @@ class Circuit:
 
     def copy(self) -> "Circuit":
         """A shallow copy (gates are immutable)."""
-        return Circuit(self.num_qubits, list(self.gates), dict(self.registers))
+        return Circuit.from_rows(self.table, self.rows, self.num_qubits, self.registers)
 
     def inverse(self) -> "Circuit":
         """The inverse circuit: reversed gate order, each gate inverted."""
-        return Circuit(
+        return Circuit.from_rows(
+            [gate.inverse() for gate in self.table],
+            self.rows[::-1],
             self.num_qubits,
-            [gate.inverse() for gate in reversed(self.gates)],
-            dict(self.registers),
+            self.registers,
         )
 
     # ------------------------------------------------------------- iteration
+    @property
+    def rows(self) -> np.ndarray:
+        """The row column: ``table[rows[i]]`` is gate ``i`` (read-only)."""
+        view = self._buf[: self._size]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def gates(self) -> List[Gate]:
+        """The gate list, built on first use; callers must not mutate it."""
+        gates = self._gates
+        if gates is None:
+            table = np.empty(len(self.table), dtype=object)
+            table[:] = self.table
+            gates = self._gates = table[self.rows].tolist()
+        return gates
+
     def __len__(self) -> int:
-        return len(self.gates)
+        return self._size
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 
-    def __getitem__(self, index: int) -> Gate:
-        return self.gates[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.gates[index]
+        return self.table[self.rows[index]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -127,51 +248,58 @@ class Circuit:
         return self.num_qubits == other.num_qubits and self.gates == other.gates
 
     # --------------------------------------------------------------- metrics
+    def _used_rows(self) -> Iterator[Tuple[Gate, int]]:
+        """``(gate, applications)`` for every table row (each is applied)."""
+        return zip(self.table, np.bincount(self.rows, minlength=len(self.table)).tolist())
+
     def mcx_complexity(self) -> int:
         """Gate count in the idealized arbitrarily-controllable gate set.
 
         Only meaningful for MCX-level circuits; every gate counts once.
         """
-        return len(self.gates)
+        return self._size
 
     def t_complexity(self) -> int:
         """Number of T gates under the Clifford+T decomposition."""
-        return sum(gate.t_cost() for gate in self.gates)
+        return sum(c * g.t_cost() for g, c in self._used_rows())
 
     def t_count(self) -> int:
         """Literal count of T/T† gates (for circuits already in Clifford+T)."""
-        return sum(1 for g in self.gates if g.kind in (GateKind.T, GateKind.TDG))
+        return sum(c for g, c in self._used_rows() if g.kind in _T_KINDS)
 
     def gate_histogram(self) -> Counter:
         """Histogram keyed by (kind, number of controls)."""
-        return Counter((g.kind, len(g.controls)) for g in self.gates)
+        hist: Counter = Counter()
+        for g, c in self._used_rows():
+            hist[(g.kind, len(g.controls))] += c
+        return hist
 
     def count_kind(self, kind: GateKind, num_controls: int | None = None) -> int:
         """Count gates of one kind, optionally restricted to a control count."""
         return sum(
-            1
-            for g in self.gates
+            c
+            for g, c in self._used_rows()
             if g.kind is kind
             and (num_controls is None or len(g.controls) == num_controls)
         )
 
     def is_clifford_t(self) -> bool:
         """True when every gate lies in the Clifford+T set."""
-        return all(gate.is_clifford_t() for gate in self.gates)
+        return all(g.is_clifford_t() for g, _ in self._used_rows())
 
     def is_mcx_level(self) -> bool:
         """True when every gate is an MCX or a (controlled) Hadamard."""
-        return all(gate.kind in (GateKind.MCX, GateKind.H) for gate in self.gates)
+        return all(g.kind in (GateKind.MCX, GateKind.H) for g, _ in self._used_rows())
 
     def max_controls(self) -> int:
         """Largest number of controls on any gate (0 for an empty circuit)."""
-        return max((len(g.controls) for g in self.gates), default=0)
+        return max((len(g.controls) for g, _ in self._used_rows()), default=0)
 
     def summary(self) -> "GateCounts":
         """A compact numeric report of this circuit's complexity."""
         return GateCounts(
             num_qubits=self.num_qubits,
-            num_gates=len(self.gates),
+            num_gates=len(self),
             mcx_complexity=self.mcx_complexity(),
             t_complexity=self.t_complexity(),
             cnot=self.count_kind(GateKind.MCX, 1),
@@ -180,13 +308,13 @@ class Circuit:
         )
 
     def __repr__(self) -> str:
-        return f"<Circuit {self.num_qubits} qubits, {len(self.gates)} gates>"
+        return f"<Circuit {self.num_qubits} qubits, {len(self)} gates>"
 
     def draw(self, max_gates: int = 40) -> str:
         """A small textual rendering, one gate per line (for debugging)."""
-        lines = [str(g) for g in self.gates[:max_gates]]
-        if len(self.gates) > max_gates:
-            lines.append(f"... ({len(self.gates) - max_gates} more)")
+        lines = [str(self.table[r]) for r in self.rows[:max_gates].tolist()]
+        if len(self) > max_gates:
+            lines.append(f"... ({len(self) - max_gates} more)")
         return "\n".join(lines)
 
 

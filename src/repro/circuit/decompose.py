@@ -174,15 +174,19 @@ def to_toffoli(circuit: Circuit) -> Circuit:
 
 
 def expand_toffolis(toffoli_level: Circuit) -> Circuit:
-    """Apply the Figure 6 rule to every Toffoli of a Toffoli-level circuit."""
-    out: List[Gate] = []
-    for gate in toffoli_level.gates:
-        if gate.kind is GateKind.MCX and len(gate.controls) == 2:
-            a, b = gate.controls
-            out.extend(_toffoli_clifford_t(a, b, gate.target))
-        else:
-            out.append(gate)
-    return Circuit(toffoli_level.num_qubits, out, dict(toffoli_level.registers))
+    """Apply the Figure 6 rule to every Toffoli of a Toffoli-level circuit.
+
+    Each row of the gate table is expanded once; the applications are
+    gathered by row (:meth:`Circuit.expand_rows`).
+    """
+    return toffoli_level.expand_rows(
+        [
+            _toffoli_clifford_t(*gate.controls, gate.target)
+            if gate.kind is GateKind.MCX and len(gate.controls) == 2
+            else (gate,)
+            for gate in toffoli_level.table
+        ]
+    )
 
 
 def to_clifford_t(circuit: Circuit) -> Circuit:
@@ -201,8 +205,10 @@ class DecompositionCache:
     several optimizer baselines; each used to re-derive the (large) Toffoli
     and Clifford+T decompositions from scratch.  Entries pin the source
     circuit, so an ``id()`` can never be reused by a different live circuit
-    while its entry exists.  Cached circuits are shared — callers must treat
-    them as read-only (all optimizers do; they build fresh output circuits).
+    while its entry exists.  Circuits are append-only, so the key pairs the
+    identity with the gate count: appending to a circuit misses.  Cached
+    circuits are shared — callers must treat them as read-only (all
+    optimizers do; they build fresh output circuits).
 
     Capacity is bounded (``max_entries`` source circuits per level, oldest
     evicted first): baselines for one compiled circuit run back-to-back, so
@@ -212,17 +218,17 @@ class DecompositionCache:
 
     def __init__(self, max_entries: int = 8) -> None:
         self.max_entries = max_entries
-        self._toffoli: Dict[int, Tuple[Circuit, Circuit]] = {}
-        self._clifford_t: Dict[int, Tuple[Circuit, Circuit]] = {}
+        self._toffoli: Dict[Tuple[int, int], Tuple[Circuit, Circuit]] = {}
+        self._clifford_t: Dict[Tuple[int, int], Tuple[Circuit, Circuit]] = {}
 
-    def _put(self, cache: Dict[int, Tuple[Circuit, Circuit]], key, entry) -> None:
+    def _put(self, cache: Dict[Tuple[int, int], Tuple[Circuit, Circuit]], key, entry) -> None:
         cache[key] = entry
         while len(cache) > self.max_entries:
             del cache[next(iter(cache))]  # dicts iterate in insertion order
 
     def toffoli(self, circuit: Circuit) -> Circuit:
         """Cached :func:`to_toffoli` of ``circuit``."""
-        key = id(circuit)
+        key = (id(circuit), len(circuit))
         hit = self._toffoli.get(key)
         if hit is not None and hit[0] is circuit:
             return hit[1]
@@ -232,7 +238,7 @@ class DecompositionCache:
 
     def clifford_t(self, circuit: Circuit) -> Circuit:
         """Cached :func:`to_clifford_t`, built from the cached Toffoli level."""
-        key = id(circuit)
+        key = (id(circuit), len(circuit))
         hit = self._clifford_t.get(key)
         if hit is not None and hit[0] is circuit:
             return hit[1]

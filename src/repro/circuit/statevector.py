@@ -262,17 +262,17 @@ def _build_plan(circuit: Circuit) -> _Plan:
     return segments
 
 
-#: Plans keyed by circuit identity, circuit pinned (the
+#: Plans keyed by circuit identity and gate count, circuit pinned (the
 #: :class:`~repro.circuit.decompose.DecompositionCache` pattern: an
 #: ``id()`` can never be reused by a different live circuit while its
-#: entry exists).  Small bound — simulation sweeps revisit the same few
-#: circuits back-to-back.
+#: entry exists, and an append changes the count).  Small bound —
+#: simulation sweeps revisit the same few circuits back-to-back.
 _PLAN_CACHE: OrderedDict = OrderedDict()
 _PLAN_CACHE_MAX = 32
 
 
 def _circuit_plan(circuit: Circuit) -> _Plan:
-    key = id(circuit)
+    key = (id(circuit), len(circuit))
     hit = _PLAN_CACHE.get(key)
     if hit is not None and hit[0] is circuit:
         _PLAN_CACHE.move_to_end(key)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import (
     Circuit,
+    DecompositionCache,
     GateKind,
     cnot,
     h,
@@ -116,3 +117,16 @@ class TestFullPipeline:
         # two different MCX gates in sequence survive full decomposition
         circ = Circuit(4, [mcx([0, 1], 2), mcx([0, 1, 2], 3)])
         assert equivalent_on_clean_ancillas(circ, to_clifford_t(circ))
+
+
+class TestDecompositionCache:
+    def test_append_after_lookup_misses(self):
+        # entries are keyed by circuit identity; an append must not serve
+        # the decomposition of the shorter circuit
+        cache = DecompositionCache()
+        circ = Circuit(3, [toffoli(0, 1, 2)])
+        assert cache.clifford_t(circ).t_count() == 7
+        assert cache.clifford_t(circ) is cache.clifford_t(circ)
+        circ.append(toffoli(0, 1, 2))
+        assert cache.toffoli(circ).gates == [toffoli(0, 1, 2)] * 2
+        assert cache.clifford_t(circ).t_count() == 14

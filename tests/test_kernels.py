@@ -28,13 +28,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import _kernels, reference
-from repro.circopt import cancel_to_fixpoint, fold_phases
+from repro.circopt import cancel_circuit, cancel_to_fixpoint, fold_phases
 from repro.circopt.cancel import _cancel_to_fixpoint_pure
 from repro.circopt.phase_poly import (
     _fold_packed_keys_python,
     _fold_stream_grouped,
 )
 from repro.circuit import Circuit, GateStream, cnot, h, swap, t, tdg, toffoli, x
+from repro.circuit.snapshot import dump_bytes, load_bytes
 from repro.circuit.gates import Gate, GateKind
 from repro.circuit import statevector as sv
 
@@ -87,24 +88,30 @@ def _gate_strategy(num_qubits: int, exotic: bool):
 
 # ------------------------------------------------------------ cancel paths
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 70, 130]))
-def test_cancel_fixpoint_paths_identical(data, num_qubits):
+@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 70, 130]), st.booleans())
+def test_cancel_fixpoint_paths_identical(data, num_qubits, reloaded):
     """Compiled, pure-Python and seed fixpoints agree gate-for-gate.
 
     Widths 70 and 130 force multi-word masks in the C kernel and bigint
-    masks in the Python fallback.
+    masks in the Python fallback.  ``reloaded`` runs the sweeps on the
+    circuit restored from its snapshot, whose gate table holds fresh
+    ``Gate`` objects rather than the memoized builders' instances.
     """
     gates = data.draw(_gate_strategy(num_qubits, exotic=True))
     window = data.draw(st.sampled_from([1, 2, 4, 64]))
     max_passes = data.draw(st.sampled_from([1, 3, 20]))
-    pure = _cancel_to_fixpoint_pure(list(gates), window, max_passes)
+    circuit = Circuit(num_qubits, gates)
+    if reloaded:
+        circuit = load_bytes(dump_bytes(circuit))
     seed = reference.cancel_to_fixpoint_seed(list(gates), window, max_passes)
-    assert pure == seed
-    compiled = _kernels.cancel_fixpoint(list(gates), window, max_passes)
+    assert _cancel_to_fixpoint_pure(circuit, window, max_passes) == seed
+    compiled = _kernels.cancel_fixpoint(circuit, window, max_passes)
     if compiled is not None:  # extension built and enabled
-        assert compiled == seed
-    dispatched = cancel_to_fixpoint(list(gates), window, max_passes)
-    assert dispatched == seed
+        assert compiled.gates == seed
+        assert compiled.num_qubits == circuit.num_qubits
+    dispatched = cancel_circuit(circuit, window, max_passes)
+    assert dispatched.gates == seed
+    assert cancel_to_fixpoint(list(gates), window, max_passes) == seed
 
 
 def test_cancel_respects_qubit_tuple_order():
@@ -115,10 +122,10 @@ def test_cancel_respects_qubit_tuple_order():
     on both the compiled and the pure-Python path.
     """
     gates = [toffoli(1, 2, 3), toffoli(2, 1, 3)]
-    assert _cancel_to_fixpoint_pure(list(gates), 64, 20) == gates
-    compiled = _kernels.cancel_fixpoint(list(gates), 64, 20)
+    assert _cancel_to_fixpoint_pure(Circuit(4, gates), 64, 20) == gates
+    compiled = _kernels.cancel_fixpoint(Circuit(4, gates), 64, 20)
     if compiled is not None:
-        assert compiled == gates
+        assert compiled.gates == gates
     # same-order controls do annihilate
     pair = [toffoli(1, 2, 3), toffoli(1, 2, 3)]
     assert cancel_to_fixpoint(pair) == []
@@ -236,8 +243,8 @@ def test_repro_no_ext_disables_extension():
         "from repro import _kernels\n"
         "assert not _kernels.extension_available()\n"
         "assert 'REPRO_NO_EXT' in _kernels.extension_status()\n"
-        "from repro.circuit import t, tdg\n"
-        "assert _kernels.cancel_fixpoint([t(0), tdg(0)], 64, 20) is None\n"
+        "from repro.circuit import Circuit, t, tdg\n"
+        "assert _kernels.cancel_fixpoint(Circuit(1, [t(0), tdg(0)]), 64, 20) is None\n"
         "from repro.circopt import cancel_to_fixpoint\n"
         "assert cancel_to_fixpoint([t(0), tdg(0)]) == []\n"
     )
@@ -258,8 +265,8 @@ def test_extension_status_reports_reason():
 
 def test_kernels_degenerate_inputs():
     """Empty streams and zero budgets return early on every path."""
-    assert _kernels.cancel_fixpoint([], 64, 20) is None
-    assert _kernels.cancel_fixpoint([t(0)], 64, 0) is None
+    assert _kernels.cancel_fixpoint(Circuit(1, []), 64, 20) is None
+    assert _kernels.cancel_fixpoint(Circuit(1, [t(0)]), 64, 0) is None
     empty = GateStream.from_gates([], 1)
     keys = _kernels.fold_classify(empty)
     assert keys is None or len(keys) == 0

@@ -120,6 +120,15 @@ class TestStatevector:
             state = run(circ, basis_state(3, bits))
             assert states_equal(state, basis_state(3, expected))
 
+    def test_append_after_run_invalidates_cached_plan(self):
+        # plans are cached per circuit object; an append must not replay
+        # the plan of the shorter circuit
+        circ = Circuit(2, [x(0)])
+        s0 = zero_state(2)
+        assert np.allclose(run(circ, s0), basis_state(2, 0b01))
+        circ.append(x(1))
+        assert np.allclose(run(circ, s0), basis_state(2, 0b11))
+
 
 class TestQcFormat:
     def test_roundtrip(self):

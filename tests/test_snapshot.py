@@ -9,6 +9,8 @@ control order and the evaluation requires bit-identical T-counts.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,19 @@ def _roundtrip(circuit: Circuit) -> None:
         assert got == expected
     assert restored.registers == circuit.registers
     assert restored == circuit
+    # per-row counts weighted by the row column match a per-gate oracle
+    gates = circuit.gates
+    assert restored.t_complexity() == sum(g.t_cost() for g in gates)
+    assert restored.t_count() == sum(
+        1 for g in gates if g.kind in (GateKind.T, GateKind.TDG)
+    )
+    assert restored.gate_histogram() == Counter(
+        (g.kind, len(g.controls)) for g in gates
+    )
+    assert restored.max_controls() == max(
+        (len(g.controls) for g in gates), default=0
+    )
+    assert restored.is_clifford_t() == all(g.is_clifford_t() for g in gates)
 
 
 class TestRoundTrip:
@@ -81,6 +96,29 @@ class TestRoundTrip:
     def test_random_mcx_unsorted_controls(self, gates):
         # 70 wires: masks exceed 64 bits, exercising the bigint path
         _roundtrip(Circuit(70, gates))
+
+    @given(
+        st.lists(st.tuples(mcx_gates(num_qubits=80), st.integers(0, 2)), max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_but_distinct_objects(self, drawn, rng):
+        # 80 wires, and each drawn gate applied again as the same object
+        # and as equal copies: the table keeps one row per object
+        gates = []
+        for gate, copies in drawn:
+            gates += [gate, gate]
+            gates += [Gate(gate.kind, gate.controls, gate.targets) for _ in range(copies)]
+        rng.shuffle(gates)
+        circuit = Circuit(80, gates)
+        assert len(circuit.table) == len({id(g) for g in gates})
+        _roundtrip(circuit)
+
+    def test_controlled_t_has_no_t_complexity(self):
+        circuit = Circuit(2, [Gate(GateKind.T, (0,), (1,))])
+        for candidate in (circuit, load_bytes(dump_bytes(circuit))):
+            with pytest.raises(ValueError):
+                candidate.t_complexity()
 
     def test_empty_circuit(self):
         _roundtrip(Circuit(0, []))
@@ -116,10 +154,35 @@ class TestRoundTrip:
     def test_every_corruption_shape_is_snapshot_error(self):
         import json as json_mod
         import struct as struct_mod
+        import zlib
 
         blob = dump_bytes(Circuit(3, [Gate(GateKind.MCX, (0,), (1,))]))
         magic_len = 6
         (header_len,) = struct_mod.unpack_from("<I", blob, magic_len)
+
+        # Toffoli[0,1](2), CNOT[3](4): two table rows whose columns are
+        # kinds u8[2], num_controls i32[2], num_targets u8[2],
+        # qubits i32[5], rows i32[2]
+        pair = dump_bytes(
+            Circuit(5, [Gate(GateKind.MCX, (0, 1), (2,)), Gate(GateKind.MCX, (3,), (4,))])
+        )
+        (pair_header_len,) = struct_mod.unpack_from("<I", pair, magic_len)
+        header = json_mod.loads(pair[magic_len + 4: magic_len + 4 + pair_header_len])
+        at = magic_len + 4 + pair_header_len
+
+        def columns(num_controls=(2, 1), num_targets=(1, 1), qubits=(0, 1, 2, 3, 4),
+                    rows=(0, 1)):
+            return (pair[at: at + 2] + struct_mod.pack("<2i", *num_controls)
+                    + bytes(num_targets) + struct_mod.pack("<5i", *qubits)
+                    + struct_mod.pack("<2i", *rows))
+
+        def sealed(body, **changes):
+            # a checksum that matches: only the structural checks can object
+            head = json_mod.dumps(dict(header, **changes), sort_keys=True).encode()
+            data = pair[:magic_len] + struct_mod.pack("<I", len(head)) + head + body
+            return data + struct_mod.pack("<I", zlib.crc32(data))
+
+        assert sealed(columns()) == pair
         corrupt = [
             blob[: magic_len + 2],  # truncated inside the header length
             # valid JSON header missing required keys
@@ -128,6 +191,22 @@ class TestRoundTrip:
             # invalid kind code in the kinds array
             blob[: magic_len + 4 + header_len] + b"\xc8"
             + blob[magic_len + 4 + header_len + 1:],
+            # one control moved from row 0 to row 1: same length, and
+            # CNOT[0](1), Toffoli[2,3](4) would be a valid circuit
+            pair[:at] + columns(num_controls=(1, 2)) + pair[-4:],
+            # a negative count, with and without a matching checksum
+            pair[:at] + columns(num_controls=(-1, 4)) + pair[-4:],
+            sealed(columns(num_controls=(-1, 4))),
+            # a target count other than 1 or 2
+            sealed(columns(num_controls=(3, 1), num_targets=(0, 1))),
+            # counts that do not consume exactly the qubit words
+            sealed(columns(num_controls=(2, 2))),
+            # a row index outside the table
+            sealed(columns(rows=(0, 2))),
+            sealed(columns(rows=(-1, 1))),
+            # a qubit at or above the header's num_qubits
+            sealed(columns(qubits=(0, 1, 2, 3, 5))),
+            sealed(columns(), num_qubits=4),
         ]
         for bad in corrupt:
             with pytest.raises(SnapshotError):
