@@ -31,13 +31,12 @@ this behaviour.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, Gate, phase_gate
+from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, Gate, phase_gate, shared_memo
 from ..circuit.gatestream import (
     FIRST_PHASE_CODE,
     GateStream,
@@ -112,7 +111,7 @@ def _pack(circuit: Circuit) -> List[_Entry]:
     ]
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def _merged_phase_entries(eighths: int, target: int) -> Tuple[_Entry, ...]:
     """Packed entries for the minimal phase sequence worth ``eighths``."""
     tm = 1 << target

@@ -38,13 +38,20 @@ simulation on random circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple, Union
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, PHASE_KINDS, Gate, GateKind, phase_gate
+from ..circuit.gates import (
+    EIGHTHS_TO_KINDS,
+    PHASE_EIGHTHS,
+    PHASE_KINDS,
+    Gate,
+    GateKind,
+    phase_gate,
+    shared_memo,
+)
 from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE
 from .base import CircuitOptimizer, register
 from .cancel import cancel_circuit
@@ -65,7 +72,7 @@ class _Placeholder:
     const: int
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def _materialized_phases(eighths: int, qubit: int) -> Tuple[Gate, ...]:
     """Cached minimal phase-gate sequence worth ``eighths`` on ``qubit``."""
     return tuple(phase_gate(kind, qubit) for kind in EIGHTHS_TO_KINDS[eighths])

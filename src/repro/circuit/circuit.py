@@ -7,12 +7,15 @@ registers (program variables, memory cells, scratch space) to qubit ranges.
 Storage is dictionary-encoded.  A circuit holds a *table* of distinct
 ``Gate`` objects and an ``int32`` *row column* with one entry per gate
 application, naming the table row it applies.  :meth:`Circuit.append` and
-:meth:`Circuit.extend` intern gates by object identity: the memoized gate
-builders make real circuits share few ``Gate`` objects across many
-applications (``length@3`` under Spire is 977 gates over 319 rows), so the
-table stays small.  Two equal but distinct objects simply occupy two rows.  ``num_qubits`` grows only when a
-new row enters the table.  :attr:`Circuit.gates` is a list view built on
-first use and kept in step with later appends; it is read-only.
+:meth:`Circuit.extend` intern gates by object identity.  Every gate builder
+returns one shared instance per gate value
+(:func:`~repro.circuit.gates.shared_gate`), so a table holds distinct gate
+*values* and stays small (``length@2`` un-optimized is 646 gates over 192
+rows).  Equal but distinct objects, which only direct ``Gate(...)`` calls
+make (as in :mod:`repro.reference` and the tests), simply occupy two rows.
+``num_qubits`` grows only when a new row enters the table.
+:attr:`Circuit.gates` is a list view built on first use and kept in step
+with later appends; it is read-only.
 
 Every consumer between the compiler and the artifact cache works on this
 storage: snapshots write the table and the row column
@@ -106,11 +109,16 @@ class Circuit:
     ) -> "Circuit":
         """A circuit applying ``table[rows[0]], table[rows[1]], ...``.
 
-        ``table`` must hold distinct objects and ``num_qubits`` must cover
-        every qubit they touch.  Rows the column never names are dropped,
-        so every table row of a circuit is applied at least once.
+        ``num_qubits`` must cover every qubit the table touches.  An object
+        at several rows keeps its first, and rows the column never names are
+        dropped, so every table row of a circuit is a distinct object that
+        is applied at least once.
         """
         rows = np.array(rows, dtype=np.int32)
+        if len(set(map(id, table))) < len(table):
+            first: Dict[int, int] = {}
+            merged = [first.setdefault(id(g), r) for r, g in enumerate(table)]
+            rows = np.array(merged, dtype=np.int32)[rows]
         used = np.bincount(rows, minlength=len(table)) > 0
         if not used.all():
             table = [table[r] for r in np.flatnonzero(used).tolist()]
@@ -179,11 +187,8 @@ class Circuit:
         row with numpy.
         """
         out = Circuit(self.num_qubits, (), self.registers)
-        pieces = [out._intern(seq) for seq in expansions]
-        lengths = np.array([len(p) for p in pieces], dtype=np.int64)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(pieces), np.int32, int(lengths.sum())
-        )
+        lengths = np.fromiter(map(len, expansions), np.int64, len(expansions))
+        flat = np.array(out._intern(itertools.chain.from_iterable(expansions)), dtype=np.int32)
         rows = self.rows
         take = lengths[rows]
         total = int(take.sum())

@@ -17,12 +17,11 @@ original MCX-level circuit, which the test suite verifies gate-for-gate.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import LoweringError
 from .circuit import Circuit, Register
-from .gates import Gate, GateKind, cnot, h, s, sdg, t, tdg, toffoli, x
+from .gates import PHASE_KINDS, Gate, GateKind, cnot, h, mcx, s, sdg, shared_memo, t, tdg, toffoli
 
 
 class _AncillaPool:
@@ -60,14 +59,14 @@ def decompose_mcx_to_toffoli(
     """
     if gate.kind is not GateKind.MCX:
         raise LoweringError(f"not an MCX gate: {gate}")
-    controls = list(gate.controls)
+    controls = gate.controls
     if len(controls) <= 2:
         out.append(gate)
         return
     ancilla = pool.acquire()
     compute = toffoli(controls[0], controls[1], ancilla)
     out.append(compute)
-    inner = Gate(GateKind.MCX, tuple([ancilla] + controls[2:]), gate.targets)
+    inner = mcx((ancilla,) + controls[2:], gate.target)
     decompose_mcx_to_toffoli(inner, pool, out)
     out.append(compute)
     pool.release(ancilla)
@@ -88,15 +87,13 @@ def decompose_controlled_h(gate: Gate, pool: _AncillaPool, out: List[Gate]) -> N
     out.append(s(target))
     out.append(h(target))
     out.append(t(target))
-    decompose_mcx_to_toffoli(
-        Gate(GateKind.MCX, gate.controls, gate.targets), pool, out
-    )
+    decompose_mcx_to_toffoli(mcx(gate.controls, target), pool, out)
     out.append(tdg(target))
     out.append(h(target))
     out.append(sdg(target))
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def _toffoli_clifford_t(a: int, b: int, c: int) -> Tuple[Gate, ...]:
     """Memoized Figure 6 gate sequence for ``Toffoli(a, b -> c)``.
 
@@ -139,33 +136,41 @@ def decompose_swap(gate: Gate) -> List[Gate]:
     return [g.with_extra_controls(gate.controls) for g in seq]
 
 
+def _toffoli_level(gate: Gate, pool: _AncillaPool) -> List[Gate]:
+    """One MCX-level gate as Toffoli-level gates (ancillas from ``pool``)."""
+    out: List[Gate] = []
+    if gate.kind is GateKind.MCX:
+        decompose_mcx_to_toffoli(gate, pool, out)
+    elif gate.kind is GateKind.H:
+        decompose_controlled_h(gate, pool, out)
+    elif gate.kind is GateKind.SWAP:
+        for g in decompose_swap(gate):
+            decompose_mcx_to_toffoli(g, pool, out)
+    elif gate.kind in PHASE_KINDS:
+        if gate.controls:
+            raise LoweringError(f"controlled phase gate in MCX-level circuit: {gate}")
+        out.append(gate)
+    else:  # pragma: no cover - enum is closed
+        raise LoweringError(f"cannot decompose {gate}")
+    return out
+
+
 def to_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite an MCX-level circuit so no gate has more than two controls.
 
     MCX gates with three or more controls are expanded via Figure 5;
     controlled Hadamards are expanded via the ``A · C^mX · A†`` construction.
     Ancilla wires are appended above ``circuit.num_qubits`` and shared.
+
+    Each row of the gate table is expanded once and the applications are
+    gathered by row (:meth:`Circuit.expand_rows`).  Every expansion returns
+    its ancillas to the pool in the reverse of the order it took them, so
+    the pool hands out ``num_qubits, num_qubits + 1, ...`` to every gate
+    alike: a gate's ancillas depend only on the gate and
+    ``circuit.num_qubits``, never on the gates before it.
     """
     pool = _AncillaPool(circuit.num_qubits)
-    out: List[Gate] = []
-    for gate in circuit.gates:
-        if gate.kind is GateKind.MCX:
-            decompose_mcx_to_toffoli(gate, pool, out)
-        elif gate.kind is GateKind.H:
-            if len(gate.controls) <= 0:
-                out.append(gate)
-            else:
-                decompose_controlled_h(gate, pool, out)
-        elif gate.kind is GateKind.SWAP:
-            for g in decompose_swap(gate):
-                decompose_mcx_to_toffoli(g, pool, out)
-        elif gate.kind in (GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z):
-            if gate.controls:
-                raise LoweringError(f"controlled phase gate in MCX-level circuit: {gate}")
-            out.append(gate)
-        else:  # pragma: no cover - enum is closed
-            raise LoweringError(f"cannot decompose {gate}")
-    result = Circuit(max(circuit.num_qubits, pool.used), out, dict(circuit.registers))
+    result = circuit.expand_rows([_toffoli_level(gate, pool) for gate in circuit.table])
     if pool.used > circuit.num_qubits:
         result.add_register(
             Register("%mcx_ancilla", circuit.num_qubits, pool.used - circuit.num_qubits)

@@ -25,10 +25,11 @@ T-counting conventions (Sections 3.3 and 5, Figures 5 and 6):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 
 class GateKind(str, Enum):
@@ -57,6 +58,14 @@ PHASE_EIGHTHS = {
     GateKind.Z: 4,
     GateKind.SDG: 6,
     GateKind.TDG: 7,
+}
+
+#: Inverse kind of each phase kind that is not self-inverse.
+_INVERSE_KIND = {
+    GateKind.T: GateKind.TDG,
+    GateKind.TDG: GateKind.T,
+    GateKind.S: GateKind.SDG,
+    GateKind.SDG: GateKind.S,
 }
 
 #: Inverse map: eighth-turns (mod 8) to the minimal phase-gate sequence.
@@ -161,21 +170,19 @@ class Gate:
         return self.targets[0]
 
     def with_extra_controls(self, extra: Iterable[int]) -> "Gate":
-        """Return this gate with additional control qubits prepended."""
+        """Return this gate with additional control qubits prepended
+        (the shared instance; ``self`` when ``extra`` is empty)."""
         extra_t = tuple(extra)
         if not extra_t:
             return self
-        return Gate(self.kind, extra_t + self.controls, self.targets)
+        key = (self.kind, extra_t + self.controls, self.targets)
+        return _SHARED.get(key) or _share(key)
 
     def inverse(self) -> "Gate":
-        """The inverse gate (phase kinds invert; MCX/H/SWAP are self-inverse)."""
-        inverse_kind = {
-            GateKind.T: GateKind.TDG,
-            GateKind.TDG: GateKind.T,
-            GateKind.S: GateKind.SDG,
-            GateKind.SDG: GateKind.S,
-        }
-        return Gate(inverse_kind.get(self.kind, self.kind), self.controls, self.targets)
+        """The inverse gate, shared (phase kinds invert; MCX/H/SWAP/Z are
+        self-inverse)."""
+        key = (_INVERSE_KIND.get(self.kind, self.kind), self.controls, self.targets)
+        return _SHARED.get(key) or _share(key)
 
     def is_self_inverse(self) -> bool:
         """True for MCX, H, Z and SWAP gates."""
@@ -231,45 +238,109 @@ class Gate:
         return f"{name}{ctrl}({','.join(map(str, self.targets))})"
 
 
+# ------------------------------------------------------------------ sharing
+#
+# Every builder below, ``with_extra_controls`` and ``inverse`` return one
+# shared instance per gate value, held in one intern table keyed by
+# ``(kind, controls, targets)``.  Lowering emits the same gates, under the
+# same ``if`` controls, many times over, and a circuit's gate table interns
+# by identity (:mod:`repro.circuit.circuit`), so sharing keeps each table
+# to one row per distinct gate value.  A ``Gate`` is immutable, so sharing
+# is safe.  Only direct ``Gate(...)`` calls bypass the table.
+#
+# The table is bounded.  When it fills it starts over, together with every
+# memo that holds shared instances (:func:`shared_memo`), so gates built
+# afterwards share with each other again.  A value built before and after
+# a reset is two equal objects, which only costs a circuit holding both a
+# second table row.  Lookups take no lock; a miss stores its gate under
+# ``_LOCK``, so threads that miss on one value get one instance and the
+# bound holds.
+
+#: Bound on the intern table.  Every benchmark's gates fit well under it.
+SHARED_GATES_MAX = 1 << 16
+
+_SHARED: Dict[Tuple[GateKind, Tuple[int, ...], Tuple[int, ...]], Gate] = {}
+
+_MEMOS: List[Callable] = []
+
+_LOCK = threading.RLock()
+
+
+def shared_memo(fn: Callable) -> Callable:
+    """``lru_cache`` for a function of gate values that returns shared
+    instances; the memo starts over whenever the intern table does."""
+    memo = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def reset_shared_gates() -> None:
+    """Forget every shared instance: the table and every memo start over."""
+    with _LOCK:
+        _SHARED.clear()
+        for memo in _MEMOS:
+            memo.cache_clear()
+
+
+def _share(key: Tuple[GateKind, Tuple[int, ...], Tuple[int, ...]]) -> Gate:
+    """Intern-table miss: build (and so validate) the gate, then store it
+    unless another thread stored the value first."""
+    gate = Gate(*key)
+    with _LOCK:
+        if len(_SHARED) >= SHARED_GATES_MAX:
+            reset_shared_gates()
+        return _SHARED.setdefault(key, gate)
+
+
+def shared_gate(
+    kind: GateKind, controls: Tuple[int, ...], targets: Tuple[int, ...]
+) -> Gate:
+    """The shared instance of ``Gate(kind, controls, targets)``."""
+    key = (kind, controls, targets)
+    return _SHARED.get(key) or _share(key)
+
+
 # ------------------------------------------------------------------ builders
 #
-# The scalar builders are memoized: optimizer and decomposition hot loops
-# emit the same small gates millions of times, and a frozen ``Gate`` can be
-# shared freely.  Builders taking iterables (``mcx``, ``h``) are not cached.
-@lru_cache(maxsize=None)
+# The scalar builders keep a memo of their own in front of the intern
+# table: optimizer, decomposition and lowering hot loops call them millions
+# of times, and the memo lookup is cheaper than building the table key.
+@shared_memo
 def phase_gate(kind: GateKind, target: int) -> Gate:
     """Shared instance of an uncontrolled phase gate of ``kind``."""
     if kind not in PHASE_KINDS:
         raise ValueError(f"{kind} is not a phase kind")
-    return Gate(kind, (), (target,))
+    return shared_gate(kind, (), (target,))
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def x(target: int) -> Gate:
     """NOT gate."""
-    return Gate(GateKind.MCX, (), (target,))
+    return shared_gate(GateKind.MCX, (), (target,))
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def cnot(control: int, target: int) -> Gate:
     """Controlled-NOT gate."""
-    return Gate(GateKind.MCX, (control,), (target,))
+    return shared_gate(GateKind.MCX, (control,), (target,))
 
 
-@lru_cache(maxsize=None)
+@shared_memo
 def toffoli(c1: int, c2: int, target: int) -> Gate:
     """Doubly-controlled NOT gate."""
-    return Gate(GateKind.MCX, (c1, c2), (target,))
+    return shared_gate(GateKind.MCX, (c1, c2), (target,))
 
 
 def mcx(controls: Iterable[int], target: int) -> Gate:
     """Multiply-controlled NOT gate with any number of controls."""
-    return Gate(GateKind.MCX, tuple(controls), (target,))
+    key = (GateKind.MCX, tuple(controls), (target,))
+    return _SHARED.get(key) or _share(key)
 
 
 def h(target: int, controls: Iterable[int] = ()) -> Gate:
     """(Controlled-) Hadamard gate."""
-    return Gate(GateKind.H, tuple(controls), (target,))
+    key = (GateKind.H, tuple(controls), (target,))
+    return _SHARED.get(key) or _share(key)
 
 
 def t(target: int) -> Gate:
@@ -299,4 +370,4 @@ def z(target: int) -> Gate:
 
 def swap(a: int, b: int) -> Gate:
     """Two-qubit SWAP gate."""
-    return Gate(GateKind.SWAP, (), (a, b))
+    return shared_gate(GateKind.SWAP, (), (a, b))

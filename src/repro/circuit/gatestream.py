@@ -36,7 +36,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .circuit import Circuit
-from .gates import PHASE_EIGHTHS, Gate, GateKind
+from .gates import PHASE_EIGHTHS, Gate, GateKind, shared_gate
 
 #: Dense integer code per gate kind (stable across the package).
 KIND_CODES = {
@@ -171,7 +171,7 @@ class GateStream:
             kind = CODE_KINDS[self.kinds[i]]
             controls = _mask_bits(self.ctrl_masks[i])
             targets = _mask_bits(self.tgt_masks[i])
-            out.append(Gate(kind, controls, targets))
+            out.append(shared_gate(kind, controls, targets))
         return out
 
     # ------------------------------------------------------------- measures

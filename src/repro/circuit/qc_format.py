@@ -20,7 +20,7 @@ from typing import Dict, List
 
 from ..errors import ParseError
 from .circuit import Circuit
-from .gates import Gate, GateKind
+from .gates import Gate, GateKind, mcx, shared_gate, swap
 
 _KIND_TO_NAME = {
     GateKind.H: "H",
@@ -112,17 +112,15 @@ def loads(text: str) -> Circuit:
         if op in ("tof", "x", "not", "cnot", "t1", "t2", "t3", "t4", "t5"):
             if not qubits:
                 raise ParseError(f"tof with no wires: {line!r}")
-            gates.append(Gate(GateKind.MCX, tuple(qubits[:-1]), (qubits[-1],)))
+            gates.append(mcx(qubits[:-1], qubits[-1]))
         elif op == "swap":
             if len(qubits) != 2:
                 raise ParseError(f"swap needs two wires: {line!r}")
-            gates.append(Gate(GateKind.SWAP, (), tuple(qubits)))
+            gates.append(swap(*qubits))
         elif op in _NAME_TO_KIND:
             if len(qubits) != 1:
                 raise ParseError(f"{op} needs one wire: {line!r}")
-            gates.append(Gate(_NAME_TO_KIND[op], (), (qubits[0],)))
-        elif op == "h":
-            gates.append(Gate(GateKind.H, (), (qubits[0],)))
+            gates.append(shared_gate(_NAME_TO_KIND[op], (), (qubits[0],)))
         else:
             raise ParseError(f"unknown gate {op!r}")
     return Circuit(len(wires), gates)

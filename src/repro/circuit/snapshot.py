@@ -8,8 +8,9 @@ is written as a kind code and its qubit *list* (controls first, original
 order).  Qubit lists rather than bitmasks are what make the format
 lossless: a mask is a set, and the Figure 5 MCX expansion is sensitive to
 control order, so canonicalizing order on disk would change downstream
-optimizer output gate-for-gate.  Loading builds one ``Gate`` per table
-row, never one per gate application.
+optimizer output gate-for-gate.  Loading takes one shared ``Gate`` per
+table row (:func:`~repro.circuit.gates.shared_gate`), never one per gate
+application.
 
 Layout (all integers little-endian)::
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from ..errors import ReproError
 from .circuit import Circuit, Register
-from .gates import Gate
+from .gates import shared_gate
 from .gatestream import CODE_KINDS, KIND_CODES
 
 MAGIC = b"RQCS2\x00"
@@ -164,7 +165,7 @@ def _load_bytes(data: bytes) -> Circuit:
         split = pos + nc
         end = split + nt
         controls = tuple(qubit_list[pos:split])
-        table.append(Gate(CODE_KINDS[code], controls, tuple(qubit_list[split:end])))
+        table.append(shared_gate(CODE_KINDS[code], controls, tuple(qubit_list[split:end])))
         pos = end
     registers = {
         name: Register(name, reg_offset, width)

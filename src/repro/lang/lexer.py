@@ -11,6 +11,10 @@ from typing import List
 from ..errors import LexError
 from .tokens import KEYWORDS, PUNCTUATION, Token, TokenKind
 
+#: Integer literals are ASCII decimal, as the grammar says; ``str.isdigit``
+#: also accepts characters such as ``²`` that ``int()`` cannot parse.
+_DIGITS = frozenset("0123456789")
+
 
 def tokenize(source: str) -> List[Token]:
     """Convert source text into a token list terminated by an EOF token."""
@@ -45,10 +49,10 @@ def tokenize(source: str) -> List[Token]:
                 raise LexError("unterminated block comment", line, column)
             advance(end + 2 - pos)
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
             start_line, start_col = line, column
-            while pos < length and source[pos].isdigit():
+            while pos < length and source[pos] in _DIGITS:
                 advance(1)
             tokens.append(Token(TokenKind.INT, source[start:pos], start_line, start_col))
             continue

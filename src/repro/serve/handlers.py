@@ -10,8 +10,9 @@ status    meaning
 ========  ==========================================================
 200       clean (warnings, if any, ride along in the payload)
 422       the *program* is at fault — admission lint found errors
-400       the *request* is at fault — missing/ill-typed fields,
-          unknown benchmark, bad pipeline spec (exit 2's analog)
+400       the *request* is at fault — missing/ill-typed fields (a
+          sized entry without ``depth`` included), unknown
+          benchmark, bad pipeline spec (exit 2's analog)
 500       the *service* is at fault — handler defect or a failure
           row out of the execution backend (exit 3's analog)
 ========  ==========================================================
@@ -25,6 +26,8 @@ from typing import Any, Dict, Optional, Tuple
 from ..benchsuite.parallel import MEASURE, OPTIMIZE, GridTask
 from ..benchsuite.programs import is_unsized
 from ..circopt.base import optimizer_names
+from ..errors import ReproError
+from ..lang.parser import parse_program
 from ..passes import canonical_pipeline
 from .service import CompileService
 
@@ -97,6 +100,21 @@ def _admit(
     return None, report
 
 
+def _missing_depth(entry: str) -> RequestError:
+    """A sized entry cannot compile without a recursion bound: the request
+    is rejected before it reaches the batch thread."""
+    return RequestError(f"missing required field 'depth': {entry!r} takes a recursion bound")
+
+
+def _entry_takes_size(source: str, entry: str) -> bool:
+    """Whether ``entry`` declares a recursion bound (False when the source
+    does not parse or lacks it; the compile reports those itself)."""
+    try:
+        return parse_program(source).fun(entry).size_param is not None
+    except (ReproError, KeyError):
+        return False
+
+
 async def _run_task(
     service: CompileService, task: GridTask, extra: Dict[str, Any]
 ) -> Response:
@@ -121,6 +139,8 @@ async def handle_compile(
     resolved = entry or report.entry
     if resolved is None:
         raise RequestError("program defines no functions (nothing to compile)")
+    if depth is None and report.size is not None:
+        raise _missing_depth(resolved)
     name = service.register_inline(source, resolved)
     task = GridTask(MEASURE, name, depth, optimization)
     return await _run_task(
@@ -154,6 +174,8 @@ async def handle_measure(
     source, entry = known
     if is_unsized(name):
         depth = None
+    elif depth is None and _entry_takes_size(source, entry):
+        raise _missing_depth(entry)
     if lint_gate:
         reject, _report = _admit(service, source, entry, depth)
         if reject is not None:

@@ -216,22 +216,32 @@ class CompileService:
                     self.flight.reject(fp, exc)
 
     def _run_batch(self, batch: List[Tuple[str, GridTask]]) -> None:
-        """Executor-thread body: one backend sweep over the batch."""
+        """Executor-thread body: one backend sweep over the batch.
+
+        The cache's stats are published before the batch's last row is
+        answered, so a client holding every answer finds no staging file
+        of this batch still on disk.
+        """
         fps = [fp for fp, _ in batch]
         tasks = [task for _, task in batch]
+        unanswered = set(range(len(batch)))
         assert self._loop is not None
 
         def on_row(index: int, row: Dict[str, Any]) -> None:
             fp = fps[index]
             if self.journal is not None and not row.get("failed"):
                 self.journal.append(fp, row)
+            unanswered.discard(index)
+            if not unanswered and self.cache is not None:
+                self.cache.publish_stats()
             self._loop.call_soon_threadsafe(self._finish, fp, row)
 
         try:
             self.backend.run(self.runner, tasks, on_row=on_row)
         finally:
             if self.cache is not None:
-                self.cache.publish_stats()
+                if unanswered:  # the sweep stopped before its last row
+                    self.cache.publish_stats()
                 if self.cache_max_bytes is not None:
                     self.cache.prune(self.cache_max_bytes)
 

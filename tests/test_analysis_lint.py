@@ -179,6 +179,14 @@ class TestCodes:
         assert report.errors
         assert report.exit_code() == 1
 
+    def test_rpa001_non_ascii_digit(self):
+        # ``²`` passes ``str.isdigit`` but is no integer literal: a lex
+        # finding, not a crash out of ``int()``
+        src = "fun main(x: uint) -> uint {\n  let y <- x + \u00b2;\n  return y;\n}\n"
+        report = lint_source(src)
+        assert _codes(report.diagnostics) == ["RPA001"]
+        assert report.exit_code() == 1
+
     def test_rpa002_unknown_entry(self, length_source):
         report = lint_source(length_source, entry="nope")
         assert _codes(report.diagnostics) == ["RPA002"]

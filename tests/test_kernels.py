@@ -94,8 +94,8 @@ def test_cancel_fixpoint_paths_identical(data, num_qubits, reloaded):
 
     Widths 70 and 130 force multi-word masks in the C kernel and bigint
     masks in the Python fallback.  ``reloaded`` runs the sweeps on the
-    circuit restored from its snapshot, whose gate table holds fresh
-    ``Gate`` objects rather than the memoized builders' instances.
+    circuit restored from its snapshot, whose gate table holds the shared
+    instances rather than the drawn ``Gate`` objects.
     """
     gates = data.draw(_gate_strategy(num_qubits, exotic=True))
     window = data.draw(st.sampled_from([1, 2, 4, 64]))

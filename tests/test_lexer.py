@@ -93,6 +93,14 @@ class TestPositions:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff17"])
+    def test_non_ascii_digit_is_lex_error(self, digit):
+        # ``str.isdigit`` accepts these, ``int()`` does not parse them all,
+        # and the grammar's integers are ASCII decimal
+        with pytest.raises(LexError) as err:
+            tokenize(f"let y <- x + {digit};")
+        assert (err.value.line, err.value.column) == (1, 14)
+
 
 def test_full_program_lexes(length_source):
     tokens = tokenize(length_source)

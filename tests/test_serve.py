@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -106,6 +107,37 @@ def test_status_contract(tmp_path):
                 assert status == 404
                 status, _ = await client.get("/compile")
                 assert status == 405
+
+    asyncio.run(main())
+
+
+def test_sized_entry_without_depth_is_rejected_before_batching(tmp_path):
+    """A sized entry lints at the default size, but cannot compile without
+    a recursion bound: the request is at fault (400 naming ``depth``), and
+    no batch runs for it."""
+    from repro.benchsuite.programs import get_source
+
+    async def main() -> None:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                requests = [
+                    ("/measure", {"name": "length", "optimization": "spire"}),
+                    ("/measure", {"name": "length", "lint": False}),
+                    ("/compile", {"source": get_source("length"), "entry": "length"}),
+                ]
+                for path, payload in requests:
+                    status, body = await client.post(path, payload)
+                    assert status == 400, (path, body)
+                    assert "'depth'" in body["error"]
+                _, metrics = await client.get("/metrics")
+                assert metrics["counters"].get("batches", 0) == 0
+                # the same requests with a depth are admitted and batched
+                status, _ = await client.post(
+                    "/measure", {"name": "length", "depth": 1}
+                )
+                assert status == 200
+                _, metrics = await client.get("/metrics")
+                assert metrics["counters"]["batches"] == 1
 
     asyncio.run(main())
 
@@ -301,6 +333,31 @@ def test_rows_match_serial_no_server_baseline(tmp_path):
 
 
 # ----------------------------------------------------------- metrics & stats
+def test_batch_stats_are_published_before_its_last_answer(tmp_path, monkeypatch):
+    """A slow stats write must finish before the answer goes out, or a
+    client's next ``/cache/stats`` can count its staging file."""
+    published = threading.Event()
+    publish = ArtifactCache.publish_stats
+
+    def slow_publish(cache: ArtifactCache) -> None:
+        time.sleep(0.2)
+        publish(cache)
+        published.set()
+
+    monkeypatch.setattr(ArtifactCache, "publish_stats", slow_publish)
+
+    async def main() -> None:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                status, _ = await client.post("/compile", {"source": INLINE_OK})
+                assert status == 200
+                assert published.is_set()
+                _, stats = await client.get("/cache/stats")
+                assert stats["usage"]["tmp_files"] == 0
+
+    asyncio.run(main())
+
+
 def test_metrics_and_cache_stats_shape(tmp_path):
     async def main() -> None:
         async with _server(tmp_path) as server:
