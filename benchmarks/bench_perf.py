@@ -251,7 +251,7 @@ def _kernels_section(mode: str) -> dict:
         "sweep_seconds": round(sweep_s, 4),
         "grouped_seconds": round(grouped_s, 4),
         "grouped_speedup": round(sweep_s / grouped_s, 2) if grouped_s else None,
-        "identical_gates": grouped_out == sweep_out,
+        "identical_gates": grouped_out.gates == sweep_out,
     }
 
     n = 8 if mode == "quick" else 10

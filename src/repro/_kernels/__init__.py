@@ -3,9 +3,13 @@
 This package holds the plain-C implementation of the innermost optimizer
 scan (the cancellation stack sweep run to fixpoint) plus the ctypes
 loader and the array packing that feeds it.  The cancel kernel reads a
-circuit's row column as is: only the rows of its gate table are
-described to C, and the surviving rows become the output circuit.
-Selection happens once at import time:
+circuit's row column as is.  The rows described to C are the gate
+table's, gathered from each gate's cached record
+(:class:`~repro.circuit.gatestream.RowRecords`), followed by the
+memoized phase block of the table's width
+(:class:`~repro.circuit.gatestream.PhaseBlock`), whose rows the sweep
+names when it merges phase gates.  The surviving rows become the output
+circuit.  Selection happens once at import time:
 
 * ``REPRO_NO_EXT=1`` in the environment disables the extension outright.
 * Otherwise, if ``_cancel_kernel.so`` exists next to this file (built by
@@ -22,7 +26,6 @@ runs its own vectorized pure-Python sweep.  Both paths are exercised by
 from __future__ import annotations
 
 import ctypes
-import itertools
 import os
 from typing import TYPE_CHECKING, Optional
 
@@ -136,18 +139,6 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _mask_words(qubit_lists: list, words: int) -> np.ndarray:
-    """Row ``r`` of the result is the bitmask of ``qubit_lists[r]``,
-    split into ``words`` little-endian 64-bit words."""
-    lengths = [len(qubits) for qubits in qubit_lists]
-    qubits = np.fromiter(itertools.chain.from_iterable(qubit_lists), np.int64, sum(lengths))
-    rows = np.repeat(np.arange(len(qubit_lists)), lengths)
-    out = np.zeros((len(qubit_lists), words), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
-    np.bitwise_or.at(out, (rows, qubits >> 6), bits)
-    return out
-
-
 def cancel_fixpoint(
     circuit: "Circuit", window: int, max_passes: int
 ) -> Optional["Circuit"]:
@@ -156,10 +147,12 @@ def cancel_fixpoint(
     Returns the reduced circuit (same width and registers), or ``None``
     when the extension is unavailable or declines the input (the caller
     then falls back to the pure-Python sweep).  The kernel reads the
-    circuit's row column directly and describes each table row once; the
-    output circuit is built from the surviving rows, and its gates
-    compare equal to the fallback's — merged phase gates come from the
-    same memoized builders.
+    circuit's row column directly.  It sees the table's gathered records
+    followed by the phase block of the width the table touches; a block
+    gate the table already holds is named by its table row.  The output
+    table keeps the surviving table rows and adds only the block gates the
+    output names, so its gates compare equal to the fallback's, and its
+    merged phase gates are the same shared instances.
     """
     lib = _get_lib()
     if lib is None:
@@ -167,43 +160,25 @@ def cancel_fixpoint(
     n = len(circuit)
     if n == 0 or max_passes <= 0:
         return None
-    from ..circuit.circuit import Circuit
-    from ..circuit.gates import EIGHTHS_TO_KINDS, GateKind, phase_gate
-    from ..circuit.gatestream import INVERSE_CODES, qubit_ordinals, table_columns
+    from ..circuit.gatestream import INVERSE_CODES, RowRecords, phase_block
 
     table = circuit.table
-    num_qubits = 1 + max(max(g.qubits) for g in table)
+    records = RowRecords(table)
+    # mask words cover the qubits the table touches, which a wide
+    # register can leave far below ``circuit.num_qubits``
+    num_qubits = 1 + int(records.top.max())
     words = (num_qubits + 63) // 64
-
-    # One row per (phase kind, qubit) so merged phase gates are
-    # addressable by row id from inside the C sweep; a memoized phase
-    # gate already in the table keeps its own row.
-    objs = list(table)
-    row_of = {id(g): r for r, g in enumerate(objs)}
-    phase_kinds = (GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z)
-    synth_row = np.empty((len(phase_kinds), num_qubits), dtype=np.int64)
-    for k, kind in enumerate(phase_kinds):
-        for q in range(num_qubits):
-            gate = phase_gate(kind, q)
-            r = row_of.get(id(gate))
-            if r is None:
-                r = row_of[id(gate)] = len(objs)
-                objs.append(gate)
-            synth_row[k, q] = r
-    merge_rows = np.full((8, num_qubits, 2), -1, dtype=np.int64)
-    for eighths in range(8):
-        for j, kind in enumerate(EIGHTHS_TO_KINDS[eighths]):
-            merge_rows[eighths, :, j] = synth_row[phase_kinds.index(kind)]
-
-    m = len(objs)
-    kinds, _, ph = table_columns(objs)
+    block = phase_block(num_qubits)
+    merge_rows = block.rows_after(table, records)[block.merge]
+    kinds = np.concatenate((records.kinds, block.records.kinds))
     invk = np.array(INVERSE_CODES, dtype=np.uint8)[kinds]
-    tgt = np.fromiter((g.targets[0] for g in objs), np.int32, m)
-    tgt[ph < 0] = 0
-    cm = _mask_words([g.controls for g in objs], words)
-    tm = _mask_words([g.targets for g in objs], words)
+    ph = np.concatenate((records.eighths, block.records.eighths))
+    tgt = np.concatenate((records.target, block.records.target))
+    ords = np.concatenate((records.ordinals(dict(block.ids)), block.ordinals))
+    cm, tm = records.mask_words(words)
+    cm = np.concatenate((cm, block.masks[0]))
+    tm = np.concatenate((tm, block.masks[1]))
     qm = cm | tm
-    ords = qubit_ordinals(objs)
 
     gate_rows = circuit.rows.astype(np.int64)
     out_rows = np.empty(n, dtype=np.int64)
@@ -227,9 +202,7 @@ def cancel_fixpoint(
     )
     if res < 0:
         return None
-    return Circuit.from_rows(
-        objs, out_rows[:res], max(circuit.num_qubits, num_qubits), circuit.registers
-    )
+    return block.circuit(circuit, out_rows[:res], max(circuit.num_qubits, num_qubits))
 
 
 def fold_classify(stream) -> Optional[np.ndarray]:

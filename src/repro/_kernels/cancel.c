@@ -6,15 +6,16 @@
  * partner to annihilate or an uncontrolled phase gate to merge with — run
  * to fixpoint, in C.
  *
- * The Python side packs the gate list into a *distinct-row table*: every
- * distinct Gate object becomes one row carrying its kind code, inverse-kind
- * code, phase eighths, an interned ``(controls, targets)`` ordinal (tuple
- * *order* matters for the inverse-pair check, exactly as in the reference
- * sweep), and its control/target/qubit bitmasks split into little-endian
- * 64-bit words (benchmark circuits exceed 64 wires, so masks are multi-word).
- * Rows for every possible merged phase gate (5 phase kinds x qubit) are
- * appended up front and addressed through ``merge_rows``, so the C sweep
- * only ever manipulates int64 row ids.
+ * The Python side describes the circuit's *distinct-row table*: every
+ * table row carries its kind code, inverse-kind code, phase eighths, an
+ * interned ``(controls, targets)`` ordinal (tuple *order* matters for the
+ * inverse-pair check, exactly as in the reference sweep), and its
+ * control/target/qubit bitmasks split into little-endian 64-bit words
+ * (benchmark circuits exceed 64 wires, so masks are multi-word), all
+ * gathered from each gate's cached record.  The memoized phase block of
+ * the table's width (one row per phase kind and qubit, described once per
+ * width) follows the table and is addressed through ``merge_rows``, so
+ * the C sweep only ever manipulates int64 row ids.
  *
  * The sweep must stay bit-for-bit identical to ``_cancel_pass_packed`` in
  * ``repro/circopt/cancel.py`` (and hence to the frozen seed sweep in

@@ -43,7 +43,6 @@ from ..circuit.gatestream import (
     INVERSE_CODES,
     KIND_CODES,
     MCX_CODE,
-    qubit_ordinals,
 )
 from .base import CircuitOptimizer, register
 from .. import _kernels
@@ -94,7 +93,7 @@ def _placeable_flags(
 def _pack(circuit: Circuit) -> List[_Entry]:
     """Pack gates into integer tuples via the struct-of-arrays stream."""
     stream = GateStream(circuit)
-    ords = qubit_ordinals(circuit.table)[circuit.rows]
+    ords = stream.records.ordinals().take(circuit.rows)
     kinds = stream.kinds.astype(np.int64)
     flags = _placeable_flags(kinds, stream.phase_eighths, ords)
     return [

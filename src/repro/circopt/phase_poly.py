@@ -21,11 +21,13 @@ circuit's history:
 
 :func:`fold_phases` drives the sweep from the packed arrays of
 :class:`~repro.circuit.gatestream.GateStream` — gate dispatch is an integer
-compare instead of enum identity plus set membership — and materializes the
-placeholders in one batched finalization pass over cached phase-gate
-sequences.  :class:`PhaseFolder` remains the step-by-step API for callers
-that feed gates incrementally; both produce identical output (the property
-tests check this against the retained seed implementation in
+compare instead of enum identity plus set membership — and works on row
+columns in and out: each placeholder becomes rows of the memoized phase
+block of the circuit's width (:class:`~repro.circuit.gatestream.PhaseBlock`),
+spliced into the input's row column, so the output circuit is built
+without a gate list.  :class:`PhaseFolder` remains the step-by-step API for
+callers that feed gates incrementally; both produce identical gates (the
+property tests check this against the retained seed implementation in
 :mod:`repro.reference`).
 
 Soundness: per computational-basis "branch" the phase contributed depends
@@ -52,7 +54,7 @@ from ..circuit.gates import (
     phase_gate,
     shared_memo,
 )
-from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE
+from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE, phase_block
 from .base import CircuitOptimizer, register
 from .cancel import cancel_circuit
 from .. import _kernels
@@ -296,55 +298,27 @@ def _fold_packed_keys_python(stream: GateStream) -> np.ndarray:
     return packed
 
 
-#: Per-width lookup tables for batch placeholder materialization:
-#: ``lut1[value, qubit]`` / ``lut2[value, qubit]`` hold the first/second
-#: gate of the minimal phase sequence worth ``value`` eighth-turns, and
-#: ``two[value]`` flags the two-gate sequences (3 and 5 eighths).
-_PHASE_LUTS: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _phase_luts(num_qubits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    luts = _PHASE_LUTS.get(num_qubits)
-    if luts is None:
-        lut1 = np.empty((8, num_qubits), dtype=object)
-        lut2 = np.empty((8, num_qubits), dtype=object)
-        two = np.zeros(8, dtype=bool)
-        for value in range(1, 8):
-            seq = EIGHTHS_TO_KINDS[value]
-            two[value] = len(seq) == 2
-            for q in range(num_qubits):
-                lut1[value, q] = phase_gate(seq[0], q)
-                if len(seq) == 2:
-                    lut2[value, q] = phase_gate(seq[1], q)
-        if len(_PHASE_LUTS) >= 64:  # mixed-width fuzz sweeps: stay bounded
-            _PHASE_LUTS.pop(next(iter(_PHASE_LUTS)))
-        luts = (lut1, lut2, two)
-        _PHASE_LUTS[num_qubits] = luts
-    return luts
-
-
-def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
+def _fold_stream_grouped(stream: GateStream) -> Circuit:
     """Phase-fold a packed stream via array-level grouping.
 
-    Produces output identical to :func:`_fold_stream`, but only the wire
-    state machine is sequential — the compiled kernel when available,
-    otherwise :func:`_fold_packed_keys_python` — and it merely *labels*
-    each phase gate with its governing ``(parity, const)`` as a packed
-    integer key.  All folding arithmetic then happens on whole arrays:
-    ``np.unique`` over the parity ids groups equal parities with their
-    first-occurrence position (where the reference sweep emits the
-    placeholder), ``bincount`` folds the adjusted eighth-turns of every
-    group in one shot, placeholders materialize through per-width gate
-    lookup tables, and one ``argsort`` splices them back in position
-    order.
+    Produces the gates of :func:`_fold_stream`, but only the wire state
+    machine is sequential — the compiled kernel when available, otherwise
+    :func:`_fold_packed_keys_python` — and it merely *labels* each phase
+    gate with its governing ``(parity, const)`` as a packed integer key.
+    All folding arithmetic then happens on whole arrays: ``np.unique``
+    over the parity ids groups equal parities with their first-occurrence
+    position (where the reference sweep emits the placeholder),
+    ``bincount`` folds the adjusted eighth-turns of every group in one
+    shot, and each placeholder becomes the phase-block rows of its merge
+    table entry.  Those rows are scattered into the input's row column by
+    position, and the output circuit is built from rows alone: it keeps
+    the input table and adds only the phase-block gates it names.
     """
-    n = len(stream)
-    if n == 0:
-        return []
+    circuit = stream.circuit
     eighths = stream.phase_eighths
     phase_sel = eighths >= 0
     if not bool(phase_sel.any()):
-        return list(stream.gates)
+        return circuit.copy()
 
     packed = _kernels.fold_classify(stream)
     if packed is None:
@@ -359,11 +333,12 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     pph = pph[keep]
     packed = packed[keep]
 
-    table = np.empty(len(stream.circuit.table), dtype=object)
-    table[:] = stream.circuit.table
-    nonphase_arr = table[stream.circuit.rows[nonphase_pos]]
+    rows = circuit.rows
+    records = stream.records
+    block = phase_block(1 + int(records.top.max()))
+    nonphase_rows = rows[nonphase_pos]
     if len(phase_pos) == 0:
-        return nonphase_arr.tolist()
+        return block.circuit(circuit, nonphase_rows, circuit.num_qubits)
 
     # per-occurrence adjustment: a set constant offset is a global phase
     pconst = packed & 1
@@ -376,30 +351,24 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     const0 = pconst[first]
     final8 = np.where(const0 != 0, (8 - sums) % 8, sums)
     pos0 = phase_pos[first]
-    qubit0 = stream.fold_columns()[1][pos0].astype(np.int64)
+    qubit0 = records.target[rows[pos0]]
 
-    # materialize placeholders by table lookup; order keys are
-    # 2*position (+1 for the second gate of a two-gate phase sequence),
-    # so one sort against the even-keyed non-phase gates reproduces the
-    # reference order
-    lut1, lut2, two8 = _phase_luts(stream.num_qubits)
+    # materialize placeholders as phase-block rows; output slot 2*position
+    # takes the gate at that position (a non-phase gate or a placeholder's
+    # first phase gate) and slot 2*position + 1 the second gate of a
+    # two-gate phase sequence, which reproduces the reference order
     nz = np.nonzero(final8)[0]
-    value = final8[nz]
-    vq = qubit0[nz]
-    base = pos0[nz] * 2
-    second = two8[value]
-    mat_keys = np.concatenate([base, base[second] + 1])
-    mat_gates = np.concatenate([lut1[value, vq], lut2[value[second], vq[second]]])
-
-    all_keys = np.concatenate([nonphase_pos * 2, mat_keys])
-    merged = np.concatenate([nonphase_arr, mat_gates])
-    return merged[np.argsort(all_keys)].tolist()
+    merged = block.rows_after(circuit.table, records)[block.merge[final8[nz], qubit0[nz]]]
+    slots = np.full(2 * len(stream), -1, dtype=np.int64)
+    slots[nonphase_pos * 2] = nonphase_rows
+    slots[pos0[nz] * 2] = merged[:, 0]
+    slots[pos0[nz] * 2 + 1] = merged[:, 1]
+    return block.circuit(circuit, slots[slots >= 0], circuit.num_qubits)
 
 
 def fold_phases(circuit: Circuit) -> Circuit:
     """Apply one phase-folding sweep to a Clifford+T circuit."""
-    gates = _fold_stream_grouped(GateStream(circuit))
-    return Circuit(circuit.num_qubits, gates, circuit.registers)
+    return _fold_stream_grouped(GateStream(circuit))
 
 
 @register

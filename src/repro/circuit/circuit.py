@@ -20,7 +20,8 @@ with later appends; it is read-only.
 Every consumer between the compiler and the artifact cache works on this
 storage: snapshots write the table and the row column
 (:mod:`repro.circuit.snapshot`), :class:`~repro.circuit.gatestream.GateStream`
-gathers per-row columns, and the compiled cancel kernel reads the rows.
+gathers per-row columns from each table gate's cached record, and the
+compiled cancel kernel reads the rows.
 
 The two complexity metrics of the paper are computed here:
 
@@ -40,6 +41,7 @@ row column.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -49,6 +51,8 @@ import numpy as np
 from .gates import Gate, GateKind
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
+
+_TOP = operator.attrgetter("record.top")
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int32)
 
@@ -118,11 +122,24 @@ class Circuit:
         if len(set(map(id, table))) < len(table):
             first: Dict[int, int] = {}
             merged = [first.setdefault(id(g), r) for r, g in enumerate(table)]
-            rows = np.array(merged, dtype=np.int32)[rows]
+            rows = np.array(merged, dtype=np.int32).take(rows)
+        return cls.from_distinct_rows(table, rows, num_qubits, registers)
+
+    @classmethod
+    def from_distinct_rows(
+        cls,
+        table: Sequence[Gate],
+        rows: np.ndarray,
+        num_qubits: int,
+        registers: Dict[str, Register] | None = None,
+    ) -> "Circuit":
+        """:meth:`from_rows` for a table that holds distinct objects
+        already: only the rows the column never names are dropped."""
+        rows = np.array(rows, dtype=np.int32)
         used = np.bincount(rows, minlength=len(table)) > 0
         if not used.all():
             table = [table[r] for r in np.flatnonzero(used).tolist()]
-            rows = (np.cumsum(used, dtype=np.int32) - 1)[rows]
+            rows = (np.cumsum(used, dtype=np.int32) - 1).take(rows)
         circuit = cls(num_qubits, (), registers)
         circuit.table = list(table)
         circuit._row_of = None  # built on the first append
@@ -148,7 +165,7 @@ class Circuit:
             if row is None:
                 row = row_of[key] = len(table)
                 table.append(gate)
-                top = max(gate.qubits, default=-1)
+                top = gate.record.top
                 if top >= self.num_qubits:
                     self.num_qubits = top + 1
             rows.append(row)
@@ -181,20 +198,33 @@ class Circuit:
 
     def expand_rows(self, expansions: Sequence[Sequence[Gate]]) -> "Circuit":
         """A new circuit with each application of row ``r`` replaced by the
-        gate sequence ``expansions[r]`` (registers and width kept).
+        gate sequence ``expansions[r]`` (registers kept, width grown to
+        cover the expansions).
 
-        Each table row is expanded once; the applications are gathered by
-        row with numpy.
+        Each table row is expanded once.  The expansions are interned
+        together, by one ``np.unique`` over the gates' ``id()`` values
+        (table rows in order of first use), and the applications are
+        gathered by row with numpy.
         """
         out = Circuit(self.num_qubits, (), self.registers)
+        flat = list(itertools.chain.from_iterable(expansions))
+        if not flat:
+            return out
+        ids = np.fromiter(map(id, flat), np.uint64, len(flat))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        out.table = [flat[i] for i in first[order].tolist()]
+        out._row_of = None  # built on the first append
+        out.num_qubits = max(out.num_qubits, 1 + max(map(_TOP, out.table)))
         lengths = np.fromiter(map(len, expansions), np.int64, len(expansions))
-        flat = np.array(out._intern(itertools.chain.from_iterable(expansions)), dtype=np.int32)
         rows = self.rows
-        take = lengths[rows]
+        take = lengths.take(rows)
         total = int(take.sum())
         # position j of the output reads flat[start of its row + offset]
-        shift = np.repeat((np.cumsum(lengths) - lengths)[rows] - (np.cumsum(take) - take), take)
-        out._push(flat[shift + np.arange(total)])
+        shift = np.repeat((np.cumsum(lengths) - lengths).take(rows) - (np.cumsum(take) - take), take)
+        out._push(rank[inverse[shift + np.arange(total)]])
         return out
 
     def add_register(self, register: Register) -> Register:
@@ -207,7 +237,7 @@ class Circuit:
 
     def copy(self) -> "Circuit":
         """A shallow copy (gates are immutable)."""
-        return Circuit.from_rows(self.table, self.rows, self.num_qubits, self.registers)
+        return Circuit.from_distinct_rows(self.table, self.rows, self.num_qubits, self.registers)
 
     def inverse(self) -> "Circuit":
         """The inverse circuit: reversed gate order, each gate inverted."""
@@ -233,7 +263,7 @@ class Circuit:
         if gates is None:
             table = np.empty(len(self.table), dtype=object)
             table[:] = self.table
-            gates = self._gates = table[self.rows].tolist()
+            gates = self._gates = table.take(self.rows).tolist()
         return gates
 
     def __len__(self) -> int:

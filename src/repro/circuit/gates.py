@@ -25,11 +25,12 @@ T-counting conventions (Sections 3.3 and 5, Figures 5 and 6):
 
 from __future__ import annotations
 
+import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, List, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class GateKind(str, Enum):
@@ -59,6 +60,23 @@ PHASE_EIGHTHS = {
     GateKind.SDG: 6,
     GateKind.TDG: 7,
 }
+
+#: Dense integer code per gate kind (stable across the package; the
+#: snapshot format and the compiled kernels use these codes).
+KIND_CODES = {
+    GateKind.MCX: 0,
+    GateKind.H: 1,
+    GateKind.SWAP: 2,
+    GateKind.T: 3,
+    GateKind.TDG: 4,
+    GateKind.S: 5,
+    GateKind.SDG: 6,
+    GateKind.Z: 7,
+}
+
+#: Layout of :attr:`GateRecord.fields`: kind code, phase eighth-turns (or
+#: -1), control count, target count, first target, highest qubit.
+RECORD_FIELDS = struct.Struct("<Bbiiii")
 
 #: Inverse kind of each phase kind that is not self-inverse.
 _INVERSE_KIND = {
@@ -109,6 +127,41 @@ def t_cost_of_controlled_h(num_controls: int) -> int:
     return 2 + t_cost_of_mcx(num_controls)
 
 
+class _cached:
+    """A lock-free ``functools.cached_property``: the first use stores the
+    value in the instance ``__dict__``, where later lookups find it (this
+    is a non-data descriptor).  Python 3.11's ``cached_property`` takes a
+    class-wide lock on every first use, about a quarter of the cost of
+    building a gate's record; a racing first use here just computes an
+    equal value twice, since a ``Gate`` is immutable."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class GateRecord(NamedTuple):
+    """What the array passes read of one gate value (:attr:`Gate.record`)."""
+
+    #: :data:`RECORD_FIELDS` packed; the eighth-turns are -1 unless the
+    #: gate is an uncontrolled phase gate
+    fields: bytes
+    #: ``controls + targets`` as little-endian int32
+    qubits: bytes
+    #: equal exactly when two gates list the same controls and the same
+    #: targets in the same order (a ``bytes``, so its hash is cached)
+    key: bytes
+    #: the highest qubit the gate touches
+    top: int
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: ``kind`` on ``targets`` guarded by ``controls``.
@@ -133,17 +186,18 @@ class Gate:
 
     # ---------------------------------------------------------------- helpers
     #
-    # ``qubits`` and the bitmasks are cached: they are consulted on every
-    # peephole comparison and every ``apply_gate`` call, and a ``Gate`` is
-    # immutable, so computing them once per instance is safe.  The caches
-    # live in the instance ``__dict__`` (``cached_property`` bypasses the
-    # frozen-dataclass ``__setattr__``) and do not affect equality/hashing.
-    @cached_property
+    # ``qubits``, the bitmasks and the record are cached: they are consulted
+    # on every peephole comparison, every ``apply_gate`` call and every
+    # gathered table, and a ``Gate`` is immutable, so computing them once
+    # per instance is safe.  The caches live in the instance ``__dict__``
+    # (``_cached`` bypasses the frozen-dataclass ``__setattr__``) and do not
+    # affect equality/hashing.
+    @_cached
     def qubits(self) -> Tuple[int, ...]:
         """All qubits the gate touches (controls first)."""
         return self.controls + self.targets
 
-    @cached_property
+    @_cached
     def control_mask(self) -> int:
         """Bitmask with bit ``c`` set for every control qubit ``c``."""
         mask = 0
@@ -151,7 +205,7 @@ class Gate:
             mask |= 1 << c
         return mask
 
-    @cached_property
+    @_cached
     def target_mask(self) -> int:
         """Bitmask with bit ``t`` set for every target qubit ``t``."""
         mask = 0
@@ -159,10 +213,33 @@ class Gate:
             mask |= 1 << t
         return mask
 
-    @cached_property
+    @_cached
     def qubit_mask(self) -> int:
         """Bitmask of every qubit the gate touches."""
         return self.control_mask | self.target_mask
+
+    @_cached
+    def record(self) -> GateRecord:
+        """The gate's packed record, built in one step on first use.
+
+        A table's records are gathered into columns by
+        :class:`~repro.circuit.gatestream.RowRecords`; every shared
+        instance builds its record once per process.
+        """
+        controls, targets = self.controls, self.targets
+        qubits = controls + targets
+        top = max(qubits)
+        key = struct.pack(f"<{len(qubits) + 1}i", len(controls), *qubits)
+        kind = self.kind
+        fields = RECORD_FIELDS.pack(
+            KIND_CODES[kind],
+            -1 if controls else PHASE_EIGHTHS.get(kind, -1),
+            len(controls),
+            len(targets),
+            targets[0],
+            top,
+        )
+        return GateRecord(fields, key[4:], key, top)
 
     @property
     def target(self) -> int:
@@ -266,12 +343,19 @@ _MEMOS: List[Callable] = []
 _LOCK = threading.RLock()
 
 
-def shared_memo(fn: Callable) -> Callable:
+def shared_memo(fn: Optional[Callable] = None, *, maxsize: Optional[int] = None):
     """``lru_cache`` for a function of gate values that returns shared
-    instances; the memo starts over whenever the intern table does."""
-    memo = lru_cache(maxsize=None)(fn)
-    _MEMOS.append(memo)
-    return memo
+    instances; the memo starts over whenever the intern table does.
+
+    Use it bare (unbounded) or as ``@shared_memo(maxsize=...)``.
+    """
+
+    def wrap(fn: Callable) -> Callable:
+        memo = lru_cache(maxsize=maxsize)(fn)
+        _MEMOS.append(memo)
+        return memo
+
+    return wrap if fn is None else wrap(fn)
 
 
 def reset_shared_gates() -> None:

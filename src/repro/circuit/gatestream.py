@@ -10,45 +10,55 @@ through parallel numpy arrays with one entry per gate:
 
 * ``kinds`` — ``uint8`` kind codes (:data:`KIND_CODES`);
 * ``num_controls`` — ``int32`` control counts;
-* ``ctrl_masks`` / ``tgt_masks`` / ``qubit_masks`` — per-gate qubit bitmasks.
-  These are *object* arrays of Python ints because benchmark circuits
-  routinely exceed 64 wires, so fixed-width integers would overflow;
 * ``phase_eighths`` — ``int8``; the eighth-turn count of an *uncontrolled
-  phase gate* (T=1, S=2, Z=4, S†=6, T†=7) and ``-1`` for every other gate.
+  phase gate* (T=1, S=2, Z=4, S†=6, T†=7) and ``-1`` for every other gate;
+* ``ctrl_masks`` / ``tgt_masks`` / ``qubit_masks`` — per-gate qubit bitmasks,
+  built on first use (only the pure-Python cancel sweep reads them).
+  These are *object* arrays of Python ints because benchmark circuits
+  routinely exceed 64 wires, so fixed-width integers would overflow.
 
-A stream is a view of a :class:`~repro.circuit.circuit.Circuit`.  Each
-column is computed once per row of the circuit's gate table and gathered
-through the circuit's row column, so building a stream costs Python work
-per *distinct* gate, and numpy work per gate.  The stream keeps the
-circuit, so ``stream.gates`` is the circuit's own gate list and the
-round-trip ``GateStream.from_gates(gs).to_gates() == gs`` is lossless by
-construction: the arrays alone canonicalize control/target *order* (a mask
-is a set), and the paper's evaluation requires bit-for-bit identical gate
-lists before and after the vectorized rewrite.  :meth:`rebuild_gates`
-reconstructs gates from the arrays alone (controls ascending) for callers
-that want the canonical form.
+Nothing here derives a column gate by gate.  Every gate value caches one
+packed :attr:`~repro.circuit.gates.Gate.record` (shared instances build it
+once per process), and :class:`RowRecords` gathers a gate table's records
+into per-row columns with one ``b"".join`` and ``np.frombuffer`` each.  A
+stream gathers its circuit's table and indexes the columns by the row
+column, so building one costs numpy work per gate and a cached lookup per
+distinct gate.  The cancel kernel and the snapshot writer read the same
+:class:`RowRecords`.
+
+:class:`PhaseBlock` holds the shared uncontrolled phase gates of one width
+as rows to append after a gate table, with their record columns and the
+``(eighths, qubit) -> rows`` merge table, so the passes that create phase
+gates (the cancel kernel's merges, the phase fold's placeholders) name
+them by row id.  One block per width is memoized with the shared gates.
+
+The stream keeps the circuit, so ``stream.gates`` is the circuit's own gate
+list and the round-trip ``GateStream.from_gates(gs).to_gates() == gs`` is
+lossless by construction: the arrays alone canonicalize control/target
+*order* (a mask is a set), and the paper's evaluation requires bit-for-bit
+identical gate lists before and after the vectorized rewrite.
+:meth:`rebuild_gates` reconstructs gates from the arrays alone (controls
+ascending) for callers that want the canonical form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+import operator
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import Circuit
-from .gates import PHASE_EIGHTHS, Gate, GateKind, shared_gate
-
-#: Dense integer code per gate kind (stable across the package).
-KIND_CODES = {
-    GateKind.MCX: 0,
-    GateKind.H: 1,
-    GateKind.SWAP: 2,
-    GateKind.T: 3,
-    GateKind.TDG: 4,
-    GateKind.S: 5,
-    GateKind.SDG: 6,
-    GateKind.Z: 7,
-}
+from .gates import (
+    EIGHTHS_TO_KINDS,
+    KIND_CODES,
+    RECORD_FIELDS,
+    Gate,
+    GateKind,
+    phase_gate,
+    shared_gate,
+    shared_memo,
+)
 
 #: Inverse of :data:`KIND_CODES` as a tuple indexed by code.
 CODE_KINDS = tuple(
@@ -76,10 +86,109 @@ INVERSE_CODES = tuple(
     for kind in CODE_KINDS
 )
 
-#: Eighth-turns applied by each kind code (0 for non-phase kinds).
-CODE_EIGHTHS = tuple(PHASE_EIGHTHS.get(kind, 0) for kind in CODE_KINDS)
+#: numpy view of :data:`~repro.circuit.gates.RECORD_FIELDS`
+RECORD_DTYPE = np.dtype(
+    [
+        ("kind", "u1"),
+        ("eighths", "i1"),
+        ("num_controls", "<i4"),
+        ("num_targets", "<i4"),
+        ("target", "<i4"),
+        ("top", "<i4"),
+    ]
+)
+assert RECORD_DTYPE.itemsize == RECORD_FIELDS.size
 
-_CODE_EIGHTHS_ARR = np.array(CODE_EIGHTHS, dtype=np.int8)
+_RECORD = operator.attrgetter("record")
+
+
+class RowRecords:
+    """Per-row columns of a gate table, gathered from the rows' cached
+    :attr:`~repro.circuit.gates.Gate.record`.
+
+    ``kinds`` (``uint8`` kind codes), ``eighths`` (``int8``, the
+    ``phase_eighths`` convention), ``num_controls``, ``num_targets``,
+    ``target`` (first target) and ``top`` (highest qubit) hold one entry
+    per row; ``qubits`` is every row's ``controls + targets`` back to back
+    (``int32``), and ``keys`` the rows' ``(controls, targets)`` keys.
+    """
+
+    __slots__ = (
+        "kinds",
+        "eighths",
+        "num_controls",
+        "num_targets",
+        "target",
+        "top",
+        "qubit_bytes",
+        "qubits",
+        "keys",
+    )
+
+    def __init__(self, table: Sequence[Gate]) -> None:
+        fields, qubits, keys, _ = zip(*map(_RECORD, table)) if table else ((), (), (), ())
+        columns = np.frombuffer(b"".join(fields), RECORD_DTYPE)
+        # aligned contiguous copies: the packed fields are unaligned views,
+        # slow to gather by row and not fit to hand to C
+        self.kinds = columns["kind"].copy()
+        self.eighths = columns["eighths"].copy()
+        self.num_controls = columns["num_controls"].astype(np.int32)
+        self.num_targets = columns["num_targets"].astype(np.int32)
+        self.target = columns["target"].astype(np.int32)
+        self.top = columns["top"].astype(np.int32)
+        self.qubit_bytes = b"".join(qubits)
+        self.qubits = np.frombuffer(self.qubit_bytes, "<i4")
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def ordinals(self, ids: Optional[Dict[bytes, int]] = None) -> np.ndarray:
+        """Per row, an ``int64`` id of its ``(controls, targets)`` pair.
+
+        Rows share an id exactly when they list the same qubits in the
+        same order, which is what an inverse pair must match (a mask is a
+        set).  Pairs already in ``ids`` keep their id; new ones get the
+        next ids, in order of first occurrence, and are added to ``ids``.
+        """
+        ids = {} if ids is None else ids
+        for key in dict.fromkeys(self.keys):
+            if key not in ids:
+                ids[key] = len(ids)
+        return np.fromiter(map(ids.__getitem__, self.keys), np.int64, len(self.keys))
+
+    def _starts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row: its qubit count and the offset of its first qubit."""
+        counts = self.num_controls + self.num_targets
+        return counts, np.cumsum(counts) - counts
+
+    def mask_words(self, words: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(controls, targets)`` bitmasks of every row, each split into
+        ``words`` little-endian ``uint64`` words (shape ``(rows, words)``)."""
+        counts, starts = self._starts()
+        row = np.repeat(np.arange(len(self)), counts)
+        is_control = np.arange(len(self.qubits)) - starts[row] < self.num_controls[row]
+        qubits = self.qubits.astype(np.int64)
+        bits = np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
+        word = qubits >> 6
+        out = []
+        for sel in (is_control, ~is_control):
+            masks = np.zeros((len(self), words), dtype=np.uint64)
+            np.bitwise_or.at(masks, (row[sel], word[sel]), bits[sel])
+            out.append(masks)
+        return out[0], out[1]
+
+    def fold_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row: first control, first target, second target (``int32``,
+        ``-1`` when absent)."""
+        counts, starts = self._starts()
+        if not len(self):
+            return (np.empty(0, np.int32),) * 3
+        last = len(self.qubits) - 1
+        ctrl0 = np.where(self.num_controls > 0, self.qubits[starts], -1)
+        second = np.minimum(starts + self.num_controls + 1, last)
+        tgt1 = np.where(self.num_targets > 1, self.qubits[second], -1)
+        return ctrl0.astype(np.int32), self.target, tgt1.astype(np.int32)
 
 
 class GateStream:
@@ -88,30 +197,25 @@ class GateStream:
     __slots__ = (
         "circuit",
         "num_qubits",
+        "records",
         "kinds",
         "num_controls",
-        "ctrl_masks",
-        "tgt_masks",
-        "qubit_masks",
         "phase_eighths",
         "_fold_cols",
+        "_masks",
     )
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
         self.num_qubits = circuit.num_qubits
-        table = circuit.table
-        kinds, num_controls, eighths = table_columns(table)
-        ctrl = _object_column([g.control_mask for g in table])
-        tgt = _object_column([g.target_mask for g in table])
+        #: the circuit table's :class:`RowRecords`
+        self.records = records = RowRecords(circuit.table)
         rows = circuit.rows
-        self.kinds = kinds[rows]
-        self.num_controls = num_controls[rows]
-        self.ctrl_masks = ctrl[rows]
-        self.tgt_masks = tgt[rows]
-        self.qubit_masks = (ctrl | tgt)[rows]
-        self.phase_eighths = eighths[rows]
-        self._fold_cols: tuple | None = None
+        self.kinds = records.kinds.take(rows)
+        self.num_controls = records.num_controls.take(rows)
+        self.phase_eighths = records.eighths.take(rows)
+        self._fold_cols: Optional[tuple] = None
+        self._masks: Optional[tuple] = None
 
     # -------------------------------------------------------------- building
     @classmethod
@@ -125,6 +229,31 @@ class GateStream:
         """The circuit's gate list (read-only)."""
         return self.circuit.gates
 
+    def _object_masks(self) -> tuple:
+        masks = self._masks
+        if masks is None:
+            table = self.circuit.table
+            ctrl = _object_column([g.control_mask for g in table])
+            tgt = _object_column([g.target_mask for g in table])
+            rows = self.circuit.rows
+            masks = self._masks = (ctrl.take(rows), tgt.take(rows), (ctrl | tgt).take(rows))
+        return masks
+
+    @property
+    def ctrl_masks(self) -> np.ndarray:
+        """Per-gate control bitmasks (object array, built on first use)."""
+        return self._object_masks()[0]
+
+    @property
+    def tgt_masks(self) -> np.ndarray:
+        """Per-gate target bitmasks (object array, built on first use)."""
+        return self._object_masks()[1]
+
+    @property
+    def qubit_masks(self) -> np.ndarray:
+        """Per-gate qubit bitmasks (object array, built on first use)."""
+        return self._object_masks()[2]
+
     def fold_columns(self):
         """Fixed-width qubit columns ``(ctrl0, tgt0, tgt1)`` (int32, lazy).
 
@@ -132,24 +261,13 @@ class GateStream:
         when absent.  Gates with two or more controls are not fully
         described (consumers must check ``num_controls``); the compiled
         fold kernel declines such streams and the pure-Python sweep,
-        which reads the :class:`Gate` objects, takes over.  Computed per
-        table row on first use, gathered by row and cached.
+        which reads the :class:`Gate` objects, takes over.  Gathered from
+        the table's records by row on first use and cached.
         """
         cols = self._fold_cols
         if cols is None:
-            table = self.circuit.table
-            m = len(table)
-            ctrl0 = np.fromiter(
-                (g.controls[0] if g.controls else -1 for g in table), np.int32, m
-            )
-            tgt0 = np.fromiter((g.targets[0] for g in table), np.int32, m)
-            tgt1 = np.fromiter(
-                (g.targets[1] if len(g.targets) > 1 else -1 for g in table),
-                np.int32,
-                m,
-            )
             rows = self.circuit.rows
-            cols = (ctrl0[rows], tgt0[rows], tgt1[rows])
+            cols = tuple(col.take(rows) for col in self.records.fold_columns())
             self._fold_cols = cols
         return cols
 
@@ -191,33 +309,84 @@ class GateStream:
         return f"<GateStream {self.num_qubits} qubits, {len(self)} gates>"
 
 
-def table_columns(table: Sequence[Gate]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per table row: kind codes, control counts and phase eighth-turns.
+#: Kind codes of the phase kinds, in block order (T, T†, S, S†, Z).
+_PHASE_CODES = range(FIRST_PHASE_CODE, len(CODE_KINDS))
 
-    ``uint8``, ``int32`` and ``int8`` arrays, one entry per row; the
-    eighth-turns follow the ``phase_eighths`` convention (``-1`` unless
-    the row is an uncontrolled phase gate).
+
+class PhaseBlock:
+    """The shared uncontrolled phase gates of one circuit width, as rows
+    to append after a gate table.
+
+    Row ``b`` is ``phase_gate(CODE_KINDS[FIRST_PHASE_CODE + b // width],
+    b % width)``.  The block keeps its rows' :class:`RowRecords`, their
+    ``(controls, targets)`` ordinals together with the ``ids`` that seed
+    a table's ordinals (so an equal pair gets one id in table and block),
+    their ``(controls, targets)`` mask words, and ``merge``: ``merge[e,
+    q]`` lists the block rows of the minimal phase sequence worth ``e``
+    eighth-turns on qubit ``q``, padded with ``-1``.
     """
-    m = len(table)
-    kinds = np.fromiter((KIND_CODES[g.kind] for g in table), np.uint8, m)
-    num_controls = np.fromiter((len(g.controls) for g in table), np.int32, m)
-    eighths = _CODE_EIGHTHS_ARR[kinds]
-    eighths[(kinds < FIRST_PHASE_CODE) | (num_controls > 0)] = -1
-    return kinds, num_controls, eighths
+
+    __slots__ = ("width", "gates", "records", "ids", "ordinals", "masks", "merge")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.gates = [
+            phase_gate(CODE_KINDS[code], q) for code in _PHASE_CODES for q in range(width)
+        ]
+        self.records = RowRecords(self.gates)
+        self.ids: Dict[bytes, int] = {}
+        self.ordinals = self.records.ordinals(self.ids)
+        self.masks = self.records.mask_words((width + 63) // 64)
+        self.merge = np.full((8, width, 2), -1, dtype=np.int64)
+        for eighths, kinds in EIGHTHS_TO_KINDS.items():
+            for j, kind in enumerate(kinds):
+                block_row = (KIND_CODES[kind] - FIRST_PHASE_CODE) * width
+                self.merge[eighths, :, j] = block_row + np.arange(width)
+
+    def rows_after(self, table: Sequence[Gate], records: RowRecords) -> np.ndarray:
+        """Where each block row goes when the block follows ``table``.
+
+        Entry ``b`` is the row of ``table`` that already holds block gate
+        ``b`` (the very object), or else ``len(table) + b``.  One trailing
+        ``-1`` passes ``-1`` padding through, as in ``rows[merge]``.
+        """
+        m = len(table)
+        rows = np.arange(m, m + len(self.gates) + 1, dtype=np.int64)
+        rows[-1] = -1
+        phase = np.flatnonzero(records.eighths >= 0)
+        block = (records.kinds[phase] - FIRST_PHASE_CODE).astype(np.int64) * self.width
+        block += records.target[phase]
+        gates = self.gates
+        held = np.array(
+            [table[r] is gates[b] for r, b in zip(phase.tolist(), block.tolist())], dtype=bool
+        )
+        rows[block[held]] = phase[held]
+        return rows
+
+    def circuit(self, source: Circuit, rows: np.ndarray, num_qubits: int) -> Circuit:
+        """The circuit applying ``rows`` of ``source.table`` followed by
+        this block (``source``'s registers kept).
+
+        Only the block gates ``rows`` names join the table, after the
+        source rows and in block order; table rows nothing names are
+        dropped.
+        """
+        table = source.table
+        m = len(table)
+        tail = rows >= m
+        if tail.any():
+            used, inverse = np.unique(rows[tail], return_inverse=True)
+            table = table + [self.gates[b] for b in (used - m).tolist()]
+            rows = rows.copy()
+            rows[tail] = m + inverse
+        return Circuit.from_distinct_rows(table, rows, num_qubits, source.registers)
 
 
-def qubit_ordinals(table: Sequence[Gate]) -> np.ndarray:
-    """Per table row, an ``int64`` id of its ``(controls, targets)`` tuple.
-
-    Rows share an id exactly when they list the same qubits in the same
-    order, which is what an inverse pair must match (a mask is a set).
-    """
-    ids: dict = {}
-    return np.fromiter(
-        (ids.setdefault((g.controls, g.targets), len(ids)) for g in table),
-        np.int64,
-        len(table),
-    )
+@shared_memo(maxsize=64)
+def phase_block(width: int) -> PhaseBlock:
+    """The :class:`PhaseBlock` of ``width`` qubits, memoized for 64 widths
+    and started over together with the shared gates."""
+    return PhaseBlock(width)
 
 
 def _object_column(values: list) -> np.ndarray:

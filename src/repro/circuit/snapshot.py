@@ -33,7 +33,6 @@ Clifford+T and MCX circuits with shuffled control order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 import zlib
@@ -45,7 +44,7 @@ import numpy as np
 from ..errors import ReproError
 from .circuit import Circuit, Register
 from .gates import shared_gate
-from .gatestream import CODE_KINDS, KIND_CODES
+from .gatestream import CODE_KINDS, RowRecords
 
 MAGIC = b"RQCS2\x00"
 
@@ -61,18 +60,18 @@ class SnapshotError(ReproError):
 
 
 def dump_bytes(circuit: Circuit) -> bytes:
-    """Serialize ``circuit`` to a compact binary snapshot."""
-    table = circuit.table
-    m = len(table)
-    qubits = np.fromiter(
-        itertools.chain.from_iterable(g.qubits for g in table), dtype="<i4"
-    )
+    """Serialize ``circuit`` to a compact binary snapshot.
+
+    The per-row columns are the table's gathered records
+    (:class:`~repro.circuit.gatestream.RowRecords`).
+    """
+    records = RowRecords(circuit.table)
     header = json.dumps(
         {
             "num_qubits": circuit.num_qubits,
             "num_gates": len(circuit),
-            "table_size": m,
-            "qubit_words": len(qubits),
+            "table_size": len(records),
+            "qubit_words": len(records.qubits),
             "registers": [
                 [r.name, r.offset, r.width] for r in circuit.registers.values()
             ],
@@ -84,10 +83,10 @@ def dump_bytes(circuit: Circuit) -> bytes:
             MAGIC,
             struct.pack("<I", len(header)),
             header,
-            bytes(KIND_CODES[g.kind] for g in table),
-            np.fromiter((len(g.controls) for g in table), "<i4", m).tobytes(),
-            bytes(len(g.targets) for g in table),
-            qubits.tobytes(),
+            records.kinds.tobytes(),
+            records.num_controls.astype("<i4").tobytes(),
+            records.num_targets.astype(np.uint8).tobytes(),
+            records.qubit_bytes,
             circuit.rows.astype("<i4").tobytes(),
         )
     )

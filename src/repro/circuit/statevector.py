@@ -45,6 +45,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from ..bounded import BoundedCache
 from ..errors import SimulationError
 from .circuit import Circuit
 from .gates import Gate, GateKind, PHASE_EIGHTHS
@@ -72,34 +73,11 @@ def basis_state(num_qubits: int, bits: int) -> np.ndarray:
     return state
 
 
-class _BoundedCache:
-    """Small LRU used for every index table, keyed by (tag, dim, masks...).
-
-    One shared bound replaces per-function ``lru_cache`` decorators: a
-    fuzz sweep that mixes many circuit widths and control masks evicts
-    the oldest tables instead of growing several caches independently.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key, build):
-        hit = self._data.get(key)
-        if hit is not None:
-            self._data.move_to_end(key)
-            return hit
-        value = build()
-        self._data[key] = value
-        if len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-_TABLE_CACHE = _BoundedCache(maxsize=512)
+#: One LRU for every index table, keyed by (tag, dim, masks...).  One
+#: shared bound replaces per-function ``lru_cache`` decorators: a fuzz
+#: sweep that mixes many circuit widths and control masks evicts the
+#: oldest tables instead of growing several caches independently.
+_TABLE_CACHE = BoundedCache(maxsize=512)
 
 
 def _indices(dim: int) -> np.ndarray:

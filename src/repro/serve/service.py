@@ -35,6 +35,7 @@ import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis import LintReport, lint_source
+from ..bounded import BoundedCache
 from ..config import CompilerConfig
 from ..benchsuite.cache import ArtifactCache
 from ..benchsuite.parallel import GridTask, ParallelBackend
@@ -48,6 +49,10 @@ from .metrics import Metrics
 #: concurrent clients lands in one sweep, short enough to be invisible
 #: next to a compile
 DEFAULT_BATCH_WINDOW = 0.02
+
+#: admission-lint reports kept (least recently used evicted): serve
+#: traffic of new programs would otherwise keep one report per request
+LINT_CACHE_MAX = 1024
 
 
 def inline_name(source: str, entry: str) -> str:
@@ -82,7 +87,7 @@ class CompileService:
         #: fingerprint -> times its task actually executed (the dedupe proof:
         #: the loadgen asserts every value here is exactly 1)
         self._executions: Dict[str, int] = {}
-        self._lint_cache: Dict[str, LintReport] = {}
+        self._lint_cache = BoundedCache(LINT_CACHE_MAX)
         self.journal: Optional[SweepJournal] = None
         if cache is not None:
             self.journal = SweepJournal.for_service(cache.root)
@@ -129,15 +134,14 @@ class CompileService:
         entry: Optional[str] = None,
         size: Optional[int] = None,
     ) -> LintReport:
-        """The (memoized) admission lint of one source/entry/size triple."""
+        """The (memoized, bounded) admission lint of one source/entry/size
+        triple."""
         key = hashlib.sha256(
             f"{entry}\n{size}\n{source}".encode("utf-8")
         ).hexdigest()
-        if key not in self._lint_cache:
-            self._lint_cache[key] = lint_source(
-                source, entry=entry, size=size, config=self.config
-            )
-        return self._lint_cache[key]
+        return self._lint_cache.get(
+            key, lambda: lint_source(source, entry=entry, size=size, config=self.config)
+        )
 
     def register_inline(self, source: str, entry: str) -> str:
         """Register an inline source under its content-derived name.

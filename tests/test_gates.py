@@ -26,6 +26,7 @@ from repro.circuit import (
     x,
     z,
 )
+from repro.circopt import cancel_circuit, fold_phases
 from repro.circuit import gates
 from repro.circuit.gates import phase_gate, reset_shared_gates
 from repro.circuit.snapshot import dump_bytes, load_bytes
@@ -180,6 +181,26 @@ class TestSharedInstances:
         for got in results.values():
             for i, (controls, target) in enumerate(values):
                 assert got[i] == Gate(GateKind.MCX, controls, (target,))
+
+    def test_phase_gates_from_passes_are_shared_after_a_reset(self):
+        """Phase folding and cancellation hand out the builders' phase
+        gates, also after the table starts over, so appending a builder
+        gate to their output keeps one table row per gate value."""
+
+        def build():
+            return Circuit(3, [h(0), t(0), cnot(0, 1), cnot(0, 1), t(0), h(2), t(2), tdg(1)])
+
+        # fill every memo that holds width-3 phase gates, then start over
+        fold_phases(build())
+        cancel_circuit(build())
+        reset_shared_gates()
+        circuit = build()
+        for out in (fold_phases(circuit), cancel_circuit(circuit)):
+            phases = [g for g in out.gates if g.kind in gates.PHASE_KINDS]
+            assert phases
+            assert all(g is phase_gate(g.kind, g.target) for g in phases)
+            out.append(s(0))
+            assert len(out.table) == len(set(out.table))
 
     def test_from_rows_merges_one_object_at_two_rows(self):
         a, b = mcx([0, 1, 2], 3), cnot(0, 1)

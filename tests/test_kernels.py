@@ -142,7 +142,7 @@ def test_fold_paths_identical(data, num_qubits):
     folded = fold_phases(circuit).gates
     assert folded == seed
     stream = GateStream.from_gates(gates, num_qubits)
-    assert _fold_stream_grouped(stream) == seed
+    assert _fold_stream_grouped(stream).gates == seed
 
 
 @settings(max_examples=40, deadline=None)

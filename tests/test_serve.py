@@ -35,6 +35,7 @@ from repro.benchsuite.runner import BenchmarkRunner
 from repro.config import TINY
 from repro.fuzz.generator import fuzz_name
 from repro.serve import Client, ReproServer, SingleFlight, inline_name
+from repro.serve import service as service_module
 from repro.serve.loadgen import (
     INLINE_OK,
     INLINE_PARSE_ERROR,
@@ -306,6 +307,28 @@ def test_single_flight_unit():
             await future
 
     asyncio.run(main())
+
+
+def test_admission_lint_cache_is_bounded(monkeypatch):
+    """Every new program would otherwise leave one lint report behind: the
+    memo keeps at most its bound, and the newest report is still a hit."""
+    calls: List[str] = []
+
+    def fake_lint(source, **kwargs):
+        calls.append(source)
+        return object()
+
+    monkeypatch.setattr(service_module, "lint_source", fake_lint)
+    service = service_module.CompileService(config=TINY)
+    bound = service_module.LINT_CACHE_MAX
+    sources = [f"fun main{i}() {{ }}" for i in range(bound + 50)]
+    reports = [service.lint(source) for source in sources]
+    assert len(calls) == len(sources)
+    assert len(service._lint_cache) == bound
+    assert service.lint(sources[-1]) is reports[-1]
+    assert len(calls) == len(sources)
+    service.lint(sources[0])  # evicted: linted again
+    assert len(calls) == len(sources) + 1
 
 
 # -------------------------------------------------------- serial bit-identity
