@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import DEPTHS, print_table
 
-from repro.benchsuite import paper_grid
+from repro.benchsuite import BenchmarkRunner, paper_grid
 from repro.cost import fit_report
 
 
@@ -37,8 +37,10 @@ def test_figure2_compile_throughput(runner, benchmark):
     depth = DEPTHS[len(DEPTHS) // 2]
 
     def compile_once():
-        runner._compiled.pop(("length", depth, "none"), None)
-        return runner.compile("length", depth, "none")
+        # a fresh runner memoizes nothing: every call parses, checks and
+        # compiles the program again
+        fresh = BenchmarkRunner(runner.config, cache=runner.cache)
+        return fresh.compile("length", depth, "none")
 
     circuit = benchmark(compile_once)
     assert circuit.mcx_complexity() > 0

@@ -12,6 +12,14 @@ and whose renderers are shared with ``repro analyze --symbolic``:
   the superposition budget (RPA301) run on the lowered entry point,
   because both need inlining to be precise.
 
+The lowered entry point is a *checked entry*
+(:func:`~repro.compiler.pipeline.check_entry`: desugared, then checked
+strictly), exactly what a compile of it starts from.  :func:`lint_source`
+takes the parsed program and the checked entry from a
+:class:`~repro.compiler.pipeline.Frontend` memo (the caller's, or a fresh
+one), so a compile through the same frontend (``repro serve``'s runner)
+parses, desugars and checks the program no second time.
+
 The linted program is *data*: internal analysis failures raise
 :class:`~repro.errors.AnalysisError` (CLI exit code 3), while findings —
 including a program that does not parse — are reported normally (exit
@@ -20,16 +28,15 @@ code 1 only when an error-severity finding is present).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from ..compiler.pipeline import CheckedEntry, Frontend
 from ..config import CompilerConfig
 from ..errors import InlineError, LexError, ParseError, TypeCheckError
 from ..ir import core
-from ..ir.typecheck import check_program
 from ..lang import ast
-from ..lang.desugar import lower_entry
-from ..lang.parser import parse_program
 from .deadcode import (
     check_dead_branches,
     check_empty_blocks,
@@ -127,13 +134,18 @@ def pick_entry(program: ast.Program) -> Optional[str]:
 
 def lint_program(
     program: ast.Program,
+    check: Callable[[str, Optional[int]], CheckedEntry],
     entry: Optional[str] = None,
     size: Optional[int] = None,
-    config: Optional[CompilerConfig] = None,
     path: str = "<input>",
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> LintReport:
-    """Run every analysis over a parsed program."""
+    """Run every analysis over a parsed program.
+
+    ``check(entry, size)`` builds the checked entry point of ``program``
+    the core-IR analyses read (:meth:`Frontend.checked
+    <repro.compiler.pipeline.Frontend.checked>` of its source).
+    """
     report = LintReport(path=path)
     report.extend(_surface_checks(program))
 
@@ -159,8 +171,7 @@ def lint_program(
     report.size = use_size
 
     try:
-        lowered = lower_entry(program, resolved, use_size, config)
-        check_program(lowered.stmt, lowered.table, lowered.param_types)
+        lowered = check(resolved, use_size).lowered
     except (TypeCheckError, InlineError) as exc:
         message = getattr(exc, "bare_message", str(exc))
         report.extend(
@@ -193,14 +204,19 @@ def lint_source(
     config: Optional[CompilerConfig] = None,
     path: str = "<input>",
     support_cap: int = DEFAULT_SUPPORT_CAP,
+    frontend: Optional[Frontend] = None,
 ) -> LintReport:
     """Parse and lint a Tower source program.
 
     A parse failure is itself a finding (RPA001), so the report is always
-    produced; only internal analysis defects raise.
+    produced; only internal analysis defects raise.  The parse and the
+    checked entry come from (and stay in) ``frontend``'s memo, a fresh
+    one by default.
     """
+    if frontend is None:
+        frontend = Frontend()
     try:
-        program = parse_program(source)
+        program = frontend.program(source)
     except (LexError, ParseError) as exc:
         report = LintReport(path=path)
         report.extend(
@@ -216,9 +232,9 @@ def lint_source(
         return report
     return lint_program(
         program,
+        functools.partial(frontend.checked, source, config=config),
         entry=entry,
         size=size,
-        config=config,
         path=path,
         support_cap=support_cap,
     )

@@ -1,7 +1,10 @@
 """Benchmark harness: compile Table 1 programs and collect the paper's metrics.
 
-:class:`BenchmarkRunner` memoizes parsed programs and compiled circuits, and
-exposes the measurements every table and figure of the evaluation needs:
+:class:`BenchmarkRunner` keeps bounded memos of its frontend work (a
+:class:`~repro.compiler.pipeline.Frontend`: parsed programs and strictly
+checked entry points, shared with ``repro serve``'s admission lint) and of
+its compiled and cache-loaded circuits, and exposes the measurements every
+table and figure of the evaluation needs:
 
 * empirical MCX- and T-complexity at a recursion depth (Figure 2, Table 1),
 * predicted complexities from the Section 5 cost model (Table 1 RQ1),
@@ -28,19 +31,31 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..bounded import BoundedCache
 from ..circopt.base import get_optimizer
 from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
-from ..compiler.pipeline import CompiledProgram, compile_program
+from ..compiler.pipeline import CompiledProgram, Frontend, compile_checked
 from ..config import DEFAULT, CompilerConfig
 from ..passes.manager import PassManager
 from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
 from ..cost.model import PaperCostModel
-from ..lang.parser import parse_program
 from .cache import ArtifactCache
 from .programs import ENTRIES, SOURCES, UNSIZED, get_entry, get_source, is_unsized
+
+#: compiled and cache-loaded circuits a runner keeps per memo (least
+#: recently used evicted).  A paper grid runs all its measure tasks
+#: before the optimizer baselines that reuse their circuits, so a reuse
+#: spans every distinct circuit the grid measures: 48 for ``fuzz`` and 36
+#: for ``fig15`` (9 depths x 4 pipelines) at their default sizes, the
+#: widest of the grids.  64 keeps every one of those hits, with room for
+#: a longer depth range.  A Table 1 program compiled as ``repro serve``
+#: does costs about 85 KB here (tracemalloc), so a long-running server
+#: holds at most about 5 MB of them, where an unbounded memo grew by one
+#: program per distinct request.
+COMPILED_MEMO_MAX = 64
 
 
 @dataclass
@@ -124,19 +139,19 @@ class BenchmarkRunner:
         self.config = config
         self.cache = cache
         self.backend = backend
-        self._programs = {}
-        self._compiled: Dict[Tuple[str, Optional[int], str], CompiledProgram] = {}
+        #: parsed programs and checked entries, keyed by source text
+        self.frontend = Frontend()
+        #: (name, depth, canonical spec) -> CompiledProgram
+        self._compiled = BoundedCache(COMPILED_MEMO_MAX)
         #: circuits rehydrated from the artifact cache (no core IR attached)
-        self._loaded: Dict[Tuple[str, Optional[int], str], Circuit] = {}
+        self._loaded = BoundedCache(COMPILED_MEMO_MAX)
         #: shared across optimizer baselines: `peephole`, `rotation-merge`
         #: and `zx-like` all decompose the same compiled circuit, and used
         #: to re-derive the (very large) Clifford+T expansion each time
         self.decomposition_cache = DecompositionCache()
 
     def program(self, name: str):
-        if name not in self._programs:
-            self._programs[name] = parse_program(get_source(name))
-        return self._programs[name]
+        return self.frontend.program(get_source(name))
 
     def compile(
         self, name: str, depth: Optional[int] = None, optimization: str = "none"
@@ -150,17 +165,17 @@ class BenchmarkRunner:
         if is_unsized(name):
             depth = None
         key = (name, depth, canonical_pipeline(optimization))
-        if key not in self._compiled:
-            self._compiled[key] = compile_program(
-                self.program(name),
-                get_entry(name),
-                size=depth,
-                config=self.config,
-                optimization=optimization,
+        return self._compiled.get(
+            key,
+            lambda: compile_checked(
+                self.frontend.checked(
+                    get_source(name), get_entry(name), depth, self.config
+                ),
+                optimization,
                 keep_snapshots=self.cache is not None,
                 decomposition_cache=self.decomposition_cache,
-            )
-        return self._compiled[key]
+            ),
+        )
 
     # -------------------------------------------------------- artifact cache
     def _task_key(
@@ -201,17 +216,18 @@ class BenchmarkRunner:
         if is_unsized(name):
             depth = None
         key = (name, depth, canonical_pipeline(optimization))
-        if key in self._compiled:
-            return self._compiled[key].circuit
-        if key in self._loaded:
-            return self._loaded[key]
+        compiled = self._compiled.lookup(key)
+        if compiled is not None:
+            return compiled.circuit
+        circuit = self._loaded.lookup(key)
+        if circuit is not None:
+            return circuit
         if self.cache is not None:
             circuit = self.cache.load_circuit(
                 self._task_key(name, depth, optimization)
             )
             if circuit is not None:
-                self._loaded[key] = circuit
-                return circuit
+                return self._loaded.get(key, lambda: circuit)
         return self.compile(name, depth, optimization).circuit
 
     # ----------------------------------------------------------- measurement
@@ -250,7 +266,7 @@ class BenchmarkRunner:
             )
             if resumed is not None:
                 return resumed
-        cold = (name, depth, spec) not in self._compiled
+        cold = self._compiled.lookup((name, depth, spec)) is None
         compiled = self.compile(name, depth, optimization)
         model = PaperCostModel(compiled.table, compiled.var_types, compiled.cell_bits)
         report = model.report(compiled.core)

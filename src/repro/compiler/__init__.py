@@ -6,7 +6,6 @@ from .lower_ir import AbstractProgram, IRLowering, lower_to_abstract
 from .pipeline import (
     CompiledProgram,
     compile_core,
-    compile_lowered,
     compile_program,
     compile_source,
     infer_cell_bits,
@@ -25,7 +24,6 @@ __all__ = [
     "lower_to_abstract",
     "CompiledProgram",
     "compile_core",
-    "compile_lowered",
     "compile_program",
     "compile_source",
     "infer_cell_bits",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class TokenKind(str, Enum):
@@ -67,9 +67,13 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (1-based)."""
+class Token(NamedTuple):
+    """One lexical token with its source position (1-based).
+
+    A named tuple: immutable, compared by value, and about half as
+    costly to build as a frozen dataclass, which matters because the
+    lexer builds one per token.
+    """
 
     kind: TokenKind
     text: str

@@ -27,7 +27,6 @@ from ..benchsuite.parallel import MEASURE, OPTIMIZE, GridTask
 from ..benchsuite.programs import is_unsized
 from ..circopt.base import optimizer_names
 from ..errors import ReproError
-from ..lang.parser import parse_program
 from ..passes import canonical_pipeline
 from .service import CompileService
 
@@ -106,11 +105,13 @@ def _missing_depth(entry: str) -> RequestError:
     return RequestError(f"missing required field 'depth': {entry!r} takes a recursion bound")
 
 
-def _entry_takes_size(source: str, entry: str) -> bool:
+def _entry_takes_size(service: CompileService, source: str, entry: str) -> bool:
     """Whether ``entry`` declares a recursion bound (False when the source
-    does not parse or lacks it; the compile reports those itself)."""
+    does not parse or lacks it; the compile reports those itself).  The
+    parse is the runner's, shared with the lint and the compile."""
     try:
-        return parse_program(source).fun(entry).size_param is not None
+        program = service.runner.frontend.program(source)
+        return program.fun(entry).size_param is not None
     except (ReproError, KeyError):
         return False
 
@@ -174,7 +175,7 @@ async def handle_measure(
     source, entry = known
     if is_unsized(name):
         depth = None
-    elif depth is None and _entry_takes_size(source, entry):
+    elif depth is None and _entry_takes_size(service, source, entry):
         raise _missing_depth(entry)
     if lint_gate:
         reject, _report = _admit(service, source, entry, depth)

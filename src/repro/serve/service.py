@@ -8,7 +8,10 @@ already use — a :class:`~repro.benchsuite.runner.BenchmarkRunner`, a
 with service semantics:
 
 * **admission** — request sources are linted first; error findings keep
-  the work off the pool entirely (the handler turns them into 422);
+  the work off the pool entirely (the handler turns them into 422).  The
+  lint reads the runner's :class:`~repro.compiler.pipeline.Frontend`, so
+  the parse, desugar and strict typecheck it does are the ones the
+  compile reuses: one frontend pass per new program;
 * **single-flight dedupe** — identical concurrent requests (same task
   fingerprint) share one future and compile exactly once;
 * **micro-batching** — requests arriving within ``batch_window`` of each
@@ -25,7 +28,13 @@ with service semantics:
 Threading model: all public coroutines run on the event loop; the
 backend sweep runs on a single executor thread (one batch at a time),
 which is also the only thread touching the journal.  Results hop back
-to the loop via ``call_soon_threadsafe``.
+to the loop via ``call_soon_threadsafe``.  The one structure both threads
+use is the runner's frontend memo: the loop thread fills it while
+linting, the executor thread reads it while compiling.  Its
+:class:`~repro.bounded.BoundedCache` tables lock around lookup, insert
+and evict, and both memos (and the runner's compiled-circuit memo) are
+bounded, so a long run of distinct programs holds a fixed number of them.
+With ``jobs >= 2`` the pool workers run their own frontend.
 """
 
 from __future__ import annotations
@@ -135,12 +144,19 @@ class CompileService:
         size: Optional[int] = None,
     ) -> LintReport:
         """The (memoized, bounded) admission lint of one source/entry/size
-        triple."""
-        key = hashlib.sha256(
-            f"{entry}\n{size}\n{source}".encode("utf-8")
-        ).hexdigest()
+        triple.  Its frontend work stays in the runner's memo for the
+        compile; the report memo keys on a digest of the source, so an
+        entry's cost does not grow with the source's size."""
+        key = (entry, size, hashlib.sha256(source.encode("utf-8")).digest())
         return self._lint_cache.get(
-            key, lambda: lint_source(source, entry=entry, size=size, config=self.config)
+            key,
+            lambda: lint_source(
+                source,
+                entry=entry,
+                size=size,
+                config=self.config,
+                frontend=self.runner.frontend,
+            ),
         )
 
     def register_inline(self, source: str, entry: str) -> str:

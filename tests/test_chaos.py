@@ -252,7 +252,7 @@ def test_fully_journaled_sweep_never_compiles(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("resume recompiled a journaled point")
 
-    monkeypatch.setattr("repro.benchsuite.runner.compile_program", forbidden)
+    monkeypatch.setattr("repro.benchsuite.runner.compile_checked", forbidden)
     result = BenchmarkRunner(TINY).run_grid(
         tasks,
         journal=SweepJournal.for_grid(tmp_path, "t", tasks, TINY),

@@ -1,10 +1,14 @@
 """Unit tests for the Tower lexer."""
 
+from typing import List
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LexError
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenKind
+from repro.lang.tokens import KEYWORDS, PUNCTUATION, Token, TokenKind
 
 
 def kinds(source):
@@ -107,3 +111,111 @@ def test_full_program_lexes(length_source):
     assert tokens[-1].kind is TokenKind.EOF
     assert any(t.text == "length" for t in tokens)
     assert any(t.text == "<->" for t in tokens)
+
+
+# ------------------------------------------------------------------- oracle
+_ORACLE_DIGITS = frozenset("0123456789")
+
+
+def oracle_tokenize(source: str) -> List[Token]:
+    """The character-at-a-time lexer the regular-expression scanner
+    replaced, kept verbatim as the reference for its tokens, positions and
+    errors."""
+    tokens: List[Token] = []
+    pos = 0
+    line = 1
+    column = 1
+    length = len(source)
+
+    def advance(count: int) -> None:
+        nonlocal pos, line, column
+        for _ in range(count):
+            if pos < length and source[pos] == "\n":
+                line += 1
+                column = 1
+            else:
+                column += 1
+            pos += 1
+
+    while pos < length:
+        ch = source[pos]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if source.startswith("//", pos):
+            while pos < length and source[pos] != "\n":
+                advance(1)
+            continue
+        if source.startswith("/*", pos):
+            end = source.find("*/", pos + 2)
+            if end < 0:
+                raise LexError("unterminated block comment", line, column)
+            advance(end + 2 - pos)
+            continue
+        if ch in _ORACLE_DIGITS:
+            start = pos
+            start_line, start_col = line, column
+            while pos < length and source[pos] in _ORACLE_DIGITS:
+                advance(1)
+            tokens.append(Token(TokenKind.INT, source[start:pos], start_line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            start_line, start_col = line, column
+            while pos < length and (source[pos].isalnum() or source[pos] in "_'"):
+                advance(1)
+            text = source[start:pos]
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, text, start_line, start_col))
+            continue
+        for punct in PUNCTUATION:
+            if source.startswith(punct, pos):
+                tokens.append(Token(TokenKind.PUNCT, punct, line, column))
+                advance(len(punct))
+                break
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, column)
+    tokens.append(Token(TokenKind.EOF, "", line, column))
+    return tokens
+
+
+def _outcome(lex, source: str):
+    """The token list, or the error's message, line and column."""
+    try:
+        return lex(source)
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.column)
+
+
+#: fragments that exercise every lexer path: ASCII words and numbers,
+#: whitespace with tabs and CRLF, both comment forms (an opener alone is
+#: an unterminated comment), primes, letters beyond ASCII, and digits that
+#: are not ASCII decimal (superscript, Arabic-Indic, fullwidth)
+_FRAGMENTS = (
+    sorted(KEYWORDS)
+    + list(PUNCTUATION)
+    + ["x", "y1", "_t", "len'", "0", "42", "007"]
+    + [" ", "\t", "\n", "\r\n", "\r"]
+    + ["//", "// note\n", "/*", "*/", "/* c */", "/*\n*/", "/", "*"]
+    + ["'", "\u00e9", "\u03a9", "\u4e2d", "\u00b2", "\u0663", "\uff17"]
+    + ["!", "&", "|", "@", "#", "\u00a0", "\x0b"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+def test_scanner_matches_oracle_on_fragments(source):
+    assert _outcome(tokenize, source) == _outcome(oracle_tokenize, source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=60))
+def test_scanner_matches_oracle_on_any_text(source):
+    assert _outcome(tokenize, source) == _outcome(oracle_tokenize, source)
+
+
+def test_scanner_matches_oracle_on_table1_sources():
+    from repro.benchsuite.programs import SOURCES
+
+    for source in SOURCES.values():
+        assert tokenize(source) == oracle_tokenize(source)

@@ -313,7 +313,7 @@ class TestPrefixReplay:
         direct = BenchmarkRunner(CFG).optimize_circuit(
             "length", 3, "toffoli-cancel", "spire"
         )
-        monkeypatch.setattr(runner_mod, "compile_program", _no_compile)
+        monkeypatch.setattr(runner_mod, "compile_checked", _no_compile)
         resumed = runner2.measure("length", 3, "spire+toffoli-cancel")
         monkeypatch.undo()
         assert resumed.prefix_cached == "flatten,narrow,alloc,lower"

@@ -7,7 +7,7 @@ real HTTP framing with the package's own :class:`~repro.serve.http.Client`
 * the status contract: 200 clean / 422 program at fault / 400 request at
   fault / 404 / 405 / protocol-level 400;
 * single-flight dedupe: N concurrent identical requests compile exactly
-  once (monkeypatch-counted at ``compile_program``, and cross-checked
+  once (monkeypatch-counted at ``compile_checked``, and cross-checked
   against the server's own ``max_compiles_per_key`` gauge);
 * bit-identical rows versus a clean serial no-server run;
 * journal durability: a restarted server answers repeats from the
@@ -18,6 +18,7 @@ real HTTP framing with the package's own :class:`~repro.serve.http.Client`
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -227,18 +228,18 @@ def test_journal_survives_restart(tmp_path):
 def test_concurrent_identical_requests_compile_once(tmp_path, monkeypatch):
     """8 clients x 3 distinct keys, all in flight together: each key
     compiles exactly once.  Counted two ways — a monkeypatch tap on
-    ``compile_program`` (ground truth) and the server's own
+    ``compile_checked`` (ground truth) and the server's own
     ``max_compiles_per_key`` gauge (what the loadgen asserts)."""
     import repro.benchsuite.runner as runner_mod
 
     compiles: List[str] = []
-    real_compile = runner_mod.compile_program
+    real_compile = runner_mod.compile_checked
 
-    def counting_compile(program, entry, **kwargs):
-        compiles.append(entry)
-        return real_compile(program, entry, **kwargs)
+    def counting_compile(checked, *args, **kwargs):
+        compiles.append(checked.lowered.entry)
+        return real_compile(checked, *args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "compile_program", counting_compile)
+    monkeypatch.setattr(runner_mod, "compile_checked", counting_compile)
 
     names = [fuzz_name(11, index) for index in range(3)]
 
@@ -329,6 +330,92 @@ def test_admission_lint_cache_is_bounded(monkeypatch):
     assert len(calls) == len(sources)
     service.lint(sources[0])  # evicted: linted again
     assert len(calls) == len(sources) + 1
+
+
+def test_lint_cache_tells_no_entry_from_entry_named_none(tmp_path):
+    """``None`` is a valid Tower function name: linting the default entry
+    (``main``, which does not typecheck) must not answer for it, so a
+    compile of the entry ``None`` is admitted."""
+    source = (
+        "fun None(x: uint) -> uint { let y <- x + 1; return y; }\n"
+        "fun main(x: uint) -> uint { let y <- z; return y; }\n"
+    )
+    service = service_module.CompileService(config=TINY)
+    assert [d.code for d in service.lint(source).errors] == ["RPA002"]
+    report = service.lint(source, entry="None")
+    assert report.entry == "None" and not report.diagnostics
+
+    async def main() -> None:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                status, _ = await client.post("/compile", {"source": source})
+                assert status == 422
+                status, body = await client.post(
+                    "/compile", {"source": source, "entry": "None"}
+                )
+                assert status == 200, body
+                assert body["entry"] == "None" and not body["row"].get("failed")
+
+    asyncio.run(main())
+
+
+# ------------------------------------------------------------- one frontend
+def _count_calls(monkeypatch, function, calls: List[Tuple[tuple, dict]]) -> None:
+    """Record every call of ``function``, however the package imported it:
+    each ``repro`` module attribute bound to it is patched."""
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, counted)
+
+
+def test_one_compile_runs_the_frontend_once(tmp_path, monkeypatch):
+    """At ``--jobs 1`` the admission lint and the compile of a new program
+    share one parse, one desugar and one strict typecheck, and the row is
+    the one a fresh runner measures."""
+    from repro.benchsuite.programs import get_source
+    from repro.ir.typecheck import check_program
+    from repro.lang.desugar import lower_entry
+    from repro.lang.parser import parse_program
+
+    source = get_source("length") + "\n// a program the server has not seen\n"
+    parses: List[Tuple[tuple, dict]] = []
+    lowerings: List[Tuple[tuple, dict]] = []
+    checks: List[Tuple[tuple, dict]] = []
+    _count_calls(monkeypatch, parse_program, parses)
+    _count_calls(monkeypatch, lower_entry, lowerings)
+    _count_calls(monkeypatch, check_program, checks)
+
+    async def main() -> Dict[str, Any]:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                status, body = await client.post(
+                    "/compile",
+                    {
+                        "source": source,
+                        "entry": "length",
+                        "depth": 2,
+                        "optimization": "spire",
+                    },
+                )
+                assert status == 200, body
+                return body
+
+    body = asyncio.run(main())
+    assert [args[0] for args, _ in parses] == [source]
+    assert [args[1:3] for args, _ in lowerings] == [("length", 2)]
+    strict = [kwargs for _, kwargs in checks if not kwargs.get("relaxed")]
+    assert len(strict) == 1
+    monkeypatch.undo()
+    fresh = BenchmarkRunner(TINY).measure(body["name"], 2, "spire").row()
+    assert stable_rows([body["row"]]) == stable_rows([fresh])
 
 
 # -------------------------------------------------------- serial bit-identity
