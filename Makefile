@@ -1,20 +1,17 @@
-# Convenience targets for the optional compiled kernels and the perf gates.
+# Convenience targets for the compiled kernels and the perf gates.
 # Everything works without `make`: the targets just name the canonical
-# commands (the kernels are plain C via ctypes — no Python.h, no Cython).
+# commands (the kernels are plain C via ctypes — no Python.h, no Cython —
+# and build on first use when missing or older than their sources).
 
 PYTHON ?= python
 
-.PHONY: kernels test test-noext bench bench-guard clean
+.PHONY: kernels test bench bench-guard clean
 
 kernels:
 	$(PYTHON) -m repro._kernels.build
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# same tier forced onto the pure-Python fallbacks
-test-noext:
-	REPRO_NO_EXT=1 $(PYTHON) -m pytest -x -q
 
 bench:
 	$(PYTHON) benchmarks/bench_perf.py

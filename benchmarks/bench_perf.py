@@ -13,9 +13,8 @@ Results (per-point wall clock, bit-for-bit output checks, and aggregate
 speedups) are written to ``BENCH_perf.json`` at the repository root so future
 PRs have a perf trajectory to compare against.
 
-The ``kernels`` section times each batch kernel against its pure-Python
-fallback (compiled cancel fixpoint, compiled fold classifier, plan-batched
-``unitary``) and records the batch statistics behind the wins; the
+The ``kernels`` section times the plan-batched ``unitary`` against the
+per-gate kernels and records the batch statistics behind the win; the
 ``--guard`` mode re-measures the per-pass breakdown and fails on any pass
 more than 25% slower than the committed ``BENCH_perf.json`` row.
 
@@ -192,67 +191,13 @@ def _passes_section(mode: str) -> list:
 
 
 def _kernels_section(mode: str) -> dict:
-    """Per-kernel timings: compiled extension vs pure-Python fallbacks.
-
-    Times each batch kernel against its fallback on the same inputs —
-    the cancel fixpoint (C vs vectorized Python), the grouped phase fold
-    (compiled classifier vs wire-state sweep), and the plan-batched
-    ``unitary`` (one sweep per diagonal/permutation run vs per-gate) —
-    and records the batch statistics (stream sizes, distinct parities,
-    mix-run lengths) that explain the wins.  Purely informational: the
-    acceptance thresholds live in the seed-vs-current summary.
+    """Plan-batched ``unitary`` (one sweep per diagonal/permutation run)
+    against the per-gate kernels, with the mix-run lengths that explain
+    the win.  Purely informational: the acceptance thresholds live in the
+    seed-vs-current summary, and ``optimize[*].identical_gates`` checks
+    the compiled cancel and fold kernels against the seed.
     """
-    from repro import _kernels
-    from repro.benchsuite import get_entry, get_source
-    from repro.circopt.cancel import _cancel_to_fixpoint_pure
-    from repro.circopt.phase_poly import (
-        _fold_packed_keys_python,
-        _fold_stream,
-        _fold_stream_grouped,
-    )
     from repro.circuit import statevector as sv
-    from repro.circuit.gatestream import GateStream
-    from repro.compiler import compile_source
-
-    name, depth = ("length", 2) if mode == "quick" else ("length", 4)
-    compiled = compile_source(
-        get_source(name), get_entry(name), depth, CONFIG, "spire"
-    )
-    ct = to_clifford_t(compiled.circuit)
-    gates = ct.gates
-
-    pure_s, pure_out = _timed(_cancel_to_fixpoint_pure, ct, 64, 20)
-    ext_s = ext_speedup = ext_identical = None
-    if _kernels.extension_available():
-        ext_s, ext_out = _timed(_kernels.cancel_fixpoint, ct, 64, 20)
-        ext_speedup = round(pure_s / ext_s, 2) if ext_s else None
-        ext_identical = ext_out.gates == pure_out
-    cancel = {
-        "input": f"{name}@{depth} clifford+t",
-        "gates": len(gates),
-        "pure_seconds": round(pure_s, 4),
-        "extension_seconds": round(ext_s, 4) if ext_s is not None else None,
-        "extension_speedup": ext_speedup,
-        "identical_gates": ext_identical,
-    }
-
-    stream = GateStream(ct)
-    sweep_s, sweep_out = _timed(_fold_stream, GateStream(ct))
-    grouped_s, grouped_out = _timed(_fold_stream_grouped, stream)
-    keys = _kernels.fold_classify(stream)
-    if keys is None:
-        keys = _fold_packed_keys_python(stream)
-    nonempty = keys[keys >= 0]
-    fold = {
-        "input": f"{name}@{depth} clifford+t",
-        "gates": len(gates),
-        "phase_gates": int(len(keys)),
-        "distinct_parities": int(len(np.unique(nonempty >> 1))),
-        "sweep_seconds": round(sweep_s, 4),
-        "grouped_seconds": round(grouped_s, 4),
-        "grouped_speedup": round(sweep_s / grouped_s, 2) if grouped_s else None,
-        "identical_gates": grouped_out.gates == sweep_out,
-    }
 
     n = 8 if mode == "quick" else 10
     ladder = [toffoli(i, i + 1, i + 2) for i in range(n - 2)]
@@ -282,13 +227,7 @@ def _kernels_section(mode: str) -> dict:
         "allclose": bool(np.allclose(mat, ref_mat)),
     }
 
-    return {
-        "extension_available": _kernels.extension_available(),
-        "extension_status": _kernels.extension_status(),
-        "cancel_fixpoint": cancel,
-        "phase_fold": fold,
-        "statevector": statevector,
-    }
+    return {"statevector": statevector}
 
 
 def collect(mode: str) -> dict:
@@ -395,13 +334,7 @@ def _print_report(report: dict) -> None:
             f"[{entry['pipeline']}]: slowest={entry['slowest_pass']} "
             f"({breakdown})"
         )
-    kernels = report["kernels"]
-    print(
-        f"kernels: extension={'on' if kernels['extension_available'] else 'off'} "
-        f"cancel={kernels['cancel_fixpoint']['extension_speedup']}x "
-        f"fold={kernels['phase_fold']['grouped_speedup']}x "
-        f"unitary={kernels['statevector']['unitary_speedup']}x"
-    )
+    print(f"kernels: unitary={report['kernels']['statevector']['unitary_speedup']}x")
     for key, value in report["summary"].items():
         print(f"  {key}: {value}")
 
@@ -420,12 +353,7 @@ def _check(report: dict) -> list:
             failures.append(
                 f"pipeline {entry['pipeline']} produced no pass records"
             )
-    kernels = report["kernels"]
-    if kernels["cancel_fixpoint"]["identical_gates"] is False:
-        failures.append("compiled cancel kernel output differs from fallback")
-    if not kernels["phase_fold"]["identical_gates"]:
-        failures.append("grouped phase fold differs from reference sweep")
-    if not kernels["statevector"]["allclose"]:
+    if not report["kernels"]["statevector"]["allclose"]:
         failures.append("batched unitary differs from per-gate kernels")
     if report["mode"] == "quick":
         # CI smoke run: shared runners make wall-clock floors flaky, so the

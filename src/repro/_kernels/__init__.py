@@ -1,58 +1,46 @@
-"""Optional compiled kernels with a pure-Python fallback.
+"""Compiled kernels for the cancel fixpoint and the phase-fold classifier.
 
-This package holds the plain-C implementation of the innermost optimizer
-scan (the cancellation stack sweep run to fixpoint) plus the ctypes
-loader and the array packing that feeds it.  The cancel kernel reads a
-circuit's row column as is.  The rows described to C are the gate
-table's, gathered from each gate's cached record
-(:class:`~repro.circuit.gatestream.RowRecords`), followed by the
-memoized phase block of the table's width
+This package holds the plain-C implementation of the two sequential
+optimizer sweeps plus the ctypes loader and the array packing that feeds
+them.  Both kernels read a circuit as stored: its row column and the gate
+table's per-row columns, gathered from each gate's cached record
+(:class:`~repro.circuit.gatestream.RowRecords`).  The cancel kernel also
+sees the memoized phase block of the table's width
 (:class:`~repro.circuit.gatestream.PhaseBlock`), whose rows the sweep
-names when it merges phase gates.  The surviving rows become the output
-circuit.  Selection happens once at import time:
+names when it merges phase gates; the surviving rows become the output
+circuit.
 
-* ``REPRO_NO_EXT=1`` in the environment disables the extension outright.
-* Otherwise, if ``_cancel_kernel.so`` exists next to this file (built by
-  ``python -m repro._kernels.build``) and reports the expected ABI, it
-  is used; any load failure silently falls back to pure Python.
-
-Callers never depend on the extension being present:
-:func:`cancel_fixpoint` returns ``None`` whenever the compiled path is
-unavailable or declines the input, and ``repro.circopt.cancel`` then
-runs its own vectorized pure-Python sweep.  Both paths are exercised by
-``tests/test_kernels.py`` and by the CI ``kernels`` job.
+The shared object ``_cancel_kernel.so`` is loaded on the first kernel
+call.  When it is missing or older than ``cancel.c`` or ``fold.c``, that
+call first builds it with the local C compiler
+(:func:`~repro._kernels.build.build`).  A failed build, a library that
+does not load, or one with another ABI stamp raises a
+:class:`RuntimeError` naming the library path; there is no fallback.
+The frozen seed sweeps in :mod:`repro.reference` are the oracle that
+``tests/test_kernels.py`` checks both kernels against.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
+import threading
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..circuit.circuit import Circuit
+    from ..circuit.gatestream import RowRecords
 
 #: ABI stamp expected from the shared object; must match
-#: ``REPRO_KERNELS_ABI`` in ``cancel.c``.  A stale .so from an older
-#: checkout is ignored rather than trusted.
-KERNELS_ABI = 1
+#: ``REPRO_KERNELS_ABI`` in ``cancel.c``.
+KERNELS_ABI = 2
 
 _lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_unavailable_reason = "not loaded yet"
-
-
-def _library_path() -> str:
-    from .build import library_path
-
-    return str(library_path())
+_load_lock = threading.Lock()
 
 
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.repro_kernels_abi.restype = ctypes.c_int64
-    lib.repro_kernels_abi.argtypes = []
     i64 = ctypes.c_int64
     p_i64 = ctypes.POINTER(ctypes.c_int64)
     p_i32 = ctypes.POINTER(ctypes.c_int32)
@@ -72,94 +60,67 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.repro_fold_classify.restype = i64
     lib.repro_fold_classify.argtypes = [
-        i64,                 # n
-        p_u8, p_i32,         # kinds, num_controls
-        p_i32, p_i32, p_i32,  # ctrl0, tgt0, tgt1
-        p_i8,                # phase eighths
+        i64, p_i32,          # n, gate_rows
+        p_u8, p_i8,          # kinds, phase eighths
+        p_i32, p_i32,        # num_controls, num_targets
+        p_i64, p_i32,        # qubit offsets, qubits
         i64,                 # num_qubits
         p_i64,               # out_keys
     ]
     return lib
 
 
-def _try_load() -> Optional[ctypes.CDLL]:
-    global _unavailable_reason
-    if os.environ.get("REPRO_NO_EXT") == "1":
-        _unavailable_reason = "disabled by REPRO_NO_EXT=1"
-        return None
-    path = _library_path()
-    if not os.path.exists(path):
-        _unavailable_reason = (
-            f"{path} not built (run `python -m repro._kernels.build`)"
-        )
-        return None
+def _load() -> ctypes.CDLL:
+    # imported here so that ``python -m repro._kernels.build`` runs the
+    # module once, as ``__main__``
+    from .build import build, is_stale, library_path
+
+    path = library_path()
+    if is_stale():
+        build()
     try:
-        lib = ctypes.CDLL(path)
-        got = lib.repro_kernels_abi()
+        lib = ctypes.CDLL(str(path))
+        lib.repro_kernels_abi.restype = ctypes.c_int64
+        abi = lib.repro_kernels_abi()
     except (OSError, AttributeError) as exc:
-        _unavailable_reason = f"failed to load {path}: {exc}"
-        return None
-    if got != KERNELS_ABI:
-        _unavailable_reason = (
-            f"{path} has ABI {got}, expected {KERNELS_ABI}; rebuild it"
+        raise RuntimeError(f"cannot load {path}: {exc}") from exc
+    if abi != KERNELS_ABI:
+        raise RuntimeError(
+            f"{path} has ABI {abi}, expected {KERNELS_ABI}; "
+            "rebuild it with `python -m repro._kernels.build`"
         )
-        return None
-    _unavailable_reason = ""
     return _configure(lib)
 
 
-def _get_lib() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted
-    if not _load_attempted:
-        _lib = _try_load()
-        _load_attempted = True
+def _get_lib() -> ctypes.CDLL:
+    global _lib
+    if _lib is None:
+        with _load_lock:
+            if _lib is None:
+                _lib = _load()
     return _lib
-
-
-def reload_extension() -> bool:
-    """Re-attempt loading the extension (used by tests after a build)."""
-    global _lib, _load_attempted
-    _load_attempted = False
-    _lib = None
-    return _get_lib() is not None
-
-
-def extension_available() -> bool:
-    """True when the compiled cancel kernel is loaded and usable."""
-    return _get_lib() is not None
-
-
-def extension_status() -> str:
-    """Human-readable availability: empty string means available."""
-    _get_lib()
-    return _unavailable_reason
 
 
 def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def cancel_fixpoint(
-    circuit: "Circuit", window: int, max_passes: int
-) -> Optional["Circuit"]:
+def cancel_fixpoint(circuit: "Circuit", window: int, max_passes: int) -> "Circuit":
     """Run the cancel fixpoint over ``circuit`` through the compiled kernel.
 
-    Returns the reduced circuit (same width and registers), or ``None``
-    when the extension is unavailable or declines the input (the caller
-    then falls back to the pure-Python sweep).  The kernel reads the
-    circuit's row column directly.  It sees the table's gathered records
-    followed by the phase block of the width the table touches; a block
-    gate the table already holds is named by its table row.  The output
-    table keeps the surviving table rows and adds only the block gates the
-    output names, so its gates compare equal to the fallback's, and its
-    merged phase gates are the same shared instances.
+    Returns the reduced circuit (same width and registers); an empty
+    circuit or ``max_passes <= 0`` comes back unchanged.  The kernel
+    reads the circuit's row column directly.  It sees the table's
+    gathered records followed by the phase block of the width the table
+    touches; a block gate the table already holds is named by its table
+    row.  The output table keeps the surviving table rows and adds only
+    the block gates the output names, so its merged phase gates are the
+    shared instances.
     """
-    lib = _get_lib()
-    if lib is None:
-        return None
     n = len(circuit)
     if n == 0 or max_passes <= 0:
-        return None
+        return circuit.copy()
+    lib = _get_lib()
     from ..circuit.gatestream import INVERSE_CODES, RowRecords, phase_block
 
     table = circuit.table
@@ -201,44 +162,34 @@ def cancel_fixpoint(
         _ptr(out_rows, ctypes.c_int64),
     )
     if res < 0:
-        return None
+        raise MemoryError("repro_cancel_fixpoint could not allocate its buffers")
     return block.circuit(circuit, out_rows[:res], max(circuit.num_qubits, num_qubits))
 
 
-def fold_classify(stream) -> Optional[np.ndarray]:
-    """Classify phase gates by parity through the compiled kernel.
+def fold_classify(rows: np.ndarray, records: "RowRecords", phase_count: int) -> np.ndarray:
+    """Classify the phase gates of a row column by parity.
 
-    Returns an int64 array with one entry per uncontrolled phase gate in
-    stream order — ``parity_id * 2 + affine_const``, or ``-1`` when the
-    parity is empty — or ``None`` when the extension is unavailable or
-    the stream contains gates the packed columns cannot describe (the
-    caller then runs the pure-Python wire-state sweep).
+    ``rows`` indexes the table ``records`` was gathered from and holds
+    ``phase_count`` uncontrolled phase gates (at least one).  Returns an
+    int64 array with one entry per such gate in stream order:
+    ``parity_id * 2 + affine_const``, or ``-1`` when the parity is empty.
     """
     lib = _get_lib()
-    if lib is None:
-        return None
-    n = len(stream)
-    eighths = stream.phase_eighths
-    phase_count = int(np.count_nonzero(eighths >= 0))
-    if n == 0 or phase_count == 0:
-        return np.empty(0, dtype=np.int64)
-    ctrl0, tgt0, tgt1 = stream.fold_columns()
-    num_qubits = stream.num_qubits
-    highest = max(int(ctrl0.max()), int(tgt0.max()), int(tgt1.max()))
-    if highest >= num_qubits:
-        return None  # stream wider than declared; let Python handle it
+    gate_rows = np.ascontiguousarray(rows, dtype=np.int32)
+    offsets = records.starts()[1].astype(np.int64)
     out_keys = np.empty(phase_count, dtype=np.int64)
     res = lib.repro_fold_classify(
-        n,
-        _ptr(stream.kinds, ctypes.c_uint8),
-        _ptr(stream.num_controls, ctypes.c_int32),
-        _ptr(ctrl0, ctypes.c_int32),
-        _ptr(tgt0, ctypes.c_int32),
-        _ptr(tgt1, ctypes.c_int32),
-        _ptr(eighths, ctypes.c_int8),
-        num_qubits,
+        len(gate_rows),
+        _ptr(gate_rows, ctypes.c_int32),
+        _ptr(records.kinds, ctypes.c_uint8),
+        _ptr(records.eighths, ctypes.c_int8),
+        _ptr(records.num_controls, ctypes.c_int32),
+        _ptr(records.num_targets, ctypes.c_int32),
+        _ptr(offsets, ctypes.c_int64),
+        _ptr(records.qubits, ctypes.c_int32),
+        1 + int(records.top.max()),
         _ptr(out_keys, ctypes.c_int64),
     )
     if res < 0:
-        return None
+        raise MemoryError("repro_fold_classify could not allocate its buffers")
     return out_keys

@@ -17,12 +17,11 @@
  * width) follows the table and is addressed through ``merge_rows``, so
  * the C sweep only ever manipulates int64 row ids.
  *
- * The sweep must stay bit-for-bit identical to ``_cancel_pass_packed`` in
- * ``repro/circopt/cancel.py`` (and hence to the frozen seed sweep in
- * ``repro/reference.py``); the property tests in ``tests/test_kernels.py``
- * enforce this on random circuits with the extension both on and off.
+ * The sweep must stay bit-for-bit identical to the frozen seed sweep in
+ * ``repro/reference.py``; the property tests in ``tests/test_kernels.py``
+ * enforce this on random circuits.
  *
- * Kind codes mirror ``repro.circuit.gatestream.KIND_CODES``:
+ * Kind codes mirror ``repro.circuit.gates.KIND_CODES``:
  *   MCX=0, H=1, SWAP=2, T=3, TDG=4, S=5, SDG=6, Z=7
  * and codes >= 3 are diagonal phase kinds (FIRST_PHASE_CODE).
  */
@@ -36,7 +35,7 @@
 
 /* Bumped whenever the exported signatures change; the Python loader
  * refuses to use a stale shared object with a different ABI. */
-#define REPRO_KERNELS_ABI 1
+#define REPRO_KERNELS_ABI 2
 
 int64_t repro_kernels_abi(void) { return REPRO_KERNELS_ABI; }
 
@@ -55,9 +54,9 @@ static inline int mask_and_any(const uint64_t *a, const uint64_t *b, int64_t wor
 }
 
 /* One stack sweep over ``src`` (row ids) into ``dst``; returns the output
- * length.  Mirrors ``_cancel_pass_packed`` exactly: inverse-pair check
- * first, then uncontrolled-phase merge, then the inlined commutation rules
- * of ``gates_commute``. */
+ * length.  Mirrors ``cancel_pass_seed`` exactly: inverse-pair check first,
+ * then uncontrolled-phase merge, then the inlined commutation rules of
+ * ``gates_commute``. */
 static int64_t one_pass(
     const int64_t *src, int64_t n_src, int64_t *dst,
     int64_t words,
@@ -152,7 +151,7 @@ static int64_t one_pass(
  * ``out_rows``: caller-allocated, capacity n; receives the surviving row
  * ids.  Returns the output length, or -1 on allocation failure.
  *
- * Mirrors ``cancel_to_fixpoint``: if a pass leaves the length unchanged
+ * Mirrors ``cancel_to_fixpoint_seed``: if a pass leaves the length unchanged
  * the pass *output* (which may still differ from its input when a merge
  * produced exactly two gates) is the result. */
 int64_t repro_cancel_fixpoint(

@@ -1,12 +1,16 @@
 /* Compiled inner kernel for phase folding (rotation merging).
  *
- * The Python side of ``repro.circopt.phase_poly`` folds rotations by
- * grouping phase gates whose wires carry the same *parity* — an XOR of
- * symbolic variables minted per wire and per barrier.  The grouping and
- * arithmetic are whole-array numpy; the only sequential part is the wire
- * state machine that answers, for each phase gate, "which parity (and
- * affine constant) does its wire carry here?".  This kernel runs that
- * state machine.
+ * ``repro.circopt.phase_poly`` folds rotations by grouping phase gates
+ * whose wires carry the same *parity* — an XOR of symbolic variables
+ * minted per wire and per barrier.  The grouping and arithmetic are
+ * whole-array numpy; the only sequential part is the wire state machine
+ * that answers, for each phase gate, "which parity (and affine constant)
+ * does its wire carry here?".  This kernel runs that state machine.
+ *
+ * It reads the circuit as stored: the row column, and per row of the
+ * gate table its kind code, phase eighths, control and target counts and
+ * the offset of its qubits (controls, then targets) in the table's
+ * flattened qubit column, all gathered from each gate's cached record.
  *
  * Parities are represented exactly: each distinct parity is an interned
  * sorted array of int32 variable ids in a grow-only pool, deduplicated
@@ -14,19 +18,17 @@
  * comparison on collision (no probabilistic hashing — bit-identity with
  * the reference sweep must hold with certainty, and the property tests
  * in ``tests/test_kernels.py`` check it).  A CNOT two-pointer-merges the
- * control parity into the target parity; a barrier mints a fresh
- * singleton.  Equal parities get equal intern ids, which is all the
- * numpy grouping stage needs.
+ * control parity into the target parity; any other gate that is not an
+ * X, an uncontrolled SWAP or an uncontrolled phase gate is a barrier,
+ * which mints a fresh singleton for each of its qubits.  Equal parities
+ * get equal intern ids, which is all the numpy grouping stage needs.
  *
  * Output: for the j-th uncontrolled phase gate in stream order,
  * ``out_keys[j] = intern_id * 2 + affine_const``, or ``-1`` when the
  * parity is empty (a pure global phase, dropped by the reference too).
  *
- * Kind codes mirror ``repro.circuit.gatestream.KIND_CODES``:
+ * Kind codes mirror ``repro.circuit.gates.KIND_CODES``:
  *   MCX=0, H=1, SWAP=2, T=3, TDG=4, S=5, SDG=6, Z=7.
- * Gates with 2+ controls are not representable in the fixed-width
- * columns the caller passes, so the kernel declines (-2) and the caller
- * falls back to the pure-Python sweep.
  */
 
 #include <stdint.h>
@@ -149,17 +151,17 @@ static int64_t next_pow2(int64_t v) {
 
 /* Classify every uncontrolled phase gate by (parity id, affine const).
  *
- * Columns: per-gate kind code, control count, first control (-1 when
- * none), first/second target (-1 when absent), phase eighths (-1 for
- * non-phase gates).  Returns the number of keys written, -1 on
- * allocation failure, -2 on a gate the columns cannot describe (2+
- * controls); on either negative return the caller must fall back.
+ * ``gate_rows``: per-gate row ids into the table (length n).  Per table
+ * row: kind code, phase eighths (-1 unless an uncontrolled phase gate),
+ * control and target counts, and the offset of its qubits in
+ * ``qubits``.  Every qubit is below ``num_qubits``.  Returns the number
+ * of keys written, or -1 on allocation failure.
  */
 int64_t repro_fold_classify(
-    int64_t n,
-    const uint8_t *kinds, const int32_t *ncs,
-    const int32_t *ctrl0, const int32_t *tgt0, const int32_t *tgt1,
-    const int8_t *ph,
+    int64_t n, const int32_t *gate_rows,
+    const uint8_t *kinds, const int8_t *ph,
+    const int32_t *ncs, const int32_t *nts,
+    const int64_t *offsets, const int32_t *qubits,
     int64_t num_qubits,
     int64_t *out_keys)
 {
@@ -170,9 +172,14 @@ int64_t repro_fold_classify(
     int32_t *scratch = NULL;
     int64_t scratch_cap = 64;
 
-    /* new sets arise only from the initial wires, one per CNOT, and up
-     * to three fresh singletons per barrier gate */
-    int64_t max_sets = num_qubits + 3 * n + 2;
+    /* new sets arise only from the initial wires, one per CNOT and one
+     * per qubit of a barrier, so the stream's qubit references bound
+     * them; the hash table never grows, and must keep empty slots */
+    int64_t refs = 0;
+    for (int64_t i = 0; i < n; i++) {
+        refs += ncs[gate_rows[i]] + nts[gate_rows[i]];
+    }
+    int64_t max_sets = num_qubits + refs + 2;
     in.table_mask = next_pow2(2 * max_sets) - 1;
     in.pool_cap = 4 * (num_qubits + n) + 64;
     in.pool_len = 0;
@@ -198,32 +205,33 @@ int64_t repro_fold_classify(
     int64_t written = 0;
 
     for (int64_t i = 0; i < n; i++) {
-        if (ph[i] >= 0) { /* uncontrolled phase gate */
-            int32_t t = tgt0[i];
+        const int32_t r = gate_rows[i];
+        const int32_t *qs = qubits + offsets[r];
+        const int32_t nc = ncs[r];
+        if (ph[r] >= 0) { /* uncontrolled phase gate */
+            int32_t t = qs[0];
             int64_t id = wire_key[t];
             out_keys[written++] =
                 in.sets[id].len == 0 ? -1 : id * 2 + wire_const[t];
             continue;
         }
-        uint8_t kind = kinds[i];
-        int32_t nc = ncs[i];
-        if (kind == MCX_CODE) {
-            if (nc == 1) {
-                int32_t c = ctrl0[i];
-                int32_t t = tgt0[i];
-                int64_t id = intern_xor(&in, wire_key[t], wire_key[c],
-                                        &scratch, &scratch_cap);
-                if (id < 0) goto done;
-                wire_key[t] = id;
-                wire_const[t] ^= wire_const[c];
-                continue;
-            }
-            if (nc == 0) {
-                wire_const[tgt0[i]] ^= 1;
-                continue;
-            }
-        } else if (kind == SWAP_CODE && nc == 0) {
-            int32_t a = tgt0[i], b = tgt1[i];
+        const uint8_t kind = kinds[r];
+        if (kind == MCX_CODE && nc == 1) {
+            int32_t c = qs[0];
+            int32_t t = qs[1];
+            int64_t id = intern_xor(&in, wire_key[t], wire_key[c],
+                                    &scratch, &scratch_cap);
+            if (id < 0) goto done;
+            wire_key[t] = id;
+            wire_const[t] ^= wire_const[c];
+            continue;
+        }
+        if (kind == MCX_CODE && nc == 0) {
+            wire_const[qs[0]] ^= 1;
+            continue;
+        }
+        if (kind == SWAP_CODE && nc == 0) {
+            int32_t a = qs[0], b = qs[1];
             int64_t tmpk = wire_key[a];
             wire_key[a] = wire_key[b];
             wire_key[b] = tmpk;
@@ -232,19 +240,11 @@ int64_t repro_fold_classify(
             wire_const[b] = tmpc;
             continue;
         }
-        if (nc > 1) {
-            status = -2; /* columns cannot describe 2+ controls */
-            goto done;
-        }
         /* barrier over the gate's qubits: controls first, then targets
          * (fresh-variable order matches the reference sweep; only set
          * equality matters downstream) */
-        int32_t qs[3];
-        int32_t nq_gate = 0;
-        if (nc == 1) qs[nq_gate++] = ctrl0[i];
-        qs[nq_gate++] = tgt0[i];
-        if (tgt1[i] >= 0) qs[nq_gate++] = tgt1[i];
-        for (int32_t j = 0; j < nq_gate; j++) {
+        const int32_t nq = nc + nts[r];
+        for (int32_t j = 0; j < nq; j++) {
             int32_t q = qs[j];
             int32_t var = next_var++;
             int64_t id = intern_lookup(&in, &var, 1);

@@ -8,7 +8,7 @@ module makes every grid point a one-time cost.
 An :class:`ArtifactCache` maps a *task key* to two artifacts:
 
 * ``point.json`` — the measurement row (counts, timings, metadata);
-* ``circuit.rqcs`` — the compiled circuit as a binary GateStream snapshot
+* ``circuit.rqcs`` — the compiled circuit as a binary circuit snapshot
   (:mod:`repro.circuit.snapshot`), stored for compile tasks so optimizer
   baselines can skip recompilation even in a cold process.
 

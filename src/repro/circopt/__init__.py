@@ -8,7 +8,7 @@ from .base import (
     optimizer_names,
 )
 from .cancel import CliffordTPeephole, cancel_circuit, cancel_pass, cancel_to_fixpoint
-from .phase_poly import PhaseFolder, RotationMerging, fold_phases
+from .phase_poly import RotationMerging, fold_phases
 from .search import GreedySearch
 from .toffoli_cancel import ToffoliCancel
 from .zxlike import ZXLike
@@ -23,7 +23,6 @@ __all__ = [
     "cancel_circuit",
     "cancel_pass",
     "cancel_to_fixpoint",
-    "PhaseFolder",
     "RotationMerging",
     "fold_phases",
     "GreedySearch",

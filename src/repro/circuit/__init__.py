@@ -15,7 +15,6 @@ from .decompose import (
     to_clifford_t,
     to_toffoli,
 )
-from .gatestream import GateStream
 from .snapshot import SnapshotError, dump_bytes, load_bytes
 from .gates import (
     Gate,
@@ -43,7 +42,6 @@ __all__ = [
     "Register",
     "Gate",
     "GateKind",
-    "GateStream",
     "SnapshotError",
     "dump_bytes",
     "load_bytes",

@@ -19,9 +19,10 @@ with later appends; it is read-only.
 
 Every consumer between the compiler and the artifact cache works on this
 storage: snapshots write the table and the row column
-(:mod:`repro.circuit.snapshot`), :class:`~repro.circuit.gatestream.GateStream`
-gathers per-row columns from each table gate's cached record, and the
-compiled cancel kernel reads the rows.
+(:mod:`repro.circuit.snapshot`),
+:class:`~repro.circuit.gatestream.RowRecords` gathers per-row columns from
+each table gate's cached record, and the compiled cancel and fold kernels
+read the rows.
 
 The two complexity metrics of the paper are computed here:
 

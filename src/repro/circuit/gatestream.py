@@ -1,50 +1,26 @@
-"""Struct-of-arrays columns over a circuit's gates.
+"""Per-row columns over a circuit's gate table.
 
-The optimizer and simulation hot paths (``circopt.cancel``,
-``circopt.phase_poly``, ``circuit.statevector``) spend most of their time on
-three questions about a gate: *what kind is it*, *which qubits does it
-touch*, and *how many eighth-turns of phase does it apply*.  Answering them
-through ``Gate`` objects costs an attribute lookup, an enum identity check
-and often a set construction per query.  :class:`GateStream` answers them
-through parallel numpy arrays with one entry per gate:
-
-* ``kinds`` — ``uint8`` kind codes (:data:`KIND_CODES`);
-* ``num_controls`` — ``int32`` control counts;
-* ``phase_eighths`` — ``int8``; the eighth-turn count of an *uncontrolled
-  phase gate* (T=1, S=2, Z=4, S†=6, T†=7) and ``-1`` for every other gate;
-* ``ctrl_masks`` / ``tgt_masks`` / ``qubit_masks`` — per-gate qubit bitmasks,
-  built on first use (only the pure-Python cancel sweep reads them).
-  These are *object* arrays of Python ints because benchmark circuits
-  routinely exceed 64 wires, so fixed-width integers would overflow.
-
-Nothing here derives a column gate by gate.  Every gate value caches one
-packed :attr:`~repro.circuit.gates.Gate.record` (shared instances build it
-once per process), and :class:`RowRecords` gathers a gate table's records
-into per-row columns with one ``b"".join`` and ``np.frombuffer`` each.  A
-stream gathers its circuit's table and indexes the columns by the row
-column, so building one costs numpy work per gate and a cached lookup per
-distinct gate.  The cancel kernel and the snapshot writer read the same
-:class:`RowRecords`.
+The optimizer hot paths (the compiled cancel and fold kernels in
+:mod:`repro._kernels`) and the snapshot writer ask three questions about
+every gate: *what kind is it*, *which qubits does it touch*, and *how many
+eighth-turns of phase does it apply*.  They ask them once per distinct
+gate, never gate by gate: every gate value caches one packed
+:attr:`~repro.circuit.gates.Gate.record` (shared instances build it once
+per process), and :class:`RowRecords` gathers a gate table's records into
+per-row columns with one ``b"".join`` and ``np.frombuffer`` each.  A
+circuit's row column then indexes those columns.
 
 :class:`PhaseBlock` holds the shared uncontrolled phase gates of one width
 as rows to append after a gate table, with their record columns and the
 ``(eighths, qubit) -> rows`` merge table, so the passes that create phase
 gates (the cancel kernel's merges, the phase fold's placeholders) name
 them by row id.  One block per width is memoized with the shared gates.
-
-The stream keeps the circuit, so ``stream.gates`` is the circuit's own gate
-list and the round-trip ``GateStream.from_gates(gs).to_gates() == gs`` is
-lossless by construction: the arrays alone canonicalize control/target
-*order* (a mask is a set), and the paper's evaluation requires bit-for-bit
-identical gate lists before and after the vectorized rewrite.
-:meth:`rebuild_gates` reconstructs gates from the arrays alone (controls
-ascending) for callers that want the canonical form.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +32,6 @@ from .gates import (
     Gate,
     GateKind,
     phase_gate,
-    shared_gate,
     shared_memo,
 )
 
@@ -64,10 +39,6 @@ from .gates import (
 CODE_KINDS = tuple(
     kind for kind, _ in sorted(KIND_CODES.items(), key=lambda item: item[1])
 )
-
-MCX_CODE = KIND_CODES[GateKind.MCX]
-H_CODE = KIND_CODES[GateKind.H]
-SWAP_CODE = KIND_CODES[GateKind.SWAP]
 
 #: Codes ``>= FIRST_PHASE_CODE`` are diagonal phase kinds (T/T†/S/S†/Z).
 FIRST_PHASE_CODE = KIND_CODES[GateKind.T]
@@ -106,10 +77,11 @@ class RowRecords:
     """Per-row columns of a gate table, gathered from the rows' cached
     :attr:`~repro.circuit.gates.Gate.record`.
 
-    ``kinds`` (``uint8`` kind codes), ``eighths`` (``int8``, the
-    ``phase_eighths`` convention), ``num_controls``, ``num_targets``,
-    ``target`` (first target) and ``top`` (highest qubit) hold one entry
-    per row; ``qubits`` is every row's ``controls + targets`` back to back
+    ``kinds`` (``uint8`` kind codes), ``eighths`` (``int8``: the
+    eighth-turns of an uncontrolled phase gate, T=1, S=2, Z=4, S†=6,
+    T†=7, and ``-1`` for every other gate), ``num_controls``,
+    ``num_targets``, ``target`` (first target) and ``top`` (highest
+    qubit) hold one entry per row; ``qubits`` is every row's ``controls + targets`` back to back
     (``int32``), and ``keys`` the rows' ``(controls, targets)`` keys.
     """
 
@@ -157,7 +129,7 @@ class RowRecords:
                 ids[key] = len(ids)
         return np.fromiter(map(ids.__getitem__, self.keys), np.int64, len(self.keys))
 
-    def _starts(self) -> Tuple[np.ndarray, np.ndarray]:
+    def starts(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per row: its qubit count and the offset of its first qubit."""
         counts = self.num_controls + self.num_targets
         return counts, np.cumsum(counts) - counts
@@ -165,7 +137,7 @@ class RowRecords:
     def mask_words(self, words: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(controls, targets)`` bitmasks of every row, each split into
         ``words`` little-endian ``uint64`` words (shape ``(rows, words)``)."""
-        counts, starts = self._starts()
+        counts, starts = self.starts()
         row = np.repeat(np.arange(len(self)), counts)
         is_control = np.arange(len(self.qubits)) - starts[row] < self.num_controls[row]
         qubits = self.qubits.astype(np.int64)
@@ -177,136 +149,6 @@ class RowRecords:
             np.bitwise_or.at(masks, (row[sel], word[sel]), bits[sel])
             out.append(masks)
         return out[0], out[1]
-
-    def fold_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row: first control, first target, second target (``int32``,
-        ``-1`` when absent)."""
-        counts, starts = self._starts()
-        if not len(self):
-            return (np.empty(0, np.int32),) * 3
-        last = len(self.qubits) - 1
-        ctrl0 = np.where(self.num_controls > 0, self.qubits[starts], -1)
-        second = np.minimum(starts + self.num_controls + 1, last)
-        tgt1 = np.where(self.num_targets > 1, self.qubits[second], -1)
-        return ctrl0.astype(np.int32), self.target, tgt1.astype(np.int32)
-
-
-class GateStream:
-    """Parallel-array view of a :class:`Circuit` (see module docstring)."""
-
-    __slots__ = (
-        "circuit",
-        "num_qubits",
-        "records",
-        "kinds",
-        "num_controls",
-        "phase_eighths",
-        "_fold_cols",
-        "_masks",
-    )
-
-    def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
-        self.num_qubits = circuit.num_qubits
-        #: the circuit table's :class:`RowRecords`
-        self.records = records = RowRecords(circuit.table)
-        rows = circuit.rows
-        self.kinds = records.kinds.take(rows)
-        self.num_controls = records.num_controls.take(rows)
-        self.phase_eighths = records.eighths.take(rows)
-        self._fold_cols: Optional[tuple] = None
-        self._masks: Optional[tuple] = None
-
-    # -------------------------------------------------------------- building
-    @classmethod
-    def from_gates(cls, gates: Iterable[Gate], num_qubits: int = 0) -> "GateStream":
-        """Stream of a bare gate list over at least ``num_qubits`` wires."""
-        return cls(Circuit(num_qubits, gates))
-
-    # ------------------------------------------------------------ columns
-    @property
-    def gates(self) -> List[Gate]:
-        """The circuit's gate list (read-only)."""
-        return self.circuit.gates
-
-    def _object_masks(self) -> tuple:
-        masks = self._masks
-        if masks is None:
-            table = self.circuit.table
-            ctrl = _object_column([g.control_mask for g in table])
-            tgt = _object_column([g.target_mask for g in table])
-            rows = self.circuit.rows
-            masks = self._masks = (ctrl.take(rows), tgt.take(rows), (ctrl | tgt).take(rows))
-        return masks
-
-    @property
-    def ctrl_masks(self) -> np.ndarray:
-        """Per-gate control bitmasks (object array, built on first use)."""
-        return self._object_masks()[0]
-
-    @property
-    def tgt_masks(self) -> np.ndarray:
-        """Per-gate target bitmasks (object array, built on first use)."""
-        return self._object_masks()[1]
-
-    @property
-    def qubit_masks(self) -> np.ndarray:
-        """Per-gate qubit bitmasks (object array, built on first use)."""
-        return self._object_masks()[2]
-
-    def fold_columns(self):
-        """Fixed-width qubit columns ``(ctrl0, tgt0, tgt1)`` (int32, lazy).
-
-        Per gate: first control, first target, second target — ``-1``
-        when absent.  Gates with two or more controls are not fully
-        described (consumers must check ``num_controls``); the compiled
-        fold kernel declines such streams and the pure-Python sweep,
-        which reads the :class:`Gate` objects, takes over.  Gathered from
-        the table's records by row on first use and cached.
-        """
-        cols = self._fold_cols
-        if cols is None:
-            rows = self.circuit.rows
-            cols = tuple(col.take(rows) for col in self.records.fold_columns())
-            self._fold_cols = cols
-        return cols
-
-    # ------------------------------------------------------------ unpacking
-    def to_gates(self) -> List[Gate]:
-        """The original gate list (lossless round-trip)."""
-        return list(self.gates)
-
-    def rebuild_gates(self) -> List[Gate]:
-        """Reconstruct gates from the arrays alone.
-
-        Control and target order is canonicalized to ascending qubit index;
-        the result is semantically identical to :meth:`to_gates` and equal to
-        it whenever the source gates already listed qubits in ascending
-        order.  Used by tests to check the arrays are faithful.
-        """
-        out: List[Gate] = []
-        for i in range(len(self)):
-            kind = CODE_KINDS[self.kinds[i]]
-            controls = _mask_bits(self.ctrl_masks[i])
-            targets = _mask_bits(self.tgt_masks[i])
-            out.append(shared_gate(kind, controls, targets))
-        return out
-
-    # ------------------------------------------------------------- measures
-    def __len__(self) -> int:
-        return len(self.circuit)
-
-    def t_count(self) -> int:
-        """Number of T/T† gates, counted on the packed array."""
-        return int(
-            np.count_nonzero(
-                (self.kinds == KIND_CODES[GateKind.T])
-                | (self.kinds == KIND_CODES[GateKind.TDG])
-            )
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<GateStream {self.num_qubits} qubits, {len(self)} gates>"
 
 
 #: Kind codes of the phase kinds, in block order (T, T†, S, S†, Z).
@@ -387,21 +229,3 @@ def phase_block(width: int) -> PhaseBlock:
     """The :class:`PhaseBlock` of ``width`` qubits, memoized for 64 widths
     and started over together with the shared gates."""
     return PhaseBlock(width)
-
-
-def _object_column(values: list) -> np.ndarray:
-    """A 1-D object array of ``values`` (Python ints stay unbounded)."""
-    column = np.empty(len(values), dtype=object)
-    column[:] = values
-    return column
-
-
-def _mask_bits(mask: int):
-    bits = []
-    q = 0
-    while mask:
-        if mask & 1:
-            bits.append(q)
-        mask >>= 1
-        q += 1
-    return tuple(bits)

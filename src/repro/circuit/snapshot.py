@@ -18,7 +18,7 @@ Layout (all integers little-endian)::
     u32     header length
     bytes   JSON header: {"num_qubits", "num_gates", "table_size",
                           "qubit_words", "registers": [[name, offset, width], ...]}
-    u8[m]   kinds          (per table row; GateStream KIND_CODES)
+    u8[m]   kinds          (per table row; gates.KIND_CODES)
     i32[m]  num_controls   (per table row)
     u8[m]   num_targets    (per table row; 1, or 2 for SWAP)
     i32[w]  qubits         (per table row: controls then targets, original order)

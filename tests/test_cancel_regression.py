@@ -1,10 +1,11 @@
-"""Regression tests for the vectorized gate-stream backbone.
+"""Regression tests for the optimizer and simulator hot paths.
 
-Two layers of protection for the packed rewrite of the optimizer and
-simulator hot paths:
+Two layers of protection:
 
 * **edge cases** — window-boundary hits in the cancellation scan, phase
-  merges that materialize two gates, fixpoint termination at ``max_passes``;
+  merges that materialize two gates, fixpoint termination at ``max_passes``,
+  and the row and record columns the compiled kernels read giving back
+  every gate, past 64 wires too;
 * **properties** — on random Clifford+T circuits, every vectorized path
   (``cancel_pass``, ``cancel_to_fixpoint``, ``fold_phases``,
   ``gates_commute``, the statevector kernels) returns output identical to
@@ -22,7 +23,6 @@ from repro.circopt import cancel_pass, cancel_to_fixpoint, fold_phases
 from repro.circopt.base import gates_commute
 from repro.circuit import (
     Circuit,
-    GateStream,
     cnot,
     h,
     s,
@@ -34,6 +34,8 @@ from repro.circuit import (
     x,
     z,
 )
+from repro.circuit.gates import Gate, GateKind
+from repro.circuit.gatestream import CODE_KINDS, RowRecords
 from repro.circuit.statevector import run, unitary
 
 
@@ -86,17 +88,36 @@ def test_fixpoint_zero_passes_is_lossless():
     assert cancel_to_fixpoint(gates, max_passes=0) == gates
 
 
-def test_gatestream_roundtrip_and_wide_masks():
+def _gates_from_records(circuit):
+    """The circuit's gates read back from its row column and the record
+    columns the compiled kernels get: kind code, control count, qubits."""
+    records = RowRecords(circuit.table)
+    counts, starts = records.starts()
+    qubits = records.qubits.tolist()
+    table = [
+        Gate(CODE_KINDS[kind], tuple(qubits[lo : lo + nc]), tuple(qubits[lo + nc : lo + n]))
+        for kind, nc, lo, n in zip(
+            records.kinds.tolist(),
+            records.num_controls.tolist(),
+            starts.tolist(),
+            counts.tolist(),
+        )
+    ]
+    return [table[r] for r in circuit.rows.tolist()]
+
+
+def test_rows_and_records_roundtrip_wide_masks():
     gates = [toffoli(2, 0, 1), h(3), t(0), swap(1, 3), cnot(100, 0)]
-    stream = GateStream.from_gates(gates)
-    assert stream.to_gates() == gates
-    assert stream.num_qubits == 101  # object-dtype masks survive >64 wires
-    assert stream.ctrl_masks[4] == 1 << 100
-    assert stream.t_count() == 1
-    # rebuilding from the arrays alone canonicalizes qubit order only
-    rebuilt = stream.rebuild_gates()
-    assert [g.kind for g in rebuilt] == [g.kind for g in gates]
-    assert [set(g.qubits) for g in rebuilt] == [set(g.qubits) for g in gates]
+    circuit = Circuit(0, gates)
+    assert circuit.gates == gates
+    assert _gates_from_records(circuit) == gates
+    assert circuit.num_qubits == 101  # grown to the widest gate
+    # masks past 64 wires spill into the second word
+    controls, targets = RowRecords(circuit.table).mask_words(2)
+    row = circuit.rows[4]
+    assert controls[row].tolist() == [0, 1 << 36]
+    assert targets[row].tolist() == [1, 0]
+    assert circuit.t_count() == 1
 
 
 # ------------------------------------------------------------- properties
@@ -173,7 +194,10 @@ def test_run_does_not_mutate_caller_state(circ):
 
 @settings(max_examples=100, deadline=None)
 @given(circ=random_clifford_t())
-def test_gatestream_roundtrip_property(circ):
-    stream = GateStream.from_gates(circ.gates, circ.num_qubits)
-    assert stream.to_gates() == circ.gates
-    assert stream.t_count() == circ.t_count()
+def test_rows_and_records_roundtrip_property(circ):
+    assert _gates_from_records(circ) == circ.gates
+    rebuilt = Circuit.from_rows(circ.table, circ.rows, circ.num_qubits)
+    assert rebuilt.gates == circ.gates
+    assert rebuilt.t_count() == circ.t_count() == sum(
+        g.kind in (GateKind.T, GateKind.TDG) for g in circ.gates
+    )

@@ -1,40 +1,37 @@
-"""Bit-identity tests for the batch kernels and the compiled extension.
+"""Bit-identity tests for the compiled kernels and the batched simulator.
 
-Every kernel introduced by the batch-level rewrite has a pure-Python
-fallback, and both must agree gate-for-gate (or amplitude-for-amplitude)
+Every batch kernel must agree gate-for-gate (or amplitude-for-amplitude)
 with the frozen seed implementations in :mod:`repro.reference`:
 
 * the compiled cancel fixpoint (:func:`repro._kernels.cancel_fixpoint`)
-  vs the vectorized pure-Python sweep vs ``cancel_to_fixpoint_seed``;
-* the compiled fold classifier feeding the grouped phase fold vs the
-  pure-Python wire-state sweep vs ``fold_phases_seed``;
+  vs ``cancel_to_fixpoint_seed``;
+* the compiled fold classifier feeding the grouped phase fold vs
+  ``fold_phases_seed``;
 * the batched statevector plan (``run``/``unitary``/``sparse_run``) vs
   the per-gate seed kernels.
 
-The extension is exercised when it is loaded; the ``REPRO_NO_EXT=1``
-escape hatch and the bounded caches get dedicated tests.  CI runs the
-whole suite twice — extension built and ``REPRO_NO_EXT=1`` — so both
-dispatch arms stay covered regardless of the build environment.
+The compiled kernels build on first use; subprocess tests over a copy
+of the package check that, the rebuild of a stale library, and the
+loud failures.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import repro
 from repro import _kernels, reference
 from repro.circopt import cancel_circuit, cancel_to_fixpoint, fold_phases
-from repro.circopt.cancel import _cancel_to_fixpoint_pure
-from repro.circopt.phase_poly import (
-    _fold_packed_keys_python,
-    _fold_stream_grouped,
-)
-from repro.circuit import Circuit, GateStream, cnot, h, swap, t, tdg, toffoli, x
+from repro.circuit import Circuit, cnot, h, swap, t, tdg, toffoli, x
 from repro.circuit.snapshot import dump_bytes, load_bytes
 from repro.circuit.gates import Gate, GateKind
 from repro.circuit import statevector as sv
@@ -42,9 +39,9 @@ from repro.circuit import statevector as sv
 
 # --------------------------------------------------------- gate strategies
 def _gate_strategy(num_qubits: int, exotic: bool):
-    """Random gates over ``num_qubits`` wires; ``exotic`` adds the
-    multi-controlled/controlled-phase shapes the compiled fold kernel
-    must decline."""
+    """Random gates over ``num_qubits`` wires, as equal but distinct
+    ``Gate(...)`` objects; ``exotic`` adds multi-controlled gates, which
+    the phase fold treats as barriers over all of their qubits."""
     qubits = st.integers(0, num_qubits - 1)
     phase_kinds = st.sampled_from(
         [GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z]
@@ -79,23 +76,44 @@ def _gate_strategy(num_qubits: int, exotic: bool):
                 distinct(2),
             ),
             st.builds(
+                lambda k, qs: Gate(k, (qs[0], qs[1]), (qs[2],)),
+                phase_kinds,
+                distinct(3),
+            ),
+            st.builds(
                 lambda qs: Gate(GateKind.SWAP, (qs[0],), (qs[1], qs[2])),
                 distinct(3),
+            ),
+        ]
+    if exotic and num_qubits >= 4:
+        options += [
+            st.integers(3, min(5, num_qubits - 1)).flatmap(
+                lambda c: st.builds(
+                    lambda qs: Gate(GateKind.MCX, tuple(qs[:-1]), (qs[-1],)),
+                    distinct(c + 1),
+                )
+            ),
+            st.builds(
+                lambda qs: Gate(GateKind.SWAP, (qs[0], qs[1]), (qs[2], qs[3])),
+                distinct(4),
             ),
         ]
     return st.lists(st.one_of(options), max_size=60)
 
 
-# ------------------------------------------------------------ cancel paths
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 70, 130]), st.booleans())
-def test_cancel_fixpoint_paths_identical(data, num_qubits, reloaded):
-    """Compiled, pure-Python and seed fixpoints agree gate-for-gate.
+_WIDTHS = st.sampled_from([1, 2, 3, 4, 5, 70, 130])
 
-    Widths 70 and 130 force multi-word masks in the C kernel and bigint
-    masks in the Python fallback.  ``reloaded`` runs the sweeps on the
-    circuit restored from its snapshot, whose gate table holds the shared
-    instances rather than the drawn ``Gate`` objects.
+
+# ------------------------------------------------------------ cancel kernel
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _WIDTHS, st.booleans())
+def test_cancel_kernel_matches_seed(data, num_qubits, reloaded):
+    """The compiled fixpoint and the seed fixpoint agree gate-for-gate.
+
+    Widths 70 and 130 force multi-word masks in the C kernel.
+    ``reloaded`` runs the kernel on the circuit restored from its
+    snapshot, whose gate table holds the shared instances rather than the
+    drawn ``Gate`` objects.
     """
     gates = data.draw(_gate_strategy(num_qubits, exotic=True))
     window = data.draw(st.sampled_from([1, 2, 4, 64]))
@@ -104,13 +122,10 @@ def test_cancel_fixpoint_paths_identical(data, num_qubits, reloaded):
     if reloaded:
         circuit = load_bytes(dump_bytes(circuit))
     seed = reference.cancel_to_fixpoint_seed(list(gates), window, max_passes)
-    assert _cancel_to_fixpoint_pure(circuit, window, max_passes) == seed
     compiled = _kernels.cancel_fixpoint(circuit, window, max_passes)
-    if compiled is not None:  # extension built and enabled
-        assert compiled.gates == seed
-        assert compiled.num_qubits == circuit.num_qubits
-    dispatched = cancel_circuit(circuit, window, max_passes)
-    assert dispatched.gates == seed
+    assert compiled.gates == seed
+    assert compiled.num_qubits == circuit.num_qubits
+    assert cancel_circuit(circuit, window, max_passes).gates == seed
     assert cancel_to_fixpoint(list(gates), window, max_passes) == seed
 
 
@@ -118,67 +133,38 @@ def test_cancel_respects_qubit_tuple_order():
     """Equal qubit *sets* with different control order must not cancel.
 
     ``toffoli(1, 2, 3)`` and ``toffoli(2, 1, 3)`` have identical masks;
-    only the interned ``(controls, targets)`` ordinal distinguishes them,
-    on both the compiled and the pure-Python path.
+    only the interned ``(controls, targets)`` ordinal distinguishes them.
     """
     gates = [toffoli(1, 2, 3), toffoli(2, 1, 3)]
-    assert _cancel_to_fixpoint_pure(Circuit(4, gates), 64, 20) == gates
-    compiled = _kernels.cancel_fixpoint(Circuit(4, gates), 64, 20)
-    if compiled is not None:
-        assert compiled.gates == gates
+    assert _kernels.cancel_fixpoint(Circuit(4, gates), 64, 20).gates == gates
     # same-order controls do annihilate
     pair = [toffoli(1, 2, 3), toffoli(1, 2, 3)]
     assert cancel_to_fixpoint(pair) == []
 
 
-# -------------------------------------------------------------- fold paths
+# -------------------------------------------------------------- fold kernel
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 2, 3, 4, 5, 70, 130]))
-def test_fold_paths_identical(data, num_qubits):
-    """Grouped fold (compiled or fallback) equals sweep and seed output."""
+@given(st.data(), _WIDTHS, st.booleans())
+def test_fold_kernel_matches_seed(data, num_qubits, reloaded):
+    """The grouped fold over the compiled classifier equals the seed fold."""
     gates = data.draw(_gate_strategy(num_qubits, exotic=True))
     circuit = Circuit(num_qubits, gates)
     seed = reference.fold_phases_seed(circuit).gates
-    folded = fold_phases(circuit).gates
-    assert folded == seed
-    stream = GateStream.from_gates(gates, num_qubits)
-    assert _fold_stream_grouped(stream).gates == seed
+    if reloaded:
+        circuit = load_bytes(dump_bytes(circuit))
+    folded = fold_phases(circuit)
+    assert folded.gates == seed
+    assert folded.num_qubits == num_qubits
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_fold_classifier_agrees_with_python_keys(data):
-    """Compiled and Python classifiers induce the same parity grouping.
-
-    Intern ids may differ between the two, but the partition of phase
-    gates into (parity, const) classes — which is all the grouped fold
-    consumes — must match exactly.
-    """
-    gates = data.draw(_gate_strategy(4, exotic=False))
-    stream = GateStream.from_gates(gates, 4)
-    python_keys = _fold_packed_keys_python(stream)
-    compiled_keys = _kernels.fold_classify(stream)
-    if compiled_keys is None:
-        return  # extension unavailable: nothing to compare
-    assert len(compiled_keys) == len(python_keys)
-    remap: dict = {}
-    for ck, pk in zip(compiled_keys.tolist(), python_keys.tolist()):
-        assert (ck < 0) == (pk < 0)
-        if ck < 0:
-            continue
-        assert ck % 2 == pk % 2  # affine consts agree
-        assert remap.setdefault(ck // 2, pk // 2) == pk // 2
-    assert len(set(remap.values())) == len(remap)  # bijection
-
-
-def test_fold_classifier_declines_multi_controlled_gates():
-    """2+ control gates exceed the packed columns: kernel must decline."""
-    gates = [t(0), toffoli(0, 1, 2), t(2)]
-    stream = GateStream.from_gates(gates, 3)
-    assert _kernels.fold_classify(stream) is None or not _kernels.extension_available()
-    # the dispatching fold still matches the seed
-    circuit = Circuit(3, gates)
-    assert fold_phases(circuit).gates == reference.fold_phases_seed(circuit).gates
+def test_fold_kernel_reads_multi_controlled_rows():
+    """A Toffoli is a barrier on its three qubits only: the T gates on the
+    untouched wire 3 still merge into one S, exactly as in the seed."""
+    gates = [t(3), t(2), toffoli(0, 1, 2), t(3), t(2), cnot(3, 2), t(2)]
+    circuit = Circuit(4, gates)
+    folded = fold_phases(circuit)
+    assert folded.gates == reference.fold_phases_seed(circuit).gates
+    assert len(folded) == len(gates) - 1
 
 
 # ------------------------------------------------------- statevector paths
@@ -236,39 +222,95 @@ def test_plan_cache_is_bounded_and_keyed_by_identity():
     assert sv._circuit_plan(circuits[-1]) is plans[-1]
 
 
-# ------------------------------------------------------------ ext plumbing
-def test_repro_no_ext_disables_extension():
-    """REPRO_NO_EXT=1 must force the pure-Python path in a fresh process."""
-    code = (
-        "from repro import _kernels\n"
-        "assert not _kernels.extension_available()\n"
-        "assert 'REPRO_NO_EXT' in _kernels.extension_status()\n"
-        "from repro.circuit import Circuit, t, tdg\n"
-        "assert _kernels.cancel_fixpoint(Circuit(1, [t(0), tdg(0)]), 64, 20) is None\n"
-        "from repro.circopt import cancel_to_fixpoint\n"
-        "assert cancel_to_fixpoint([t(0), tdg(0)]) == []\n"
-    )
-    env = dict(os.environ, REPRO_NO_EXT="1")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_extension_status_reports_reason():
-    """Status string is empty exactly when the extension is loaded."""
-    status = _kernels.extension_status()
-    assert (status == "") == _kernels.extension_available()
-
-
+# ------------------------------------------------------- loading the kernels
 def test_kernels_degenerate_inputs():
-    """Empty streams and zero budgets return early on every path."""
-    assert _kernels.cancel_fixpoint(Circuit(1, []), 64, 20) is None
-    assert _kernels.cancel_fixpoint(Circuit(1, [t(0)]), 64, 0) is None
-    empty = GateStream.from_gates([], 1)
-    keys = _kernels.fold_classify(empty)
-    assert keys is None or len(keys) == 0
+    """Empty circuits and zero budgets come back unchanged."""
+    assert _kernels.cancel_fixpoint(Circuit(1, []), 64, 20).gates == []
+    assert _kernels.cancel_fixpoint(Circuit(1, [t(0)]), 64, 0).gates == [t(0)]
     assert fold_phases(Circuit(1, [])).gates == []
     assert cancel_to_fixpoint([]) == []
+
+
+_CANCEL_TWO = (
+    "from repro.circopt import cancel_to_fixpoint\n"
+    "from repro.circuit import t, tdg\n"
+    "assert cancel_to_fixpoint([t(0), tdg(0)]) == []\n"
+)
+
+
+def _start_copy(root: Path, code: str, **extra_env: str) -> subprocess.Popen:
+    """Start ``code`` in a fresh interpreter that imports the package copy
+    under ``root`` and finds its compiler on ``PATH``."""
+    env = {**os.environ, "PYTHONPATH": str(root), **extra_env}
+    env.pop("CC", None)
+    return subprocess.Popen(
+        [sys.executable, "-c", code], cwd=root, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _run_copy(root: Path, code: str, **extra_env: str) -> Tuple[int, str]:
+    """Exit status and stderr of :func:`_start_copy`."""
+    proc = _start_copy(root, code, **extra_env)
+    _, err = proc.communicate(timeout=300)
+    return proc.returncode, err
+
+
+def _package_copy(tmp_path: Path) -> Path:
+    """Copy the package under ``tmp_path`` without any shared object and
+    return where its library will be built."""
+    package = Path(repro.__file__).resolve().parent
+    shutil.copytree(
+        package, tmp_path / "repro", ignore=shutil.ignore_patterns("*.so", "__pycache__")
+    )
+    lib = (tmp_path / "repro" / "_kernels" / "_cancel_kernel.so").resolve()
+    assert not lib.exists()
+    return lib
+
+
+def test_kernels_build_on_first_use(tmp_path):
+    """A copy of the package without the shared object builds it on the
+    first kernel call, even with three processes racing to build it."""
+    lib = _package_copy(tmp_path)
+    racing = [_start_copy(tmp_path, _CANCEL_TWO) for _ in range(3)]
+    for proc in racing:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    assert lib.exists()
+    assert not list(lib.parent.glob("tmp*.so"))
+
+
+def test_kernels_rebuild_a_stale_library(tmp_path):
+    """Once a source is newer than the library, the next process rebuilds
+    it before the first kernel call."""
+    lib = _package_copy(tmp_path)
+    status, err = _run_copy(tmp_path, _CANCEL_TWO)
+    assert status == 0, err
+    touched = lib.stat().st_mtime_ns + 1_000_000
+    os.utime(lib.parent / "fold.c", ns=(touched, touched))
+    status, err = _run_copy(tmp_path, _CANCEL_TWO)
+    assert status == 0, err
+    assert lib.stat().st_mtime_ns > touched
+
+
+def test_kernels_name_a_library_that_will_not_load(tmp_path):
+    """A garbage library newer than the sources is not rebuilt: the first
+    kernel call fails, naming it."""
+    lib = _package_copy(tmp_path)
+    lib.write_bytes(b"not a shared object")
+    newest = max((lib.parent / name).stat().st_mtime_ns for name in ("cancel.c", "fold.c"))
+    touched = max(lib.stat().st_mtime_ns, newest + 1_000_000)
+    os.utime(lib, ns=(touched, touched))
+    status, err = _run_copy(tmp_path, _CANCEL_TWO)
+    assert status != 0
+    assert f"cannot load {lib}" in err
+
+
+def test_kernels_fail_loudly_without_a_compiler(tmp_path):
+    """With no compiler on ``PATH`` the first kernel call fails, naming the
+    library it could not build, and leaves no library behind."""
+    lib = _package_copy(tmp_path)
+    status, err = _run_copy(tmp_path, _CANCEL_TWO, PATH="")
+    assert status != 0
+    assert f"cannot build {lib}: no C compiler found" in err
+    assert not lib.exists()

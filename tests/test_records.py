@@ -2,11 +2,11 @@
 
 Every gate value caches one packed record, and
 :class:`~repro.circuit.gatestream.RowRecords` gathers a table's records
-into columns for the stream, the cancel kernel and the snapshot writer.
+into columns for the cancel and fold kernels and the snapshot writer.
 The per-row derivations these columns replaced are kept here as oracles:
-``table_columns``, ``qubit_ordinals``, ``_mask_words``, the fold-column
-generators and the snapshot column writer, plus the per-gate interning
-loop :meth:`Circuit.expand_rows` used before it interned by ``np.unique``.
+``table_columns``, ``qubit_ordinals``, ``_mask_words`` and the snapshot
+column writer, plus the per-gate interning loop
+:meth:`Circuit.expand_rows` used before it interned by ``np.unique``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro import _kernels, reference
+from repro import reference
 from repro.circopt import cancel_circuit, fold_phases
-from repro.circopt.cancel import _cancel_to_fixpoint_pure
 from repro.circuit import Circuit, Register, cnot, h, s, t, tdg, toffoli, x
 from repro.circuit.gates import PHASE_EIGHTHS, Gate, GateKind, mcx, phase_gate, reset_shared_gates
 from repro.circuit.gatestream import (
     CODE_KINDS,
     FIRST_PHASE_CODE,
     KIND_CODES,
-    GateStream,
     RowRecords,
     phase_block,
 )
@@ -68,17 +66,6 @@ def _mask_words(qubit_lists, words):
     bits = np.left_shift(np.uint64(1), (qubits & 63).astype(np.uint64))
     np.bitwise_or.at(out, (rows, qubits >> 6), bits)
     return out
-
-
-def fold_columns(table):
-    """Per table row: first control, first target, second target."""
-    m = len(table)
-    ctrl0 = np.fromiter((g.controls[0] if g.controls else -1 for g in table), np.int32, m)
-    tgt0 = np.fromiter((g.targets[0] for g in table), np.int32, m)
-    tgt1 = np.fromiter(
-        (g.targets[1] if len(g.targets) > 1 else -1 for g in table), np.int32, m
-    )
-    return ctrl0, tgt0, tgt1
 
 
 def dump_bytes_oracle(circuit):
@@ -190,13 +177,6 @@ def test_gathered_records_match_per_row_derivations(drawn):
     controls, targets = records.mask_words(words)
     assert np.array_equal(controls, _mask_words([g.controls for g in table], words))
     assert np.array_equal(targets, _mask_words([g.targets for g in table], words))
-    for got, want in zip(records.fold_columns(), fold_columns(table)):
-        assert np.array_equal(got, want)
-    stream = GateStream(circuit)
-    for got, want in zip(stream.fold_columns(), fold_columns(circuit.gates)):
-        assert np.array_equal(got, want)
-    assert stream.ctrl_masks.tolist() == [g.control_mask for g in circuit.gates]
-    assert stream.qubit_masks.tolist() == [g.qubit_mask for g in circuit.gates]
     assert dump_bytes(circuit) == dump_bytes_oracle(circuit)
 
 
@@ -275,16 +255,15 @@ def _distinct_and_used(circuit):
     lambda width: st.tuples(st.just(width), st.lists(_gate(width), max_size=40))
 ))
 def test_cancel_and_fold_outputs_hold_distinct_used_rows(drawn):
-    """The phase fold and the compiled cancel kernel keep the input
-    table's rows, add only the phase-block gates their output names, and
-    drop unused rows."""
+    """The phase fold and the cancel fixpoint keep the input table's rows,
+    add only the phase-block gates their output names, and drop unused
+    rows."""
     width, gates = drawn
     circuit = Circuit(width, gates)
     source_row = {id(g): r for r, g in enumerate(circuit.table)}
     cancelled = cancel_circuit(circuit)
     folded = fold_phases(circuit)
-    compiled = _kernels.cancel_fixpoint(circuit, 64, 20)
-    for out in [folded] + ([compiled] if compiled is not None else []):
+    for out in (folded, cancelled):
         _distinct_and_used(out)
         kept = [source_row[id(g)] for g in out.table if id(g) in source_row]
         assert kept == sorted(kept)
@@ -295,17 +274,13 @@ def test_cancel_and_fold_outputs_hold_distinct_used_rows(drawn):
 
 
 def test_wide_register_sizes_masks_by_the_gates():
-    """A 5000-qubit register whose gates touch qubits 0-1: the compiled and
-    the pure-Python cancel give the same gates, and the width survives."""
+    """A 5000-qubit register whose gates touch qubits 0-1: the cancel
+    kernel gives the seed's gates, and the width survives."""
     gates = [h(0), t(0), cnot(0, 1), tdg(0), cnot(0, 1), s(1), s(1), x(1), x(1), t(0), t(1)]
     circuit = Circuit(5000, gates)
-    pure = _cancel_to_fixpoint_pure(circuit, 64, 20)
-    assert pure == reference.cancel_to_fixpoint_seed(gates, 64, 20)
-    compiled = _kernels.cancel_fixpoint(circuit, 64, 20)
-    if compiled is not None:
-        assert compiled.gates == pure
-        assert compiled.num_qubits == 5000
-    assert cancel_circuit(circuit).gates == pure
+    cancelled = cancel_circuit(circuit)
+    assert cancelled.gates == reference.cancel_to_fixpoint_seed(gates, 64, 20)
+    assert cancelled.num_qubits == 5000
     folded = fold_phases(circuit)
     assert folded.gates == reference.fold_phases_seed(circuit).gates
     assert folded.num_qubits == 5000

@@ -1,4 +1,4 @@
-"""Binary GateStream snapshots: lossless round-trip and cache invalidation.
+"""Binary circuit snapshots: lossless round-trip and cache invalidation.
 
 The artifact cache persists compiled circuits through
 :mod:`repro.circuit.snapshot`; optimizer baselines replayed from disk must
