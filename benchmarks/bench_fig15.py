@@ -34,7 +34,7 @@ def test_figure15a_program_level(runner):
         for opt in ("none", "narrow", "flatten", "spire")
     }
     series["spire+toffoli"] = grid.series(
-        PROGRAM, DEPTHS, "t_count", "spire", optimizer="toffoli-cancel"
+        PROGRAM, DEPTHS, "t", "spire+toffoli-cancel"
     )
     rows = [[d] + [series[k][i] for k in series] for i, d in enumerate(DEPTHS)]
     fits = {k: tail_fit(DEPTHS, v) for k, v in series.items()}
@@ -61,7 +61,7 @@ def test_figure15b_circuit_optimizers(runner):
     grid = runner.run_grid(paper_grid("fig15", DEPTHS))
     series = {"original": grid.series(PROGRAM, DEPTHS, "t", "none")}
     for name in OPTIMIZERS:
-        series[name] = grid.series(PROGRAM, DEPTHS, "t_count", optimizer=name)
+        series[name] = grid.series(PROGRAM, DEPTHS, "t", f"none+{name}")
     rows = [[d] + [series[k][i] for k in series] for i, d in enumerate(DEPTHS)]
     fits = {k: tail_fit(DEPTHS, v) for k, v in series.items()}
     rows.append(["tail fit"] + [fits[k].big_o for k in series])

@@ -140,8 +140,8 @@ def _grid_section(mode: str) -> dict:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     identical = all(
-        (a.get("t"), a.get("t_count"), a.get("mcx"), a.get("qubits"))
-        == (b.get("t"), b.get("t_count"), b.get("mcx"), b.get("qubits"))
+        (a.get("t"), a.get("mcx"), a.get("qubits"))
+        == (b.get("t"), b.get("mcx"), b.get("qubits"))
         for a, b in zip(cold.rows, warm.rows)
     )
     return {

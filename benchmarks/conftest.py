@@ -24,7 +24,6 @@ import pytest
 from repro.benchsuite import (
     ArtifactCache,
     BenchmarkRunner,
-    CachedBackend,
     ParallelBackend,
     default_depths,
 )
@@ -51,12 +50,11 @@ JOBS = int(os.environ.get("REPRO_JOBS", os.cpu_count() or 1))
 
 def make_runner(config: CompilerConfig = CONFIG) -> BenchmarkRunner:
     """A cache-backed runner; parallel fan-out when more than one job."""
-    cache = ArtifactCache(CACHE_DIR)
-    if JOBS > 1:
-        backend = ParallelBackend(jobs=JOBS, cache=cache)
-    else:
-        backend = CachedBackend(cache)
-    return BenchmarkRunner(config, cache=cache, backend=backend)
+    return BenchmarkRunner(
+        config,
+        cache=ArtifactCache(CACHE_DIR),
+        backend=ParallelBackend(jobs=JOBS) if JOBS > 1 else None,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ from .cache import ArtifactCache, task_key
 from .memory_images import HeapImage, decode_list_from_memory
 from .parallel import (
     BASELINE_OPTIMIZERS,
-    CachedBackend,
     ExecutionBackend,
     GRID_SELECTORS,
     GridResult,
@@ -13,9 +12,7 @@ from .parallel import (
     ParallelBackend,
     SerialBackend,
     fuzz_tasks,
-    make_backend,
     measure_tasks,
-    optimizer_tasks,
     paper_grid,
 )
 from .programs import (
@@ -37,7 +34,6 @@ from .resilience import (
 from .runner import (
     BenchmarkPoint,
     BenchmarkRunner,
-    OptimizerPoint,
     ScalingResult,
     default_depths,
 )
@@ -55,15 +51,12 @@ __all__ = [
     "BASELINE_OPTIMIZERS",
     "GRID_SELECTORS",
     "BenchmarkPoint",
-    "OptimizerPoint",
     "BenchmarkRunner",
     "ScalingResult",
     "default_depths",
     "ExecutionBackend",
     "SerialBackend",
-    "CachedBackend",
     "ParallelBackend",
-    "make_backend",
     "RetryPolicy",
     "SweepJournal",
     "failure_row",
@@ -72,7 +65,6 @@ __all__ = [
     "GridTask",
     "GridResult",
     "measure_tasks",
-    "optimizer_tasks",
     "fuzz_tasks",
     "paper_grid",
     "get_entry",

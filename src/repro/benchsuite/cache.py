@@ -8,9 +8,10 @@ module makes every grid point a one-time cost.
 An :class:`ArtifactCache` maps a *task key* to two artifacts:
 
 * ``point.json`` — the measurement row (counts, timings, metadata);
-* ``circuit.rqcs`` — the compiled circuit as a binary circuit snapshot
-  (:mod:`repro.circuit.snapshot`), stored for compile tasks so optimizer
-  baselines can skip recompilation even in a cold process.
+* ``circuit.rqcs`` — the pipeline's circuit as a binary circuit snapshot
+  (:mod:`repro.circuit.snapshot`), so a longer pipeline — an optimizer
+  baseline such as ``none+peephole`` — resumes from it instead of
+  recompiling, even in a cold process.
 
 The key is a SHA-256 over the complete provenance of the artifact:
 
@@ -19,20 +20,21 @@ The key is a SHA-256 over the complete provenance of the artifact:
 * every :class:`~repro.config.CompilerConfig` field,
 * the recursion depth,
 * the **canonical pipeline spec** (:func:`repro.passes.canonical_pipeline`)
-  — presets, raw specs and the legacy (optimization, optimizer, params)
-  triple all collapse onto one canonical string that embeds every
-  per-pass parameter, so two pipelines sharing an optimization name but
-  differing in circopt parameters can never collide,
+  — presets, ``preset+gatepass`` forms and raw specs all collapse onto one
+  canonical string that embeds every per-pass parameter, so two pipelines
+  sharing an optimizer name but differing in circopt parameters can never
+  collide,
 * the package version, the snapshot format version, and a
   :func:`code_fingerprint` of the installed ``repro`` package source —
   so editing the compiler or an optimizer during development invalidates
   every measurement it could have changed, not just on release bumps.
 
 Because keys are per-pipeline-spec, every *prefix* of a pipeline has its
-own entry: the benchmark runner stores the compiled circuit at each
-replayable cut point (after ``lower`` and after each gate pass), so a
-sweep whose pipeline shares a prefix with an earlier sweep resumes from
-the stored snapshot instead of recompiling the earlier stages.
+own entry, and every entry holds the one measurement-row shape: the
+benchmark runner stores the row and circuit at each replayable cut point
+(after ``lower`` and after each gate pass), so a sweep whose pipeline
+shares a prefix with an earlier sweep resumes from the stored snapshot
+instead of recompiling the earlier stages.
 
 Changing any component — editing a benchmark program, widening a word,
 patching an optimizer, upgrading the package — therefore misses cleanly
@@ -98,7 +100,6 @@ from ..circuit.circuit import Circuit
 from ..circuit import snapshot
 from ..config import CompilerConfig
 from ..faults import inject
-from ..passes.pipeline import canonical_pipeline
 
 POINT_FILE = "point.json"
 CIRCUIT_FILE = "circuit.rqcs"
@@ -168,31 +169,16 @@ def task_key(
     entry: str,
     config: CompilerConfig,
     depth: Optional[int],
-    optimization: str = "none",
-    optimizer: Optional[str] = None,
-    params: Optional[Dict[str, Any]] = None,
-    pipeline: Optional[str] = None,
-    kind: Optional[str] = None,
+    pipeline: str,
     version: str = __version__,
     code: Optional[str] = None,
 ) -> str:
     """The content address of one grid point (hex SHA-256).
 
-    The pipeline may be given directly (a canonical spec string) or
-    through the legacy (optimization, optimizer, params) triple; both
-    collapse to the same canonical spec, which embeds every per-pass
-    parameter in the fingerprint.
-
-    ``kind`` separates the two row shapes sharing a pipeline: ``measure``
-    rows (compile metrics + circuit snapshots, also the pipeline-prefix
-    namespace) and ``optimize`` rows (optimizer-baseline measurements).
-    It defaults to ``optimize`` when a legacy ``optimizer`` is given and
-    ``measure`` otherwise, matching the runner's two entry points.
+    ``pipeline`` is a canonical spec
+    (:func:`repro.passes.canonical_pipeline`), which embeds every
+    per-pass parameter in the fingerprint.
     """
-    if pipeline is None:
-        pipeline = canonical_pipeline(optimization, optimizer, params)
-    if kind is None:
-        kind = "optimize" if optimizer is not None else "measure"
     blob = json.dumps(
         {
             "source_sha": source_sha(source),
@@ -200,7 +186,6 @@ def task_key(
             "config": asdict(config),
             "depth": depth,
             "pipeline": pipeline,
-            "kind": kind,
             "version": version,
             "code": code if code is not None else code_fingerprint(),
             "snapshot_format": snapshot.FORMAT_VERSION,

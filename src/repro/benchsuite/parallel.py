@@ -1,23 +1,26 @@
 """Parallel, cache-backed grid execution for the paper's evaluation sweeps.
 
-The evaluation is a product grid — benchmark × depth × optimization level
-× circuit-optimizer baseline — whose points are independent of each other.
-This module fans that product across processes and/or replays it from the
-on-disk :class:`~repro.benchsuite.cache.ArtifactCache`:
+The evaluation is a product grid — benchmark × depth × pipeline — whose
+points are independent of each other.  A circuit-optimizer baseline is one
+more pipeline, the preset with that gate pass appended (``none+peephole``,
+``spire+toffoli-cancel``), so every point is one
+:meth:`~repro.benchsuite.runner.BenchmarkRunner.measure` call.  This
+module fans the grid across processes; the runner's own
+:class:`~repro.benchsuite.cache.ArtifactCache`, when it has one, replays
+warm points and shares artifacts between workers:
 
 * :class:`GridTask` / :class:`GridResult` — the unit of work and the
   indexed result set (JSON-ready rows);
 * :class:`SerialBackend` — in-process loop (the reference semantics);
-* :class:`CachedBackend` — wraps another backend, attaching an artifact
-  cache to the runner for the duration of the sweep;
 * :class:`ParallelBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   fan-out with per-worker runner state and shared on-disk artifacts.
 
 Every backend produces **bit-identical measurement rows** for a given
 grid: workers run the same deterministic compile/optimize pipeline, and
-the cache replays stored rows verbatim (only ``cached``/``wall_seconds``
-differ, by construction).  ``tests/test_grid_harness.py`` asserts this
-against the recorded seed T-counts.
+the cache replays stored rows verbatim (only the keys in
+:data:`VOLATILE_ROW_KEYS` differ, by construction).
+``tests/test_grid_harness.py`` asserts this against the recorded seed
+T-counts.
 
 **Fault tolerance.**  Backends constructed with a
 :class:`~repro.benchsuite.resilience.RetryPolicy` isolate failures
@@ -46,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import CompilerConfig
 from ..faults import inject
+from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from .cache import ArtifactCache
 from .programs import TREE_BENCHMARKS, UNSIZED, is_unsized
 from .resilience import RetryPolicy, failure_row
@@ -57,37 +61,19 @@ ProgressFn = Callable[[int, int, Dict[str, Any]], None]
 #: row lands (in completion order), the checkpoint-journal hook
 RowFn = Callable[[int, Dict[str, Any]], None]
 
-MEASURE = "measure"
-OPTIMIZE = "optimize"
-
 
 @dataclass(frozen=True)
 class GridTask:
-    """One point of the evaluation grid.
+    """One point of the evaluation grid: a benchmark at a depth under a
+    pipeline (a preset, ``preset+gatepass``, or a raw spec)."""
 
-    ``kind`` is ``"measure"`` (compile + metrics) or ``"optimize"`` (a
-    circuit-optimizer baseline on the compiled circuit).  ``params`` holds
-    optimizer keyword arguments as a sorted tuple of pairs so tasks stay
-    hashable and picklable.
-    """
-
-    kind: str
     name: str
     depth: Optional[int]
     optimization: str = "none"
-    optimizer: Optional[str] = None
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in (MEASURE, OPTIMIZE):
-            raise ValueError(f"unknown grid task kind {self.kind!r}")
-        if self.kind == OPTIMIZE and not self.optimizer:
-            raise ValueError("optimize tasks need an optimizer name")
 
     def label(self) -> str:
         depth = "" if self.depth is None else f"@{self.depth}"
-        suffix = f" +{self.optimizer}" if self.optimizer else ""
-        return f"{self.name}{depth} [{self.optimization}]{suffix}"
+        return f"{self.name}{depth} [{self.optimization}]"
 
 
 def measure_tasks(
@@ -95,47 +81,16 @@ def measure_tasks(
     depths: Sequence[Optional[int]],
     optimizations: Union[str, Sequence[str]] = "none",
 ) -> List[GridTask]:
-    """The measure product ``names × depths × optimizations``."""
+    """The grid product ``names × depths × optimizations``."""
     if isinstance(names, str):
         names = [names]
     if isinstance(optimizations, str):
         optimizations = [optimizations]
     return [
-        GridTask(MEASURE, name, None if is_unsized(name) else depth, optimization)
+        GridTask(name, None if is_unsized(name) else depth, optimization)
         for name in names
         for depth in depths
         for optimization in optimizations
-    ]
-
-
-def optimizer_tasks(
-    names: Union[str, Sequence[str]],
-    depths: Sequence[Optional[int]],
-    optimizers: Union[str, Sequence[str]],
-    optimizations: Union[str, Sequence[str]] = "none",
-    **params: Any,
-) -> List[GridTask]:
-    """The baseline product ``names × depths × optimizers × optimizations``."""
-    if isinstance(names, str):
-        names = [names]
-    if isinstance(optimizers, str):
-        optimizers = [optimizers]
-    if isinstance(optimizations, str):
-        optimizations = [optimizations]
-    packed = tuple(sorted(params.items()))
-    return [
-        GridTask(
-            OPTIMIZE,
-            name,
-            None if is_unsized(name) else depth,
-            optimization,
-            optimizer,
-            packed,
-        )
-        for name in names
-        for depth in depths
-        for optimization in optimizations
-        for optimizer in optimizers
     ]
 
 
@@ -147,7 +102,6 @@ VOLATILE_ROW_KEYS = frozenset(
     [
         "wall_seconds",
         "compile_seconds",
-        "seconds",
         "timings",
         "cached",
         "prefix_cached",
@@ -178,16 +132,11 @@ class GridResult:
         self.rows = rows
         #: tasks that exhausted their retries (see ``failure_row``)
         self.failed_rows = [row for row in rows if row.get("failed")]
-        self._measures: Dict[Tuple, Dict[str, Any]] = {}
-        self._optimized: Dict[Tuple, Dict[str, Any]] = {}
-        for row in rows:
-            if row.get("failed"):
-                continue
-            if row.get("optimizer"):
-                key = (row["name"], row["depth"], row["optimizer"], row["optimization"])
-                self._optimized[key] = row
-            else:
-                self._measures[(row["name"], row["depth"], row["optimization"])] = row
+        self._measures: Dict[Tuple, Dict[str, Any]] = {
+            (row["name"], row["depth"], row["optimization"]): row
+            for row in rows
+            if not row.get("failed")
+        }
 
     def ok(self) -> List[Dict[str, Any]]:
         """The successful measurement rows (everything but failure rows)."""
@@ -196,19 +145,9 @@ class GridResult:
     def measure(
         self, name: str, depth: Optional[int], optimization: str = "none"
     ) -> Dict[str, Any]:
-        """The measure row of one (benchmark, depth, optimization) point."""
+        """The row of one (benchmark, depth, pipeline) point, the pipeline
+        spelled as its task spelled it."""
         return self._measures[(name, None if is_unsized(name) else depth, optimization)]
-
-    def optimized(
-        self,
-        name: str,
-        depth: Optional[int],
-        optimizer: str,
-        optimization: str = "none",
-    ) -> Dict[str, Any]:
-        """The baseline row of one (benchmark, depth, optimizer) point."""
-        key = (name, None if is_unsized(name) else depth, optimizer, optimization)
-        return self._optimized[key]
 
     def series(
         self,
@@ -216,14 +155,9 @@ class GridResult:
         depths: Sequence[int],
         metric: str = "t",
         optimization: str = "none",
-        optimizer: Optional[str] = None,
     ) -> List[Any]:
         """One metric across a depth range (a figure series / table column)."""
-        if optimizer is None:
-            return [self.measure(name, d, optimization)[metric] for d in depths]
-        return [
-            self.optimized(name, d, optimizer, optimization)[metric] for d in depths
-        ]
+        return [self.measure(name, d, optimization)[metric] for d in depths]
 
     def cached_fraction(self) -> float:
         """Share of rows that were replayed from the artifact cache."""
@@ -247,12 +181,7 @@ def execute_task(runner, task: GridTask, attempt: int = 0) -> Dict[str, Any]:
     what the task computes.
     """
     inject.fire("worker.execute", key=task.label(), attempt=attempt)
-    params = dict(task.params)
-    if task.kind == MEASURE:
-        return runner.measure(task.name, task.depth, task.optimization).row()
-    return runner.optimize_point(
-        task.name, task.depth, task.optimizer, task.optimization, **params
-    ).row()
+    return runner.measure(task.name, task.depth, task.optimization).row()
 
 
 def run_task_resilient(
@@ -344,32 +273,6 @@ class SerialBackend(ExecutionBackend):
         return rows
 
 
-class CachedBackend(ExecutionBackend):
-    """Attach an artifact cache to the runner and delegate to another backend.
-
-    With no inner backend this is the ``cached`` serial mode: cold points
-    execute in-process and populate the cache; warm points replay from it.
-    """
-
-    name = "cached"
-
-    def __init__(
-        self,
-        cache: Union[ArtifactCache, str, os.PathLike],
-        inner: Optional[ExecutionBackend] = None,
-    ) -> None:
-        self.cache = cache if isinstance(cache, ArtifactCache) else ArtifactCache(cache)
-        self.inner = inner or SerialBackend()
-
-    def run(self, runner, tasks, progress=None, on_row=None):
-        previous = runner.cache
-        runner.cache = self.cache
-        try:
-            return self.inner.run(runner, tasks, progress=progress, on_row=on_row)
-        finally:
-            runner.cache = previous
-
-
 @dataclass
 class _Attempt:
     """Per-task retry state while a wave is in flight."""
@@ -437,19 +340,21 @@ class ParallelBackend(ExecutionBackend):
 
     Each worker process holds one long-lived :class:`BenchmarkRunner`, so
     per-process memoization (parsed programs, compiled circuits, the
-    shared decomposition cache) is preserved within a worker.  When a
-    cache directory is given, workers share artifacts through the
-    filesystem, and tasks run in two waves — measure tasks (which store
-    their compiled-circuit snapshots) before optimizer baselines (which
-    load them) — so a grid point's compile happens in exactly one worker.
+    shared decomposition cache) is preserved within a worker.  When the
+    parent runner has an artifact cache, the parent replays its warm
+    points and the workers share the rest through the same cache
+    directory, in two waves: pipelines without gate passes (which store
+    their compiled circuits) before the ones with gate passes (which
+    resume from them), so a grid point's compile happens in exactly one
+    worker.  With ``jobs == 1`` the sweep is a :class:`SerialBackend` one.
 
     Rows come back in task order regardless of completion order.  A
     failing task is retried per the policy; a crashed or hung worker
     takes its pool down and the sweep respawns and reschedules; after
-    ``policy.max_pool_deaths`` pool deaths the remaining tasks execute
-    serially in the parent.  Every scheduled task ends as either a
-    measurement row or a failure row — a sweep that somehow lost a task
-    raises rather than returning a shorter result.
+    ``policy.max_pool_deaths`` pool deaths in one wave, the wave's
+    remaining tasks execute serially in the parent.  Every scheduled task
+    ends as either a measurement row or a failure row — a sweep that
+    somehow lost a task raises rather than returning a shorter result.
     """
 
     name = "parallel"
@@ -457,14 +362,10 @@ class ParallelBackend(ExecutionBackend):
     def __init__(
         self,
         jobs: Optional[int] = None,
-        cache: Union[ArtifactCache, str, os.PathLike, None] = None,
         policy: Optional[RetryPolicy] = None,
         extra_sources: Optional[Dict[str, Tuple[str, str]]] = None,
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        if cache is not None and not isinstance(cache, ArtifactCache):
-            cache = ArtifactCache(cache)
-        self.cache = cache
         self.policy = policy or RetryPolicy()
         #: name -> (source, entry) registrations replayed in every worker
         #: (mutable: the serve layer adds inline-source programs over time,
@@ -474,69 +375,46 @@ class ParallelBackend(ExecutionBackend):
         )
 
     def run(self, runner, tasks, progress=None, on_row=None):
-        cache = self.cache if self.cache is not None else runner.cache
         if self.jobs == 1:
-            inner = SerialBackend(policy=self.policy)
-            backend = CachedBackend(cache, inner) if cache is not None else inner
-            return backend.run(runner, tasks, progress=progress, on_row=on_row)
+            return SerialBackend(policy=self.policy).run(
+                runner, tasks, progress=progress, on_row=on_row
+            )
         state = _SweepState(list(tasks), self.policy, progress, on_row)
         # parent-side replay: dispatch only cold tasks to the pool
         pending: List[Tuple[int, GridTask]] = []
-        if cache is not None:
-            previous = runner.cache
-            runner.cache = cache
-            try:
-                for i, task in enumerate(tasks):
-                    lookup_start = time.perf_counter()
-                    key = runner._task_key(
-                        task.name,
-                        task.depth,
-                        task.optimization,
-                        optimizer=task.optimizer,
-                        params=dict(task.params),
-                    )
-                    row = cache.load_point(key)
-                    if row is None:
-                        pending.append((i, task))
-                    else:
-                        row = dict(row)
-                        row["cached"] = True
-                        # contract: wall_seconds is THIS call's wall clock,
-                        # and the identity labels are as the task spelled
-                        # them (rows are cached under the canonical pipeline
-                        # spec and the source-text hash, so the stored
-                        # spelling may be another task's)
-                        row["name"] = task.name
-                        row["optimization"] = task.optimization
-                        row["wall_seconds"] = time.perf_counter() - lookup_start
-                        state.complete(i, row)
-            finally:
-                runner.cache = previous
-        else:
-            pending = list(enumerate(tasks))
-        if pending and not state.aborted:
-            # With a shared cache, dispatch in two waves: measure tasks
-            # first (each stores its compiled-circuit snapshot), optimizer
-            # baselines second (each loads the snapshot instead of
-            # recompiling).  Submitting everything at once would hand a
-            # point's compile and its baselines to different idle workers
-            # simultaneously, duplicating the compile up to `jobs` times.
-            if cache is not None:
-                waves = [
-                    [(i, t) for i, t in pending if t.kind == MEASURE],
-                    [(i, t) for i, t in pending if t.kind != MEASURE],
-                ]
-                waves = [wave for wave in waves if wave]
-            else:
-                waves = [pending]
-            config_kwargs = asdict(runner.config)
-            cache_root = str(cache.root) if cache is not None else None
-            for wave in waves:
-                if state.aborted:
-                    break
-                self._run_wave(
-                    runner, wave, state, config_kwargs, cache_root, cache
+        for i, task in enumerate(tasks):
+            point = None
+            if runner.cache is not None:
+                point = runner._replay(
+                    task.name,
+                    task.depth,
+                    task.optimization,
+                    canonical_pipeline(task.optimization),
+                    time.perf_counter(),
                 )
+            if point is None:
+                pending.append((i, task))
+            else:
+                state.complete(i, point.row())
+        waves = [pending]
+        if runner.cache is not None:
+            # With a shared cache, dispatch in two waves: pipelines without
+            # gate passes first (each stores its compiled circuit), then
+            # the ones with gate passes (each resumes from that circuit).
+            # One queue would hand a baseline to a free worker while its
+            # preset still compiles in another, and the baseline would
+            # compile the preset again.
+            gated = {
+                i for i, task in pending
+                if resolve_pipeline(task.optimization).gate_passes
+            }
+            waves = [
+                [(i, task) for i, task in pending if i not in gated],
+                [(i, task) for i, task in pending if i in gated],
+            ]
+        for wave in waves:
+            if wave and not state.aborted:
+                self._run_wave(runner, wave, state)
         if not state.aborted:
             lost = [
                 state.tasks[i].label()
@@ -557,10 +435,9 @@ class ParallelBackend(ExecutionBackend):
         runner,
         wave: List[Tuple[int, GridTask]],
         state: _SweepState,
-        config_kwargs: Dict[str, Any],
-        cache_root: Optional[str],
-        cache: Optional[ArtifactCache],
     ) -> None:
+        config_kwargs = asdict(runner.config)
+        cache_root = str(runner.cache.root) if runner.cache is not None else None
         policy = self.policy
         queue: List[_Attempt] = [_Attempt(i, task) for i, task in wave]
         in_flight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}
@@ -726,23 +603,17 @@ class ParallelBackend(ExecutionBackend):
                 queue + [attempt for attempt, _ in in_flight.values()],
                 key=lambda a: a.index,
             )
-            previous = runner.cache
-            if cache is not None:
-                runner.cache = cache
-            try:
-                for attempt in leftovers:
-                    if state.aborted:
-                        break
-                    row = run_task_resilient(
-                        runner,
-                        attempt.task,
-                        policy,
-                        prior_attempts=attempt.starts,
-                        prior_failures=attempt.failures,
-                    )
-                    state.complete(attempt.index, row)
-            finally:
-                runner.cache = previous
+            for attempt in leftovers:
+                if state.aborted:
+                    break
+                row = run_task_resilient(
+                    runner,
+                    attempt.task,
+                    policy,
+                    prior_attempts=attempt.starts,
+                    prior_failures=attempt.failures,
+                )
+                state.complete(attempt.index, row)
 
 
 #: worker-process state: one runner per (process, config)
@@ -803,24 +674,6 @@ def _run_worker_task(task: GridTask, attempt: int = 0) -> Dict[str, Any]:
             _WORKER_RUNNER.cache.publish_stats()
 
 
-def make_backend(
-    mode: str,
-    jobs: Optional[int] = None,
-    cache: Union[ArtifactCache, str, os.PathLike, None] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> ExecutionBackend:
-    """Build a backend by name: ``serial`` | ``cached`` | ``parallel``."""
-    if mode == "serial":
-        return SerialBackend(policy=policy)
-    if mode == "cached":
-        if cache is None:
-            raise ValueError("cached backend needs a cache directory")
-        return CachedBackend(cache, SerialBackend(policy=policy))
-    if mode == "parallel":
-        return ParallelBackend(jobs=jobs, cache=cache, policy=policy)
-    raise ValueError(f"unknown backend mode {mode!r}")
-
-
 # --------------------------------------------------------------- paper grids
 #: list/queue/string benchmarks of Table 1 (linear MCX-complexity)
 LINEAR_BENCHMARKS = [
@@ -843,7 +696,7 @@ def fuzz_tasks(
     seed: int = 0,
     count: int = 24,
     optimizations: Union[str, Sequence[str]] = ("none", "spire"),
-    optimizers: Sequence[str] = (),
+    baselines: Sequence[str] = (),
     max_depth: Optional[int] = None,
     flags: str = "",
 ) -> List[GridTask]:
@@ -854,17 +707,18 @@ def fuzz_tasks(
     artifact cache synthesizes the identical source from the name alone.
     ``flags`` selects workload families (``h`` = superposition via
     Hadamard statements, ``s`` = well-formed heap shapes with recursive
-    traversals).  Generated programs run through exactly the same
-    measure/optimize machinery as the Table 1 benchmarks, giving the
-    evaluation a second, shape-diverse workload family.
+    traversals).  ``baselines`` are pipelines measured after every
+    ``optimizations`` task, such as ``none+peephole``.  Generated programs
+    run through exactly the same measure machinery as the Table 1
+    benchmarks, giving the evaluation a second, shape-diverse workload
+    family.
     """
     from ..fuzz.generator import fuzz_name  # lazy: avoid import cycle
 
     names = [fuzz_name(seed, index, max_depth, flags) for index in range(count)]
-    tasks = measure_tasks(names, [None], optimizations)
-    if optimizers:
-        tasks += optimizer_tasks(names, [None], list(optimizers))
-    return tasks
+    return measure_tasks(names, [None], optimizations) + measure_tasks(
+        names, [None], list(baselines)
+    )
 
 
 def paper_grid(
@@ -875,7 +729,10 @@ def paper_grid(
     """The task grid behind one table/figure of the evaluation.
 
     Selectors: ``fig2``, ``fig15``, ``fig24``, ``table1``, ``table2``,
-    ``smoke`` (a minutes-scale end-to-end slice used by CI).
+    ``smoke`` (a minutes-scale end-to-end slice used by CI), ``fuzz``.
+    A circuit-optimizer baseline is spelled ``preset+optimizer``, and
+    every grid lists a preset's measure before the baselines that resume
+    from its circuit.
     """
     if not depths:
         raise ValueError("paper_grid needs a non-empty depth range")
@@ -888,15 +745,23 @@ def paper_grid(
             measure_tasks(
                 "length-simplified", depths, ["none", "narrow", "flatten", "spire"]
             )
-            + optimizer_tasks(
-                "length-simplified", depths, "toffoli-cancel", "spire"
+            + measure_tasks("length-simplified", depths, "spire+toffoli-cancel")
+            + measure_tasks(
+                "length-simplified",
+                depths,
+                [f"none+{optimizer}" for optimizer in BASELINE_OPTIMIZERS],
             )
-            + optimizer_tasks("length-simplified", depths, BASELINE_OPTIMIZERS)
         )
     if selector == "fig24":
         opts = ["none", "narrow", "flatten", "spire"]
-        return measure_tasks("length-simplified", [last], opts) + optimizer_tasks(
-            "length-simplified", [last], ["toffoli-cancel", "zx-like"], opts
+        return measure_tasks("length-simplified", [last], opts) + measure_tasks(
+            "length-simplified",
+            [last],
+            [
+                f"{opt}+{optimizer}"
+                for opt in opts
+                for optimizer in ("toffoli-cancel", "zx-like")
+            ],
         )
     if selector == "table1":
         return (
@@ -906,21 +771,27 @@ def paper_grid(
         )
     if selector == "table2":
         programs = ["length-simplified", "length"]
-        return measure_tasks(programs, [last], ["none", "spire"]) + optimizer_tasks(
-            programs, [last], ["toffoli-cancel", "zx-like"], ["none", "spire"]
+        return measure_tasks(programs, [last], ["none", "spire"]) + measure_tasks(
+            programs,
+            [last],
+            [
+                f"{opt}+{optimizer}"
+                for opt in ("none", "spire")
+                for optimizer in ("toffoli-cancel", "zx-like")
+            ],
         )
     if selector == "smoke":
         names = ["length", "length-simplified"]
         small = sorted(depths)[:2]
-        return measure_tasks(names, small, ["none", "spire"]) + optimizer_tasks(
-            "length-simplified", small, ["peephole", "toffoli-cancel"]
+        return measure_tasks(names, small, ["none", "spire"]) + measure_tasks(
+            "length-simplified", small, ["none+peephole", "none+toffoli-cancel"]
         )
     if selector == "fuzz":
         # basis-state programs plus the superposition and heap-shape
         # families of the same seed stream (smaller counts: their circuits
         # are larger and the families multiply the grid)
         return (
-            fuzz_tasks(optimizers=["peephole", "toffoli-cancel"])
+            fuzz_tasks(baselines=["none+peephole", "none+toffoli-cancel"])
             + fuzz_tasks(count=8, flags="h")
             + fuzz_tasks(count=6, flags="s")
             + fuzz_tasks(count=4, flags="hs")

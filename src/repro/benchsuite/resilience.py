@@ -95,7 +95,7 @@ def failure_row(
     """The structured row a task becomes after exhausting its retries.
 
     Schema: ``failed`` (always True), the task identity fields (``name``,
-    ``depth``, ``optimization``, ``optimizer``), ``error_kind``,
+    ``depth``, ``optimization``), ``error_kind``,
     ``stage`` (``execute`` | ``spawn`` | ``pool``), ``attempts``,
     ``message`` and ``traceback_digest``.
     """
@@ -104,7 +104,6 @@ def failure_row(
         "name": task.name,
         "depth": task.depth,
         "optimization": task.optimization,
-        "optimizer": task.optimizer,
         "error_kind": error_kind(exc),
         "stage": stage,
         "attempts": attempts,
@@ -123,12 +122,9 @@ def task_fingerprint(task: "GridTask", config: CompilerConfig) -> str:
     """
     blob = json.dumps(
         {
-            "kind": task.kind,
             "name": task.name,
             "depth": task.depth,
             "optimization": task.optimization,
-            "optimizer": task.optimizer,
-            "params": list(task.params),
             "config": vars(config),
             "version": __version__,
             "code": code_fingerprint(),

@@ -9,27 +9,35 @@ table and figure of the evaluation needs:
 * empirical MCX- and T-complexity at a recursion depth (Figure 2, Table 1),
 * predicted complexities from the Section 5 cost model (Table 1 RQ1),
 * fitted complexity polynomials across a depth range (Table 1/Table 3),
-* T-counts after each circuit-optimizer baseline (Figures 12/15/24),
+* T-counts after each circuit-optimizer baseline (Figures 12/15/24): a
+  baseline is the pipeline with that gate pass appended, such as
+  ``none+peephole`` or ``spire+toffoli-cancel``,
 * compile and optimizer timings (Table 2).
+
+:meth:`BenchmarkRunner.measure` produces every measurement row, in one
+row shape and by one route: a pipeline's gate passes run on the longest
+prefix circuit the runner already holds (its memos first, then the
+artifact cache) or, when it holds none, on its compile prefix, compiled
+into the memo.  A runner thus compiles each preset once, however many
+baselines extend it.
 
 Two orthogonal plug points scale the harness to the paper's full grids:
 
 * ``cache`` — an :class:`~repro.benchsuite.cache.ArtifactCache`; every
-  measurement and optimizer baseline becomes a one-time cost per
-  (source, config, depth, optimization, optimizer, version), persisted
-  across processes and sessions.  Cache-hit points are marked
-  ``cached=True`` and report the *cold* run's ``compile_seconds``
-  alongside this call's ``wall_seconds``.
+  measurement becomes a one-time cost per (source, config, depth,
+  pipeline, version), persisted across processes and sessions.
+  Cache-hit points are marked ``cached=True`` and report the *cold*
+  run's ``compile_seconds`` alongside this call's ``wall_seconds``.
 * ``backend`` — an execution backend from
-  :mod:`repro.benchsuite.parallel` (serial, cached, or a process-pool
-  grid runner) used by :meth:`BenchmarkRunner.run_grid`.
+  :mod:`repro.benchsuite.parallel` (serial, or a process-pool grid
+  runner) used by :meth:`BenchmarkRunner.run_grid`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bounded import BoundedCache
 from ..circopt.base import get_optimizer
@@ -37,17 +45,16 @@ from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
 from ..compiler.pipeline import CompiledProgram, Frontend, compile_checked
 from ..config import DEFAULT, CompilerConfig
-from ..passes.manager import PassManager
+from ..passes.manager import PassManager, PassRecord, add_gate_timing
 from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
-from ..cost.model import PaperCostModel
 from .cache import ArtifactCache
 from .programs import ENTRIES, SOURCES, UNSIZED, get_entry, get_source, is_unsized
 
 #: compiled and cache-loaded circuits a runner keeps per memo (least
-#: recently used evicted).  A paper grid runs all its measure tasks
-#: before the optimizer baselines that reuse their circuits, so a reuse
+#: recently used evicted).  A paper grid lists every preset measure
+#: before the optimizer baselines that resume from its circuit, so a reuse
 #: spans every distinct circuit the grid measures: 48 for ``fuzz`` and 36
 #: for ``fig15`` (9 depths x 4 pipelines) at their default sizes, the
 #: widest of the grids.  64 keeps every one of those hits, with room for
@@ -57,18 +64,23 @@ from .programs import ENTRIES, SOURCES, UNSIZED, get_entry, get_source, is_unsiz
 #: program per distinct request.
 COMPILED_MEMO_MAX = 64
 
+#: where a held prefix circuit came from: the compiled program (memo) or
+#: the measurement row stored with its snapshot (artifact cache)
+Origin = Union[CompiledProgram, Dict[str, Any]]
+
 
 @dataclass
 class BenchmarkPoint:
-    """Measurements of one benchmark at one depth and optimization level.
+    """Measurements of one benchmark at one depth under one pipeline.
 
-    ``compile_seconds`` is the sum of the cold compile's stage timings and
-    is only ever measured once per point; ``wall_seconds`` is the wall
-    clock of *this* :meth:`BenchmarkRunner.measure` call.  When ``cached``
-    is true the compile work did not happen in this call (in-memory memo
-    or artifact-cache hit) and the two may differ by orders of magnitude —
-    Table 2's timing reproduction must use ``compile_seconds`` and treat
-    cached points as replays.
+    ``compile_seconds`` is the sum of the stage timings of the cold run
+    and is only ever measured once per point; ``wall_seconds`` is the
+    wall clock of *this* :meth:`BenchmarkRunner.measure` call.  When
+    ``cached`` is true the compile work did not happen in this call
+    (in-memory memo or artifact-cache hit) and the two may differ by orders
+    of magnitude — Table 2's timing reproduction must use
+    ``compile_seconds`` and treat cached points as replays.  A gate pass's
+    time is ``timings["opt:<name>"]``.
     """
 
     name: str
@@ -85,32 +97,9 @@ class BenchmarkPoint:
     timings: Dict[str, float] = field(default_factory=dict)
     #: canonical pipeline spec the point was produced by
     pipeline: str = ""
-    #: canonical spec of the cached pipeline prefix this point resumed
+    #: canonical spec of the held pipeline prefix this point resumed
     #: from (empty when compiled cold or replayed in full)
     prefix_cached: str = ""
-
-    def row(self) -> Dict[str, Any]:
-        """The point as a JSON-ready measurement row."""
-        return asdict(self)
-
-
-@dataclass
-class OptimizerPoint:
-    """One circuit-optimizer baseline measurement (no materialized circuit).
-
-    ``seconds`` is the cold optimizer wall clock (replayed verbatim on a
-    cache hit); ``wall_seconds`` is this call's wall clock.
-    """
-
-    name: str
-    depth: Optional[int]
-    optimization: str
-    optimizer: str
-    t_count: int
-    seconds: float
-    wall_seconds: float = 0.0
-    cached: bool = False
-    params: Dict[str, Any] = field(default_factory=dict)
 
     def row(self) -> Dict[str, Any]:
         """The point as a JSON-ready measurement row."""
@@ -143,7 +132,8 @@ class BenchmarkRunner:
         self.frontend = Frontend()
         #: (name, depth, canonical spec) -> CompiledProgram
         self._compiled = BoundedCache(COMPILED_MEMO_MAX)
-        #: circuits rehydrated from the artifact cache (no core IR attached)
+        #: (name, depth, canonical spec) -> (circuit, stored row) rehydrated
+        #: from the artifact cache (no core IR attached)
         self._loaded = BoundedCache(COMPILED_MEMO_MAX)
         #: shared across optimizer baselines: `peephole`, `rotation-merge`
         #: and `zx-like` all decompose the same compiled circuit, and used
@@ -172,31 +162,13 @@ class BenchmarkRunner:
                     get_source(name), get_entry(name), depth, self.config
                 ),
                 optimization,
-                keep_snapshots=self.cache is not None,
                 decomposition_cache=self.decomposition_cache,
             ),
         )
 
     # -------------------------------------------------------- artifact cache
-    def _task_key(
-        self,
-        name: str,
-        depth: Optional[int],
-        optimization: str,
-        optimizer: Optional[str] = None,
-        params: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        return self.cache.key(
-            source=get_source(name),
-            entry=get_entry(name),
-            config=self.config,
-            depth=depth,
-            pipeline=canonical_pipeline(optimization, optimizer, params),
-            kind="optimize" if optimizer is not None else "measure",
-        )
-
-    def _prefix_key(self, name: str, depth: Optional[int], spec: str) -> str:
-        """A task key for an explicit canonical pipeline spec."""
+    def _key(self, name: str, depth: Optional[int], spec: str) -> str:
+        """The artifact-cache key of one canonical pipeline spec."""
         return self.cache.key(
             source=get_source(name),
             entry=get_entry(name),
@@ -205,30 +177,53 @@ class BenchmarkRunner:
             pipeline=spec,
         )
 
-    def _circuit_for(
-        self, name: str, depth: Optional[int], optimization: str
-    ) -> Circuit:
-        """The compiled circuit, from memory, the artifact cache, or a compile.
+    def _replay(
+        self,
+        name: str,
+        depth: Optional[int],
+        optimization: str,
+        spec: str,
+        start: float,
+    ) -> Optional[BenchmarkPoint]:
+        """The stored row of a full-pipeline hit, or ``None``."""
+        row = self.cache.load_point(self._key(name, depth, spec))
+        if row is None:
+            return None
+        row = dict(row)
+        row["cached"] = True
+        # identity fields are as THIS call spelled them: keys are
+        # content-addressed over the source text and the canonical
+        # pipeline, so two spellings can share an entry
+        row["name"] = name
+        row["optimization"] = optimization
+        row["wall_seconds"] = time.perf_counter() - start
+        return BenchmarkPoint(**row)
 
-        A stable object is returned per (name, depth, optimization) so the
-        shared :class:`DecompositionCache` keeps working across baselines.
+    def _held(
+        self, name: str, depth: Optional[int], spec: str
+    ) -> Optional[Tuple[Circuit, Origin]]:
+        """The circuit of pipeline ``spec`` the runner already holds.
+
+        Looks in the compiled memo, the loaded memo, then the artifact
+        cache (a disk hit joins the loaded memo).  A stable object is
+        returned per (name, depth, spec) so the shared
+        :class:`DecompositionCache` keeps working across baselines.
         """
-        if is_unsized(name):
-            depth = None
-        key = (name, depth, canonical_pipeline(optimization))
+        key = (name, depth, spec)
         compiled = self._compiled.lookup(key)
         if compiled is not None:
-            return compiled.circuit
-        circuit = self._loaded.lookup(key)
-        if circuit is not None:
-            return circuit
-        if self.cache is not None:
-            circuit = self.cache.load_circuit(
-                self._task_key(name, depth, optimization)
-            )
-            if circuit is not None:
-                return self._loaded.get(key, lambda: circuit)
-        return self.compile(name, depth, optimization).circuit
+            return compiled.circuit, compiled
+        held = self._loaded.lookup(key)
+        if held is not None or self.cache is None:
+            return held
+        cache_key = self._key(name, depth, spec)
+        row = self.cache.load_point(cache_key)
+        if row is None:
+            return None
+        circuit = self.cache.load_circuit(cache_key)
+        if circuit is None:
+            return None
+        return self._loaded.get(key, lambda: (circuit, row))
 
     # ----------------------------------------------------------- measurement
     def measure(
@@ -236,191 +231,97 @@ class BenchmarkRunner:
     ) -> BenchmarkPoint:
         """Compile (or replay) one grid point and report its metrics.
 
-        With an artifact cache attached, a full-pipeline hit replays the
-        stored row; otherwise the runner probes the pipeline's *prefixes*
-        (longest first) for a stored circuit snapshot and resumes only the
-        remaining gate passes — editing a late pass never recompiles the
-        earlier stages.
+        In order: a stored full-pipeline row replays; otherwise the
+        pipeline's gate passes run from the longest prefix circuit the
+        runner holds (:meth:`_held`), so editing a late pass — or adding an
+        optimizer baseline — never recompiles the earlier stages; otherwise
+        the pipeline's compile prefix compiles into the memo, where every
+        later pipeline that extends it finds it, and all its gate passes
+        run on that circuit.
         """
         if is_unsized(name):
             depth = None
-        pipeline = resolve_pipeline(optimization)
-        spec = pipeline.spec()
         start = time.perf_counter()
-        cache_key = None
+        pipeline = resolve_pipeline(optimization)
         if self.cache is not None:
-            cache_key = self._prefix_key(name, depth, spec)
-            row = self.cache.load_point(cache_key)
-            if row is not None:
-                row = dict(row)
-                row["cached"] = True
-                # identity fields are as THIS call spelled them: keys are
-                # content-addressed over the source text, so two benchmark
-                # names generating identical source share an entry
-                row["name"] = name
-                row["optimization"] = optimization
-                row["wall_seconds"] = time.perf_counter() - start
-                return BenchmarkPoint(**row)
-            resumed = self._measure_from_prefix(
-                name, depth, optimization, pipeline, cache_key, start
-            )
-            if resumed is not None:
-                return resumed
-        cold = self._compiled.lookup((name, depth, spec)) is None
-        compiled = self.compile(name, depth, optimization)
-        model = PaperCostModel(compiled.table, compiled.var_types, compiled.cell_bits)
-        report = model.report(compiled.core)
-        point = BenchmarkPoint(
-            name=name,
-            depth=depth,
-            optimization=optimization,
-            mcx=compiled.mcx_complexity(),
-            t=compiled.t_complexity(),
-            qubits=compiled.num_qubits(),
-            compile_seconds=sum(compiled.timings.values()),
-            predicted_mcx=report.mcx,
-            predicted_t=report.t,
-            wall_seconds=time.perf_counter() - start,
-            cached=not cold,
-            timings=dict(compiled.timings),
-            pipeline=spec,
+            replayed = self._replay(name, depth, optimization, pipeline.spec(), start)
+            if replayed is not None:
+                return replayed
+        cached = False
+        for prefix in pipeline.gate_prefixes():
+            held = self._held(name, depth, prefix.spec())
+            if held is not None:
+                circuit, origin = held
+                steps, resumed = [], prefix.spec()
+                break
+        else:
+            prefix = pipeline.compile_prefix()
+            # a preset measured again is a memo hit: no work in this call
+            cached = self._compiled.lookup((name, depth, prefix.spec())) is not None
+            origin = self.compile(name, depth, prefix.spec())
+            circuit = origin.circuit
+            steps, resumed = [(None, (prefix.spec(), circuit))], ""
+        manager = PassManager(pipeline, decomposition_cache=self.decomposition_cache)
+        _final, records, snapshots = manager.run_gate_suffix(
+            circuit, start=len(prefix.passes)
         )
-        if cache_key is not None:
-            stored = point.row()
-            stored["cached"] = False
-            self.cache.store_point(cache_key, stored)
-            self.cache.store_circuit(cache_key, compiled.circuit)
-            self._store_prefix_artifacts(name, depth, compiled, point)
-        return point
+        steps += zip(records, snapshots)
+        point = self._cut_points(name, depth, origin, steps, resumed)
+        return replace(
+            point,
+            optimization=optimization,
+            wall_seconds=time.perf_counter() - start,
+            cached=cached,
+        )
 
-    def _measure_from_prefix(
+    def _cut_points(
         self,
         name: str,
         depth: Optional[int],
-        optimization: str,
-        pipeline,
-        cache_key: str,
-        start: float,
-    ) -> Optional[BenchmarkPoint]:
-        """Resume a pipeline from its longest cached prefix snapshot."""
-        if not pipeline.gate_passes:
-            return None
-        for prefix in pipeline.gate_prefixes():
-            prefix_spec = prefix.spec()
-            prefix_key = self._prefix_key(name, depth, prefix_spec)
-            prow = self.cache.load_point(prefix_key)
-            if prow is None:
-                continue
-            circuit = self.cache.load_circuit(prefix_key)
-            if circuit is None:
-                continue
-            manager = PassManager(
-                pipeline, decomposition_cache=self.decomposition_cache
-            )
-            final, records, snapshots = manager.run_gate_suffix(
-                circuit, start=len(prefix.passes)
-            )
-            timings = dict(prow.get("timings", {}))
-            timings.update({f"opt:{r.name}": r.seconds for r in records})
+        origin: Origin,
+        steps: Iterable[Tuple[Optional[PassRecord], Tuple[str, Circuit]]],
+        prefix: str,
+    ) -> BenchmarkPoint:
+        """Build the row of every replayable cut point; returns the last.
+
+        ``origin`` is where the first circuit came from: its timings and
+        predicted counts start every row.  ``steps`` pairs each (canonical
+        prefix spec, circuit) snapshot with the gate-pass record that
+        produced it (``None`` for the circuit ``origin`` compiled).  With
+        an artifact cache, each cut point's row and circuit are stored, so
+        a later pipeline that shares any prefix resumes from it; a stored
+        prefix row equals what measuring that prefix pipeline directly
+        would record.  This is the one builder of :class:`BenchmarkPoint`
+        rows.
+        """
+        if isinstance(origin, CompiledProgram):
+            timings, predicted = dict(origin.timings), origin.predicted
+        else:
+            timings = dict(origin["timings"])
+            predicted = (origin["predicted_mcx"], origin["predicted_t"])
+        point = None
+        for record, (spec, circuit) in steps:
+            if record is not None:
+                add_gate_timing(timings, record)
             point = BenchmarkPoint(
                 name=name,
                 depth=depth,
-                optimization=optimization,
-                mcx=final.mcx_complexity(),
-                t=final.t_complexity(),
-                qubits=final.num_qubits,
-                compile_seconds=prow["compile_seconds"]
-                + sum(r.seconds for r in records),
-                predicted_mcx=prow["predicted_mcx"],
-                predicted_t=prow["predicted_t"],
-                wall_seconds=time.perf_counter() - start,
-                cached=False,
-                timings=timings,
-                pipeline=pipeline.spec(),
-                prefix_cached=prefix_spec,
-            )
-            stored = point.row()
-            self.cache.store_point(cache_key, stored)
-            for j, (snap_spec, snap_circuit) in enumerate(snapshots):
-                snap_key = self._prefix_key(name, depth, snap_spec)
-                self.cache.store_circuit(snap_key, snap_circuit)
-                if snap_spec == point.pipeline:
-                    continue  # the full point row is already stored
-                # synthesize the intermediate prefix's measure row too, so
-                # an even-longer pipeline later resumes from *this* cut
-                # point instead of re-running the suffix from `prefix`
-                snap_timings = dict(prow.get("timings", {}))
-                snap_timings.update(
-                    {f"opt:{r.name}": r.seconds for r in records[: j + 1]}
-                )
-                self.cache.store_point(
-                    snap_key,
-                    BenchmarkPoint(
-                        name=name,
-                        depth=depth,
-                        optimization=snap_spec,
-                        mcx=snap_circuit.mcx_complexity(),
-                        t=snap_circuit.t_complexity(),
-                        qubits=snap_circuit.num_qubits,
-                        compile_seconds=prow["compile_seconds"]
-                        + sum(r.seconds for r in records[: j + 1]),
-                        predicted_mcx=prow["predicted_mcx"],
-                        predicted_t=prow["predicted_t"],
-                        cached=False,
-                        timings=snap_timings,
-                        pipeline=snap_spec,
-                        prefix_cached=prefix_spec,
-                    ).row(),
-                )
-            return point
-        return None
-
-    def _store_prefix_artifacts(
-        self,
-        name: str,
-        depth: Optional[int],
-        compiled: CompiledProgram,
-        point: BenchmarkPoint,
-    ) -> None:
-        """Persist every pipeline-prefix snapshot of a cold compile.
-
-        Each replayable cut point (after ``lower``, after each gate pass)
-        gets its own circuit snapshot *and* a synthesized measure row —
-        identical to what measuring that prefix pipeline directly would
-        record — so later sweeps sharing any prefix resume warm.
-        """
-        if not compiled.snapshots:
-            return
-        legacy = {
-            k: v
-            for k, v in compiled.timings.items()
-            if not k.startswith("opt:")
-        }
-        gate_records = [r for r in compiled.pass_records if r.stage == "gates"]
-        for i, (snap_spec, snap_circuit) in enumerate(compiled.snapshots):
-            if snap_spec == compiled.pipeline:
-                continue  # the full artifact is stored by the caller
-            key = self._prefix_key(name, depth, snap_spec)
-            timings = dict(legacy)
-            timings.update(
-                {f"opt:{r.name}": r.seconds for r in gate_records[:i]}
-            )
-            row = BenchmarkPoint(
-                name=name,
-                depth=depth,
-                optimization=snap_spec,
-                mcx=snap_circuit.mcx_complexity(),
-                t=snap_circuit.t_complexity(),
-                qubits=snap_circuit.num_qubits,
+                optimization=spec,
+                mcx=circuit.mcx_complexity(),
+                t=circuit.t_complexity(),
+                qubits=circuit.num_qubits,
                 compile_seconds=sum(timings.values()),
-                predicted_mcx=point.predicted_mcx,
-                predicted_t=point.predicted_t,
-                cached=False,
-                timings=timings,
-                pipeline=snap_spec,
-            ).row()
-            self.cache.store_point(key, row)
-            self.cache.store_circuit(key, snap_circuit)
+                predicted_mcx=predicted[0],
+                predicted_t=predicted[1],
+                timings=dict(timings),
+                pipeline=spec,
+                prefix_cached=prefix,
+            )
+            if self.cache is not None:
+                key = self._key(name, depth, spec)
+                self.cache.store_point(key, point.row())
+                self.cache.store_circuit(key, circuit)
+        return point
 
     def scaling(
         self,
@@ -458,68 +359,26 @@ class BenchmarkRunner:
         optimization: str = "none",
         **kwargs,
     ):
-        """Run a circuit-optimizer baseline on a compiled benchmark.
+        """Run a circuit-optimizer baseline and return its optimized circuit.
 
-        The optimizer is handed the runner's shared decomposition cache, so
-        successive baselines on the same compiled circuit skip the repeated
-        Toffoli/Clifford+T expansion.  Always runs the optimizer (returns
-        the materialized result circuit); use :meth:`optimize_point` for
-        the artifact-cached measurement path.
-        """
-        circuit = self._circuit_for(name, depth, optimization)
-        opt = get_optimizer(optimizer, **kwargs)
-        opt.cache = self.decomposition_cache
-        return opt.optimize(circuit)
-
-    def optimize_point(
-        self,
-        name: str,
-        depth: Optional[int],
-        optimizer: str,
-        optimization: str = "none",
-        **kwargs,
-    ) -> OptimizerPoint:
-        """Measure one optimizer baseline, replaying from the cache when hot.
-
-        Note the caveat for wall-clock-bounded optimizers (the full
-        ``greedy-search`` phase): their output depends on machine speed, so
-        cached T-counts are only reproducible for deterministic settings
-        (``preprocess_only=True`` and the non-search baselines, which is
-        all the paper grids use).
+        The input circuit comes from the lookup :meth:`measure` resumes
+        from, and the optimizer is handed the runner's shared
+        decomposition cache, so successive baselines on the same compiled
+        circuit skip the repeated Toffoli/Clifford+T expansion.  Always
+        runs the optimizer; ``measure(name, depth,
+        f"{optimization}+{optimizer}")`` is the cached measurement row of
+        the same computation.
         """
         if is_unsized(name):
             depth = None
-        start = time.perf_counter()
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self._task_key(
-                name, depth, optimization, optimizer=optimizer, params=kwargs
-            )
-            row = self.cache.load_point(cache_key)
-            if row is not None:
-                row = dict(row)
-                row["cached"] = True
-                # see measure(): content-addressed keys can be shared by
-                # two names whose generated source is identical
-                row["name"] = name
-                row["optimization"] = optimization
-                row["wall_seconds"] = time.perf_counter() - start
-                return OptimizerPoint(**row)
-        result = self.optimize_circuit(name, depth, optimizer, optimization, **kwargs)
-        point = OptimizerPoint(
-            name=name,
-            depth=depth,
-            optimization=optimization,
-            optimizer=optimizer,
-            t_count=result.t_count,
-            seconds=result.seconds,
-            wall_seconds=time.perf_counter() - start,
-            cached=False,
-            params=dict(kwargs),
-        )
-        if self.cache is not None:
-            self.cache.store_point(cache_key, point.row())
-        return point
+        held = self._held(name, depth, canonical_pipeline(optimization))
+        if held is not None:
+            circuit = held[0]
+        else:
+            circuit = self.compile(name, depth, optimization).circuit
+        opt = get_optimizer(optimizer, **kwargs)
+        opt.cache = self.decomposition_cache
+        return opt.optimize(circuit)
 
     # ------------------------------------------------------------ grid sweeps
     def run_grid(
@@ -529,7 +388,7 @@ class BenchmarkRunner:
         journal: Optional["SweepJournal"] = None,
         resume: bool = False,
     ) -> "GridResult":
-        """Run a (benchmark × depth × optimization × optimizer) task grid.
+        """Run a (benchmark × depth × pipeline) task grid.
 
         Dispatches to the runner's execution backend (serial when none was
         configured); see :mod:`repro.benchsuite.parallel` for the task and

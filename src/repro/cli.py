@@ -299,9 +299,10 @@ def cmd_bench(args) -> int:
         ArtifactCache,
         BenchmarkRunner,
         GRID_SELECTORS,
+        ParallelBackend,
         RetryPolicy,
+        SerialBackend,
         SweepJournal,
-        make_backend,
         paper_grid,
     )
     from .benchsuite.runner import default_depths
@@ -327,6 +328,20 @@ def cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
 
+    if args.pipeline:
+        from .benchsuite import measure_tasks
+        from .passes import canonical_pipeline
+
+        # validate the spec (pass names and parameters) before any task runs
+        canonical_pipeline(args.pipeline)
+        names = args.benchmarks or ["length", "length-simplified"]
+        grids = [("pipeline", measure_tasks(names, depths, [args.pipeline]))]
+    else:
+        grids = [
+            (selector, paper_grid(selector, depths, tree_depths))
+            for selector in selectors
+        ]
+
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     if args.resume and cache is None:
         print("error: --resume needs --cache-dir (the journal lives there)",
@@ -338,18 +353,10 @@ def cmd_bench(args) -> int:
         max_failures=args.max_failures,
         seed=args.seed,
     )
-    mode = args.backend
-    if mode == "auto":
-        if args.jobs > 1:
-            mode = "parallel"
-        elif cache is not None:
-            mode = "cached"
-        else:
-            mode = "serial"
-    if mode == "cached" and cache is None:
-        print("error: --backend cached needs --cache-dir", file=sys.stderr)
-        return 2
-    backend = make_backend(mode, jobs=args.jobs, cache=cache, policy=policy)
+    if args.jobs > 1:
+        backend = ParallelBackend(jobs=args.jobs, policy=policy)
+    else:
+        backend = SerialBackend(policy=policy)
     runner = BenchmarkRunner(config, cache=cache, backend=backend)
 
     plan = None
@@ -366,19 +373,6 @@ def cmd_bench(args) -> int:
             mark = " (cached)" if row.get("cached") else ""
             print(f"\r[{done}/{total}] {row['name']}{mark}".ljust(60),
                   end="", file=sys.stderr, flush=True)
-
-    if args.pipeline:
-        from .benchsuite import measure_tasks
-        from .passes import canonical_pipeline
-
-        canonical_pipeline(args.pipeline)  # validate the spec up front
-        names = args.benchmarks or ["length", "length-simplified"]
-        grids = [("pipeline", measure_tasks(names, depths, [args.pipeline]))]
-    else:
-        grids = [
-            (selector, paper_grid(selector, depths, tree_depths))
-            for selector in selectors
-        ]
 
     all_cached = True
     all_warm = True
@@ -908,7 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--smoke", action="store_true",
                          help="run the minutes-scale CI smoke grid")
     p_bench.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the grid fan-out")
+                         help="worker processes for the grid fan-out "
+                              "(default 1: the sweep runs serially)")
     p_bench.add_argument("--cache-dir", default=None,
                          help="artifact cache directory (enables warm replays)")
     p_bench.add_argument("--out", default="bench_artifacts",
@@ -926,12 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="benchmarks for --pipeline sweeps "
                               "(default: length length-simplified)")
-    p_bench.add_argument("--backend",
-                         choices=["auto", "serial", "cached", "parallel"],
-                         default="auto",
-                         help="execution backend (default: auto — parallel "
-                              "when --jobs > 1, cached when --cache-dir is "
-                              "set, else serial)")
     p_bench.add_argument("--retries", type=int, default=2,
                          help="retry budget per task; a task that still "
                               "fails becomes a structured failure row "

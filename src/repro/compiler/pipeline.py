@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bounded import BoundedCache
@@ -70,14 +71,21 @@ class CompiledProgram:
     pipeline: str = ""
     #: per-pass execution records (:class:`repro.passes.PassRecord`)
     pass_records: List[Any] = field(default_factory=list)
-    #: (canonical prefix spec, circuit) snapshots, when requested
-    snapshots: List[Tuple[str, Circuit]] = field(default_factory=list)
     #: the analyze stage's static cost bound
     #: (:class:`repro.analysis.passes.StaticCostBound`), when the
     #: pipeline included an ``analyze`` pass
     analysis: Any = None
 
     # ----------------------------------------------------------- convenience
+    @cached_property
+    def predicted(self) -> Tuple[int, int]:
+        """(MCX, T) predicted by the Section 5 cost model; computed once
+        per program, however many optimizer baselines resume from it."""
+        from ..cost.model import predicted_counts
+
+        report = predicted_counts(self.core, self.table, self.var_types, self.cell_bits)
+        return report.mcx, report.t
+
     def mcx_complexity(self) -> int:
         """Gate count on the idealized architecture (Section 5)."""
         return self.circuit.mcx_complexity()
@@ -182,7 +190,6 @@ def compile_core(
     return_var: Optional[str] = None,
     typecheck: bool = True,
     verify: bool = False,
-    keep_snapshots: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
     """Compile a core IR statement (inputs given by ``param_types``).
@@ -190,9 +197,7 @@ def compile_core(
     ``optimization`` may be a preset, a ``preset+gatepass`` form, or a raw
     pipeline spec.  The statement is first checked strictly (Figure 20);
     ``typecheck=False`` skips that and every later check.  ``verify``
-    enables between-pass invariant checking (``--verify-passes``);
-    ``keep_snapshots`` retains the circuit at every replayable pipeline
-    prefix for the artifact cache.
+    enables between-pass invariant checking (``--verify-passes``).
     """
     start = time.perf_counter()
     if typecheck:
@@ -206,7 +211,6 @@ def compile_core(
         return_var,
         typecheck=typecheck,
         verify=verify,
-        keep_snapshots=keep_snapshots,
         decomposition_cache=decomposition_cache,
     )
 
@@ -236,7 +240,6 @@ def _run_pipeline(
     return_var: Optional[str],
     typecheck: bool = True,
     verify: bool = False,
-    keep_snapshots: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
     """Run the pipeline over strictly checked core IR; ``check_seconds``,
@@ -251,7 +254,6 @@ def _run_pipeline(
     manager = PassManager(
         pipeline,
         verify=verify,
-        keep_snapshots=keep_snapshots,
         decomposition_cache=decomposition_cache,
     )
     run = manager.run(stmt, table, param_types, typecheck=typecheck)
@@ -270,7 +272,6 @@ def _run_pipeline(
         optimization=optimization,
         pipeline=pipeline.spec(),
         pass_records=run.records,
-        snapshots=run.snapshots,
         analysis=run.analysis,
     )
 

@@ -116,7 +116,11 @@ class Pass:
     rules: frozenset = frozenset()
 
     def __init__(self, **params: Any) -> None:
-        self.params = dict(params)
+        # a pass takes exactly the parameters its constructor declares;
+        # the base class declares none
+        if params:
+            raise TypeError(f"unexpected parameters {sorted(params)}")
+        self.params = {}
 
     # ------------------------------------------------------------------ API
     def apply(self, ctx) -> None:  # pragma: no cover - interface
@@ -164,7 +168,11 @@ def get_pass_class(name: str) -> Type[Pass]:
 
 
 def make_pass(name: str, **params: Any) -> Pass:
-    """Instantiate a registered pass with parameters."""
+    """Instantiate a registered pass with parameters.
+
+    A parameter the pass does not declare, or a value of the wrong type,
+    is a :class:`PassError`.
+    """
     cls = get_pass_class(name)
     try:
         return cls(**params)

@@ -17,11 +17,15 @@ Structural passes (stage ``lower``)
 Gate passes (stage ``gates``)
     One pass per registered :mod:`repro.circopt` optimizer, generated from
     the circopt registry so the two stay in lockstep.  Parameters are
-    forwarded to the optimizer constructor (``peephole(window=32)``).
+    forwarded to the optimizer constructor (``peephole(window=32)``),
+    which declares them: an undeclared name, or a value whose type differs
+    from the declared default's (an ``int`` may stand for a ``float``), is
+    rejected when the spec is parsed.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict, FrozenSet
 
 from ..circopt.base import get_optimizer, optimizer_class, optimizer_names
@@ -152,10 +156,34 @@ def _register_gate_pass(opt_name: str) -> None:
     invariants = {SEMANTICS_PRESERVING, TCOUNT_NONINCREASING, CLIFFORD_T_OUTPUT}
     if deterministic:
         invariants.add(DETERMINISTIC)
+    #: the optimizer constructor's parameters and their defaults
+    declared = {
+        param.name: param.default
+        for param in inspect.signature(cls).parameters.values()
+        if param.default is not param.empty
+    }
 
     class _GatePass(Pass):
         name = opt_name
         stage = GATES
+
+        def __init__(self, **params) -> None:
+            for key, value in params.items():
+                if key not in declared:
+                    raise TypeError(
+                        f"unexpected parameter {key!r}; "
+                        f"declared: {sorted(declared)}"
+                    )
+                want = type(declared[key])
+                if not (
+                    type(value) is want
+                    or (want is float and type(value) is int)
+                ):
+                    raise TypeError(
+                        f"parameter {key!r} must be {want.__name__}, "
+                        f"got {value!r}"
+                    )
+            self.params = dict(params)
 
         def apply(self, ctx) -> None:
             opt = get_optimizer(self.name, **self.params)

@@ -1,11 +1,12 @@
-"""The :class:`PassManager`: run a pipeline with timing, snapshots, checks.
+"""The :class:`PassManager`: run a pipeline with timing and checks.
 
 One manager executes one :class:`~repro.passes.pipeline.Pipeline` over a
 core-IR statement, producing a :class:`PipelineRun` that bundles the final
 circuit with every intermediate the rest of the system needs (the
 post-rewrite core IR for the cost model, inferred types, per-pass timing
-records, and — when requested — circuit snapshots at every replayable
-prefix, which the benchmark cache stores for pass-granular warm replays).
+records).  :meth:`PassManager.run_gate_suffix` resumes the gate passes
+from a circuit and returns the circuit at every replayable prefix, which
+the benchmark cache stores for pass-granular warm replays.
 
 Between-pass verification (``verify=True``, the CLI's ``--verify-passes``)
 checks the machine-checkable declared invariants:
@@ -112,17 +113,22 @@ class PipelineRun:
     circuit: Circuit
     records: List[PassRecord]
     #: legacy stage timings (``optimize``/``typecheck``/``lower_ir``/
-    #: ``lower_gates`` plus ``opt:<name>`` per gate pass); ``optimize``
+    #: ``lower_gates`` plus ``opt:<name>``, the summed time of every run
+    #: of that gate pass); ``optimize``
     #: covers the IR passes, and :mod:`repro.compiler.pipeline` adds the
     #: strict check's time to it
     timings: Dict[str, float]
-    #: (canonical prefix spec, circuit) at every replayable cut point,
-    #: populated only when the manager keeps snapshots
-    snapshots: List[Tuple[str, Circuit]] = field(default_factory=list)
     #: the analyze stage's output (a
     #: :class:`repro.analysis.passes.StaticCostBound`), when the pipeline
     #: included an ``analyze`` pass
     analysis: Any = None
+
+
+def add_gate_timing(timings: Dict[str, float], record: PassRecord) -> None:
+    """Add a gate pass's time to ``timings["opt:<name>"]``: a pass that
+    runs twice in one pipeline counts both runs."""
+    key = f"opt:{record.name}"
+    timings[key] = timings.get(key, 0.0) + record.seconds
 
 
 def _group_passes(pipeline: Pipeline) -> List[List[Tuple[int, PassSpec]]]:
@@ -147,19 +153,17 @@ def _group_passes(pipeline: Pipeline) -> List[List[Tuple[int, PassSpec]]]:
 
 
 class PassManager:
-    """Execute a pipeline with timing, optional snapshots and verification."""
+    """Execute a pipeline with timing and optional verification."""
 
     def __init__(
         self,
         pipeline: Pipeline,
         *,
         verify: bool = False,
-        keep_snapshots: bool = False,
         decomposition_cache: Optional[DecompositionCache] = None,
     ) -> None:
         self.pipeline = pipeline
         self.verify = verify
-        self.keep_snapshots = keep_snapshots
         self.decomposition_cache = decomposition_cache or DecompositionCache()
 
     # ----------------------------------------------------------------- runs
@@ -186,7 +190,6 @@ class PassManager:
             pipeline=self.pipeline,
         )
         records: List[PassRecord] = []
-        snapshots: List[Tuple[str, Circuit]] = []
         timings: Dict[str, float] = {}
 
         groups = _group_passes(self.pipeline)
@@ -219,7 +222,7 @@ class PassManager:
             elif first.name == "lower":
                 timings["lower_gates"] = record.seconds
             else:
-                timings[f"opt:{record.name}"] = record.seconds
+                add_gate_timing(timings, record)
             if (
                 self.verify
                 and first.name == "lower"
@@ -227,12 +230,6 @@ class PassManager:
                 and ctx.circuit is not None
             ):
                 self._check_static_bound_at_lower(ctx)
-            if self.keep_snapshots and ctx.circuit is not None and (
-                first.name == "lower" or stage == GATES
-            ):
-                last_index = group[-1][0]
-                prefix = Pipeline(self.pipeline.passes[: last_index + 1])
-                snapshots.append((prefix.spec(), ctx.circuit))
 
         if (
             self.verify
@@ -260,7 +257,6 @@ class PassManager:
             circuit=ctx.circuit,
             records=records,
             timings=timings,
-            snapshots=snapshots,
             analysis=ctx.analysis,
         )
 

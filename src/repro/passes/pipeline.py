@@ -21,17 +21,18 @@ preset      expands to
 ==========  ==================================
 
 A ``+<gate-pass>`` suffix appends a circuit optimizer: ``spire+peephole``,
-``none+rotation-merge(window=32)``.  :func:`canonical_pipeline` maps any
-(spec-or-preset, optimizer, params) triple to one canonical string — the
-cache fingerprint of the pipeline, embedding every per-pass parameter.
+``none+rotation-merge(window=32)``.  This is the one way to name a
+circuit-optimizer baseline.  :func:`canonical_pipeline` maps every
+spelling to one canonical string — the cache fingerprint of the pipeline,
+embedding every per-pass parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-from .base import ANALYZE, GATES, IR, LOWER, PassError, get_pass_class
+from .base import ANALYZE, GATES, IR, LOWER, PassError, get_pass_class, make_pass
 
 #: the historical optimization levels as IR-pass lists
 PRESETS: Dict[str, Tuple[str, ...]] = {
@@ -109,7 +110,7 @@ class PassSpec:
             spec = cls(name.strip(), tuple(sorted(params.items())))
         else:
             spec = cls(text)
-        get_pass_class(spec.name)  # validate the name eagerly
+        make_pass(spec.name, **spec.kwargs())  # validate name and params eagerly
         return spec
 
 
@@ -210,18 +211,6 @@ class Pipeline:
         """The canonical spec string (the cache fingerprint)."""
         return ",".join(p.spec() for p in self.passes)
 
-    def with_gate_pass(
-        self, name: str, params: Optional[Dict[str, Any]] = None
-    ) -> "Pipeline":
-        """This pipeline with one more gate pass appended."""
-        spec = PassSpec(name, tuple(sorted((params or {}).items())))
-        if spec.stage != GATES:
-            raise PassError(
-                f"pass {name!r} is a {spec.stage} pass; only gate passes "
-                "can be appended with '+'"
-            )
-        return Pipeline(self.passes + (spec,))
-
     def compile_prefix(self) -> "Pipeline":
         """The pipeline truncated after ``lower`` (no gate passes)."""
         return Pipeline(self.passes[: self.lower_index])
@@ -250,16 +239,8 @@ class Pipeline:
         return len(self.passes)
 
 
-def resolve_pipeline(
-    spec: str = "none",
-    optimizer: Optional[str] = None,
-    params: Optional[Dict[str, Any]] = None,
-) -> Pipeline:
-    """Resolve a preset name, a raw spec, or a ``preset+gatepass`` string.
-
-    ``optimizer``/``params`` mirror the historical benchmark-runner API: a
-    circuit-optimizer baseline appended to the program-level pipeline.
-    """
+def resolve_pipeline(spec: str = "none") -> Pipeline:
+    """Resolve a preset name, a raw spec, or a ``preset+gatepass`` string."""
     parts = _split_top_level(spec or "none", "+")
     head = parts[0].strip() or "none"
     if head in PRESETS:
@@ -269,20 +250,19 @@ def resolve_pipeline(
     else:
         pipeline = Pipeline.parse(head)
     for part in parts[1:]:
-        suffix = PassSpec.parse(part.strip())
-        pipeline = pipeline.with_gate_pass(suffix.name, suffix.kwargs())
-    if optimizer is not None:
-        pipeline = pipeline.with_gate_pass(optimizer, dict(params or {}))
+        suffix = PassSpec.parse(part)
+        if suffix.stage != GATES:
+            raise PassError(
+                f"pass {suffix.name!r} is a {suffix.stage} pass; only gate "
+                "passes can be appended with '+'"
+            )
+        pipeline = Pipeline(pipeline.passes + (suffix,))
     return pipeline
 
 
-def canonical_pipeline(
-    spec: str = "none",
-    optimizer: Optional[str] = None,
-    params: Optional[Dict[str, Any]] = None,
-) -> str:
+def canonical_pipeline(spec: str = "none") -> str:
     """The canonical spec string of a resolved pipeline (the cache key)."""
-    return resolve_pipeline(spec, optimizer, params).spec()
+    return resolve_pipeline(spec).spec()
 
 
 def is_preset(spec: str) -> bool:

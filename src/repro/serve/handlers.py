@@ -12,7 +12,10 @@ status    meaning
 422       the *program* is at fault — admission lint found errors
 400       the *request* is at fault — missing/ill-typed fields (a
           sized entry without ``depth`` included), unknown
-          benchmark, bad pipeline spec (exit 2's analog)
+          benchmark, bad pipeline spec (an unknown pass, or a
+          parameter the pass does not declare or of the wrong type),
+          or an ``optimizer``/``params`` field, since a baseline is
+          named in ``optimization`` (exit 2's analog)
 500       the *service* is at fault — handler defect or a failure
           row out of the execution backend (exit 3's analog)
 ========  ==========================================================
@@ -23,9 +26,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from ..benchsuite.parallel import MEASURE, OPTIMIZE, GridTask
+from ..benchsuite.parallel import GridTask
 from ..benchsuite.programs import is_unsized
-from ..circopt.base import optimizer_names
 from ..errors import ReproError
 from ..passes import canonical_pipeline
 from .service import CompileService
@@ -74,13 +76,10 @@ def _lint_payload(report, **extra: Any) -> Dict[str, Any]:
     return payload
 
 
-def _validate_pipeline(
-    optimization: str,
-    optimizer: Optional[str] = None,
-    params: Optional[Dict[str, Any]] = None,
-) -> None:
+def _validate_pipeline(optimization: str) -> None:
+    """Reject a spec naming an unknown pass or a bad pass parameter."""
     try:
-        canonical_pipeline(optimization, optimizer, params)
+        canonical_pipeline(optimization)
     except Exception as exc:
         raise RequestError(f"bad pipeline spec: {exc}")
 
@@ -143,7 +142,7 @@ async def handle_compile(
     if depth is None and report.size is not None:
         raise _missing_depth(resolved)
     name = service.register_inline(source, resolved)
-    task = GridTask(MEASURE, name, depth, optimization)
+    task = GridTask(name, depth, optimization)
     return await _run_task(
         service,
         task,
@@ -154,21 +153,23 @@ async def handle_compile(
 async def handle_measure(
     service: CompileService, body: Dict[str, Any]
 ) -> Response:
-    """Measure/optimize one point of a registered (or fuzz) benchmark."""
+    """Measure one point of a registered (or fuzz) benchmark under the
+    pipeline in ``optimization`` (a circuit-optimizer baseline is spelled
+    ``preset+optimizer``)."""
+    if "optimizer" in body or "params" in body:
+        raise RequestError(
+            "fields 'optimizer' and 'params' are not accepted; name the "
+            "baseline as a pipeline in 'optimization': "
+            "preset+optimizer(params), e.g. \"none+peephole\" or "
+            "\"spire+peephole(window=32)\""
+        )
     name = _field(body, "name", str, required=True)
     depth = _field(body, "depth", int)
     optimization = _field(body, "optimization", str, default="none") or "none"
-    optimizer = _field(body, "optimizer", str)
-    params = _field(body, "params", dict) or {}
     lint_gate = body.get("lint", True)
     if not isinstance(lint_gate, bool):
         raise RequestError("field 'lint' must be bool")
-    if optimizer is not None and optimizer not in optimizer_names():
-        raise RequestError(
-            f"unknown optimizer {optimizer!r}; "
-            f"available: {optimizer_names()}"
-        )
-    _validate_pipeline(optimization, optimizer, params)
+    _validate_pipeline(optimization)
     known = service.known_source(name)
     if known is None:
         raise RequestError(f"unknown benchmark {name!r}")
@@ -181,18 +182,9 @@ async def handle_measure(
         reject, _report = _admit(service, source, entry, depth)
         if reject is not None:
             return reject
-    if optimizer is None:
-        task = GridTask(MEASURE, name, depth, optimization)
-    else:
-        task = GridTask(
-            OPTIMIZE,
-            name,
-            depth,
-            optimization,
-            optimizer,
-            tuple(sorted(params.items())),
-        )
-    return await _run_task(service, task, {"name": name})
+    return await _run_task(
+        service, GridTask(name, depth, optimization), {"name": name}
+    )
 
 
 async def handle_lint(

@@ -1,7 +1,7 @@
 """``repro loadgen``: replay mixed traffic against a running server.
 
 The generator builds a deterministic request mix — the paper's smoke
-grid (Table 1 benchmarks at small depths, measure + optimizer
+grid (Table 1 benchmarks at small depths, presets and their optimizer
 baselines), a stream of generated fuzz workloads, a few inline-source
 compiles, and some deliberately broken programs the admission lint must
 bounce — and replays it from ``clients`` concurrent persistent
@@ -32,8 +32,6 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..benchsuite.parallel import (
-    MEASURE,
-    OPTIMIZE,
     GridTask,
     SerialBackend,
     paper_grid,
@@ -81,14 +79,11 @@ def build_traffic(
     """
     requests: List[Dict[str, Any]] = []
     for task in paper_grid("smoke", depths):
-        payload: Dict[str, Any] = {
+        payload = {
             "name": task.name,
             "depth": task.depth,
             "optimization": task.optimization,
         }
-        if task.optimizer:
-            payload["optimizer"] = task.optimizer
-            payload["params"] = dict(task.params)
         requests.append(
             {"path": "/measure", "payload": payload, "expect": "ok"}
         )
@@ -132,26 +127,13 @@ def _baseline_task(request: Dict[str, Any]) -> Optional[GridTask]:
     if request["path"] == "/measure":
         name = payload["name"]
         depth = None if is_unsized(name) else payload.get("depth")
-        optimizer = payload.get("optimizer")
-        if optimizer is None:
-            return GridTask(
-                MEASURE, name, depth, payload.get("optimization", "none")
-            )
-        return GridTask(
-            OPTIMIZE,
-            name,
-            depth,
-            payload.get("optimization", "none"),
-            optimizer,
-            tuple(sorted((payload.get("params") or {}).items())),
-        )
+        return GridTask(name, depth, payload.get("optimization", "none"))
     if request["path"] == "/compile" and request["expect"] == "ok":
         source = payload["source"]
         entry = payload.get("entry") or "main"
         name = inline_name(source, entry)
         register_source(name, source, entry)
         return GridTask(
-            MEASURE,
             name,
             payload.get("depth"),
             payload.get("optimization", "none"),

@@ -16,8 +16,9 @@ with service semantics:
   fingerprint) share one future and compile exactly once;
 * **micro-batching** — requests arriving within ``batch_window`` of each
   other run as one backend sweep, so the pool amortizes spawn cost and
-  the two-wave measure-before-optimize cache discipline applies across
-  requests, not just within one;
+  the two-wave cache discipline (presets before the baselines, such as
+  ``none+peephole``, that resume from them) applies across requests, not
+  just within one;
 * **durability** — completed rows are journaled; a restarted server
   answers repeat requests from the journal without recompiling, and the
   journal header pins version + code fingerprint so stale state is
@@ -88,7 +89,7 @@ class CompileService:
         self.cache_max_bytes = cache_max_bytes
         self.batch_window = batch_window
         self.metrics = metrics or Metrics()
-        self.backend = ParallelBackend(jobs=jobs, cache=cache, policy=policy)
+        self.backend = ParallelBackend(jobs=jobs, policy=policy)
         self.runner = BenchmarkRunner(self.config, cache=cache)
         self.flight = SingleFlight()
         #: fingerprint -> completed row (journal replays + this run's rows)

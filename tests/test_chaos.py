@@ -14,26 +14,24 @@ import pytest
 from repro.benchsuite import (
     ArtifactCache,
     BenchmarkRunner,
-    CachedBackend,
     ParallelBackend,
     RetryPolicy,
     SerialBackend,
     SweepJournal,
     measure_tasks,
-    optimizer_tasks,
 )
 from repro.config import CompilerConfig
 from repro.faults import inject, parse_fault_plan
 
 TINY = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
 
-#: a small grid exercising both task kinds and the two-wave scheduler
-GRID = measure_tasks("length", [2, 3]) + optimizer_tasks(
-    "length-simplified", [2], ["peephole", "toffoli-cancel"]
+#: a small grid of presets and the optimizer baselines that resume from them
+GRID = measure_tasks("length", [2, 3]) + measure_tasks(
+    "length-simplified", [2], ["none+peephole", "none+toffoli-cancel"]
 )
 
 #: row keys that may legitimately differ between backends / fault runs
-VOLATILE = ("compile_seconds", "wall_seconds", "seconds", "cached", "timings",
+VOLATILE = ("compile_seconds", "wall_seconds", "cached", "timings",
             "prefix_cached", "journal_resumed", "attempts")
 
 
@@ -58,8 +56,10 @@ def chaos_run(plan_text, seed, tmp_path, jobs=2, **policy_kwargs):
     inject.install(parse_fault_plan(plan_text, seed=seed))
     try:
         policy = RetryPolicy(backoff_base=0.001, seed=seed, **policy_kwargs)
-        backend = ParallelBackend(jobs=jobs, cache=ArtifactCache(tmp_path), policy=policy)
-        return BenchmarkRunner(TINY, backend=backend).run_grid(GRID)
+        backend = ParallelBackend(jobs=jobs, policy=policy)
+        return BenchmarkRunner(
+            TINY, cache=ArtifactCache(tmp_path), backend=backend
+        ).run_grid(GRID)
     finally:
         inject.uninstall()
 
@@ -85,7 +85,7 @@ def test_torn_cache_writes_rows_bit_identical(tmp_path, clean_rows):
     # entries are quarantined and recomputed, never served
     cache = ArtifactCache(tmp_path)
     warm = BenchmarkRunner(
-        TINY, backend=CachedBackend(cache, SerialBackend(RetryPolicy()))
+        TINY, cache=cache, backend=SerialBackend(RetryPolicy())
     ).run_grid(GRID)
     assert not warm.failed_rows
     assert stable(warm.rows) == clean_rows
@@ -97,7 +97,7 @@ def test_flaky_cache_reads_rows_bit_identical(tmp_path, clean_rows):
         "flaky:cache.load_point:p=0.3,flaky:cache.load_circuit:p=0.3",
         3,
         tmp_path,
-        jobs=1,  # serial+cached path: exercises the cached backend's reads
+        jobs=1,  # serial path: exercises the runner's own cache reads
     )
     assert not result.failed_rows
     assert stable(result.rows) == clean_rows
@@ -147,8 +147,8 @@ def test_worker_crash_mid_store_strands_then_sweeps_tmp(tmp_path):
             retries=4, backoff_base=0.001, max_pool_deaths=2, seed=0
         )
         cache = ArtifactCache(tmp_path)
-        backend = ParallelBackend(jobs=2, cache=cache, policy=policy)
-        result = BenchmarkRunner(TINY, backend=backend).run_grid(tasks)
+        backend = ParallelBackend(jobs=2, policy=policy)
+        result = BenchmarkRunner(TINY, cache=cache, backend=backend).run_grid(tasks)
     finally:
         inject.uninstall()
     assert not result.failed_rows
@@ -166,7 +166,7 @@ def test_worker_crash_mid_store_strands_then_sweeps_tmp(tmp_path):
 
     # the swept cache still serves a warm, bit-identical run
     warm = BenchmarkRunner(
-        TINY, backend=CachedBackend(cache, SerialBackend(RetryPolicy()))
+        TINY, cache=cache, backend=SerialBackend(RetryPolicy())
     ).run_grid(tasks)
     assert not warm.failed_rows
     assert stable(warm.rows) == stable(result.rows)

@@ -33,7 +33,7 @@ from repro.config import TINY
 from repro.errors import LexError, ParseError, TypeCheckError
 from repro.ir.core import Assign, AtomE, Var
 from repro.lang.parser import parse_program
-from repro.passes import canonical_pipeline
+from repro.passes import resolve_pipeline
 from repro.types import UINT, TypeTable
 
 
@@ -164,11 +164,12 @@ def test_compile_program_unchecked_runs_no_check(monkeypatch):
 @pytest.mark.parametrize("selector", GRID_SELECTORS)
 def test_compiled_memo_keeps_every_reuse_of_a_paper_grid(selector):
     """A serial sweep of a paper grid at its default sizes (``repro bench``
-    without a cache) compiles each distinct circuit once: the optimizer
-    baselines that run after all the measure tasks still find theirs."""
+    without a cache) compiles each distinct preset circuit once: the
+    optimizer baselines, listed after every preset, still find the circuit
+    they resume from."""
     tasks = paper_grid(selector, default_depths(), list(range(2, 9)))
     keys = [
-        (task.name, task.depth, canonical_pipeline(task.optimization))
+        (task.name, task.depth, resolve_pipeline(task.optimization).compile_prefix().spec())
         for task in tasks
     ]
     memo = BoundedCache(runner_mod.COMPILED_MEMO_MAX)
@@ -206,9 +207,9 @@ def test_loaded_circuit_memo_is_bounded(tmp_path, monkeypatch):
     for name, depth, optimization in points:
         BenchmarkRunner(TINY, cache=cache).measure(name, depth, optimization)
     fresh = BenchmarkRunner(TINY, cache=cache)
-    circuits = [fresh._circuit_for(*point) for point in points]
+    circuits = [fresh._held(name, depth, "alloc,lower")[0] for name, depth, _ in points]
     assert len(fresh._loaded) == 8
     assert len(fresh._compiled) == 0  # every circuit came from disk
     # the newest point is still the same object (the decomposition cache
     # keys on circuit identity)
-    assert fresh._circuit_for(*points[-1]) is circuits[-1]
+    assert fresh._held("length", 10, "alloc,lower")[0] is circuits[-1]

@@ -133,5 +133,5 @@ class TestSeedTcountsThroughPassManager:
     def test_preset_product_matches_direct_path(self, optimization, optimizer):
         runner = self.runner()
         point = runner.measure("length", 2, f"{optimization}+{optimizer}")
-        baseline = runner.optimize_point("length", 2, optimizer, optimization)
+        baseline = runner.optimize_circuit("length", 2, optimizer, optimization)
         assert point.t == baseline.t_count

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.benchsuite import ArtifactCache, BenchmarkRunner, task_key
+from repro.benchsuite.parallel import stable_rows
 from repro.cli import main
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
@@ -40,14 +41,11 @@ class TestPipelineSpecs:
             canonical_pipeline("spire+peephole")
             == "flatten,narrow,alloc,lower,peephole"
         )
-        assert (
-            canonical_pipeline("none", "zx-like")
-            == "alloc,lower,zx-like"
-        )
+        assert canonical_pipeline("none+zx-like") == "alloc,lower,zx-like"
 
     def test_params_are_canonicalized_sorted(self):
         spec = canonical_pipeline(
-            "none", "greedy-search", {"timeout": 1.0, "preprocess_only": True}
+            "none+greedy-search(timeout=1.0,preprocess_only=true)"
         )
         assert spec == (
             "alloc,lower,greedy-search(preprocess_only=true,timeout=1.0)"
@@ -77,6 +75,27 @@ class TestPipelineSpecs:
     def test_unknown_pass_rejected(self):
         with pytest.raises(PassError):
             resolve_pipeline("flatten,nonsense")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "none+peephole(bogus=1)",  # undeclared parameter
+            "none+zx-like(nope=2)",
+            "none+peephole(window=abc)",  # wrong type
+            "none+peephole(window=true)",  # a bool is not an int
+            "none+peephole(window=1.5)",
+            "none+greedy-search(preprocess_only=1)",
+            "flatten(rules=1),alloc,lower",  # an IR pass declares none
+            "alloc,lower,peephole(bogus=1)",
+        ],
+    )
+    def test_bad_pass_parameters_rejected_at_parse(self, spec):
+        with pytest.raises(PassError, match="bad parameters"):
+            resolve_pipeline(spec)
+
+    def test_int_accepted_for_float_parameter(self):
+        pipe = resolve_pipeline("none+greedy-search(timeout=2)")
+        assert pipe.gate_passes[-1].kwargs() == {"timeout": 2}
 
     def test_out_of_order_stages_rejected(self):
         with pytest.raises(PassError):
@@ -142,18 +161,18 @@ class TestPassManager:
         assert cp.circuit.is_clifford_t()
 
     def test_snapshots_at_replayable_prefixes(self, length_source):
-        cp = compile_source(
-            length_source, "length", 3, CFG, "spire+peephole",
-            keep_snapshots=True,
+        # the post-lower circuit is the MCX circuit, before the gate passes
+        post_lower = compile_source(length_source, "length", 3, CFG, "spire").circuit
+        pipeline = resolve_pipeline("spire+peephole+toffoli-cancel")
+        final, _records, snapshots = PassManager(pipeline).run_gate_suffix(
+            post_lower, start=len(pipeline.compile_prefix().passes)
         )
-        specs = [spec for spec, _ in cp.snapshots]
-        assert specs == [
-            "flatten,narrow,alloc,lower",
+        assert [spec for spec, _ in snapshots] == [
             "flatten,narrow,alloc,lower,peephole",
+            "flatten,narrow,alloc,lower,peephole,toffoli-cancel",
         ]
-        # the post-lower snapshot is the MCX circuit, before the gate pass
-        post_lower = cp.snapshots[0][1]
-        assert post_lower.t_complexity() >= cp.circuit.t_count()
+        assert snapshots[-1][1] is final
+        assert post_lower.t_complexity() >= final.t_count()
 
     def test_verify_passes_clean_pipeline(self, length_source):
         cp = compile_source(
@@ -236,61 +255,32 @@ class TestCacheKeys:
     def test_param_difference_changes_key(self):
         # regression: two pipelines sharing an optimizer name but
         # differing in circopt params must never collide
-        k1 = task_key(**self.BASE, optimizer="peephole", params={"window": 4})
-        k2 = task_key(**self.BASE, optimizer="peephole", params={"window": 64})
-        k3 = task_key(**self.BASE, optimizer="peephole")
-        assert len({k1, k2, k3}) == 3
-
-    def test_legacy_triple_equals_pipeline_spec(self):
-        legacy = task_key(
-            **self.BASE, optimization="spire", optimizer="peephole",
-            params={"window": 8},
-        )
-        direct = task_key(
-            **self.BASE,
-            pipeline="flatten,narrow,alloc,lower,peephole(window=8)",
-            kind="optimize",
-        )
-        assert legacy == direct
-
-    def test_measure_and_optimize_kinds_never_collide(self):
-        # the two row shapes (BenchmarkPoint vs OptimizerPoint) share a
-        # canonical pipeline; the kind namespace keeps them apart
-        measure = task_key(**self.BASE, optimization="none+peephole")
-        optimize = task_key(
-            **self.BASE, optimization="none", optimizer="peephole"
-        )
-        assert measure != optimize
-
-    def test_measure_then_optimize_point_share_a_cache_dir(self, tmp_path):
-        # regression: a pipeline measure and the equivalent optimizer
-        # baseline in one cache directory must not poison each other's
-        # row shape (previously a TypeError on replay)
-        cache = ArtifactCache(tmp_path)
-        runner = BenchmarkRunner(CFG, cache=cache)
-        point = runner.measure("length", 2, "none+peephole")
-        runner2 = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path))
-        baseline = runner2.optimize_point("length", 2, "peephole", "none")
-        assert baseline.t_count == point.t
-        replayed = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
-            "length", 2, "none+peephole"
-        )
-        assert replayed.cached and replayed.t == point.t
+        keys = {
+            task_key(**self.BASE, pipeline=canonical_pipeline(spec))
+            for spec in (
+                "none+peephole(window=4)",
+                "none+peephole(window=64)",
+                "none+peephole",
+            )
+        }
+        assert len(keys) == 3
 
     def test_equivalent_spellings_share_a_key(self):
-        assert task_key(**self.BASE, optimization="spire") == task_key(
-            **self.BASE, optimization="flatten,narrow,alloc,lower"
+        assert task_key(
+            **self.BASE, pipeline=canonical_pipeline("spire")
+        ) == task_key(
+            **self.BASE, pipeline=canonical_pipeline("flatten,narrow,alloc,lower")
         )
 
     def test_param_collision_regression_through_cache(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         runner = BenchmarkRunner(CFG, cache=cache)
-        wide = runner.optimize_point("length", 2, "peephole", window=64)
-        narrow = runner.optimize_point("length", 2, "peephole", window=1)
+        wide = runner.measure("length", 2, "none+peephole(window=64)")
+        narrow = runner.measure("length", 2, "none+peephole(window=1)")
         assert not narrow.cached  # a key collision would replay `wide`
         runner2 = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path))
-        replay = runner2.optimize_point("length", 2, "peephole", window=64)
-        assert replay.cached and replay.t_count == wide.t_count
+        replay = runner2.measure("length", 2, "none+peephole(window=64)")
+        assert replay.cached and replay.t == wide.t
 
 
 class TestPrefixReplay:
@@ -351,10 +341,88 @@ class TestPrefixReplay:
         runner = BenchmarkRunner(CFG)
         for optimizer in ("peephole", "toffoli-cancel", "zx-like"):
             point = runner.measure("length", 2, f"spire+{optimizer}")
-            baseline = runner.optimize_point(
+            baseline = runner.optimize_circuit(
                 "length", 2, optimizer, "spire"
             )
             assert point.t == baseline.t_count, optimizer
+
+    @pytest.mark.parametrize("preset_first", [True, False])
+    def test_baselines_resume_from_the_memo(self, monkeypatch, preset_first):
+        """Without a cache, the baselines of one preset share its compiled
+        circuit and one Toffoli expansion, whether the preset was measured
+        first or the first baseline compiled it into the memo."""
+        import repro.benchsuite.runner as runner_mod
+        import repro.circuit.decompose as decompose
+
+        calls = {"compile": 0, "toffoli": 0}
+        real_compile = runner_mod.compile_checked
+        real_toffoli = decompose.to_toffoli
+
+        def counting_compile(*args, **kwargs):
+            calls["compile"] += 1
+            return real_compile(*args, **kwargs)
+
+        def counting_toffoli(*args, **kwargs):
+            calls["toffoli"] += 1
+            return real_toffoli(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_checked", counting_compile)
+        monkeypatch.setattr(decompose, "to_toffoli", counting_toffoli)
+        runner = BenchmarkRunner(CFG)
+        if preset_first:
+            runner.measure("length", 2, "none")
+        points = [
+            runner.measure("length", 2, f"none+{optimizer}")
+            for optimizer in ("peephole", "rotation-merge", "zx-like")
+        ]
+        preset = runner.measure("length", 2, "none")
+        assert preset.cached
+        first = "alloc,lower" if preset_first else ""
+        assert [p.prefix_cached for p in points] == [first] + ["alloc,lower"] * 2
+        for point in points:
+            assert not point.cached
+            assert (point.predicted_mcx, point.predicted_t) == (
+                preset.predicted_mcx, preset.predicted_t
+            )
+        assert calls == {"compile": 1, "toffoli": 1}
+
+    def test_memo_and_disk_resume_build_equal_rows(self, tmp_path):
+        """A baseline resumed from the memo, resumed from disk, or compiled
+        cold builds the same row outside the volatile keys."""
+        memo = BenchmarkRunner(CFG)
+        memo.measure("length", 2, "spire")
+        from_memo = memo.measure("length", 2, "spire+toffoli-cancel")
+        BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, "spire"
+        )
+        from_disk = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, "spire+toffoli-cancel"
+        )
+        cold = BenchmarkRunner(CFG).measure("length", 2, "spire+toffoli-cancel")
+        assert from_memo.prefix_cached == "flatten,narrow,alloc,lower"
+        assert from_disk.prefix_cached == "flatten,narrow,alloc,lower"
+        assert not cold.prefix_cached
+        rows = stable_rows([p.row() for p in (from_memo, from_disk, cold)])
+        assert rows == rows[:1] * 3
+        for point in (from_memo, from_disk, cold):
+            assert point.compile_seconds == sum(point.timings.values())
+
+    def test_repeated_gate_pass_times_add_up(self, tmp_path, length_source):
+        """A gate pass that runs twice counts both runs in
+        ``timings["opt:<name>"]``, on the cold and the resumed route."""
+        cp = compile_source(length_source, "length", 2, CFG, "none+peephole+peephole")
+        runs = [r.seconds for r in cp.pass_records if r.name == "peephole"]
+        assert len(runs) == 2
+        assert cp.timings["opt:peephole"] == pytest.approx(sum(runs))
+        cache = ArtifactCache(tmp_path)
+        BenchmarkRunner(CFG, cache=cache).measure("length", 2, "none")
+        resumed = BenchmarkRunner(CFG, cache=cache).measure(
+            "length", 2, "none+peephole+peephole"
+        )
+        assert resumed.prefix_cached == "alloc,lower"
+        assert resumed.compile_seconds == pytest.approx(
+            sum(resumed.timings.values())
+        )
 
 
 class TestBisection:
@@ -450,6 +518,17 @@ class TestPassesCli:
         out = capsys.readouterr().out
         assert "flatten,narrow,alloc,lower,peephole" in out
         assert "pass flatten+narrow" in out
+
+    def test_bench_rejects_bad_pass_parameter_before_running(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "arts"
+        assert main([
+            "bench", "--pipeline", "none+peephole(bogus=1)", "--out",
+            str(out_dir), "--quiet", "--benchmarks", "length", "--depths", "2",
+        ]) == 1
+        assert "bad parameters for pass 'peephole'" in capsys.readouterr().err
+        assert not out_dir.exists()  # no task ran, no artifact written
 
     def test_bench_pipeline_prefix_replay(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

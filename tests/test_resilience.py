@@ -21,7 +21,7 @@ from repro.benchsuite.parallel import GridResult, run_task_resilient
 from repro.config import CompilerConfig
 
 TINY = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
-TASK = GridTask("measure", "length", 2)
+TASK = GridTask("length", 2)
 
 
 class FlakyRunner:
@@ -163,13 +163,13 @@ def test_journal_reset_discards(tmp_path):
 
 # ------------------------------------------------------------- fingerprints
 def test_task_fingerprint_distinguishes_tasks_and_configs():
-    a = task_fingerprint(GridTask("measure", "length", 2), TINY)
-    b = task_fingerprint(GridTask("measure", "length", 3), TINY)
+    a = task_fingerprint(GridTask("length", 2), TINY)
+    b = task_fingerprint(GridTask("length", 3), TINY)
     c = task_fingerprint(
-        GridTask("measure", "length", 2), CompilerConfig(word_width=4)
+        GridTask("length", 2), CompilerConfig(word_width=4)
     )
     assert len({a, b, c}) == 3
-    assert a == task_fingerprint(GridTask("measure", "length", 2), TINY)
+    assert a == task_fingerprint(GridTask("length", 2), TINY)
 
 
 def test_grid_fingerprint_is_order_sensitive():

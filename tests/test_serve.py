@@ -27,7 +27,6 @@ import pytest
 
 from repro.benchsuite import ArtifactCache
 from repro.benchsuite.parallel import (
-    MEASURE,
     GridTask,
     SerialBackend,
     stable_rows,
@@ -91,11 +90,41 @@ def test_status_contract(tmp_path):
                     "/measure", {"name": 7}
                 )
                 assert status == 400
+                # a baseline is named in 'optimization'; a body with
+                # 'optimizer'/'params' is refused, never measured as the
+                # bare preset
+                for retired in (
+                    {"optimizer": "definitely-not-real"},
+                    {"depth": 2, "optimizer": "peephole"},
+                    {"depth": 2, "params": {"window": 8}},
+                ):
+                    status, body = await client.post(
+                        "/measure", {"name": "length", **retired}
+                    )
+                    assert status == 400, retired
+                    assert "preset+optimizer" in body["error"]
                 status, body = await client.post(
                     "/measure",
-                    {"name": "length", "optimizer": "definitely-not-real"},
+                    {
+                        "name": "length",
+                        "depth": 2,
+                        "optimization": "none+definitely-not-real",
+                    },
                 )
-                assert status == 400 and "unknown optimizer" in body["error"]
+                assert status == 400 and "unknown pass" in body["error"]
+                # a pass parameter the pass does not declare, or of the
+                # wrong type, is the request's fault
+                for path, payload in (
+                    ("/measure", {"name": "length", "depth": 2,
+                                  "optimization": "none+peephole(bogus=1)"}),
+                    ("/measure", {"name": "length", "depth": 2,
+                                  "optimization": "none+peephole(window=abc)"}),
+                    ("/compile", {"source": INLINE_OK,
+                                  "optimization": "none+zx-like(nope=2)"}),
+                ):
+                    status, body = await client.post(path, payload)
+                    assert status == 400, (path, payload, body)
+                    assert "bad parameters" in body["error"]
                 status, body = await client.request(
                     "POST", "/measure", payload=None
                 )
@@ -419,7 +448,7 @@ def test_rows_match_serial_no_server_baseline(tmp_path):
     """Rows served over HTTP (cache + journal + batching in play) must be
     bit-identical, modulo volatile keys, to a fresh serial run."""
     names = [fuzz_name(23, 0), fuzz_name(23, 1)]
-    tasks = [GridTask(MEASURE, name, None, "none") for name in names]
+    tasks = [GridTask(name, None, "none") for name in names]
 
     async def served() -> List[Dict[str, Any]]:
         async with _server(tmp_path) as server:

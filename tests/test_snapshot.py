@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.benchsuite import BenchmarkRunner
 from repro.benchsuite.cache import ArtifactCache, task_key
+from repro.passes import canonical_pipeline
 from repro.circuit import Circuit, Gate, GateKind, Register
 from repro.circuit.snapshot import SnapshotError, dump, dump_bytes, load, load_bytes
 from repro.config import CompilerConfig
@@ -221,7 +222,7 @@ class TestCacheInvalidation:
         entry="f",
         config=CFG,
         depth=3,
-        optimization="none",
+        pipeline="alloc,lower",
     )
 
     def test_key_is_deterministic(self):
@@ -254,12 +255,14 @@ class TestCacheInvalidation:
         keys = {
             task_key(**self.BASE),
             task_key(**dict(self.BASE, depth=4)),
-            task_key(**dict(self.BASE, optimization="spire")),
-            task_key(**self.BASE, optimizer="peephole"),
-            task_key(**self.BASE, optimizer="greedy-search"),
-            task_key(
-                **self.BASE, optimizer="greedy-search",
-                params={"preprocess_only": True},
+            *(
+                task_key(**dict(self.BASE, pipeline=canonical_pipeline(spec)))
+                for spec in (
+                    "spire",
+                    "none+peephole",
+                    "none+greedy-search",
+                    "none+greedy-search(preprocess_only=true)",
+                )
             ),
         }
         assert len(keys) == 6
