@@ -19,10 +19,10 @@ into a *static analysis with a soundness argument*:
   depth, not only asymptotically.
 
 The same module provides the concrete single-depth path
-(:func:`static_bounds`): desugar, rewrite with the preset's own IR
-optimizer, and run the exact cost model — the number the fuzz oracle and
-the ``analyze`` pass stage compare against compiled circuits, which it
-must equal gate-for-gate.
+(:func:`static_bounds`): desugar, apply the pipeline's own IR passes
+(:func:`repro.passes.rewrite_ir`), and run the exact cost model — the
+number the fuzz oracle compares against compiled circuits, which it must
+equal gate-for-gate.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from ..ir import core
 from ..ir.typecheck import infer_types
 from ..lang import ast
 from ..lang.desugar import lower_entry
-from ..opt import OPTIMIZATIONS
+from ..passes.manager import rewrite_ir
+from ..passes.pipeline import resolve_pipeline
 from ..types import Type, TypeTable
 from .dataflow import CallGraph
 
@@ -69,22 +70,23 @@ def static_bounds(
     program: ast.Program,
     entry: str,
     size: Optional[int],
-    preset: str = "none",
+    pipeline: str = "none",
     config: Optional[CompilerConfig] = None,
 ) -> Tuple[int, int]:
-    """The static (MCX, T) bound for one entry at one depth, per preset.
+    """The static (MCX, T) bound for one entry at one depth, per pipeline.
 
-    The bound is computed on the core IR *as rewritten by the preset's own
-    IR optimizer* — cross-preset dominance does not hold (flattening can
+    ``pipeline`` is any spec (see :func:`repro.passes.resolve_pipeline`);
+    a bad one raises :class:`~repro.passes.PassError`.  The bound is
+    computed on the core IR *as rewritten by the pipeline's own IR
+    passes* — dominance across pipelines does not hold (flattening can
     increase T on programs whose conditionals are cheaper than the
     flattened guard plumbing), so each pipeline is verified against the
-    bound of its own rewrite.  Equals the compiled circuit's counts
-    exactly.
+    bound of its own rewrite.  Without gate passes it equals the compiled
+    circuit's counts exactly.
     """
-    if preset not in OPTIMIZATIONS:
-        raise AnalysisError(f"unknown optimization preset {preset!r}")
+    resolved = resolve_pipeline(pipeline)
     lowered = lower_entry(program, entry, size, config)
-    stmt = OPTIMIZATIONS[preset](lowered.stmt)
+    stmt = rewrite_ir(resolved, lowered.stmt, lowered.table, lowered.param_types)
     return counts_for_stmt(stmt, lowered.table, lowered.param_types)
 
 
@@ -183,7 +185,7 @@ def fit_closed_form(
 # ------------------------------------------------------- per-function bounds
 @dataclass(frozen=True)
 class FunctionBound:
-    """Closed-form T and MCX bounds for one function under one preset."""
+    """Closed-form T and MCX bounds for one function under one pipeline."""
 
     name: str
     sized: bool
@@ -207,10 +209,11 @@ class FunctionBound:
 
 @dataclass(frozen=True)
 class SymbolicReport:
-    """Per-function closed forms for one entry point under one preset."""
+    """Per-function closed forms for one entry point under one pipeline."""
 
     entry: str
-    preset: str
+    #: the pipeline spec as the caller gave it
+    pipeline: str
     size_param: Optional[str]
     functions: Tuple[FunctionBound, ...]  # entry first, then callees
 
@@ -228,7 +231,7 @@ class SymbolicReport:
         var = "d"
         lines = [
             f"symbolic cost bounds for entry '{self.entry}' "
-            f"(preset '{self.preset}', depth variable {var}):"
+            f"(pipeline '{self.pipeline}', depth variable {var}):"
         ]
         for fb in self.functions:
             if fb.sized:
@@ -331,7 +334,7 @@ def _recurrence_for(
 def symbolic_cost(
     program: ast.Program,
     entry: str,
-    preset: str = "none",
+    pipeline: str = "none",
     config: Optional[CompilerConfig] = None,
 ) -> SymbolicReport:
     """Closed-form T/MCX bounds for ``entry`` and every reachable function.
@@ -341,10 +344,10 @@ def symbolic_cost(
     confirmation probes plus warmup allowance), fits the exact
     polynomial tail, and renders per-function recurrences.  Raises :class:`AnalysisError` if any series fails to
     stabilize at its structural degree bound — that would falsify the
-    degree argument, not merely widen a constant.
+    degree argument, not merely widen a constant.  A bad ``pipeline``
+    spec raises :class:`~repro.passes.PassError`, as in
+    :func:`static_bounds`.
     """
-    if preset not in OPTIMIZATIONS:
-        raise AnalysisError(f"unknown optimization preset {preset!r}")
     graph = CallGraph(program)
     entry_fdef = program.fun(entry)
     order = [
@@ -361,7 +364,7 @@ def symbolic_cost(
         degree_bound = graph.recursion_depth(name) + 1
         if fdef.size_param is None:
             depths = [1]
-            mcx, t = static_bounds(program, name, None, preset, config)
+            mcx, t = static_bounds(program, name, None, pipeline, config)
             bounds[name] = FunctionBound(
                 name=name,
                 sized=False,
@@ -374,7 +377,7 @@ def symbolic_cost(
             range(1, degree_bound + 1 + CONFIRM_POINTS + WARMUP_POINTS + 1)
         )
         mcx_series, t_series = _probe_series(
-            lambda d, _n=name: static_bounds(program, _n, d, preset, config),
+            lambda d, _n=name: static_bounds(program, _n, d, pipeline, config),
             depths,
         )
         t_tables[name] = t_series
@@ -410,7 +413,7 @@ def symbolic_cost(
     ordered = tuple(bounds[name] for name in order)
     return SymbolicReport(
         entry=entry,
-        preset=preset,
+        pipeline=pipeline,
         size_param=entry_fdef.size_param,
         functions=ordered,
     )

@@ -2,13 +2,13 @@
 
 :class:`AnalyzePass` runs before any rewrite.  It predicts the cost of the
 program *as this pipeline will rewrite it*: the pipeline's IR passes are
-applied to a scratch copy of the statement (with the pass manager's own
-engine-fusion grouping, so fused ``flatten,narrow`` matches the combined
-Spire traversal bit-for-bit) and the exact cost model prices the result.
-Cross-preset dominance is empirically false — flattening can *increase*
-T-complexity on programs whose conditionals are cheaper than the guard
-plumbing — so the bound is always per-pipeline, never "the cheapest
-preset".
+applied to the statement by :func:`repro.passes.rewrite_ir` (the pass
+manager's own grouping, so fused ``flatten,narrow`` is the one combined
+Spire traversal the compile runs) and the exact cost model prices the
+result.  Dominance across pipelines is empirically false — flattening
+can *increase* T-complexity on programs whose conditionals are cheaper
+than the guard plumbing — so the bound is always that of this pipeline,
+never "the cheapest one".
 
 Under ``--verify-passes`` the manager then asserts:
 
@@ -30,12 +30,9 @@ from typing import Tuple
 from ..passes.base import (
     ANALYZE,
     DETERMINISTIC,
-    IR,
     Pass,
     SEMANTICS_PRESERVING,
     STATIC_COST_BOUND,
-    get_pass_class,
-    make_pass,
     register_pass,
 )
 from .diagnostics import Diagnostic
@@ -59,38 +56,6 @@ class StaticCostBound:
         }
 
 
-def apply_ir_passes_statically(pipeline, stmt, table, param_types, config):
-    """Apply a pipeline's IR passes to ``stmt`` without running a manager.
-
-    Uses the manager's own grouping so engine-fused neighbours execute as
-    one traversal — structurally different from (and therefore priced
-    differently than) running them as separate sweeps.
-    """
-    # lazy: repro.passes imports this package to register the pass
-    from ..passes.builtin import ENGINES
-    from ..passes.manager import PassContext, _group_passes
-
-    scratch = PassContext(
-        table=table,
-        param_types=dict(param_types),
-        config=config,
-        stmt=stmt,
-    )
-    for group in _group_passes(pipeline):
-        specs = [spec for _, spec in group]
-        if get_pass_class(specs[0].name).stage != IR:
-            continue
-        if len(specs) > 1:
-            rules = frozenset().union(
-                *(get_pass_class(s.name).rules for s in specs)
-            )
-            engine = get_pass_class(specs[0].name).engine
-            scratch.stmt = ENGINES[engine](rules, scratch.stmt)
-        else:
-            make_pass(specs[0].name, **specs[0].kwargs()).apply(scratch)
-    return scratch.stmt
-
-
 @register_pass
 class AnalyzePass(Pass):
     """Predict this pipeline's exact MCX/T cost and lint the core IR."""
@@ -103,15 +68,15 @@ class AnalyzePass(Pass):
     )
 
     def apply(self, ctx) -> None:
+        # lazy: repro.passes imports this module to register the pass
+        from ..passes.manager import rewrite_ir
         from .costbound import counts_for_stmt
         from .lint import lint_core_stmt
 
         stmt = ctx.stmt
         pipeline = getattr(ctx, "pipeline", None)
         if pipeline is not None:
-            stmt = apply_ir_passes_statically(
-                pipeline, stmt, ctx.table, ctx.param_types, ctx.config
-            )
+            stmt = rewrite_ir(pipeline, stmt, ctx.table, ctx.param_types)
         mcx, t = counts_for_stmt(stmt, ctx.table, ctx.param_types)
         ctx.analysis = StaticCostBound(
             mcx=mcx,

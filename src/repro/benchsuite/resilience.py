@@ -178,21 +178,6 @@ class SweepJournal:
         path = Path(root) / "journal" / f"{label}-{fp[:16]}.jsonl"
         return cls(path, meta={"label": label, "grid": fp})
 
-    @classmethod
-    def for_service(
-        cls, root: Union[str, Path], label: str = "serve"
-    ) -> "SweepJournal":
-        """The open-ended request journal of a long-running service.
-
-        Unlike :meth:`for_grid` there is no fixed task grid to
-        fingerprint — the service appends whatever requests complete, in
-        arrival order, and replays them on restart.  The header still
-        pins version + code fingerprint, so a journal written by a
-        different build is discarded rather than replayed.
-        """
-        path = Path(root) / "journal" / f"{label}.jsonl"
-        return cls(path, meta={"label": label})
-
     # ---------------------------------------------------------------- reads
     def load(self) -> Dict[str, Dict[str, Any]]:
         """Completed rows by task fingerprint (empty if absent or stale)."""

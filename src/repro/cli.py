@@ -3,7 +3,10 @@
 Commands:
 
 * ``compile`` — compile a Tower program and print complexity counts
-  (optionally emitting the circuit in .qc format);
+  (optionally emitting the circuit in .qc format).  Like ``analyze``,
+  ``optimizers`` and ``resources`` it takes ``--optimize SPEC``, where a
+  spec is a preset (``none|flatten|narrow|spire``), a ``preset+gatepass``
+  form (``spire+peephole``) or a raw pass list;
 * ``analyze`` — run the Section 5 cost model without building the circuit;
   ``--symbolic`` instead fits closed-form T/MCX bounds in the depth bound
   ``d`` (with per-function recurrences) from the static analysis;
@@ -29,20 +32,18 @@ Commands:
 
 Examples::
 
-    python -m repro compile examples/length.twr --entry length --size 5 \\
-        --optimize spire --emit out.qc
-    python -m repro compile examples/length.twr --entry length --size 5 \\
-        --pipeline "flatten,narrow,alloc,lower,peephole(window=32)" \\
-        --verify-passes
+    python -m repro compile prog.twr --entry length --size 5 \\
+        --optimize "flatten,narrow,alloc,lower,peephole(window=32)" \\
+        --verify-passes --emit out.qc
     python -m repro bench --select fig15 table1 --jobs 8 \\
         --cache-dir .bench-cache --out bench_artifacts
     python -m repro bench --pipeline spire+zx-like --cache-dir .bench-cache
     python -m repro fuzz --seed 0 --count 200 --jobs 4 \\
         --save-failures tests/corpus/cases
     python -m repro fuzz --corpus tests/corpus --verify-passes
-    python -m repro lint examples/length.twr --entry length
+    python -m repro lint prog.twr --entry length
     python -m repro lint --table1 --json
-    python -m repro analyze examples/length.twr --entry length \\
+    python -m repro analyze prog.twr --entry length \\
         --symbolic --optimize spire
 """
 
@@ -61,7 +62,17 @@ from .cost import PaperCostModel
 from .cost.resources import estimate_resources
 from .errors import AnalysisError, ReproError
 from .lang import lower_source
-from .opt import OPTIMIZATIONS
+from .passes import PassError, canonical_pipeline, resolve_pipeline, rewrite_ir
+
+
+def _pipeline_spec(text: str) -> str:
+    """The argparse ``type`` of ``--optimize``: checks the spec when the
+    arguments are parsed, so a bad one exits 2 like any bad argument."""
+    try:
+        canonical_pipeline(text)
+    except PassError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+    return text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -69,6 +80,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--entry", required=True, help="entry function name")
     parser.add_argument("--size", type=int, default=None,
                         help="recursion bound for the entry function")
+    parser.add_argument("--optimize", type=_pipeline_spec, default="none",
+                        metavar="SPEC",
+                        help="pipeline: a preset (none, flatten, narrow, "
+                             "spire), a preset+gatepass form such as "
+                             "'spire+peephole', or a raw pass list such as "
+                             "'flatten,narrow,alloc,lower,peephole' "
+                             "(default: none)")
     parser.add_argument("--word-width", type=int, default=4)
     parser.add_argument("--addr-width", type=int, default=4)
     parser.add_argument("--heap-cells", type=int, default=8)
@@ -99,14 +117,13 @@ EXIT_INTERNAL = 3
 
 def cmd_compile(args) -> int:
     source = _read(args.file)
-    optimization = args.pipeline if args.pipeline else args.optimize
     compiled = compile_source(
-        source, args.entry, args.size, _config(args), optimization,
+        source, args.entry, args.size, _config(args), args.optimize,
         verify=args.verify_passes,
     )
     print(f"entry         : {args.entry}"
           + (f"[{args.size}]" if args.size is not None else ""))
-    print(f"optimization  : {optimization}")
+    print(f"optimization  : {args.optimize}")
     print(f"pipeline      : {compiled.pipeline}")
     print(f"qubits        : {compiled.num_qubits()}")
     print(f"MCX-complexity: {compiled.mcx_complexity()}")
@@ -150,11 +167,12 @@ def cmd_analyze(args) -> int:
     lowered = lower_source(source, args.entry, args.size, _config(args))
     from .compiler.pipeline import infer_cell_bits
     from .ir import check_program, infer_types
-    from .opt import OPTIMIZATIONS as OPTS
 
-    stmt = OPTS[args.optimize](lowered.stmt)
+    pipeline = resolve_pipeline(args.optimize)
+    stmt = rewrite_ir(pipeline, lowered.stmt, lowered.table, lowered.param_types)
+    # rewritten programs satisfy a relaxed S-If domain condition only
     check_program(stmt, lowered.table, lowered.param_types,
-                  relaxed=args.optimize != "none")
+                  relaxed=bool(pipeline.ir_passes))
     var_types = infer_types(stmt, lowered.table, lowered.param_types)
     cell_bits = infer_cell_bits(stmt, lowered.table, var_types)
     model = PaperCostModel(lowered.table, var_types, cell_bits)
@@ -185,7 +203,7 @@ def _analyze_symbolic(args, source: str) -> int:
     if args.json:
         payload = {
             "entry": report.entry,
-            "preset": report.preset,
+            "pipeline": report.pipeline,
             "size_param": report.size_param,
             "functions": report.rows(),
         }
@@ -285,11 +303,6 @@ def _parse_depths(spec: str) -> list:
     return [int(part) for part in spec.split(",") if part]
 
 
-# re-exported for backward compatibility; the canonical definitions live
-# next to the grid result types in benchsuite.parallel
-from .benchsuite.parallel import VOLATILE_ROW_KEYS, stable_rows as _stable_rows  # noqa: E402
-
-
 def cmd_bench(args) -> int:
     import json
     import pathlib
@@ -328,13 +341,23 @@ def cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
 
+    if args.benchmarks and not args.pipeline:
+        print("error: --benchmarks needs --pipeline: the paper grids "
+              "name their own benchmarks", file=sys.stderr)
+        return 2
     if args.pipeline:
-        from .benchsuite import measure_tasks
-        from .passes import canonical_pipeline
+        from .benchsuite import get_source, measure_tasks
 
-        # validate the spec (pass names and parameters) before any task runs
+        # validate the spec (pass names and parameters) and the benchmark
+        # names before any task runs
         canonical_pipeline(args.pipeline)
         names = args.benchmarks or ["length", "length-simplified"]
+        for name in names:
+            try:
+                get_source(name)
+            except (KeyError, ValueError):
+                print(f"error: unknown benchmark {name!r}", file=sys.stderr)
+                return 2
         grids = [("pipeline", measure_tasks(names, depths, [args.pipeline]))]
     else:
         grids = [
@@ -443,11 +466,13 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
             if args.check_against:
+                from .benchsuite.parallel import stable_rows
+
                 baseline = json.loads(
                     pathlib.Path(args.check_against).read_text()
                 )
-                ours = _stable_rows(result.ok())
-                theirs = _stable_rows(
+                ours = stable_rows(result.ok())
+                theirs = stable_rows(
                     [r for r in baseline["rows"] if not r.get("failed")]
                 )
                 if ours == theirs:
@@ -824,12 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile to an MCX circuit")
     _add_common(p_compile)
-    p_compile.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
-    p_compile.add_argument("--pipeline", default=None, metavar="SPEC",
-                           help="explicit pass pipeline (overrides "
-                                "--optimize), e.g. "
-                                "'flatten,narrow,alloc,lower,peephole' "
-                                "or 'spire+zx-like'")
     p_compile.add_argument("--verify-passes", action="store_true",
                            help="check declared pass invariants between "
                                 "passes (re-typecheck after IR rewrites, "
@@ -848,7 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="cost model only (no circuit)")
     _add_common(p_analyze)
-    p_analyze.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
     p_analyze.add_argument("--symbolic", action="store_true",
                            help="fit closed-form T/MCX bounds in the depth "
                                 "bound d (with per-function recurrences) "
@@ -881,13 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimizers", help="compare circuit optimizers")
     _add_common(p_opt)
-    p_opt.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
     p_opt.add_argument("--timeout", type=float, default=2.0)
     p_opt.set_defaults(func=cmd_optimizers)
 
     p_res = sub.add_parser("resources", help="T-count/T-depth/qubit report")
     _add_common(p_res)
-    p_res.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
     p_res.set_defaults(func=cmd_resources)
 
     p_bench = sub.add_parser(
@@ -1045,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for batched compiles")
     p_serve.add_argument("--cache-dir", default=None,
                          help="shared artifact cache directory (enables warm "
-                              "replays and the request journal)")
+                              "replays, across restarts too)")
     p_serve.add_argument("--cache-max-bytes", type=int, default=None,
                          help="prune the cache to this size (LRU) after "
                               "every batch")

@@ -65,8 +65,6 @@ class CompiledProgram:
     return_var: Optional[str]
     var_types: Dict[str, Type] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
-    #: the optimization string as requested (preset or raw spec)
-    optimization: str = "none"
     #: the canonical pipeline spec the circuit was produced by
     pipeline: str = ""
     #: per-pass execution records (:class:`repro.passes.PassRecord`)
@@ -124,8 +122,7 @@ def infer_cell_bits(
 @dataclass(frozen=True)
 class CheckedEntry:
     """An entry point lowered to core IR that passed the strict (Figure 20)
-    typecheck: what every compile of it starts from.  (Only a compile
-    asked to check nothing, ``typecheck=False``, wraps an unchecked one.)"""
+    typecheck: what every compile of it starts from."""
 
     lowered: Lowered
     #: wall time of the strict typecheck, charged to each compile of the
@@ -188,20 +185,18 @@ def compile_core(
     param_types: Dict[str, Type],
     optimization: str = "none",
     return_var: Optional[str] = None,
-    typecheck: bool = True,
     verify: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
     """Compile a core IR statement (inputs given by ``param_types``).
 
     ``optimization`` may be a preset, a ``preset+gatepass`` form, or a raw
-    pipeline spec.  The statement is first checked strictly (Figure 20);
-    ``typecheck=False`` skips that and every later check.  ``verify``
-    enables between-pass invariant checking (``--verify-passes``).
+    pipeline spec.  The statement is first checked strictly (Figure 20).
+    ``verify`` enables between-pass invariant checking
+    (``--verify-passes``).
     """
     start = time.perf_counter()
-    if typecheck:
-        check_program(stmt, table, param_types)
+    check_program(stmt, table, param_types)
     return _run_pipeline(
         stmt,
         table,
@@ -209,7 +204,6 @@ def compile_core(
         time.perf_counter() - start,
         optimization,
         return_var,
-        typecheck=typecheck,
         verify=verify,
         decomposition_cache=decomposition_cache,
     )
@@ -238,7 +232,6 @@ def _run_pipeline(
     check_seconds: float,
     optimization: str,
     return_var: Optional[str],
-    typecheck: bool = True,
     verify: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
@@ -256,7 +249,7 @@ def _run_pipeline(
         verify=verify,
         decomposition_cache=decomposition_cache,
     )
-    run = manager.run(stmt, table, param_types, typecheck=typecheck)
+    run = manager.run(stmt, table, param_types)
     run.timings["optimize"] += check_seconds
 
     return CompiledProgram(
@@ -269,7 +262,6 @@ def _run_pipeline(
         return_var=return_var,
         var_types=run.var_types,
         timings=run.timings,
-        optimization=optimization,
         pipeline=pipeline.spec(),
         pass_records=run.records,
         analysis=run.analysis,
@@ -284,15 +276,8 @@ def compile_program(
     optimization: str = "none",
     **kwargs,
 ) -> CompiledProgram:
-    """Compile one entry point of a parsed program.
-
-    As in :func:`compile_core`, ``typecheck=False`` skips every check, the
-    strict one included.
-    """
-    if kwargs.get("typecheck", True):
-        checked = check_entry(program, entry, size, config)
-    else:
-        checked = CheckedEntry(lower_entry(program, entry, size, config), 0.0)
+    """Compile one entry point of a parsed program."""
+    checked = check_entry(program, entry, size, config)
     return compile_checked(checked, optimization, **kwargs)
 
 

@@ -146,9 +146,9 @@ class OracleConfig:
     #: the static-analysis oracles: the symbolic cost machinery's static
     #: (MCX, T) bound — computed from the surface program without building
     #: a circuit — must equal the compiled circuit's counts at every
-    #: preset level, and a program whose reference core is free of
+    #: level, and a program whose reference core is free of
     #: error-severity lint findings must stay that way after every
-    #: preset's IR rewrite
+    #: level's IR rewrite
     check_static_analysis: bool = True
     #: skip the circuit-optimizer baselines when the plain Clifford+T
     #: expansion's T-count exceeds this (``None`` = no cap).  Optimizer
@@ -659,34 +659,27 @@ def _check_static_analysis(
     ref: str,
     stats: Dict[str, Any],
 ) -> None:
-    """The static-analysis oracles (see :class:`OracleConfig`).
-
-    Raw pipeline specs (used by bisection prefixes) are skipped by the
-    bound check — the static bound is defined per preset — but still
-    covered by the lint-stability check, which runs on the rewritten core
-    directly.
-    """
+    """The static-analysis oracles (see :class:`OracleConfig`), on every
+    compiled level: presets and raw specs, bisection prefixes included."""
     from ..analysis import lint_core_stmt, static_bounds
-    from ..opt import OPTIMIZATIONS as LEVELS
 
     baseline_errors: Optional[Tuple[str, ...]] = None
     for optimization, cp in compiles.items():
-        if optimization in LEVELS:
-            mcx, t = _stage(
+        mcx, t = _stage(
+            f"static-bound[{optimization}]",
+            static_bounds,
+            program,
+            entry,
+            size,
+            optimization,
+            cp.config,
+        )
+        if (mcx, t) != (cp.mcx_complexity(), cp.t_complexity()):
+            raise OracleFailure(
                 f"static-bound[{optimization}]",
-                static_bounds,
-                program,
-                entry,
-                size,
-                optimization,
-                cp.config,
+                f"static analysis bound ({mcx}, {t}) != compiled "
+                f"circuit ({cp.mcx_complexity()}, {cp.t_complexity()})",
             )
-            if (mcx, t) != (cp.mcx_complexity(), cp.t_complexity()):
-                raise OracleFailure(
-                    f"static-bound[{optimization}]",
-                    f"static analysis bound ({mcx}, {t}) != compiled "
-                    f"circuit ({cp.mcx_complexity()}, {cp.t_complexity()})",
-                )
         diags = _stage(
             f"lint-stability[{optimization}]", lint_core_stmt, cp.core
         )

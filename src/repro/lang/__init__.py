@@ -4,7 +4,7 @@ from .ast import FunDef, Program, SizeExpr, TypeDef
 from .desugar import Lowered, build_type_table, lower_entry, lower_source
 from .lexer import tokenize
 from .parser import parse_program, parse_stmts
-from .types import (
+from ..types import (
     BOOL,
     UINT,
     UNIT,

@@ -1,17 +1,5 @@
 """Program-level optimizations: conditional flattening and narrowing (Section 6)."""
 
-from .spire import (
-    OPTIMIZATIONS,
-    flatten_only,
-    identity,
-    narrow_only,
-    spire_optimize,
-)
+from .spire import flatten_only, narrow_only, spire_optimize
 
-__all__ = [
-    "OPTIMIZATIONS",
-    "flatten_only",
-    "identity",
-    "narrow_only",
-    "spire_optimize",
-]
+__all__ = ["flatten_only", "narrow_only", "spire_optimize"]

@@ -17,11 +17,15 @@ suite checks this by simulation.  ``flatten_only`` and ``narrow_only``
 variants apply one rule at a time, which the evaluation (Figures 15a and
 24) measures separately; both still distribute ``if`` over sequences, as
 the paper's combined pass does implicitly via its ``List.map``.
+
+The compiler names these rewrites as pipeline passes (``flatten``,
+``narrow`` and the ``spire`` preset, :mod:`repro.passes.builtin`), which
+drive the same rewriter; these functions are the monolithic reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
 from ..ir.core import (
     Assign,
@@ -134,17 +138,3 @@ def flatten_only(stmt: Stmt) -> Stmt:
 def narrow_only(stmt: Stmt) -> Stmt:
     """Apply conditional narrowing (and if-over-seq distribution) only."""
     return _Rewriter(flatten=False, narrow=True, used_names=free_vars(stmt)).optimize_seq(stmt)
-
-
-def identity(stmt: Stmt) -> Stmt:
-    """No optimization (baseline)."""
-    return stmt
-
-
-#: Named optimization levels accepted by the compilation pipeline.
-OPTIMIZATIONS: Dict[str, Callable[[Stmt], Stmt]] = {
-    "none": identity,
-    "spire": spire_optimize,
-    "flatten": flatten_only,
-    "narrow": narrow_only,
-}

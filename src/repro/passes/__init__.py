@@ -2,7 +2,8 @@
 
 ``Pipeline`` parses specs like ``"flatten,narrow,alloc,lower,peephole"``;
 ``PassManager`` executes them with per-pass timing, artifact snapshots and
-optional between-pass invariant verification.  The historical
+optional between-pass invariant verification, and ``rewrite_ir`` applies
+just their IR passes, for the static cost analysis.  The historical
 ``optimization`` levels (``none|spire|flatten|narrow``) are presets over
 the same registry, optionally suffixed with gate passes
 (``spire+peephole``); see :mod:`repro.passes.pipeline`.
@@ -37,10 +38,9 @@ from .pipeline import (
     PassSpec,
     Pipeline,
     canonical_pipeline,
-    is_preset,
     resolve_pipeline,
 )
-from .manager import PassContext, PassManager, PassRecord, PipelineRun
+from .manager import PassContext, PassManager, PassRecord, PipelineRun, rewrite_ir
 
 # importing the analysis pass module registers the 'analyze' stage pass;
 # module-level (not from-) import keeps the circular edge with
@@ -74,10 +74,10 @@ __all__ = [
     "PassSpec",
     "Pipeline",
     "canonical_pipeline",
-    "is_preset",
     "resolve_pipeline",
     "PassContext",
     "PassManager",
     "PassRecord",
     "PipelineRun",
+    "rewrite_ir",
 ]

@@ -35,7 +35,8 @@ single recursive sweep, so running ``flatten`` then ``narrow`` as separate
 tree walks produces a structurally different (though still correct)
 program.  Passes that set :attr:`Pass.engine` are therefore **fused** when
 adjacent in a pipeline: ``flatten,narrow`` executes as one rewriter with
-both rules enabled, reproducing ``OPTIMIZATIONS["spire"]`` bit-for-bit.
+both rules enabled, reproducing :func:`repro.opt.spire_optimize`
+bit-for-bit.
 """
 
 from __future__ import annotations

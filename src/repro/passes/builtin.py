@@ -5,7 +5,7 @@ IR rewrites (stage ``ir``)
     Spire pass (Figure 22).  Both share the ``spire`` *engine*: adjacent
     occurrences in a pipeline fuse into one :class:`~repro.opt.spire.
     _Rewriter` traversal with the union of their rules, so the pipeline
-    ``flatten,narrow`` reproduces ``OPTIMIZATIONS["spire"]`` bit-for-bit
+    ``flatten,narrow`` reproduces :func:`~repro.opt.spire_optimize` bit-for-bit
     (sequential tree walks would not — the combined pass interleaves the
     rules at each node).
 

@@ -7,6 +7,9 @@ post-rewrite core IR for the cost model, inferred types, per-pass timing
 records).  :meth:`PassManager.run_gate_suffix` resumes the gate passes
 from a circuit and returns the circuit at every replayable prefix, which
 the benchmark cache stores for pass-granular warm replays.
+:func:`rewrite_ir` applies only a pipeline's IR passes, with the same
+grouping, so the static cost analysis prices exactly the rewrite a
+compile runs.
 
 Between-pass verification (``verify=True``, the CLI's ``--verify-passes``)
 checks the machine-checkable declared invariants:
@@ -152,6 +155,40 @@ def _group_passes(pipeline: Pipeline) -> List[List[Tuple[int, PassSpec]]]:
     return groups
 
 
+def _apply_group(ctx: PassContext, specs: List[PassSpec]) -> None:
+    """Apply one execution group to ``ctx``: an engine-fused group runs one
+    traversal with the union of its rules, any other group its one pass."""
+    if len(specs) > 1:
+        engine = get_pass_class(specs[0].name).engine
+        rules = frozenset().union(
+            *(get_pass_class(s.name).rules for s in specs)
+        )
+        ctx.stmt = ENGINES[engine](rules, ctx.stmt)
+    else:
+        make_pass(specs[0].name, **specs[0].kwargs()).apply(ctx)
+
+
+def rewrite_ir(
+    pipeline: Pipeline,
+    stmt: Stmt,
+    table: TypeTable,
+    param_types: Dict[str, Type],
+) -> Stmt:
+    """``stmt`` after the pipeline's IR passes, grouped and fused as a
+    :class:`PassManager` run groups them (no timing, no records)."""
+    ctx = PassContext(
+        table=table,
+        param_types=dict(param_types),
+        config=table.config,
+        stmt=stmt,
+    )
+    for group in _group_passes(pipeline):
+        specs = [spec for _, spec in group]
+        if specs[0].stage == IR:
+            _apply_group(ctx, specs)
+    return ctx.stmt
+
+
 class PassManager:
     """Execute a pipeline with timing and optional verification."""
 
@@ -172,14 +209,13 @@ class PassManager:
         stmt: Stmt,
         table: TypeTable,
         param_types: Dict[str, Type],
-        typecheck: bool = True,
     ) -> PipelineRun:
         """Compile ``stmt`` through the full pipeline.
 
         ``stmt`` must already have passed the strict (Figure 20) typecheck
-        (:func:`repro.compiler.pipeline.compile_core` runs it);
-        ``typecheck`` turns on the relaxed check after the IR passes and,
-        in verify mode, the one after every IR pass.
+        (:func:`repro.compiler.pipeline.compile_core` runs it); the
+        relaxed check runs after the pipeline's IR passes, if it has any,
+        and in verify mode after every IR pass.
         """
         ctx = PassContext(
             table=table,
@@ -202,14 +238,14 @@ class PassManager:
             if stage not in (ANALYZE, IR) and not relaxed_done:
                 relaxed_done = True
                 start = time.perf_counter()
-                if typecheck and self.pipeline.ir_passes:
+                if self.pipeline.ir_passes:
                     # optimizer output satisfies a relaxed S-If domain
                     # condition only
                     check_program(
                         ctx.stmt, table, ctx.param_types, relaxed=True
                     )
                 relaxed_seconds = time.perf_counter() - start
-            record = self._run_group(ctx, group, typecheck=typecheck)
+            record = self._run_group(ctx, group)
             records.append(record)
             if stage == ANALYZE:
                 timings["analyze"] = (
@@ -287,9 +323,7 @@ class PassManager:
         records: List[PassRecord] = []
         snapshots: List[Tuple[str, Circuit]] = []
         for offset, spec in enumerate(specs):
-            record = self._run_group(
-                ctx, [(start + offset, spec)], typecheck=False
-            )
+            record = self._run_group(ctx, [(start + offset, spec)])
             records.append(record)
             prefix = Pipeline(self.pipeline.passes[: start + offset + 1])
             snapshots.append((prefix.spec(), ctx.circuit))
@@ -310,10 +344,7 @@ class PassManager:
             )
 
     def _run_group(
-        self,
-        ctx: PassContext,
-        group: List[Tuple[int, PassSpec]],
-        typecheck: bool,
+        self, ctx: PassContext, group: List[Tuple[int, PassSpec]]
     ) -> PassRecord:
         specs = [spec for _, spec in group]
         first_cls = get_pass_class(specs[0].name)
@@ -334,19 +365,12 @@ class PassManager:
             ).t_count()
 
         start = time.perf_counter()
-        if len(specs) > 1:
-            # engine fusion: one traversal with the union of the rules
-            rules = frozenset().union(
-                *(get_pass_class(s.name).rules for s in specs)
-            )
-            ctx.stmt = ENGINES[first_cls.engine](rules, ctx.stmt)
-        else:
-            make_pass(specs[0].name, **specs[0].kwargs()).apply(ctx)
+        _apply_group(ctx, specs)
         seconds = time.perf_counter() - start
 
         verified: List[str] = []
         if self.verify:
-            if stage == IR and typecheck:
+            if stage == IR:
                 try:
                     check_program(
                         ctx.stmt, ctx.table, ctx.param_types, relaxed=True

@@ -263,8 +263,3 @@ def resolve_pipeline(spec: str = "none") -> Pipeline:
 def canonical_pipeline(spec: str = "none") -> str:
     """The canonical spec string of a resolved pipeline (the cache key)."""
     return resolve_pipeline(spec).spec()
-
-
-def is_preset(spec: str) -> bool:
-    """Whether ``spec`` is one of the historical optimization levels."""
-    return spec in PRESETS

@@ -11,7 +11,8 @@ layers:
 * :mod:`~repro.serve.metrics` — per-endpoint counters, gauges and
   latency quantiles behind ``GET /metrics``;
 * :mod:`~repro.serve.service` — admission lint, micro-batching onto the
-  execution backend, journal-backed durability, bounded shared cache;
+  execution backend, durability through the shared artifact cache,
+  which is bounded;
 * :mod:`~repro.serve.handlers` — the endpoint logic and its
   lint-exit-code → HTTP-status contract;
 * :mod:`~repro.serve.app` — routing, lifecycle and signals;

@@ -4,8 +4,8 @@
 handlers around one shared :class:`CompileService`, and owns the
 lifecycle: bind, serve, drain, close.  ``POST /shutdown`` (and SIGINT /
 SIGTERM under :func:`serve_main`) trigger a clean stop — in-flight
-requests finish, the batch consumer drains, and the request journal is
-closed with no torn tail.
+requests finish and the batch consumer drains, so every answered row is
+in the artifact cache with no staging file left behind.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class ReproServer:
         self._shutdown.set()
 
     async def close(self) -> None:
-        """Stop accepting, finish in-flight work, close the journal."""
+        """Stop accepting and finish in-flight work."""
         self._shutdown.set()
         if self._server is not None:
             self._server.close()

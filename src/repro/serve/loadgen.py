@@ -11,7 +11,7 @@ connections in two phases:
   a shuffled order, so concurrent identical requests race and the
   single-flight layer must collapse them;
 * **warm** — every distinct request once more; by now everything is
-  journaled/cached, so the server must answer without recompiling.
+  cached, so the server must answer without recompiling.
 
 Afterwards the generator checks the service's contract end to end:
 
@@ -237,11 +237,7 @@ async def _replay(
         and isinstance(payload.get("row"), dict)
     ]
     warm_hits = sum(
-        bool(
-            row.get("cached")
-            or row.get("journal_resumed")
-            or row.get("prefix_cached")
-        )
+        bool(row.get("cached") or row.get("prefix_cached"))
         for row in warm_rows
     )
     hit_rate = warm_hits / len(warm_rows) if warm_rows else None

@@ -2,10 +2,9 @@
 
 One :class:`CompileService` owns the machinery the CLI's batch sweeps
 already use — a :class:`~repro.benchsuite.runner.BenchmarkRunner`, a
-:class:`~repro.benchsuite.parallel.ParallelBackend`, the shared
-:class:`~repro.benchsuite.cache.ArtifactCache` and a request
-:class:`~repro.benchsuite.resilience.SweepJournal` — and fronts them
-with service semantics:
+:class:`~repro.benchsuite.parallel.ParallelBackend` and the shared
+:class:`~repro.benchsuite.cache.ArtifactCache` — and fronts them with
+service semantics:
 
 * **admission** — request sources are linted first; error findings keep
   the work off the pool entirely (the handler turns them into 422).  The
@@ -19,22 +18,23 @@ with service semantics:
   the two-wave cache discipline (presets before the baselines, such as
   ``none+peephole``, that resume from them) applies across requests, not
   just within one;
-* **durability** — completed rows are journaled; a restarted server
-  answers repeat requests from the journal without recompiling, and the
-  journal header pins version + code fingerprint so stale state is
-  discarded;
+* **durability** — the artifact cache is the only restart store: every
+  row lands there sha-enveloped, keyed by source, config and code
+  fingerprint, so a restarted server replays a repeat request from it
+  without recompiling (``cached: True``); nothing else outlives the
+  process;
 * **bounded cache** — with ``cache_max_bytes`` set, the shared artifact
   cache is pruned (LRU, stale temps swept) after every batch.
 
 Threading model: all public coroutines run on the event loop; the
-backend sweep runs on a single executor thread (one batch at a time),
-which is also the only thread touching the journal.  Results hop back
-to the loop via ``call_soon_threadsafe``.  The one structure both threads
-use is the runner's frontend memo: the loop thread fills it while
-linting, the executor thread reads it while compiling.  Its
-:class:`~repro.bounded.BoundedCache` tables lock around lookup, insert
-and evict, and both memos (and the runner's compiled-circuit memo) are
-bounded, so a long run of distinct programs holds a fixed number of them.
+backend sweep runs on a single executor thread (one batch at a time).
+Results hop back to the loop via ``call_soon_threadsafe``.  The one
+structure both threads use is the runner's frontend memo: the loop
+thread fills it while linting, the executor thread reads it while
+compiling.  Its :class:`~repro.bounded.BoundedCache` tables lock around
+lookup, insert and evict, and both memos (and the runner's
+compiled-circuit memo) are bounded, so a long run of distinct programs
+holds a fixed number of them.
 With ``jobs >= 2`` the pool workers run their own frontend.
 """
 
@@ -50,7 +50,7 @@ from ..config import CompilerConfig
 from ..benchsuite.cache import ArtifactCache
 from ..benchsuite.parallel import GridTask, ParallelBackend
 from ..benchsuite.programs import get_entry, get_source, register_source
-from ..benchsuite.resilience import RetryPolicy, SweepJournal, task_fingerprint
+from ..benchsuite.resilience import RetryPolicy, task_fingerprint
 from ..benchsuite.runner import BenchmarkRunner
 from .dedupe import SingleFlight
 from .metrics import Metrics
@@ -92,16 +92,12 @@ class CompileService:
         self.backend = ParallelBackend(jobs=jobs, policy=policy)
         self.runner = BenchmarkRunner(self.config, cache=cache)
         self.flight = SingleFlight()
-        #: fingerprint -> completed row (journal replays + this run's rows)
+        #: fingerprint -> completed row of this run
         self._completed: Dict[str, Dict[str, Any]] = {}
         #: fingerprint -> times its task actually executed (the dedupe proof:
         #: the loadgen asserts every value here is exactly 1)
         self._executions: Dict[str, int] = {}
         self._lint_cache = BoundedCache(LINT_CACHE_MAX)
-        self.journal: Optional[SweepJournal] = None
-        if cache is not None:
-            self.journal = SweepJournal.for_service(cache.root)
-            self._completed.update(self.journal.load())
         self._queue: Optional[asyncio.Queue] = None
         self._consumer: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -116,14 +112,12 @@ class CompileService:
         self._consumer = asyncio.create_task(self._consume())
 
     async def close(self) -> None:
-        """Drain the queue, finish the in-flight batch, close the journal."""
+        """Drain the queue and finish the in-flight batch."""
         if self._consumer is not None:
             assert self._queue is not None
             await self._queue.put(None)
             await self._consumer
             self._consumer = None
-        if self.journal is not None:
-            self.journal.close()
 
     def _register_gauges(self) -> None:
         self.metrics.gauge(
@@ -183,21 +177,21 @@ class CompileService:
 
     # ----------------------------------------------------------- execution
     async def submit(self, task: GridTask) -> Dict[str, Any]:
-        """One grid point, deduplicated and journal-backed.
+        """One grid point, deduplicated and cache-backed.
 
         Returns the measurement row (or a structured failure row —
         never raises for task failures).  A fingerprint already completed
-        this run or journaled by a previous one is answered immediately
-        with ``journal_resumed: True``.
+        this run is answered immediately with ``cached: True``: nothing
+        compiled in this call.
         """
         if self._consumer is None:
             await self.start()
         fp = task_fingerprint(task, self.config)
         done = self._completed.get(fp)
         if done is not None:
-            self.metrics.count("journal_replays")
+            self.metrics.count("memo_replays")
             row = dict(done)
-            row["journal_resumed"] = True
+            row["cached"] = True
             return row
         leader, future = self.flight.admit(fp)
         if leader:
@@ -250,8 +244,6 @@ class CompileService:
 
         def on_row(index: int, row: Dict[str, Any]) -> None:
             fp = fps[index]
-            if self.journal is not None and not row.get("failed"):
-                self.journal.append(fp, row)
             unanswered.discard(index)
             if not unanswered and self.cache is not None:
                 self.cache.publish_stats()

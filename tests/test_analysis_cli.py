@@ -151,8 +151,22 @@ class TestAnalyzeSymbolic:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["entry"] == "length"
-        assert payload["preset"] == "spire"
+        assert payload["pipeline"] == "spire"
         assert payload["functions"][0]["function"] == "length"
+
+    def test_raw_spec_is_analyzed_like_its_preset(self, length_file, capsys):
+        def symbolic(spec):
+            code = main(
+                ["analyze", length_file, "--symbolic", "--json", "--entry",
+                 "length", "--optimize", spec, "--word-width", "3",
+                 "--addr-width", "3", "--heap-cells", "6"]
+            )
+            assert code == EXIT_OK
+            return json.loads(capsys.readouterr().out)
+
+        raw = symbolic("flatten,narrow")
+        assert raw["pipeline"] == "flatten,narrow"
+        assert raw["functions"] == symbolic("spire")["functions"]
 
     def test_internal_defect_is_three(self, length_file, monkeypatch):
         import repro.analysis

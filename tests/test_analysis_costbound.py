@@ -30,10 +30,10 @@ from repro.cost.exact import exact_counts
 from repro.errors import AnalysisError
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
-from repro.opt import OPTIMIZATIONS
+from repro.opt import spire_optimize
+from repro.passes import PRESETS, PassError
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
-PRESETS = tuple(sorted(OPTIMIZATIONS))
 
 
 class TestClosedForm:
@@ -76,25 +76,32 @@ class TestStaticBounds:
     def test_equals_exact_model(self, length_source):
         program = parse_program(length_source)
         lowered = lower_entry(program, "length", 3, CFG)
-        stmt = OPTIMIZATIONS["spire"](lowered.stmt)
+        stmt = spire_optimize(lowered.stmt)
         from repro.analysis import counts_for_stmt
 
         direct = counts_for_stmt(stmt, lowered.table, lowered.param_types)
         assert static_bounds(program, "length", 3, "spire", CFG) == direct
 
     def test_unknown_preset_raises(self, length_source):
-        with pytest.raises(AnalysisError):
-            static_bounds(parse_program(length_source), "length", 3,
-                          "turbo", CFG)
+        """A bad spec is a PassError, as for every other spec consumer."""
+        program = parse_program(length_source)
+        with pytest.raises(PassError):
+            static_bounds(program, "length", 3, "turbo", CFG)
+        with pytest.raises(PassError):
+            symbolic_cost(program, "length", "turbo", CFG)
 
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_matches_compiled_circuit(self, length_source, preset):
+    @pytest.mark.parametrize(
+        "spec",
+        # any spec that compiles can be analyzed: raw pass lists too
+        sorted(PRESETS) + ["flatten,narrow,alloc,lower", "flatten,alloc,lower"],
+    )
+    def test_matches_compiled_circuit(self, length_source, spec):
         program = parse_program(length_source)
         for depth in (1, 2, 4):
             compiled = compile_source(
-                length_source, "length", depth, CFG, preset
+                length_source, "length", depth, CFG, spec
             )
-            assert static_bounds(program, "length", depth, preset, CFG) == (
+            assert static_bounds(program, "length", depth, spec, CFG) == (
                 compiled.mcx_complexity(),
                 compiled.t_complexity(),
             )
@@ -166,7 +173,7 @@ class TestSymbolic:
 
 # --------------------------------------------------------- exhaustive sweep
 @pytest.mark.fuzz
-@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_symbolic_bounds_dominate_all_benchmarks(name, preset):
     """Every Table-1 program: the fitted closed form equals the exact cost

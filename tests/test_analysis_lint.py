@@ -29,7 +29,7 @@ from repro.benchsuite.programs import (
 from repro.ir import core
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
-from repro.opt import OPTIMIZATIONS
+from repro.passes import PRESETS, resolve_pipeline, rewrite_ir
 
 CASES = Path(__file__).parent / "corpus" / "cases"
 
@@ -214,12 +214,15 @@ class TestEndToEnd:
         )
         assert not report.errors, [d.row() for d in report.errors]
 
-    @pytest.mark.parametrize("preset", sorted(OPTIMIZATIONS))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_lint_stable_under_presets(self, length_source, preset):
         """No optimization preset may introduce an error-severity core
         finding into a program whose reference lowering is clean."""
         program = parse_program(length_source)
         lowered = lower_entry(program, "length", 3)
         assert lint_core_stmt(lowered.stmt) == []
-        rewritten = OPTIMIZATIONS[preset](lowered.stmt)
+        rewritten = rewrite_ir(
+            resolve_pipeline(preset), lowered.stmt, lowered.table,
+            lowered.param_types,
+        )
         assert lint_core_stmt(rewritten) == []

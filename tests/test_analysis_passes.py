@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.passes import StaticCostBound, apply_ir_passes_statically
+from repro.analysis.passes import StaticCostBound
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
 from repro.cost.exact import exact_counts
@@ -15,6 +15,7 @@ from repro.passes import (
     canonical_pipeline,
     pass_catalog,
     resolve_pipeline,
+    rewrite_ir,
 )
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
@@ -97,13 +98,13 @@ class TestStaticBoundInPipeline:
 class TestStaticApplication:
     @pytest.mark.parametrize("preset", ["flatten", "narrow", "spire"])
     def test_static_rewrite_matches_the_manager(self, length_source, preset):
-        """apply_ir_passes_statically must produce the same statement the
-        manager's (possibly engine-fused) run does."""
+        """rewrite_ir must produce the same statement the manager's
+        (possibly engine-fused) run does."""
         program = parse_program(length_source)
         lowered = lower_entry(program, "length", 3, CFG)
         pipe = resolve_pipeline(preset)
-        static_stmt = apply_ir_passes_statically(
-            pipe, lowered.stmt, lowered.table, lowered.param_types, CFG
+        static_stmt = rewrite_ir(
+            pipe, lowered.stmt, lowered.table, lowered.param_types
         )
         cp = compile_source(length_source, "length", 3, CFG, preset)
         assert static_stmt == cp.core

@@ -142,25 +142,6 @@ def test_compile_core_still_checks_raw_core_ir():
         compile_core(unbound, table, {"x": UINT})
 
 
-def test_compile_program_unchecked_runs_no_check(monkeypatch):
-    """``typecheck=False`` skips the strict check too, as it does for
-    :func:`compile_core`."""
-    strict: List[object] = []
-    real = pipeline.check_program
-
-    def counting(*args, **kwargs):
-        strict.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "check_program", counting)
-    program = parse_program(get_source("length"))
-    unchecked = compile_program(program, "length", 2, TINY, "spire", typecheck=False)
-    assert strict == []
-    checked = compile_program(program, "length", 2, TINY, "spire")
-    assert len(strict) == 1
-    assert unchecked.circuit.t_complexity() == checked.circuit.t_complexity()
-
-
 @pytest.mark.parametrize("selector", GRID_SELECTORS)
 def test_compiled_memo_keeps_every_reuse_of_a_paper_grid(selector):
     """A serial sweep of a paper grid at its default sizes (``repro bench``

@@ -5,6 +5,7 @@ run: the seed manifest drives the generator and the checked-in reproducers
 guard fixed defects.  Long fresh-seed sweeps are gated behind ``-m fuzz``.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,26 @@ class TestOracleHarness:
         with pytest.raises(OracleFailure) as info:
             run_oracles(program, "main", None, FAST, input_seed=0)
         assert info.value.oracle.startswith("cost-exact")
+
+    def test_static_bound_checks_raw_spec_levels(self, monkeypatch):
+        """Every compiled level gets the static-bound check: a raw spec,
+        such as a bisection prefix, as well as a preset."""
+        import repro.analysis as analysis_mod
+
+        real = analysis_mod.static_bounds
+        seen = []
+
+        def tap(program, entry, size, pipeline, config):
+            seen.append(pipeline)
+            return real(program, entry, size, pipeline, config)
+
+        monkeypatch.setattr(analysis_mod, "static_bounds", tap)
+        cfg = replace(FAST, optimizations=("none", "flatten,alloc,lower"))
+        program = parse_program(
+            "fun main(x: uint) -> uint {\n  let y <- x + 1;\n  return y;\n}\n"
+        )
+        run_oracles(program, "main", None, cfg, input_seed=0)
+        assert seen == ["none", "flatten,alloc,lower"]
 
     def test_report_contains_source_on_failure(self, monkeypatch):
         from repro.fuzz import oracles as oracles_mod

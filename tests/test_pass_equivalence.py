@@ -3,7 +3,7 @@
 Satellite of the pass-manager refactor:
 
 * ``flatten`` and ``narrow`` as individual registered passes, composed in
-  a pipeline, must reproduce the monolithic ``OPTIMIZATIONS["spire"]``
+  a pipeline, must reproduce the monolithic ``spire_optimize``
   **bit-identically** — same core IR, same exact-model T-counts — across
   every Table-1 benchmark and 50 fuzz-generated programs.  (The pass
   manager fuses adjacent spire-family passes into one Figure-22
@@ -29,12 +29,20 @@ from repro.fuzz.generator import GenConfig, generate_workload, program_seed
 from repro.ir.typecheck import infer_types
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
-from repro.opt.spire import OPTIMIZATIONS
+from repro.opt import flatten_only, narrow_only, spire_optimize
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "seed_tcounts.json"
 SEED = json.loads(DATA.read_text())
+
+#: each preset's monolithic (Figure 22) rewrite
+MONOLITHIC = {
+    "spire": spire_optimize,
+    "flatten": flatten_only,
+    "narrow": narrow_only,
+    "none": lambda stmt: stmt,
+}
 
 #: (pipeline spec, monolithic optimizer) pairs that must agree exactly
 PIPELINE_VS_MONOLITHIC = [
@@ -59,7 +67,7 @@ class TestTable1Equivalence:
         program = parse_program(get_source(name))
         size = None if is_unsized(name) else 3
         lowered = lower_entry(program, get_entry(name), size, CFG)
-        reference = OPTIMIZATIONS[mono](lowered.stmt)
+        reference = MONOLITHIC[mono](lowered.stmt)
         compiled = compile_source(
             get_source(name), get_entry(name), size, CFG, spec
         )
@@ -78,7 +86,7 @@ class TestFuzzSeedEquivalence:
         workload = generate_workload(seed, gen)
         lowered = lower_entry(workload.program, "main", None, None)
         for spec, mono in PIPELINE_VS_MONOLITHIC:
-            reference = OPTIMIZATIONS[mono](lowered.stmt)
+            reference = MONOLITHIC[mono](lowered.stmt)
             compiled = compile_source(
                 # compile through the real front end so the pipeline sees
                 # exactly what the monolithic path saw

@@ -507,17 +507,45 @@ class TestPassesCli:
         assert "tcount_nonincreasing" in out
         assert "spire" in out and "flatten,narrow,alloc,lower" in out
 
-    def test_compile_pipeline_flag(self, tmp_path, length_source, capsys):
+    def test_compile_optimize_spec(self, tmp_path, length_source, capsys):
         path = tmp_path / "length.twr"
         path.write_text(length_source)
         assert main([
             "compile", str(path), "--entry", "length", "--size", "2",
             "--word-width", "3", "--addr-width", "3", "--heap-cells", "5",
-            "--pipeline", "spire+peephole", "--verify-passes",
+            "--optimize", "spire+peephole", "--verify-passes",
         ]) == 0
         out = capsys.readouterr().out
         assert "flatten,narrow,alloc,lower,peephole" in out
         assert "pass flatten+narrow" in out
+
+    @pytest.mark.parametrize(
+        "command", ["compile", "analyze", "optimizers", "resources"]
+    )
+    def test_every_command_takes_a_spec(
+        self, tmp_path, length_source, capsys, command
+    ):
+        path = tmp_path / "length.twr"
+        path.write_text(length_source)
+        base = [command, str(path), "--entry", "length", "--size", "1",
+                "--word-width", "3", "--addr-width", "3", "--heap-cells", "5"]
+        assert main([*base, "--optimize", "spire+peephole"]) == 0
+        # a bad spec is a usage error, found when the arguments are parsed
+        for bad in ("turbo", "none+peephole(bogus=1)"):
+            with pytest.raises(SystemExit) as info:
+                main([*base, "--optimize", bad])
+            assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown pass 'turbo'" in err
+        assert "bad parameters for pass 'peephole'" in err
+
+    def test_compile_has_no_pipeline_flag(self, tmp_path, length_source):
+        path = tmp_path / "length.twr"
+        path.write_text(length_source)
+        with pytest.raises(SystemExit) as info:
+            main(["compile", str(path), "--entry", "length",
+                  "--pipeline", "spire"])
+        assert info.value.code == 2
 
     def test_bench_rejects_bad_pass_parameter_before_running(
         self, tmp_path, capsys
@@ -529,6 +557,26 @@ class TestPassesCli:
         ]) == 1
         assert "bad parameters for pass 'peephole'" in capsys.readouterr().err
         assert not out_dir.exists()  # no task ran, no artifact written
+
+    def test_bench_rejects_unknown_benchmark_before_running(
+        self, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "arts"
+        assert main([
+            "bench", "--pipeline", "spire", "--benchmarks", "nosuch",
+            "--depths", "2", "--out", str(out_dir), "--quiet",
+        ]) == 2
+        assert "error: unknown benchmark 'nosuch'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_bench_benchmarks_needs_pipeline(self, tmp_path, capsys):
+        out_dir = tmp_path / "arts"
+        assert main([
+            "bench", "--select", "smoke", "--benchmarks", "nosuch",
+            "--depths", "2", "--out", str(out_dir), "--quiet",
+        ]) == 2
+        assert "--benchmarks needs --pipeline" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bench_pipeline_prefix_replay(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

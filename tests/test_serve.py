@@ -10,8 +10,8 @@ real HTTP framing with the package's own :class:`~repro.serve.http.Client`
   once (monkeypatch-counted at ``compile_checked``, and cross-checked
   against the server's own ``max_compiles_per_key`` gauge);
 * bit-identical rows versus a clean serial no-server run;
-* journal durability: a restarted server answers repeats from the
-  journal without recompiling;
+* durability: a restarted server answers repeats from the artifact
+  cache without recompiling;
 * the ``/metrics`` and ``/cache/stats`` payload shapes.
 """
 
@@ -203,22 +203,23 @@ def test_compile_roundtrip_and_repeat_replay(tmp_path):
                 assert row["t"] >= 0 and not row.get("failed")
 
                 # the same request again: answered from the completed map,
-                # flagged as a replay, bit-identical
+                # flagged as a replay (nothing compiled), bit-identical
                 status, again = await client.post(
                     "/compile", {"source": INLINE_OK}
                 )
                 assert status == 200
-                assert again["row"]["journal_resumed"] is True
+                assert again["row"]["cached"] is True
                 assert stable_rows([again["row"]]) == stable_rows([row])
 
                 status, metrics = await client.get("/metrics")
-                assert metrics["counters"]["journal_replays"] == 1
+                assert metrics["counters"]["memo_replays"] == 1
 
     asyncio.run(main())
 
 
-def test_journal_survives_restart(tmp_path):
-    """A restarted server (same cache root) must not recompile."""
+def test_restart_replays_from_the_cache(tmp_path):
+    """A restarted server (same cache root) must not recompile: the
+    artifact cache is its only restart store."""
     payload = {"name": fuzz_name(7, 0), "optimization": "none"}
 
     async def first() -> Dict[str, Any]:
@@ -237,16 +238,13 @@ def test_journal_survives_restart(tmp_path):
                 return body["row"], metrics
 
     row = asyncio.run(first())
-    journal = tmp_path / "cache" / "journal" / "serve.jsonl"
-    assert journal.exists() and journal.read_text().strip()
+    assert not (tmp_path / "cache" / "journal").exists()
 
     replayed, metrics = asyncio.run(second())
-    assert replayed["journal_resumed"] is True
+    assert replayed["cached"] is True
     assert stable_rows([replayed]) == stable_rows([row])
     assert metrics["counters"].get("compile_executions") is None
-    assert metrics["counters"]["journal_replays"] == 1
-
-    asyncio.run(first())  # and the journal is still intact afterwards
+    assert metrics["counters"]["cache_replays"] == 1
 
 
 # ------------------------------------------------------- single-flight dedupe
@@ -445,7 +443,7 @@ def test_one_compile_runs_the_frontend_once(tmp_path, monkeypatch):
 
 # -------------------------------------------------------- serial bit-identity
 def test_rows_match_serial_no_server_baseline(tmp_path):
-    """Rows served over HTTP (cache + journal + batching in play) must be
+    """Rows served over HTTP (cache + batching in play) must be
     bit-identical, modulo volatile keys, to a fresh serial run."""
     names = [fuzz_name(23, 0), fuzz_name(23, 1)]
     tasks = [GridTask(name, None, "none") for name in names]
@@ -558,14 +556,13 @@ def test_shutdown_endpoint_drains_and_refuses_new_connections(tmp_path):
                 assert status == 503
         finally:
             await server.close()
-        # the journal closed clean: every line parses
-        journal = tmp_path / "cache" / "journal" / "serve.jsonl"
-        lines = journal.read_text().splitlines()
-        assert len(lines) >= 2  # header + the compiled row
-        import json
-
-        for line in lines:
-            json.loads(line)
+        # no staging file is left, and the answered row is in the cache
+        cache = ArtifactCache(tmp_path / "cache")
+        assert cache.tmp_files() == []
+        point = BenchmarkRunner(TINY, cache=cache).measure(
+            inline_name(INLINE_OK, "main")
+        )
+        assert point.cached
 
     asyncio.run(main())
 
