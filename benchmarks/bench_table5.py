@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from conftest import print_table, tail_fit
 
-from repro.circopt import get_optimizer
-from repro.circuit import GateKind, to_clifford_t
+from repro.circuit import DecompositionCache, GateKind, to_clifford_t
+from repro.passes import PassManager, make_pass, resolve_pipeline
 
 DEPTHS_G = [1, 2, 3, 4, 5]
 
@@ -30,24 +30,34 @@ def _counts(circuit):
     )
 
 
+def _run(spec, circuit):
+    """Gate pass ``spec`` on ``circuit`` with a fresh decomposition cache:
+    the optimized circuit and the pass's timed record."""
+    pipeline = resolve_pipeline(f"none+{spec}")
+    optimized, (record,), _ = PassManager(pipeline).run_gate_suffix(
+        circuit, len(pipeline) - 1
+    )
+    return optimized, record
+
+
 def test_table5(runner):
     rows = []
     original_t, preprocessed_t, searched_t = [], [], []
-    pre = get_optimizer("greedy-search", timeout=0.0, preprocess_only=True)
-    full = get_optimizer("greedy-search", timeout=2.0)
     for depth in DEPTHS_G:
         compiled = runner.compile("length-simplified", depth, "none")
         base = to_clifford_t(compiled.circuit)
         t0, h0, c0 = _counts(base)
-        p = pre.optimize(compiled.circuit)
-        t1, h1, c1 = _counts(p.circuit)
-        s = full.optimize(compiled.circuit)
-        t2, h2, c2 = _counts(s.circuit)
+        p, p_record = _run(
+            "greedy-search(timeout=0.0,preprocess_only=true)", compiled.circuit
+        )
+        t1, h1, c1 = _counts(p)
+        s, s_record = _run("greedy-search(timeout=2.0)", compiled.circuit)
+        t2, h2, c2 = _counts(s)
         original_t.append(t0)
         preprocessed_t.append(t1)
         searched_t.append(t2)
-        rows.append([depth, t0, h0, c0, t1, h1, c1, f"{p.seconds:.2f}s",
-                     t2, h2, c2, f"{s.seconds:.2f}s"])
+        rows.append([depth, t0, h0, c0, t1, h1, c1, f"{p_record.seconds:.2f}s",
+                     t2, h2, c2, f"{s_record.seconds:.2f}s"])
     print_table(
         "Table 5/6: search-based optimizer (Quartz/QUESO stand-in), length-simplified",
         ["n", "T orig", "H orig", "CNOT orig",
@@ -68,5 +78,5 @@ def test_table5(runner):
 
 def test_table5_search_benchmark(runner, benchmark):
     compiled = runner.compile("length-simplified", 3, "none")
-    optimizer = get_optimizer("greedy-search", timeout=0.5)
-    benchmark(lambda: optimizer.optimize(compiled.circuit))
+    optimizer = make_pass("greedy-search", timeout=0.5)
+    benchmark(lambda: optimizer.run(compiled.circuit, DecompositionCache()))

@@ -2,11 +2,14 @@
 
 Compiles ``length-simplified`` (Section 8's comparison workload), runs each
 circuit-optimizer baseline on the unoptimized circuit, and contrasts with
-Spire and with Spire + circuit optimizer.
+Spire and with Spire + circuit optimizer.  A baseline is the pipeline with
+its gate pass appended (``none+peephole``); the pass's time is the
+pipeline's ``opt:<name>`` timing.
 """
 
-from repro import CompilerConfig, compile_source, get_optimizer, optimizer_names
+from repro import CompilerConfig, compile_source
 from repro.benchsuite import SOURCES
+from repro.passes import GATES, get_pass_class, pass_names
 
 DEPTH = 6
 
@@ -14,9 +17,13 @@ DEPTH = 6
 def main() -> None:
     config = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
     src = SOURCES["length-simplified"]
-    plain = compile_source(src, "length_simplified", size=DEPTH, config=config)
-    spire = compile_source(src, "length_simplified", size=DEPTH, config=config,
-                           optimization="spire")
+
+    def compile_with(optimization: str):
+        return compile_source(src, "length_simplified", size=DEPTH, config=config,
+                              optimization=optimization)
+
+    plain = compile_with("none")
+    spire = compile_with("spire")
     baseline = plain.t_complexity()
     print(f"length-simplified at n={DEPTH}: {baseline} T gates unoptimized\n")
     print(f"{'strategy':<34} {'T gates':>8} {'reduction':>10} {'seconds':>8}")
@@ -26,16 +33,20 @@ def main() -> None:
     print(row.format("Spire (program-level)", spire.t_complexity(),
                      100 * (1 - spire.t_complexity() / baseline), spire_time))
 
-    for name in optimizer_names():
-        optimizer = get_optimizer(name) if name != "greedy-search" else get_optimizer(name, timeout=1.0)
-        result = optimizer.optimize(plain.circuit)
-        print(row.format(f"{name} ({optimizer.models})"[:34], result.t_count,
-                         100 * (1 - result.t_count / baseline), result.seconds))
+    for name in pass_names():
+        cls = get_pass_class(name)
+        if cls.stage != GATES:
+            continue
+        spec = f"{name}(timeout=1.0)" if name == "greedy-search" else name
+        result = compile_with(f"none+{spec}")
+        print(row.format(f"{name} ({cls.models})"[:34], result.t_complexity(),
+                         100 * (1 - result.t_complexity() / baseline),
+                         result.timings[f"opt:{name}"]))
 
-    combined = get_optimizer("toffoli-cancel").optimize(spire.circuit)
-    print(row.format("Spire + toffoli-cancel", combined.t_count,
-                     100 * (1 - combined.t_count / baseline),
-                     spire_time + combined.seconds))
+    combined = compile_with("spire+toffoli-cancel")
+    print(row.format("Spire + toffoli-cancel", combined.t_complexity(),
+                     100 * (1 - combined.t_complexity() / baseline),
+                     sum(combined.timings.values())))
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ Quickstart::
 
 from ._version import __version__
 from .benchsuite import BenchmarkRunner, HeapImage
-from .circopt import get_optimizer, optimizer_names
 from .circuit import Circuit, Gate, GateKind, to_clifford_t, to_toffoli
 from .compiler import CompiledProgram, compile_program, compile_source
 from .config import DEFAULT, PAPER, TINY, CompilerConfig
@@ -63,8 +62,6 @@ from .opt import flatten_only, narrow_only, spire_optimize
 __all__ = [
     "BenchmarkRunner",
     "HeapImage",
-    "get_optimizer",
-    "optimizer_names",
     "Circuit",
     "Gate",
     "GateKind",

@@ -56,7 +56,7 @@ static inline int mask_and_any(const uint64_t *a, const uint64_t *b, int64_t wor
 /* One stack sweep over ``src`` (row ids) into ``dst``; returns the output
  * length.  Mirrors ``cancel_pass_seed`` exactly: inverse-pair check first,
  * then uncontrolled-phase merge, then the inlined commutation rules of
- * ``gates_commute``. */
+ * ``gates_commute_seed``. */
 static int64_t one_pass(
     const int64_t *src, int64_t n_src, int64_t *dst,
     int64_t words,
@@ -114,7 +114,7 @@ static int64_t one_pass(
                 placed = 1;
                 break;
             }
-            /* inlined gates_commute(prev, gate) */
+            /* inlined gates_commute_seed(prev, gate) */
             if (!mask_and_any(qm + p * words, e_qm, words)) {
                 k--; steps++; continue;
             }

@@ -74,11 +74,11 @@ staging file is never yanked out from under it.
 **Concurrency.**  One :class:`ArtifactCache` instance may serve many
 threads (the compile service shares one across all clients): the
 hit/miss/corrupt counters are updated under a lock.  Worker *processes*
-each hold their own instance; :meth:`ArtifactCache.publish_stats`
-persists a worker's counters under ``<root>/stats/`` and
-:meth:`ArtifactCache.aggregated_stats` sums every publisher, so a
-service endpoint can report fleet-wide hit rates instead of only the
-parent's.
+each hold their own instance, and each returns its counter increments
+with every row (:meth:`ArtifactCache.take_counts`); the parent adds them
+to its own (:meth:`ArtifactCache.add_counts`), so :meth:`ArtifactCache.stats`
+counts the workers' loads too.  Nothing about the counters is written to
+disk.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ import os
 import tempfile
 import threading
 import time
-import uuid
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
@@ -104,7 +103,6 @@ from ..faults import inject
 POINT_FILE = "point.json"
 CIRCUIT_FILE = "circuit.rqcs"
 QUARANTINE_DIR = "quarantine"
-STATS_DIR = "stats"
 JOURNAL_DIR = "journal"
 
 #: staging-file prefix of :meth:`ArtifactCache._atomic_write`
@@ -116,11 +114,9 @@ TMP_PREFIX = ".tmp-"
 TMP_SWEEP_AGE = 60.0
 
 #: root-level directories that are not two-char key fanouts
-_META_DIRS = (QUARANTINE_DIR, STATS_DIR, JOURNAL_DIR)
+_META_DIRS = (QUARANTINE_DIR, JOURNAL_DIR)
 
-#: the session counters shared by :meth:`ArtifactCache.stats`,
-#: :meth:`ArtifactCache.publish_stats` and
-#: :meth:`ArtifactCache.aggregated_stats`
+#: the session counters of :meth:`ArtifactCache.stats`
 _COUNTER_KEYS = ("hits", "misses", "corrupt", "io_errors", "quarantined")
 
 #: version of the point.json checksum envelope
@@ -218,9 +214,6 @@ class ArtifactCache:
         self.quarantined = 0
         #: guards the counters above — one instance may serve many threads
         self._counter_lock = threading.Lock()
-        #: identity of this instance's published stats file (pid + nonce:
-        #: pids are recycled, and one process may hold several instances)
-        self._stats_token = f"{os.getpid()}-{uuid.uuid4().hex[:8]}"
 
     def _count(self, name: str, delta: int = 1) -> None:
         """Atomically bump a session counter (plain ``+=`` is a
@@ -512,25 +505,9 @@ class ArtifactCache:
             (self.root / QUARANTINE_DIR).rmdir()
         except OSError:
             pass
-        self._clear_stats_dir()
         self.sweep_tmp(max_age=0.0)
         self._prune_fanout_dirs()
         return removed
-
-    def _clear_stats_dir(self) -> None:
-        """Drop every published per-process stats file."""
-        stats_dir = self.root / STATS_DIR
-        if not stats_dir.is_dir():
-            return
-        for item in list(stats_dir.iterdir()):
-            try:
-                item.unlink()
-            except OSError:
-                pass
-        try:
-            stats_dir.rmdir()
-        except OSError:
-            pass
 
     # -------------------------------------------------------------- eviction
     def usage(self) -> Dict[str, int]:
@@ -628,67 +605,26 @@ class ArtifactCache:
         trouble is visible as such, never silently folded into cold
         points.
         """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "io_errors": self.io_errors,
-            "quarantined": self.quarantined,
-            "entries": len(self),
-        }
-
-    # ---------------------------------------------- cross-process stats
-    def publish_stats(self) -> None:
-        """Persist this instance's counters under ``<root>/stats/``.
-
-        Grid workers call this after each task, so the parent's
-        :meth:`aggregated_stats` (the ``/cache/stats`` endpoint) sees
-        fleet-wide hit rates instead of only its own counters.  Each
-        (process, instance) pair owns one file — cumulative counts,
-        atomically replaced — so republishing never double-counts.
-        """
         with self._counter_lock:
-            payload: Dict[str, Any] = {
-                key: getattr(self, key) for key in _COUNTER_KEYS
-            }
-        payload["pid"] = os.getpid()
-        data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        try:
-            self._atomic_write(
-                self.root / STATS_DIR / f"{self._stats_token}.json", data
-            )
-        except OSError:
-            pass  # stats are advisory; never fail a task over them
+            counts = {key: getattr(self, key) for key in _COUNTER_KEYS}
+        counts["entries"] = len(self)
+        return counts
 
-    def aggregated_stats(self) -> Dict[str, int]:
-        """Session counters summed across every publishing process.
+    def take_counts(self) -> Dict[str, int]:
+        """The session counters, reset to zero: the increments since the
+        previous call.  A grid worker returns them with each row."""
+        with self._counter_lock:
+            counts = {key: getattr(self, key) for key in _COUNTER_KEYS}
+            for key in _COUNTER_KEYS:
+                setattr(self, key, 0)
+        return counts
 
-        This instance's live (in-memory) counters plus every *other*
-        published stats file under ``<root>/stats/`` — its own file is
-        skipped so publishing locally never double-counts.
-        """
-        totals = {key: getattr(self, key) for key in _COUNTER_KEYS}
-        own = f"{self._stats_token}.json"
-        publishers = 0
-        stats_dir = self.root / STATS_DIR
-        if stats_dir.is_dir():
-            for item in stats_dir.glob("*.json"):
-                if item.name == own:
-                    continue
-                try:
-                    payload = json.loads(item.read_text())
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                    continue
-                if not isinstance(payload, dict):
-                    continue
-                publishers += 1
-                for key in _COUNTER_KEYS:
-                    value = payload.get(key, 0)
-                    if isinstance(value, int):
-                        totals[key] += value
-        totals["entries"] = len(self)
-        totals["publishers"] = publishers
-        return totals
+    def add_counts(self, counts: Dict[str, int]) -> None:
+        """Add counter increments taken from another instance (a grid
+        worker's, see :meth:`take_counts`)."""
+        with self._counter_lock:
+            for key, delta in counts.items():
+                setattr(self, key, getattr(self, key) + delta)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -14,6 +14,10 @@ warm points and shares artifacts between workers:
 * :class:`SerialBackend` — in-process loop (the reference semantics);
 * :class:`ParallelBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   fan-out with per-worker runner state and shared on-disk artifacts.
+  Each worker returns its cache's counter increments with every row, and
+  the sweep adds them to the runner's cache, so
+  :meth:`~repro.benchsuite.cache.ArtifactCache.stats` counts the
+  workers' loads too.
 
 Every backend produces **bit-identical measurement rows** for a given
 grid: workers run the same deterministic compile/optimize pipeline, and
@@ -559,7 +563,7 @@ class ParallelBackend(ExecutionBackend):
                 for future in finished:
                     attempt, _ = in_flight.pop(future)
                     try:
-                        row = future.result()
+                        row, counts = future.result()
                     except BrokenProcessPool:
                         # worker died (crash, OOM-kill): reschedule; the
                         # attempt number advanced, so an injected crash
@@ -586,6 +590,8 @@ class ParallelBackend(ExecutionBackend):
                             )
                             queue.append(attempt)
                     else:
+                        if counts:
+                            runner.cache.add_counts(counts)
                         if attempt.starts > 1 or attempt.failures:
                             row = dict(row)
                             row["attempts"] = attempt.starts
@@ -663,15 +669,15 @@ def _init_worker(
     _WORKER_RUNNER = BenchmarkRunner(CompilerConfig(**config_kwargs), cache=cache)
 
 
-def _run_worker_task(task: GridTask, attempt: int = 0) -> Dict[str, Any]:
-    try:
-        return execute_task(_WORKER_RUNNER, task, attempt=attempt)
-    finally:
-        # publish this worker's cache counters so the parent (and the
-        # serve endpoint ``/cache/stats``) can aggregate fleet-wide hit
-        # rates; failures count too, hence the ``finally``
-        if _WORKER_RUNNER is not None and _WORKER_RUNNER.cache is not None:
-            _WORKER_RUNNER.cache.publish_stats()
+def _run_worker_task(
+    task: GridTask, attempt: int = 0
+) -> Tuple[Dict[str, Any], Dict[str, int]]:
+    """The task's row and the worker cache's counter increments since
+    this worker's previous row: a failed attempt's loads come back with
+    the next row, and the parent adds them to its own cache's counters."""
+    row = execute_task(_WORKER_RUNNER, task, attempt=attempt)
+    cache = _WORKER_RUNNER.cache
+    return row, cache.take_counts() if cache is not None else {}
 
 
 # --------------------------------------------------------------- paper grids

@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bounded import BoundedCache
-from ..circopt.base import get_optimizer
 from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
 from ..compiler.pipeline import CompiledProgram, Frontend, compile_checked
@@ -350,35 +349,6 @@ class BenchmarkRunner:
         return exact_counts(
             compiled.core, compiled.table, compiled.var_types, compiled.cell_bits
         )
-
-    def optimize_circuit(
-        self,
-        name: str,
-        depth: Optional[int],
-        optimizer: str,
-        optimization: str = "none",
-        **kwargs,
-    ):
-        """Run a circuit-optimizer baseline and return its optimized circuit.
-
-        The input circuit comes from the lookup :meth:`measure` resumes
-        from, and the optimizer is handed the runner's shared
-        decomposition cache, so successive baselines on the same compiled
-        circuit skip the repeated Toffoli/Clifford+T expansion.  Always
-        runs the optimizer; ``measure(name, depth,
-        f"{optimization}+{optimizer}")`` is the cached measurement row of
-        the same computation.
-        """
-        if is_unsized(name):
-            depth = None
-        held = self._held(name, depth, canonical_pipeline(optimization))
-        if held is not None:
-            circuit = held[0]
-        else:
-            circuit = self.compile(name, depth, optimization).circuit
-        opt = get_optimizer(optimizer, **kwargs)
-        opt.cache = self.decomposition_cache
-        return opt.optimize(circuit)
 
     # ------------------------------------------------------------ grid sweeps
     def run_grid(

@@ -1,12 +1,11 @@
-"""Baseline quantum circuit optimizers (the comparisons of Section 8.3)."""
+"""Baseline quantum circuit optimizers (the comparisons of Section 8.3).
 
-from .base import (
-    CircuitOptimizer,
-    OptimizerResult,
-    gates_commute,
-    get_optimizer,
-    optimizer_names,
-)
+Each optimizer class is a gate pass, registered in the pass registry when
+this package is imported; build one by name with
+:func:`repro.passes.make_pass`.
+"""
+
+from .base import CircuitOptimizer
 from .cancel import CliffordTPeephole, cancel_circuit, cancel_pass, cancel_to_fixpoint
 from .phase_poly import RotationMerging, fold_phases
 from .search import GreedySearch
@@ -15,10 +14,6 @@ from .zxlike import ZXLike
 
 __all__ = [
     "CircuitOptimizer",
-    "OptimizerResult",
-    "gates_commute",
-    "get_optimizer",
-    "optimizer_names",
     "CliffordTPeephole",
     "cancel_circuit",
     "cancel_pass",

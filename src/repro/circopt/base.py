@@ -1,4 +1,4 @@
-"""Circuit-optimizer framework: interface, commutation rules, registry.
+"""Circuit optimizers: the gate passes of the pass pipeline.
 
 The evaluation of Section 8.3 compares eight existing circuit optimizers.
 This package implements one optimizer per *strategy* the paper identifies,
@@ -21,120 +21,57 @@ name                      models (paper Section 8.3/8.5)
                           followed by a budgeted search phase
 ========================  =====================================================
 
-Every optimizer consumes an **MCX-level** circuit (the Tower compiler's
-output) and produces a **Clifford+T** circuit; ``t_count`` of the result is
-the metric the evaluation reports.
+Each optimizer class *is* its gate pass: it is registered in the pass
+registry under its name (:func:`~repro.passes.register_pass`), built by
+:func:`~repro.passes.make_pass` from its constructor parameters
+(``peephole(window=32)``), and timed by the pass manager's
+:class:`~repro.passes.PassRecord`.  Every optimizer consumes an
+**MCX-level** circuit (the Tower compiler's output) and produces a
+**Clifford+T** circuit; ``t_count`` of the result is the metric the
+evaluation reports.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import DecompositionCache, to_clifford_t, to_toffoli
-from ..circuit.gates import Gate, GateKind, PHASE_KINDS
+from ..circuit.decompose import DecompositionCache
+from ..passes.base import (
+    CLIFFORD_T_OUTPUT,
+    DETERMINISTIC,
+    GATES,
+    Pass,
+    SEMANTICS_PRESERVING,
+    TCOUNT_NONINCREASING,
+)
 
 
-def gates_commute(a: Gate, b: Gate) -> bool:
-    """A sound (not complete) commutation check used when scanning.
+class CircuitOptimizer(Pass):
+    """A gate pass: subclasses implement :meth:`run` on an MCX-level circuit."""
 
-    * gates on disjoint qubits commute;
-    * two X-type gates (MCX) commute iff neither target lies in the other's
-      controls (their diagonal control parts and X parts then act on
-      different axes of different wires);
-    * an uncontrolled phase gate commutes with an MCX iff it does not act on
-      the MCX's target (phases are diagonal, controls are diagonal);
-    * phase gates always commute with each other;
-    * Hadamards commute only with gates on disjoint qubits.
-
-    All qubit-set tests run on the gates' cached bitmasks.
-    """
-    if not a.qubit_mask & b.qubit_mask:
-        return True
-    if a.kind is GateKind.MCX and b.kind is GateKind.MCX:
-        return not (a.target_mask & b.control_mask) and not (
-            b.target_mask & a.control_mask
-        )
-    if a.kind in PHASE_KINDS and b.kind in PHASE_KINDS:
-        return True
-    if a.kind in PHASE_KINDS and not a.controls and b.kind is GateKind.MCX:
-        return a.target != b.target
-    if b.kind in PHASE_KINDS and not b.controls and a.kind is GateKind.MCX:
-        return b.target != a.target
-    return False
-
-
-@dataclass
-class OptimizerResult:
-    """An optimized circuit plus bookkeeping."""
-
-    name: str
-    circuit: Circuit
-    seconds: float
-
-    @property
-    def t_count(self) -> int:
-        return self.circuit.t_count()
-
-
-class CircuitOptimizer:
-    """Base class: subclasses implement :meth:`run` on an MCX-level circuit."""
-
-    #: registry key; subclasses set this
-    name: str = "abstract"
+    stage = GATES
+    invariants = frozenset(
+        {
+            SEMANTICS_PRESERVING,
+            TCOUNT_NONINCREASING,
+            CLIFFORD_T_OUTPUT,
+            DETERMINISTIC,
+        }
+    )
     #: the tools from the paper this strategy models
     models: str = ""
-    #: optional shared decomposition cache (set by the benchmark runner so
-    #: several baselines reuse one Toffoli/Clifford+T expansion per circuit)
-    cache: Optional[DecompositionCache] = None
 
-    def run(self, circuit: Circuit) -> Circuit:  # pragma: no cover - abstract
+    def run(
+        self, circuit: Circuit, cache: DecompositionCache
+    ) -> Circuit:  # pragma: no cover - abstract
+        """The optimized circuit.  ``cache`` holds the Toffoli and
+        Clifford+T expansions, shared by every pass that expands the same
+        circuit."""
         raise NotImplementedError
 
-    # --------------------------------------------------- shared decomposition
-    def _to_toffoli(self, circuit: Circuit) -> Circuit:
-        """Toffoli-level decomposition, via the shared cache when present."""
-        if self.cache is not None:
-            return self.cache.toffoli(circuit)
-        return to_toffoli(circuit)
+    def apply(self, ctx) -> None:
+        ctx.circuit = self.run(ctx.circuit, ctx.decomposition_cache)
 
-    def _to_clifford_t(self, circuit: Circuit) -> Circuit:
-        """Clifford+T decomposition, via the shared cache when present."""
-        if self.cache is not None:
-            return self.cache.clifford_t(circuit)
-        return to_clifford_t(circuit)
-
-    def optimize(self, circuit: Circuit) -> OptimizerResult:
-        """Run with timing."""
-        start = time.perf_counter()
-        result = self.run(circuit)
-        return OptimizerResult(self.name, result, time.perf_counter() - start)
-
-
-_REGISTRY: Dict[str, Callable[[], CircuitOptimizer]] = {}
-
-
-def register(cls):
-    """Class decorator adding an optimizer to the registry."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_optimizer(name: str, **kwargs) -> CircuitOptimizer:
-    """Instantiate a registered optimizer by name."""
-    return optimizer_class(name)(**kwargs)
-
-
-def optimizer_class(name: str):
-    """The registered optimizer class (metadata access without instancing)."""
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown optimizer {name!r}; available: {sorted(_REGISTRY)}"
-        )
-    return _REGISTRY[name]
-
-
-def optimizer_names() -> List[str]:
-    return sorted(_REGISTRY)
+    @classmethod
+    def describe(cls) -> str:
+        """The docstring summary plus the tools the strategy models."""
+        return f"{super().describe()} Models {cls.models}."

@@ -21,8 +21,10 @@ from __future__ import annotations
 from typing import List
 
 from ..circuit.circuit import Circuit
+from ..circuit.decompose import DecompositionCache
 from ..circuit.gates import Gate
-from .base import CircuitOptimizer, register
+from ..passes.base import register_pass
+from .base import CircuitOptimizer
 from .. import _kernels
 
 
@@ -45,7 +47,7 @@ def cancel_to_fixpoint(
     return cancel_circuit(Circuit(0, gates), window, max_passes).gates
 
 
-@register
+@register_pass
 class CliffordTPeephole(CircuitOptimizer):
     """Adjacent-gate cancellation on the decomposed Clifford+T circuit.
 
@@ -59,5 +61,5 @@ class CliffordTPeephole(CircuitOptimizer):
     def __init__(self, window: int = 64) -> None:
         self.window = window
 
-    def run(self, circuit: Circuit) -> Circuit:
-        return cancel_circuit(self._to_clifford_t(circuit), self.window)
+    def run(self, circuit: Circuit, cache: DecompositionCache) -> Circuit:
+        return cancel_circuit(cache.clifford_t(circuit), self.window)

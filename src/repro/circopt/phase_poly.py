@@ -43,8 +43,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuit.circuit import Circuit
+from ..circuit.decompose import DecompositionCache
 from ..circuit.gatestream import RowRecords, phase_block
-from .base import CircuitOptimizer, register
+from ..passes.base import register_pass
+from .base import CircuitOptimizer
 from .cancel import cancel_circuit
 from .. import _kernels
 
@@ -111,7 +113,7 @@ def fold_phases(circuit: Circuit) -> Circuit:
     return block.circuit(circuit, slots[slots >= 0], circuit.num_qubits)
 
 
-@register
+@register_pass
 class RotationMerging(CircuitOptimizer):
     """Decompose to Clifford+T, fold phases, then peephole.
 
@@ -125,6 +127,6 @@ class RotationMerging(CircuitOptimizer):
     def __init__(self, window: int = 64) -> None:
         self.window = window
 
-    def run(self, circuit: Circuit) -> Circuit:
-        folded = fold_phases(self._to_clifford_t(circuit))
+    def run(self, circuit: Circuit, cache: DecompositionCache) -> Circuit:
+        folded = fold_phases(cache.clifford_t(circuit))
         return fold_phases(cancel_circuit(folded, self.window))

@@ -20,32 +20,33 @@ from __future__ import annotations
 import time
 
 from ..circuit.circuit import Circuit
-from .base import CircuitOptimizer, register
+from ..circuit.decompose import DecompositionCache
+from ..passes.base import DETERMINISTIC, register_pass
+from .base import CircuitOptimizer
 from .cancel import cancel_circuit
 from .phase_poly import fold_phases
 
 
-@register
+@register_pass
 class GreedySearch(CircuitOptimizer):
     """Rotation-merge preprocessing plus a time-budgeted search phase.
 
     Models Quartz and QUESO in the evaluation (Appendix G).  The
-    ``timeout`` bounds only the search phase, as in Quartz.
+    ``timeout`` bounds only the search phase, as in Quartz, so the
+    result depends on the wall clock: the pass is not deterministic.
     """
 
     name = "greedy-search"
     models = "Quartz, QUESO"
+    invariants = CircuitOptimizer.invariants - {DETERMINISTIC}
 
     def __init__(self, timeout: float = 5.0, preprocess_only: bool = False) -> None:
         self.timeout = timeout
         self.preprocess_only = preprocess_only
 
-    def preprocess(self, circuit: Circuit) -> Circuit:
-        """Rotation merging (the Quartz preprocessing phase)."""
-        return fold_phases(self._to_clifford_t(circuit))
-
-    def run(self, circuit: Circuit) -> Circuit:
-        current = self.preprocess(circuit)
+    def run(self, circuit: Circuit, cache: DecompositionCache) -> Circuit:
+        # rotation merging: the Quartz preprocessing phase
+        current = fold_phases(cache.clifford_t(circuit))
         if self.preprocess_only:
             return current
         deadline = time.monotonic() + self.timeout

@@ -15,12 +15,13 @@ self-inverse gates to fixpoint -> decompose surviving Toffolis (Figure 6)
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import expand_toffolis
-from .base import CircuitOptimizer, register
+from ..circuit.decompose import DecompositionCache, expand_toffolis
+from ..passes.base import register_pass
+from .base import CircuitOptimizer
 from .cancel import cancel_circuit
 
 
-@register
+@register_pass
 class ToffoliCancel(CircuitOptimizer):
     """Cancel Toffoli gates before Clifford+T translation.
 
@@ -33,6 +34,6 @@ class ToffoliCancel(CircuitOptimizer):
     def __init__(self, window: int = 64) -> None:
         self.window = window
 
-    def run(self, circuit: Circuit) -> Circuit:
-        reduced = cancel_circuit(self._to_toffoli(circuit), self.window)
+    def run(self, circuit: Circuit, cache: DecompositionCache) -> Circuit:
+        reduced = cancel_circuit(cache.toffoli(circuit), self.window)
         return cancel_circuit(expand_toffolis(reduced), self.window)

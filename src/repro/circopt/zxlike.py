@@ -19,13 +19,14 @@ wide scan windows:
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import expand_toffolis
-from .base import CircuitOptimizer, register
+from ..circuit.decompose import DecompositionCache, expand_toffolis
+from ..passes.base import register_pass
+from .base import CircuitOptimizer
 from .cancel import cancel_circuit
 from .phase_poly import fold_phases
 
 
-@register
+@register_pass
 class ZXLike(CircuitOptimizer):
     """Toffoli cancel + rotation merge + peephole, with wide windows.
 
@@ -38,8 +39,8 @@ class ZXLike(CircuitOptimizer):
     def __init__(self, window: int = 256) -> None:
         self.window = window
 
-    def run(self, circuit: Circuit) -> Circuit:
-        reduced = cancel_circuit(self._to_toffoli(circuit), self.window)
+    def run(self, circuit: Circuit, cache: DecompositionCache) -> Circuit:
+        reduced = cancel_circuit(cache.toffoli(circuit), self.window)
         current = expand_toffolis(reduced)
         for _ in range(4):
             before = current.t_count()

@@ -5,7 +5,7 @@ level models the surface-code architecture.  Decompositions follow Figures 5
 and 6 of the paper.
 """
 
-from .circuit import Circuit, GateCounts, Register
+from .circuit import Circuit, Register
 from .decompose import (
     DecompositionCache,
     decompose_mcx_to_toffoli,
@@ -38,7 +38,6 @@ from .gates import (
 
 __all__ = [
     "Circuit",
-    "GateCounts",
     "Register",
     "Gate",
     "GateKind",

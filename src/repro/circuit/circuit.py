@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -323,25 +323,9 @@ class Circuit:
         """True when every gate lies in the Clifford+T set."""
         return all(g.is_clifford_t() for g, _ in self._used_rows())
 
-    def is_mcx_level(self) -> bool:
-        """True when every gate is an MCX or a (controlled) Hadamard."""
-        return all(g.kind in (GateKind.MCX, GateKind.H) for g, _ in self._used_rows())
-
     def max_controls(self) -> int:
         """Largest number of controls on any gate (0 for an empty circuit)."""
         return max((len(g.controls) for g, _ in self._used_rows()), default=0)
-
-    def summary(self) -> "GateCounts":
-        """A compact numeric report of this circuit's complexity."""
-        return GateCounts(
-            num_qubits=self.num_qubits,
-            num_gates=len(self),
-            mcx_complexity=self.mcx_complexity(),
-            t_complexity=self.t_complexity(),
-            cnot=self.count_kind(GateKind.MCX, 1),
-            h=self.count_kind(GateKind.H),
-            t=self.count_kind(GateKind.T) + self.count_kind(GateKind.TDG),
-        )
 
     def __repr__(self) -> str:
         return f"<Circuit {self.num_qubits} qubits, {len(self)} gates>"
@@ -353,16 +337,3 @@ class Circuit:
             lines.append(f"... ({len(self) - max_gates} more)")
         return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class GateCounts:
-    """Compact complexity report for a circuit."""
-
-    num_qubits: int
-    num_gates: int
-    mcx_complexity: int
-    t_complexity: int
-    cnot: int = 0
-    h: int = 0
-    t: int = 0
-    extra: dict = field(default_factory=dict, compare=False)

@@ -186,9 +186,9 @@ class Gate:
 
     # ---------------------------------------------------------------- helpers
     #
-    # ``qubits``, the bitmasks and the record are cached: they are consulted
-    # on every peephole comparison, every ``apply_gate`` call and every
-    # gathered table, and a ``Gate`` is immutable, so computing them once
+    # ``qubits``, the control mask and the record are cached: they are
+    # consulted on every ``apply_gate`` call and every gathered table,
+    # and a ``Gate`` is immutable, so computing them once
     # per instance is safe.  The caches live in the instance ``__dict__``
     # (``_cached`` bypasses the frozen-dataclass ``__setattr__``) and do not
     # affect equality/hashing.
@@ -204,19 +204,6 @@ class Gate:
         for c in self.controls:
             mask |= 1 << c
         return mask
-
-    @_cached
-    def target_mask(self) -> int:
-        """Bitmask with bit ``t`` set for every target qubit ``t``."""
-        mask = 0
-        for t in self.targets:
-            mask |= 1 << t
-        return mask
-
-    @_cached
-    def qubit_mask(self) -> int:
-        """Bitmask of every qubit the gate touches."""
-        return self.control_mask | self.target_mask
 
     @_cached
     def record(self) -> GateRecord:

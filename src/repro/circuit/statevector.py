@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -408,13 +408,6 @@ def circuits_equivalent(
     if num_qubits is not None:
         n = max(n, num_qubits)
     return unitaries_equal(unitary(a, n), unitary(b, n), tol)
-
-
-def probe_basis_states(
-    circuit: Circuit, inputs: Iterable[int]
-) -> list[np.ndarray]:
-    """Run a circuit on several basis states (helper for equivalence spot checks)."""
-    return [run(circuit, basis_state(circuit.num_qubits, i)) for i in inputs]
 
 
 # ------------------------------------------------------------ sparse states

@@ -54,7 +54,6 @@ import sys
 from typing import Optional
 
 from ._version import __version__
-from .circopt import get_optimizer, optimizer_names
 from .circuit import DecompositionCache, qc_format
 from .compiler import compile_source
 from .config import CompilerConfig
@@ -62,7 +61,16 @@ from .cost import PaperCostModel
 from .cost.resources import estimate_resources
 from .errors import AnalysisError, ReproError
 from .lang import lower_source
-from .passes import PassError, canonical_pipeline, resolve_pipeline, rewrite_ir
+from .passes import (
+    GATES,
+    PassError,
+    PassManager,
+    canonical_pipeline,
+    get_pass_class,
+    pass_names,
+    resolve_pipeline,
+    rewrite_ir,
+)
 
 
 def _pipeline_spec(text: str) -> str:
@@ -281,17 +289,19 @@ def cmd_optimizers(args) -> int:
     # one decomposition cache across all baselines: they expand the same
     # compiled circuit, and the Clifford+T expansion dominates their cost
     shared_cache = DecompositionCache()
-    for name in optimizer_names():
-        optimizer = (
-            get_optimizer(name, timeout=args.timeout)
-            if name == "greedy-search"
-            else get_optimizer(name)
-        )
-        optimizer.cache = shared_cache
-        result = optimizer.optimize(compiled.circuit)
-        reduction = 100 * (1 - result.t_count / baseline) if baseline else 0.0
-        print(f"  {name:<16} T={result.t_count:<8} ({reduction:5.1f}% less) "
-              f"in {result.seconds:.3f}s   [{optimizer.models}]")
+    for name in pass_names():
+        cls = get_pass_class(name)
+        if cls.stage != GATES:
+            continue
+        spec = f"{name}(timeout={args.timeout})" if name == "greedy-search" else name
+        pipeline = resolve_pipeline(f"{compiled.pipeline}+{spec}")
+        circuit, (record,), _ = PassManager(
+            pipeline, decomposition_cache=shared_cache
+        ).run_gate_suffix(compiled.circuit, len(pipeline) - 1)
+        t_count = circuit.t_count()
+        reduction = 100 * (1 - t_count / baseline) if baseline else 0.0
+        print(f"  {name:<16} T={t_count:<8} ({reduction:5.1f}% less) "
+              f"in {record.seconds:.3f}s   [{cls.models}]")
     return 0
 
 

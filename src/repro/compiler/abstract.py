@@ -16,7 +16,7 @@ error correction (Section 3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..circuit.circuit import Register
@@ -38,9 +38,6 @@ class Instr:
     """Base class: every instruction carries its control qubits."""
 
     controls: Tuple[int, ...]
-
-    def with_controls(self, controls: Tuple[int, ...]) -> "Instr":
-        return replace(self, controls=controls)
 
 
 @dataclass(frozen=True)
@@ -162,14 +159,3 @@ class HadamardInstr(Instr):
     """Hadamard on a single-bit register."""
 
     bit: Register
-
-
-def operand_bit(op: Operand, i: int):
-    """Bit ``i`` of an operand: ``("q", qubit)`` or ``("c", 0/1)``."""
-    if isinstance(op, Register):
-        return ("q", op.bit(i))
-    return ("c", (op >> i) & 1)
-
-
-def operand_width(op: Operand, default: int) -> int:
-    return op.width if isinstance(op, Register) else default

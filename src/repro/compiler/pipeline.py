@@ -98,10 +98,6 @@ class CompiledProgram:
     def register(self, name: str) -> Register:
         return self.circuit.registers[name]
 
-    def memory_image(self, cells: Dict[int, int]) -> Dict[str, int]:
-        """Named register values encoding a heap image {address: value}."""
-        return {f"mem[{addr}]": value for addr, value in cells.items()}
-
 
 def infer_cell_bits(
     stmt: Stmt, table: TypeTable, var_types: Dict[str, Type]

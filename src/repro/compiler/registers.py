@@ -58,7 +58,6 @@ class RegisterAllocator:
         self._live_scope: Dict[str, int] = {}
         self._scope_counter = 0
         self._scope_stack: List[int] = [0]
-        self.history: Dict[str, Register] = {}
         self.stats = AllocationStats()
 
     # ----------------------------------------------------------------- scopes
@@ -112,7 +111,6 @@ class RegisterAllocator:
         self._live[name] = reg
         self._counts[name] = 1
         self._live_scope[name] = self.current_scope
-        self.history.setdefault(name, reg)
         return reg
 
     def lookup(self, name: str) -> Register:
@@ -147,13 +145,6 @@ class RegisterAllocator:
     def region_end(self) -> int:
         """First qubit index beyond the register region."""
         return self._next
-
-    def live_registers(self) -> Dict[str, Register]:
-        return dict(self._live)
-
-    def all_registers(self) -> Dict[str, Register]:
-        """Every (name -> first register) binding seen during allocation."""
-        return dict(self.history)
 
     def final_registers(self) -> Dict[str, Register]:
         """Live and reserved registers at the end of compilation.

@@ -112,10 +112,6 @@ class CostModelError(ReproError):
     """Raised when the cost model is applied to an ill-formed program."""
 
 
-class OptimizationError(ReproError):
-    """Raised when a program- or circuit-level optimization fails."""
-
-
 class AnalysisError(ReproError):
     """Raised when a static analysis cannot complete (internal failure,
     unfittable symbolic bound, ...) — distinct from *findings*, which are

@@ -171,9 +171,6 @@ class ScheduleResult:
     def branch_coverage(self) -> int:
         return len(self.coverage.arcs)
 
-    def statement_coverage(self) -> int:
-        return len(self.coverage.lines)
-
     def summary(self) -> str:
         counts = self.coverage.counts()
         failures = sum(1 for report in self.reports if not report.ok)

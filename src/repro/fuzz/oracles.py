@@ -76,7 +76,6 @@ from ..benchsuite.memory_images import (
     random_list_shape,
     random_tree_shape,
 )
-from ..circopt import get_optimizer
 from ..circuit import classical_sim
 from ..circuit.decompose import DecompositionCache
 from ..circuit.statevector import (
@@ -99,7 +98,7 @@ from ..ir.reverse import reverse
 from ..ir.typecheck import check_program
 from ..lang.ast import Program
 from ..lang.parser import parse_program
-from ..passes import PassError, resolve_pipeline
+from ..passes import PassError, make_pass, resolve_pipeline
 from .generator import (
     DEFAULT_FUZZ_CONFIG,
     GenConfig,
@@ -512,32 +511,33 @@ def _check_optimizers(
     stats["optimizer_inputs"] = len(sim_pairs)
     layout = _register_layout(cp.circuit)
     for name in cfg.optimizers:
-        opt = get_optimizer(name)
-        opt.cache = cache
-        result = _stage(f"optimizer[{name}]", opt.optimize, cp.circuit)
-        if result.t_count > reference_t:
+        result = _stage(
+            f"optimizer[{name}]", make_pass(name).run, cp.circuit, cache
+        )
+        t_count = result.t_count()
+        if t_count > reference_t:
             raise OracleFailure(
                 f"tcount-increase[{name}]",
-                f"optimizer raised T-count {reference_t} -> {result.t_count}",
+                f"optimizer raised T-count {reference_t} -> {t_count}",
             )
-        if not result.circuit.is_clifford_t():
+        if not result.is_clifford_t():
             raise OracleFailure(
                 f"optimizer[{name}]", "result is not a Clifford+T circuit"
             )
-        stats[f"t_{name}"] = result.t_count
+        stats[f"t_{name}"] = t_count
         if not cfg.check_statevector:
             continue
         for packed, expected in sim_pairs:
             try:
                 amps = sparse_run(
-                    result.circuit, packed, support_cap=cfg.sparse_support_cap
+                    result, packed, support_cap=cfg.sparse_support_cap
                 )
             except SimulationError:
                 # support explosion: fall back to dense when feasible
-                if result.circuit.num_qubits <= cfg.dense_max_qubits:
+                if result.num_qubits <= cfg.dense_max_qubits:
                     state = dense_run(
-                        result.circuit,
-                        basis_state(result.circuit.num_qubits, packed),
+                        result,
+                        basis_state(result.num_qubits, packed),
                     )
                     amps = {
                         idx: amp

@@ -42,10 +42,12 @@ from .pipeline import (
 )
 from .manager import PassContext, PassManager, PassRecord, PipelineRun, rewrite_ir
 
-# importing the analysis pass module registers the 'analyze' stage pass;
-# module-level (not from-) import keeps the circular edge with
-# repro.analysis safe in either import order
+# importing the analysis pass module registers the 'analyze' stage pass,
+# and importing repro.circopt registers its optimizers, the gate passes;
+# module-level (not from-) imports keep the circular edges with
+# repro.analysis and repro.circopt safe in either import order
 from ..analysis import passes as _analysis_passes  # noqa: E402,F401
+from .. import circopt as _circopt  # noqa: E402,F401
 
 __all__ = [
     "ANALYZE",

@@ -18,8 +18,8 @@ pipeline.  Passes live in one of four *stages*:
     (``lower``).  Every pipeline contains each exactly once, in order.
 ``gates``
     Circuit-level optimizers (Section 8.3).  They map the compiled
-    circuit to a Clifford+T circuit; each wraps one registered
-    :mod:`repro.circopt` optimizer.
+    circuit to a Clifford+T circuit; each is one :mod:`repro.circopt`
+    optimizer class.
 
 Passes *declare* invariants (:data:`SEMANTICS_PRESERVING` and friends) —
 documentation-sourced claims the paper makes about the rewrite.  The
@@ -37,11 +37,17 @@ program.  Passes that set :attr:`Pass.engine` are therefore **fused** when
 adjacent in a pipeline: ``flatten,narrow`` executes as one rewriter with
 both rules enabled, reproducing :func:`repro.opt.spire_optimize`
 bit-for-bit.
+
+A pass's parameters are its constructor's keyword parameters with their
+defaults (``peephole(window=32)``).  :func:`register_pass` records them
+once per class, and :func:`make_pass` checks every parameter against that
+record.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple, Type
+import inspect
+from typing import Any, Dict, List, Type
 
 from ..errors import ReproError
 
@@ -101,7 +107,8 @@ class Pass:
     receives the mutable :class:`~repro.passes.manager.PassContext` and
     advances whichever artifact its stage owns (``ctx.stmt`` for ``ir``
     passes, ``ctx.circuit`` for ``gates`` passes, the lowering fields for
-    ``lower`` passes).
+    ``lower`` passes).  A pass with parameters takes them as keyword
+    arguments with defaults in its constructor.
     """
 
     #: registry key
@@ -115,13 +122,8 @@ class Pass:
     engine: str = ""
     #: for engine-fused passes: the rewrite rules this pass contributes
     rules: frozenset = frozenset()
-
-    def __init__(self, **params: Any) -> None:
-        # a pass takes exactly the parameters its constructor declares;
-        # the base class declares none
-        if params:
-            raise TypeError(f"unexpected parameters {sorted(params)}")
-        self.params = {}
+    #: constructor parameter -> default, recorded by :func:`register_pass`
+    declared: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ API
     def apply(self, ctx) -> None:  # pragma: no cover - interface
@@ -134,14 +136,15 @@ class Pass:
         return doc.splitlines()[0] if doc else ""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Pass {self.name} stage={self.stage} params={self.params}>"
+        return f"<Pass {self.name} stage={self.stage}>"
 
 
 _REGISTRY: Dict[str, Type[Pass]] = {}
 
 
 def register_pass(cls: Type[Pass]) -> Type[Pass]:
-    """Class decorator adding a pass to the global registry."""
+    """Class decorator adding a pass to the global registry and recording
+    its constructor's parameters and defaults as ``cls.declared``."""
     if not cls.name or cls.name == "abstract":
         raise PassError(f"pass class {cls.__name__} has no registry name")
     unknown = set(cls.invariants) - KNOWN_INVARIANTS
@@ -151,6 +154,11 @@ def register_pass(cls: Type[Pass]) -> Type[Pass]:
         )
     if cls.stage not in STAGES:
         raise PassError(f"pass {cls.name!r} has unknown stage {cls.stage!r}")
+    cls.declared = {
+        param.name: param.default
+        for param in inspect.signature(cls).parameters.values()
+        if param.default is not param.empty
+    }
     _REGISTRY[cls.name] = cls
     return cls
 
@@ -171,14 +179,24 @@ def get_pass_class(name: str) -> Type[Pass]:
 def make_pass(name: str, **params: Any) -> Pass:
     """Instantiate a registered pass with parameters.
 
-    A parameter the pass does not declare, or a value of the wrong type,
-    is a :class:`PassError`.
+    A parameter the pass does not declare, or a value whose type differs
+    from the declared default's, is a :class:`PassError`.  An ``int`` may
+    stand for a ``float``; a ``bool`` is not an ``int``.
     """
     cls = get_pass_class(name)
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise PassError(f"bad parameters for pass {name!r}: {exc}") from exc
+    for key, value in params.items():
+        if key not in cls.declared:
+            problem = (
+                f"unexpected parameter {key!r}; "
+                f"declared: {sorted(cls.declared)}"
+            )
+        else:
+            want = type(cls.declared[key])
+            if type(value) is want or (want is float and type(value) is int):
+                continue
+            problem = f"parameter {key!r} must be {want.__name__}, got {value!r}"
+        raise PassError(f"bad parameters for pass {name!r}: {problem}")
+    return cls(**params)
 
 
 def pass_names() -> List[str]:

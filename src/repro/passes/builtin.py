@@ -1,4 +1,4 @@
-"""The built-in passes: Spire IR rewrites, structural lowering, circopt.
+"""The built-in passes: Spire IR rewrites and structural lowering.
 
 IR rewrites (stage ``ir``)
     ``flatten`` and ``narrow`` — the two rules of the paper's combined
@@ -15,34 +15,26 @@ Structural passes (stage ``lower``)
     contains both, exactly once.
 
 Gate passes (stage ``gates``)
-    One pass per registered :mod:`repro.circopt` optimizer, generated from
-    the circopt registry so the two stay in lockstep.  Parameters are
-    forwarded to the optimizer constructor (``peephole(window=32)``),
-    which declares them: an undeclared name, or a value whose type differs
-    from the declared default's (an ``int`` may stand for a ``float``), is
-    rejected when the spec is parsed.
+    Not defined here: each is a :mod:`repro.circopt` optimizer class,
+    registered where it is defined, so one class is the optimizer, the
+    pass and its parameter declaration.
 """
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable, Dict, FrozenSet
 
-from ..circopt.base import get_optimizer, optimizer_class, optimizer_names
 from ..errors import LoweringError
 from ..ir.core import Stmt, free_vars
 from ..ir.typecheck import infer_types
 from ..opt.spire import _Rewriter
 from .base import (
-    CLIFFORD_T_OUTPUT,
     DETERMINISTIC,
-    GATES,
     IR,
     LOWER,
     Pass,
     PRESERVES_TYPES,
     SEMANTICS_PRESERVING,
-    TCOUNT_NONINCREASING,
     register_pass,
 )
 
@@ -147,59 +139,3 @@ class LowerPass(Pass):
         ctx.circuit, _scratch = expand_program(
             ctx.abstract, ctx.config, ctx.cell_bits
         )
-
-
-# ---------------------------------------------------------------- gate passes
-def _register_gate_pass(opt_name: str) -> None:
-    cls = optimizer_class(opt_name)
-    deterministic = opt_name != "greedy-search"
-    invariants = {SEMANTICS_PRESERVING, TCOUNT_NONINCREASING, CLIFFORD_T_OUTPUT}
-    if deterministic:
-        invariants.add(DETERMINISTIC)
-    #: the optimizer constructor's parameters and their defaults
-    declared = {
-        param.name: param.default
-        for param in inspect.signature(cls).parameters.values()
-        if param.default is not param.empty
-    }
-
-    class _GatePass(Pass):
-        name = opt_name
-        stage = GATES
-
-        def __init__(self, **params) -> None:
-            for key, value in params.items():
-                if key not in declared:
-                    raise TypeError(
-                        f"unexpected parameter {key!r}; "
-                        f"declared: {sorted(declared)}"
-                    )
-                want = type(declared[key])
-                if not (
-                    type(value) is want
-                    or (want is float and type(value) is int)
-                ):
-                    raise TypeError(
-                        f"parameter {key!r} must be {want.__name__}, "
-                        f"got {value!r}"
-                    )
-            self.params = dict(params)
-
-        def apply(self, ctx) -> None:
-            opt = get_optimizer(self.name, **self.params)
-            opt.cache = ctx.decomposition_cache
-            ctx.circuit = opt.run(ctx.circuit)
-
-    _GatePass.invariants = frozenset(invariants)
-    first_line = (cls.__doc__ or "").strip().splitlines()
-    summary = first_line[0] if first_line else opt_name
-    _GatePass.__doc__ = (
-        f"{summary} Models {cls.models}." if cls.models else summary
-    )
-    _GatePass.__name__ = f"GatePass_{opt_name.replace('-', '_')}"
-    register_pass(_GatePass)
-
-
-for _name in optimizer_names():
-    _register_gate_pass(_name)
-del _name

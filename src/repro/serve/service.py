@@ -35,7 +35,11 @@ compiling.  Its :class:`~repro.bounded.BoundedCache` tables lock around
 lookup, insert and evict, and both memos (and the runner's
 compiled-circuit memo) are bounded, so a long run of distinct programs
 holds a fixed number of them.
-With ``jobs >= 2`` the pool workers run their own frontend.
+With ``jobs >= 2`` the pool workers run their own frontend and their
+own artifact-cache instance.  Each worker returns its cache's counter
+increments with every row and the sweep adds them to the service's
+cache, so ``/cache/stats`` counts the workers' loads with nothing
+written to disk for them.
 """
 
 from __future__ import annotations
@@ -231,32 +235,19 @@ class CompileService:
                     self.flight.reject(fp, exc)
 
     def _run_batch(self, batch: List[Tuple[str, GridTask]]) -> None:
-        """Executor-thread body: one backend sweep over the batch.
-
-        The cache's stats are published before the batch's last row is
-        answered, so a client holding every answer finds no staging file
-        of this batch still on disk.
-        """
+        """Executor-thread body: one backend sweep over the batch."""
         fps = [fp for fp, _ in batch]
         tasks = [task for _, task in batch]
-        unanswered = set(range(len(batch)))
         assert self._loop is not None
 
         def on_row(index: int, row: Dict[str, Any]) -> None:
-            fp = fps[index]
-            unanswered.discard(index)
-            if not unanswered and self.cache is not None:
-                self.cache.publish_stats()
-            self._loop.call_soon_threadsafe(self._finish, fp, row)
+            self._loop.call_soon_threadsafe(self._finish, fps[index], row)
 
         try:
             self.backend.run(self.runner, tasks, on_row=on_row)
         finally:
-            if self.cache is not None:
-                if unanswered:  # the sweep stopped before its last row
-                    self.cache.publish_stats()
-                if self.cache_max_bytes is not None:
-                    self.cache.prune(self.cache_max_bytes)
+            if self.cache is not None and self.cache_max_bytes is not None:
+                self.cache.prune(self.cache_max_bytes)
 
     def _finish(self, fp: str, row: Dict[str, Any]) -> None:
         """Loop-thread completion: record, count, resolve the future."""
@@ -273,10 +264,11 @@ class CompileService:
 
     # ------------------------------------------------------------- reports
     def cache_stats(self) -> Dict[str, Any]:
-        """Fleet-wide cache counters + usage (the ``/cache/stats`` body)."""
+        """Cache counters + usage (the ``/cache/stats`` body); the counters
+        include the loads of every pool worker that returned a row."""
         if self.cache is None:
             return {"cache": None}
-        stats = self.cache.aggregated_stats()
+        stats = self.cache.stats()
         usage = self.cache.usage()
         total = stats.get("hits", 0) + stats.get("misses", 0)
         return {

@@ -1,6 +1,6 @@
 """Shared-cache recency and concurrency regressions.
 
-Three historical bugs of :class:`~repro.benchsuite.cache.ArtifactCache`
+Four historical bugs of :class:`~repro.benchsuite.cache.ArtifactCache`
 under a long-running server:
 
 * eviction was FIFO, not LRU — ``prune`` orders by mtime but loads never
@@ -11,18 +11,31 @@ under a long-running server:
   reclaimed;
 * the hit/miss/corrupt counters were bare ``+=`` on ints — lost updates
   once concurrent requests share one instance — and ``/cache/stats``
-  could only see the parent process's counters, not the worker fleet's.
+  could only see the parent process's counters, not the worker fleet's;
+* the fix for the last one had every pool worker write its counters to a
+  file under ``<cache>/stats/`` that nothing removed, so the directory
+  grew by a file per worker per sweep; workers now return their counter
+  increments with each row.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 
-from repro.benchsuite import ArtifactCache
+import pytest
+
+from repro.benchsuite import (
+    ArtifactCache,
+    BenchmarkRunner,
+    ParallelBackend,
+    measure_tasks,
+    parallel,
+)
 from repro.benchsuite.cache import POINT_FILE, TMP_PREFIX
+from repro.config import TINY
+from repro.faults import inject, parse_fault_plan
 
 KEY_HOT = "aa" + "0" * 62
 KEY_COLD = "bb" + "0" * 62
@@ -167,8 +180,9 @@ def test_interrupted_atomic_write_leaves_no_tmp_in_parent(tmp_path):
 
 # -------------------------------------------------------------- concurrency
 def test_counters_are_thread_safe(tmp_path):
-    """4 threads x 500 misses each: bare `+=` loses updates under the
-    race; the locked counter must account for every one."""
+    """4 threads x 500 misses each, beside 2 threads adding 500 worker
+    misses each: bare `+=` loses updates under the race; the locked
+    counter must account for every one."""
     cache = ArtifactCache(tmp_path)
     threads = [
         threading.Thread(
@@ -177,59 +191,78 @@ def test_counters_are_thread_safe(tmp_path):
             ]
         )
         for _ in range(4)
+    ] + [
+        threading.Thread(
+            target=lambda: [cache.add_counts({"misses": 1}) for _ in range(500)]
+        )
+        for _ in range(2)
     ]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert cache.misses == 2000
+    assert cache.misses == 3000
 
 
-def test_publish_and_aggregate_stats(tmp_path):
-    """Two instances sharing a root (as parent + worker do): the
-    aggregate must sum the other publisher's counters with this
-    instance's live ones, without double-counting its own file."""
+def test_worker_counts_return_with_rows_and_write_no_files(tmp_path):
+    """Six pool sweeps on one cache: the parent's counters include every
+    worker's loads, and no per-worker stats file is left behind."""
+    cache = ArtifactCache(tmp_path)
+    runner = BenchmarkRunner(TINY, cache=cache)
+    for depth in range(1, 7):
+        tasks = measure_tasks(["length", "length-simplified"], [depth])
+        ParallelBackend(jobs=2).run(runner, tasks)
+    assert not (tmp_path / "stats").exists()
+    # each of the 12 points: one replay probe in the parent, one in the
+    # worker that compiled it
+    assert cache.stats()["misses"] == 24
+    assert cache.stats()["hits"] == 0
+
+
+def test_failed_attempt_loads_return_with_the_next_row(tmp_path, monkeypatch):
+    """A task that fails after its replay probe keeps that miss in the
+    worker's counters; the worker's next row brings it back."""
+    runner = BenchmarkRunner(TINY, cache=ArtifactCache(tmp_path))
+    monkeypatch.setattr(parallel, "_WORKER_RUNNER", runner)
+    task = measure_tasks("length", [1])[0]
+    inject.install(parse_fault_plan("flaky:cache.store_point:n=1"))
+    try:
+        with pytest.raises(OSError):
+            parallel._run_worker_task(task)
+        row, counts = parallel._run_worker_task(task)
+    finally:
+        inject.uninstall()
+    assert row["name"] == "length"
+    assert (counts["misses"], counts["hits"]) == (2, 0)  # both probes
+    # the stored row replays, and only this call's load is counted
+    _row, counts = parallel._run_worker_task(task)
+    assert (counts["misses"], counts["hits"]) == (0, 1)
+
+
+def test_take_counts_hands_over_increments(tmp_path):
+    """A worker's counts leave once: taken counts reset, and adding them
+    to another instance counts them there."""
     parent = ArtifactCache(tmp_path)
     worker = ArtifactCache(tmp_path)
     parent.store_point(KEY_HOT, ROW)
-    assert parent.load_point(KEY_HOT) == ROW      # parent: 1 hit
-    assert worker.load_point(KEY_COLD) is None    # worker: 1 miss
-    worker.publish_stats()
-    parent.publish_stats()  # own file must not double-count
-
-    stats = parent.aggregated_stats()
-    assert stats["hits"] == 1
-    assert stats["misses"] == 1
-    assert stats["publishers"] == 1  # the worker's file (not its own)
-    assert stats["entries"] == 1
-
-    payload = json.loads(
-        next((tmp_path / "stats").glob("*.json")).read_text()
+    assert worker.load_point(KEY_HOT) == ROW
+    assert worker.load_point(KEY_COLD) is None
+    parent.add_counts(worker.take_counts())
+    assert worker.take_counts() == dict.fromkeys(
+        ("hits", "misses", "corrupt", "io_errors", "quarantined"), 0
     )
-    assert payload["pid"] == os.getpid()
+    stats = parent.stats()
+    assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
 
 
-def test_publish_is_cumulative_not_additive(tmp_path):
-    """Republishing replaces the per-instance file; counts never inflate."""
-    parent = ArtifactCache(tmp_path)
-    worker = ArtifactCache(tmp_path)
-    parent.store_point(KEY_HOT, ROW)
-    for _ in range(3):
-        assert worker.load_point(KEY_HOT) == ROW
-        worker.publish_stats()
-    assert parent.aggregated_stats()["hits"] == 3
-
-
-def test_stats_and_journal_dirs_are_not_entries(tmp_path):
+def test_journal_dir_is_not_an_entry(tmp_path):
     cache = ArtifactCache(tmp_path)
     cache.store_point(KEY_HOT, ROW)
-    cache.publish_stats()
     (tmp_path / "journal").mkdir()
     (tmp_path / "journal" / "serve.jsonl").write_text("{}\n")
     assert len(cache) == 1
     assert cache.usage()["entries"] == 1
     cache.prune(max_bytes=0)
-    # pruning to zero removes entries but never the meta directories
-    assert (tmp_path / "stats").is_dir()
+    # pruning to zero removes entries but never the journal directory
     assert (tmp_path / "journal" / "serve.jsonl").exists()
     assert cache.usage()["entries"] == 0

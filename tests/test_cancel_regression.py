@@ -7,9 +7,9 @@ Two layers of protection:
   and the row and record columns the compiled kernels read giving back
   every gate, past 64 wires too;
 * **properties** — on random Clifford+T circuits, every vectorized path
-  (``cancel_pass``, ``cancel_to_fixpoint``, ``fold_phases``,
-  ``gates_commute``, the statevector kernels) returns output identical to
-  the frozen seed implementations kept in :mod:`repro.reference`.
+  (``cancel_pass``, ``cancel_to_fixpoint``, ``fold_phases``, the
+  statevector kernels) returns output identical to the frozen seed
+  implementations kept in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 
 from repro import reference
 from repro.circopt import cancel_pass, cancel_to_fixpoint, fold_phases
-from repro.circopt.base import gates_commute
 from repro.circuit import (
     Circuit,
     cnot,
@@ -160,14 +159,6 @@ def test_cancel_to_fixpoint_matches_seed(circ, window):
 @given(circ=random_clifford_t())
 def test_fold_phases_matches_seed(circ):
     assert fold_phases(circ).gates == reference.fold_phases_seed(circ).gates
-
-
-@settings(max_examples=200, deadline=None)
-@given(circ=random_clifford_t(num_qubits=3))
-def test_gates_commute_matches_seed(circ):
-    gates = circ.gates
-    for a, b in zip(gates, gates[1:]):
-        assert gates_commute(a, b) == reference.gates_commute_seed(a, b)
 
 
 @settings(max_examples=60, deadline=None)

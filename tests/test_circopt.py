@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.circopt import (
-    cancel_to_fixpoint,
-    fold_phases,
-    gates_commute,
-    get_optimizer,
-    optimizer_names,
-)
+from repro.circopt import cancel_to_fixpoint, fold_phases
 from repro.circuit import (
     Circuit,
+    DecompositionCache,
     cnot,
     h,
     mcx,
@@ -26,29 +21,14 @@ from repro.circuit import (
 from repro.circuit.statevector import circuits_equivalent, equivalent_on_clean_ancillas
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
+from repro.passes import GATES, PassError, get_pass_class, make_pass, pass_names
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
 
 
-class TestCommutation:
-    def test_disjoint_gates_commute(self):
-        assert gates_commute(cnot(0, 1), cnot(2, 3))
-
-    def test_x_type_rule(self):
-        # same target, disjoint controls: commute
-        assert gates_commute(cnot(0, 2), cnot(1, 2))
-        # target feeds the other's control: do not commute
-        assert not gates_commute(cnot(0, 1), cnot(1, 2))
-
-    def test_phase_on_control_commutes(self):
-        assert gates_commute(t(0), cnot(0, 1))
-        assert not gates_commute(t(1), cnot(0, 1))
-
-    def test_phases_always_commute(self):
-        assert gates_commute(t(0), z(0))
-
-    def test_h_blocks(self):
-        assert not gates_commute(h(0), cnot(0, 1))
+def _optimize(name, circuit, **params):
+    """Run one gate pass directly, with a fresh decomposition cache."""
+    return make_pass(name, **params).run(circuit, DecompositionCache())
 
 
 class TestCancellation:
@@ -137,22 +117,22 @@ class TestPhaseFolding:
 
 class TestOptimizers:
     def test_registry(self):
-        assert set(optimizer_names()) == {
+        assert {
+            name for name in pass_names() if get_pass_class(name).stage == GATES
+        } == {
             "peephole",
             "toffoli-cancel",
             "rotation-merge",
             "zx-like",
             "greedy-search",
         }
-        with pytest.raises(KeyError):
-            get_optimizer("nope")
+        with pytest.raises(PassError):
+            make_pass("nope")
 
     @pytest.mark.parametrize("name", ["peephole", "toffoli-cancel", "rotation-merge", "zx-like"])
     def test_output_is_clifford_t(self, name, length_source):
         cp = compile_source(length_source, "length", size=2, config=CFG)
-        result = get_optimizer(name).optimize(cp.circuit)
-        assert result.circuit.is_clifford_t()
-        assert result.seconds >= 0
+        assert _optimize(name, cp.circuit).is_clifford_t()
 
     @pytest.mark.parametrize("name", ["peephole", "toffoli-cancel", "rotation-merge", "zx-like"])
     def test_preserves_semantics_small(self, name):
@@ -166,31 +146,27 @@ class TestOptimizers:
                 mcx([0, 1, 2], 3),
             ],
         )
-        result = get_optimizer(name).optimize(circ)
-        assert equivalent_on_clean_ancillas(circ, result.circuit)
+        assert equivalent_on_clean_ancillas(circ, _optimize(name, circ))
 
     def test_toffoli_cancel_removes_redundant_mcx_pairs(self):
         circ = Circuit(4, [mcx([0, 1, 2], 3), mcx([0, 1, 2], 3)])
-        result = get_optimizer("toffoli-cancel").optimize(circ)
-        assert result.t_count == 0
+        assert _optimize("toffoli-cancel", circ).t_count() == 0
 
     def test_peephole_cannot_cancel_decomposed_toffoli_pair(self):
         # the Figure 17 phenomenon: Qiskit-style peephole fails
         circ = Circuit(3, [toffoli(0, 1, 2), toffoli(0, 1, 2)])
-        peep = get_optimizer("peephole").optimize(circ)
-        tofc = get_optimizer("toffoli-cancel").optimize(circ)
-        assert tofc.t_count == 0
-        assert peep.t_count > 0
+        assert _optimize("toffoli-cancel", circ).t_count() == 0
+        assert _optimize("peephole", circ).t_count() > 0
 
     def test_greedy_search_preprocess_only(self, length_source):
         cp = compile_source(length_source, "length", size=2, config=CFG)
-        pre = get_optimizer("greedy-search", timeout=0.0, preprocess_only=True)
-        result = pre.optimize(cp.circuit)
-        assert result.circuit.is_clifford_t()
+        result = _optimize(
+            "greedy-search", cp.circuit, timeout=0.0, preprocess_only=True
+        )
+        assert result.is_clifford_t()
 
     @pytest.mark.slow
     def test_greedy_search_respects_budget(self, length_source):
         # wall-clock-bounded search phase: slow tier (timing-dependent)
         cp = compile_source(length_source, "length", size=2, config=CFG)
-        result = get_optimizer("greedy-search", timeout=0.2).optimize(cp.circuit)
-        assert result.circuit.is_clifford_t()
+        assert _optimize("greedy-search", cp.circuit, timeout=0.2).is_clifford_t()

@@ -1,7 +1,10 @@
 """Tests for the CLI and the resource estimator."""
 
+import re
+
 import pytest
 
+from repro.benchsuite import BenchmarkRunner, get_source
 from repro.cli import main
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
@@ -50,10 +53,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "T-depth" in out and "area-latency" in out
 
-    def test_optimizers(self, source_file, capsys):
-        assert main(["optimizers", source_file, *COMMON, "--timeout", "0.1"]) == 0
+    def test_optimizers(self, tmp_path, capsys):
+        # the registered program, so each printed T-count can be checked
+        # against the runner's row for the same pipeline
+        path = tmp_path / "length.twr"
+        path.write_text(get_source("length"))
+        assert main(["optimizers", str(path), *COMMON, "--timeout", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "toffoli-cancel" in out and "zx-like" in out
+        printed = dict(re.findall(r"^  (\S+) +T=(\d+)", out, re.M))
+        assert sorted(printed) == [
+            "greedy-search", "peephole", "rotation-merge", "toffoli-cancel",
+            "zx-like",
+        ]
+        runner = BenchmarkRunner(CFG)
+        # greedy-search is left out: its search phase stops at a wall-clock
+        # deadline, so two runs of one spec may differ
+        for name in ("peephole", "rotation-merge", "toffoli-cancel", "zx-like"):
+            point = runner.measure("length", 3, f"none+{name}")
+            assert int(printed[name]) == point.t, name
 
     def test_missing_file_is_an_error(self, capsys):
         assert main(["compile", "/nope/missing.twr", *COMMON]) == 1

@@ -11,7 +11,8 @@ Satellite of the pass-manager refactor:
   paper's combined pass; this suite is what pins that fusion down.)
 * every recorded (benchmark, depth, optimizer) seed T-count triple must
   reproduce through the pass manager's pipeline path
-  (``none+<optimizer>`` and the preset × optimizer products).
+  (``none+<optimizer>`` and the preset × optimizer products, each product
+  checked against the gate pass run directly on a fresh compile).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pathlib
 import pytest
 
 from repro.benchsuite import BenchmarkRunner, SOURCES, get_entry, get_source, is_unsized
+from repro.circuit import DecompositionCache
 from repro.compiler import compile_source, infer_cell_bits
 from repro.config import CompilerConfig
 from repro.cost.exact import exact_counts
@@ -30,6 +32,7 @@ from repro.ir.typecheck import infer_types
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
 from repro.opt import flatten_only, narrow_only, spire_optimize
+from repro.passes import make_pass
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
 
@@ -141,5 +144,9 @@ class TestSeedTcountsThroughPassManager:
     def test_preset_product_matches_direct_path(self, optimization, optimizer):
         runner = self.runner()
         point = runner.measure("length", 2, f"{optimization}+{optimizer}")
-        baseline = runner.optimize_circuit("length", 2, optimizer, optimization)
-        assert point.t == baseline.t_count
+        compiled = compile_source(
+            get_source("length"), get_entry("length"), 2, runner.config,
+            optimization,
+        )
+        direct = make_pass(optimizer).run(compiled.circuit, DecompositionCache())
+        assert point.t == direct.t_count()

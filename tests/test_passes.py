@@ -1,9 +1,13 @@
 """The pass framework: specs, registry, manager, caching, bisection, CLI."""
 
+import inspect
+
 import pytest
 
-from repro.benchsuite import ArtifactCache, BenchmarkRunner, task_key
+import repro.circopt as circopt
+from repro.benchsuite import ArtifactCache, BenchmarkRunner, get_source, task_key
 from repro.benchsuite.parallel import stable_rows
+from repro.circuit import DecompositionCache
 from repro.cli import main
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
@@ -19,6 +23,8 @@ from repro.passes import (
     Pipeline,
     SEMANTICS_PRESERVING,
     canonical_pipeline,
+    get_pass_class,
+    make_pass,
     pass_catalog,
     pass_names,
     register_pass,
@@ -27,6 +33,44 @@ from repro.passes import (
 )
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
+
+#: the ``repro passes --list`` catalog, recorded when the gate passes were
+#: still generated from a separate optimizer registry:
+#: (name, stage, invariants, engine, description)
+CATALOG = [
+    ("analyze", "analyze", "deterministic semantics_preserving static_cost_bound",
+     "", "Predict this pipeline's exact MCX/T cost and lint the core IR."),
+    ("flatten", "ir", "deterministic preserves_types semantics_preserving",
+     "spire", "Conditional flattening (Section 6.1): if x { if y { s } } ~> "
+     "with { z <- x && y } do { if z { s } }."),
+    ("narrow", "ir", "deterministic preserves_types semantics_preserving",
+     "spire", "Conditional narrowing (Section 6.2): if x { with { s1 } do "
+     "{ s2 } } ~> with { s1 } do { if x { s2 } }."),
+    ("alloc", "lower", "deterministic semantics_preserving", "",
+     "Type inference, cell-width inference and abstract lowering (Section 7)."),
+    ("lower", "lower", "deterministic semantics_preserving", "",
+     "MCX gate expansion of the abstract circuit (Section 7, Figure 5)."),
+    ("greedy-search", "gates",
+     "clifford_t_output semantics_preserving tcount_nonincreasing", "",
+     "Rotation-merge preprocessing plus a time-budgeted search phase. "
+     "Models Quartz, QUESO."),
+    ("peephole", "gates",
+     "clifford_t_output deterministic semantics_preserving tcount_nonincreasing",
+     "", "Adjacent-gate cancellation on the decomposed Clifford+T circuit. "
+     "Models Qiskit, Pytket peephole."),
+    ("rotation-merge", "gates",
+     "clifford_t_output deterministic semantics_preserving tcount_nonincreasing",
+     "", "Decompose to Clifford+T, fold phases, then peephole. "
+     "Models Feynman -toCliffordT, VOQC, Pytket ZX."),
+    ("toffoli-cancel", "gates",
+     "clifford_t_output deterministic semantics_preserving tcount_nonincreasing",
+     "", "Cancel Toffoli gates before Clifford+T translation. "
+     "Models Feynman -mctExpand."),
+    ("zx-like", "gates",
+     "clifford_t_output deterministic semantics_preserving tcount_nonincreasing",
+     "", "Toffoli cancel + rotation merge + peephole, with wide windows. "
+     "Models QuiZX (PyZX)."),
+]
 
 
 class TestPipelineSpecs:
@@ -97,6 +141,33 @@ class TestPipelineSpecs:
         pipe = resolve_pipeline("none+greedy-search(timeout=2)")
         assert pipe.gate_passes[-1].kwargs() == {"timeout": 2}
 
+    def test_parameters_are_checked_without_inspecting_constructors(
+        self, monkeypatch
+    ):
+        """Each class's parameters are recorded when it is registered, so
+        building a pass or parsing a spec never inspects a constructor."""
+
+        def no_signature(*args, **kwargs):
+            raise AssertionError("inspect.signature called after registration")
+
+        monkeypatch.setattr(inspect, "signature", no_signature)
+        assert make_pass("peephole", window=32).window == 32
+        resolve_pipeline("none+peephole(window=32)")
+        resolve_pipeline("none+greedy-search(timeout=2)")
+        # the specs of test_bad_pass_parameters_rejected_at_parse
+        for spec in (
+            "none+peephole(bogus=1)",
+            "none+zx-like(nope=2)",
+            "none+peephole(window=abc)",
+            "none+peephole(window=true)",
+            "none+peephole(window=1.5)",
+            "none+greedy-search(preprocess_only=1)",
+            "flatten(rules=1),alloc,lower",
+            "alloc,lower,peephole(bogus=1)",
+        ):
+            with pytest.raises(PassError, match="bad parameters"):
+                resolve_pipeline(spec)
+
     def test_out_of_order_stages_rejected(self):
         with pytest.raises(PassError):
             Pipeline.parse("peephole,flatten,alloc,lower")
@@ -141,6 +212,51 @@ class TestRegistry:
             assert row["stage"] in ("analyze", "ir", "lower", "gates")
             assert row["description"], row["name"]
             assert SEMANTICS_PRESERVING in row["invariants"], row["name"]
+
+    def test_catalog_is_unchanged(self):
+        assert pass_catalog() == [
+            {
+                "name": name,
+                "stage": stage,
+                "invariants": invariants.split(),
+                "engine": engine,
+                "description": description,
+            }
+            for name, stage, invariants, engine, description in CATALOG
+        ]
+        for name in pass_names():
+            cls = get_pass_class(name)
+            if cls.stage == GATES:
+                assert cls.describe().endswith(f" Models {cls.models}.")
+
+    @pytest.mark.parametrize(
+        "name,class_name",
+        [
+            ("peephole", "CliffordTPeephole"),
+            ("rotation-merge", "RotationMerging"),
+            ("toffoli-cancel", "ToffoliCancel"),
+            ("zx-like", "ZXLike"),
+            ("greedy-search", "GreedySearch"),
+        ],
+    )
+    def test_gate_pass_is_its_circopt_class(self, name, class_name):
+        cls = getattr(circopt, class_name)
+        assert get_pass_class(name) is cls
+        assert type(make_pass(name)) is cls
+
+    def test_circopt_has_no_second_registry(self):
+        # the package names its classes and kernels, and has no second
+        # registry or by-name factory beside the pass registry
+        public = {
+            name
+            for name, value in vars(circopt).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert public == {
+            "CircuitOptimizer", "CliffordTPeephole", "GreedySearch",
+            "RotationMerging", "ToffoliCancel", "ZXLike",
+            "cancel_circuit", "cancel_pass", "cancel_to_fixpoint", "fold_phases",
+        }
 
 
 class TestPassManager:
@@ -300,8 +416,9 @@ class TestPrefixReplay:
         def _no_compile(*args, **kwargs):
             raise AssertionError("pipeline prefix should have replayed")
 
-        direct = BenchmarkRunner(CFG).optimize_circuit(
-            "length", 3, "toffoli-cancel", "spire"
+        direct = make_pass("toffoli-cancel").run(
+            compile_source(get_source("length"), "length", 3, CFG, "spire").circuit,
+            DecompositionCache(),
         )
         monkeypatch.setattr(runner_mod, "compile_checked", _no_compile)
         resumed = runner2.measure("length", 3, "spire+toffoli-cancel")
@@ -309,7 +426,7 @@ class TestPrefixReplay:
         assert resumed.prefix_cached == "flatten,narrow,alloc,lower"
         assert not resumed.cached
         # bit-identity with the direct (uncached) optimizer path
-        assert resumed.t == direct.t_count
+        assert resumed.t == direct.t_count()
 
     def test_preset_measure_replays_synthesized_prefix(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -339,12 +456,13 @@ class TestPrefixReplay:
 
     def test_measure_pipeline_equals_optimizer_baseline(self):
         runner = BenchmarkRunner(CFG)
+        compiled = compile_source(get_source("length"), "length", 2, CFG, "spire")
         for optimizer in ("peephole", "toffoli-cancel", "zx-like"):
             point = runner.measure("length", 2, f"spire+{optimizer}")
-            baseline = runner.optimize_circuit(
-                "length", 2, optimizer, "spire"
+            baseline = make_pass(optimizer).run(
+                compiled.circuit, DecompositionCache()
             )
-            assert point.t == baseline.t_count, optimizer
+            assert point.t == baseline.t_count(), optimizer
 
     @pytest.mark.parametrize("preset_first", [True, False])
     def test_baselines_resume_from_the_memo(self, monkeypatch, preset_first):

@@ -6,8 +6,11 @@ seed implementations produced before the gate-stream rewrite.  The packed
 hot paths are required to be semantics-preserving *and* emission-preserving,
 so every triple must still come out bit-for-bit identical.
 
-``greedy-search`` is recorded in ``preprocess_only`` mode: its full search
-loop is wall-clock bounded and therefore not deterministic across machines.
+Every triple is measured as the row of the pipeline ``none+<optimizer>``,
+the route every grid row takes.  ``greedy-search`` is recorded in
+``preprocess_only`` mode (``none+greedy-search(preprocess_only=true)``):
+its full search loop is wall-clock bounded and therefore not
+deterministic across machines.
 
 Triples whose recorded T-count exceeds :data:`SLOW_THRESHOLD` carry the
 ``slow`` marker (their Clifford+T expansions dominate the suite's wall
@@ -51,8 +54,9 @@ def _case(key: str):
 @pytest.mark.parametrize("key", [_case(key) for key in sorted(SEED["counts"])])
 def test_t_count_matches_seed(key):
     name, depth, optimizer = key.split("|")
-    kwargs = {"preprocess_only": True} if optimizer == "greedy-search" else {}
-    result = _runner().optimize_circuit(
-        name, None if depth == "None" else int(depth), optimizer, **kwargs
+    if optimizer == "greedy-search":
+        optimizer = "greedy-search(preprocess_only=true)"
+    point = _runner().measure(
+        name, None if depth == "None" else int(depth), f"none+{optimizer}"
     )
-    assert result.t_count == SEED["counts"][key], key
+    assert point.t == SEED["counts"][key], key

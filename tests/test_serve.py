@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import asyncio
 import sys
-import threading
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -466,31 +464,6 @@ def test_rows_match_serial_no_server_baseline(tmp_path):
 
 
 # ----------------------------------------------------------- metrics & stats
-def test_batch_stats_are_published_before_its_last_answer(tmp_path, monkeypatch):
-    """A slow stats write must finish before the answer goes out, or a
-    client's next ``/cache/stats`` can count its staging file."""
-    published = threading.Event()
-    publish = ArtifactCache.publish_stats
-
-    def slow_publish(cache: ArtifactCache) -> None:
-        time.sleep(0.2)
-        publish(cache)
-        published.set()
-
-    monkeypatch.setattr(ArtifactCache, "publish_stats", slow_publish)
-
-    async def main() -> None:
-        async with _server(tmp_path) as server:
-            async with Client(server.host, server.port) as client:
-                status, _ = await client.post("/compile", {"source": INLINE_OK})
-                assert status == 200
-                assert published.is_set()
-                _, stats = await client.get("/cache/stats")
-                assert stats["usage"]["tmp_files"] == 0
-
-    asyncio.run(main())
-
-
 def test_metrics_and_cache_stats_shape(tmp_path):
     async def main() -> None:
         async with _server(tmp_path) as server:
