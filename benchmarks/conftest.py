@@ -48,13 +48,21 @@ CACHE_DIR = pathlib.Path(
 JOBS = int(os.environ.get("REPRO_JOBS", os.cpu_count() or 1))
 
 
+#: one worker pool for the session, shared by every runner; a runner with
+#: another config closes it and starts one for that config
+BACKEND = ParallelBackend(jobs=JOBS) if JOBS > 1 else None
+
+
 def make_runner(config: CompilerConfig = CONFIG) -> BenchmarkRunner:
     """A cache-backed runner; parallel fan-out when more than one job."""
-    return BenchmarkRunner(
-        config,
-        cache=ArtifactCache(CACHE_DIR),
-        backend=ParallelBackend(jobs=JOBS) if JOBS > 1 else None,
-    )
+    return BenchmarkRunner(config, cache=ArtifactCache(CACHE_DIR), backend=BACKEND)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _close_backend():
+    yield
+    if BACKEND is not None:
+        BACKEND.close()
 
 
 @pytest.fixture(scope="session")

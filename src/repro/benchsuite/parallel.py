@@ -14,8 +14,10 @@ warm points and shares artifacts between workers:
 * :class:`SerialBackend` — in-process loop (the reference semantics);
 * :class:`ParallelBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   fan-out with per-worker runner state and shared on-disk artifacts.
-  Each worker returns its cache's counter increments with every row, and
-  the sweep adds them to the runner's cache, so
+  The backend keeps one pool for its lifetime, so every sweep after the
+  first runs on workers whose memos are warm; :meth:`ParallelBackend.close`
+  terminates it.  Each worker returns its cache's counter increments with
+  every row, and the sweep adds them to the runner's cache, so
   :meth:`~repro.benchsuite.cache.ArtifactCache.stats` counts the
   workers' loads too.
 
@@ -53,9 +55,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import CompilerConfig
 from ..faults import inject
-from ..passes.pipeline import canonical_pipeline, resolve_pipeline
+from ..passes.pipeline import resolve_pipeline
 from .cache import ArtifactCache
-from .programs import TREE_BENCHMARKS, UNSIZED, is_unsized
+from .programs import TREE_BENCHMARKS, is_unsized, registered, runtime_program
 from .resilience import RetryPolicy, failure_row
 
 #: progress callback: (done, total, row) -> None
@@ -231,6 +233,9 @@ class ExecutionBackend:
 
     name = "abstract"
 
+    def close(self) -> None:
+        """Release what the backend holds between sweeps (nothing here)."""
+
     def run(
         self,
         runner,
@@ -342,23 +347,35 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 class ParallelBackend(ExecutionBackend):
     """Fan the grid across a :class:`ProcessPoolExecutor`.
 
-    Each worker process holds one long-lived :class:`BenchmarkRunner`, so
+    The backend keeps one pool for its lifetime.  The first wave that
+    submits work starts it (so the workers inherit a fault plan installed
+    after the backend was built), bound to the runner's config and cache
+    root; a wave for another pair closes it and starts another.  Each
+    worker process holds one long-lived :class:`BenchmarkRunner`, so
     per-process memoization (parsed programs, compiled circuits, the
-    shared decomposition cache) is preserved within a worker.  When the
-    parent runner has an artifact cache, the parent replays its warm
-    points and the workers share the rest through the same cache
-    directory, in two waves: pipelines without gate passes (which store
-    their compiled circuits) before the ones with gate passes (which
-    resume from them), so a grid point's compile happens in exactly one
-    worker.  With ``jobs == 1`` the sweep is a :class:`SerialBackend` one.
+    shared decomposition cache) carries over from task to task and from
+    sweep to sweep.  When the runner has an artifact cache, the workers
+    share it through the same cache directory: a warm point replays in
+    the worker that draws it, and the grid runs in two waves, pipelines
+    without gate passes (which store their compiled circuits) before the
+    ones with gate passes (which resume from them), so a grid point's
+    compile happens in exactly one worker.  With ``jobs == 1`` the sweep
+    is a :class:`SerialBackend` one.
+
+    A task for a program that
+    :func:`~repro.benchsuite.programs.register_source` added at run time
+    (``repro serve``'s inline sources) carries its ``(source, entry)``,
+    and the worker registers it for that task only.
 
     Rows come back in task order regardless of completion order.  A
     failing task is retried per the policy; a crashed or hung worker
     takes its pool down and the sweep respawns and reschedules; after
     ``policy.max_pool_deaths`` pool deaths in one wave, the wave's
-    remaining tasks execute serially in the parent.  Every scheduled task
-    ends as either a measurement row or a failure row — a sweep that
-    somehow lost a task raises rather than returning a shorter result.
+    remaining tasks execute serially in the parent, and the next wave
+    starts a new pool.  Every scheduled task ends as either a measurement
+    row or a failure row — a sweep that somehow lost a task raises rather
+    than returning a shorter result.  One sweep at a time uses a backend;
+    :meth:`close` terminates its pool.
     """
 
     name = "parallel"
@@ -367,16 +384,36 @@ class ParallelBackend(ExecutionBackend):
         self,
         jobs: Optional[int] = None,
         policy: Optional[RetryPolicy] = None,
-        extra_sources: Optional[Dict[str, Tuple[str, str]]] = None,
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.policy = policy or RetryPolicy()
-        #: name -> (source, entry) registrations replayed in every worker
-        #: (mutable: the serve layer adds inline-source programs over time,
-        #: and each wave's pool picks up whatever is registered by then)
-        self.extra_sources: Dict[str, Tuple[str, str]] = dict(
-            extra_sources or {}
-        )
+        #: pools started so far: 1 while the first pool lives
+        self.spawns = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: (config fields, cache root) the live pool's workers were built for
+        self._binding: Optional[Tuple[Dict[str, Any], Optional[str]]] = None
+
+    def close(self) -> None:
+        """Terminate the worker pool, if one is running (idempotent)."""
+        if self._pool is not None:
+            _terminate_pool(self._pool)
+            self._pool = None
+            self._binding = None
+
+    def _live_pool(
+        self, binding: Tuple[Dict[str, Any], Optional[str]]
+    ) -> ProcessPoolExecutor:
+        """The running pool, started for ``binding`` when there is none."""
+        if self._pool is None:
+            config_kwargs, cache_root = binding
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker,
+                initargs=(config_kwargs, cache_root, list(sys.path)),
+            )
+            self._binding = binding
+            self.spawns += 1
+        return self._pool
 
     def run(self, runner, tasks, progress=None, on_row=None):
         if self.jobs == 1:
@@ -384,22 +421,7 @@ class ParallelBackend(ExecutionBackend):
                 runner, tasks, progress=progress, on_row=on_row
             )
         state = _SweepState(list(tasks), self.policy, progress, on_row)
-        # parent-side replay: dispatch only cold tasks to the pool
-        pending: List[Tuple[int, GridTask]] = []
-        for i, task in enumerate(tasks):
-            point = None
-            if runner.cache is not None:
-                point = runner._replay(
-                    task.name,
-                    task.depth,
-                    task.optimization,
-                    canonical_pipeline(task.optimization),
-                    time.perf_counter(),
-                )
-            if point is None:
-                pending.append((i, task))
-            else:
-                state.complete(i, point.row())
+        pending: List[Tuple[int, GridTask]] = list(enumerate(tasks))
         waves = [pending]
         if runner.cache is not None:
             # With a shared cache, dispatch in two waves: pipelines without
@@ -440,33 +462,22 @@ class ParallelBackend(ExecutionBackend):
         wave: List[Tuple[int, GridTask]],
         state: _SweepState,
     ) -> None:
-        config_kwargs = asdict(runner.config)
-        cache_root = str(runner.cache.root) if runner.cache is not None else None
+        binding = (
+            asdict(runner.config),
+            str(runner.cache.root) if runner.cache is not None else None,
+        )
+        if binding != self._binding:
+            self.close()  # its workers were built for another runner
         policy = self.policy
         queue: List[_Attempt] = [_Attempt(i, task) for i, task in wave]
         in_flight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
         pool_deaths = 0
         degraded = False
 
-        def respawn() -> None:
-            nonlocal pool
-            if pool is not None:
-                _terminate_pool(pool)
-            pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(
-                    config_kwargs,
-                    cache_root,
-                    list(sys.path),
-                    dict(self.extra_sources),
-                ),
-            )
-
         def recover_pool(extra: Optional[List[_Attempt]] = None) -> bool:
-            """Requeue in-flight work and respawn; False once the death
-            budget is spent (caller degrades to serial)."""
+            """Requeue in-flight work and tear the pool down (the next
+            submission starts a new one); False once the death budget is
+            spent (caller degrades to serial)."""
             nonlocal pool_deaths
             pool_deaths += 1
             for attempt, _ in in_flight.values():
@@ -474,12 +485,9 @@ class ParallelBackend(ExecutionBackend):
             in_flight.clear()
             if extra:
                 queue.extend(extra)
-            if pool_deaths > policy.max_pool_deaths:
-                return False
-            respawn()
-            return True
+            self.close()
+            return pool_deaths <= policy.max_pool_deaths
 
-        respawn()
         try:
             while (queue or in_flight) and not state.aborted and not degraded:
                 now = time.monotonic()
@@ -492,8 +500,11 @@ class ParallelBackend(ExecutionBackend):
                     queue.remove(attempt)
                     attempt.starts += 1
                     try:
-                        future = pool.submit(
-                            _run_worker_task, attempt.task, attempt.starts - 1
+                        future = self._live_pool(binding).submit(
+                            _run_worker_task,
+                            attempt.task,
+                            attempt.starts - 1,
+                            runtime_program(attempt.task.name),
                         )
                     except BrokenProcessPool:
                         attempt.starts -= 1
@@ -600,8 +611,10 @@ class ParallelBackend(ExecutionBackend):
                     if not recover_pool():
                         degraded = True
         finally:
-            if pool is not None:
-                _terminate_pool(pool)
+            if in_flight:
+                # an aborted or interrupted wave: its tasks must not keep
+                # running into the next sweep
+                self.close()
         if degraded and not state.aborted:
             # repeated pool deaths: finish the wave serially in the parent,
             # under the same policy and with the task's attempt history
@@ -630,7 +643,6 @@ def _init_worker(
     config_kwargs: Dict[str, Any],
     cache_root: Optional[str],
     parent_path: List[str],
-    extra_sources: Optional[Dict[str, Tuple[str, str]]] = None,
 ) -> None:
     """Build the worker's long-lived runner (start methods: fork or spawn)."""
     import signal
@@ -654,28 +666,30 @@ def _init_worker(
     for entry in reversed(parent_path):
         if entry not in sys.path:
             sys.path.insert(0, entry)
-    from .programs import register_source  # after sys.path fix-up
-    from .runner import BenchmarkRunner
+    from .runner import BenchmarkRunner  # after sys.path fix-up
 
     global _WORKER_RUNNER
     inject.mark_worker()
     inject.fire("pool.spawn", key=str(os.getpid()))
-    # ad-hoc programs (``repro serve``'s inline-source compiles) are not
-    # in the static registry; replay the parent's registrations so the
-    # worker resolves them by name even under the spawn start method
-    for name, (source, entry_fn) in (extra_sources or {}).items():
-        register_source(name, source, entry_fn)
     cache = ArtifactCache(cache_root) if cache_root else None
     _WORKER_RUNNER = BenchmarkRunner(CompilerConfig(**config_kwargs), cache=cache)
 
 
 def _run_worker_task(
-    task: GridTask, attempt: int = 0
+    task: GridTask,
+    attempt: int = 0,
+    program: Optional[Tuple[str, str]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
     """The task's row and the worker cache's counter increments since
     this worker's previous row: a failed attempt's loads come back with
-    the next row, and the parent adds them to its own cache's counters."""
-    row = execute_task(_WORKER_RUNNER, task, attempt=attempt)
+    the next row, and the parent adds them to its own cache's counters.
+
+    ``program`` is the ``(source, entry)`` of a name registered at run
+    time, ``None`` for a built-in or fuzz name.  The worker binds it for
+    this task only, so a long-lived worker's registry does not grow with
+    the programs it has served."""
+    with registered(task.name, program):
+        row = execute_task(_WORKER_RUNNER, task, attempt=attempt)
     cache = _WORKER_RUNNER.cache
     return row, cache.take_counts() if cache is not None else {}
 

@@ -28,7 +28,8 @@ nested conditionals), which is what Table 1 measures —
 
 from __future__ import annotations
 
-from typing import Dict, List
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: type declarations shared by the list/queue benchmarks
 LIST_PRELUDE = "type list = (uint, ptr<list>);\n"
@@ -514,6 +515,10 @@ ENTRIES: Dict[str, str] = {
 #: Benchmarks whose entry point takes no recursion bound.
 UNSIZED: List[str] = ["pop_front"]
 
+#: The built-in benchmark names; any other name in :data:`SOURCES` was
+#: added by :func:`register_source` at run time.
+BUILTIN_NAMES = frozenset(SOURCES)
+
 
 def is_fuzz_name(name: str) -> bool:
     """Whether a benchmark name denotes a generated fuzz workload."""
@@ -578,6 +583,32 @@ def register_source(
     ENTRIES[name] = entry
     if unsized and name not in UNSIZED:
         UNSIZED.append(name)
+
+
+def runtime_program(name: str) -> Optional[Tuple[str, str]]:
+    """``(source, entry)`` of a name :func:`register_source` added at run
+    time; ``None`` for a built-in or fuzz name, which every process
+    resolves by itself."""
+    if name in BUILTIN_NAMES or name not in SOURCES:
+        return None
+    return SOURCES[name], ENTRIES[name]
+
+
+@contextmanager
+def registered(name: str, program: Optional[Tuple[str, str]]) -> Iterator[None]:
+    """Bind ``name`` to ``program``, a ``(source, entry)`` pair, for the
+    duration of the block, then drop the binding again.  A name bound
+    before the block stays bound; ``program=None`` binds nothing."""
+    added = program is not None and name not in SOURCES
+    if program is not None:
+        register_source(name, *program)
+    try:
+        yield
+    finally:
+        if added:
+            del SOURCES[name]
+            del ENTRIES[name]
+
 
 #: Benchmarks measured in tree depth d (the set) rather than length n.
 TREE_BENCHMARKS: List[str] = ["insert", "contains"]

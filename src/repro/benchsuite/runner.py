@@ -49,7 +49,7 @@ from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
 from .cache import ArtifactCache
-from .programs import ENTRIES, SOURCES, UNSIZED, get_entry, get_source, is_unsized
+from .programs import get_entry, get_source, is_unsized
 
 #: compiled and cache-loaded circuits a runner keeps per memo (least
 #: recently used evicted).  A paper grid lists every preset measure

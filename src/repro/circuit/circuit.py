@@ -330,10 +330,3 @@ class Circuit:
     def __repr__(self) -> str:
         return f"<Circuit {self.num_qubits} qubits, {len(self)} gates>"
 
-    def draw(self, max_gates: int = 40) -> str:
-        """A small textual rendering, one gate per line (for debugging)."""
-        lines = [str(self.table[r]) for r in self.rows[:max_gates].tolist()]
-        if len(self) > max_gates:
-            lines.append(f"... ({len(self) - max_gates} more)")
-        return "\n".join(lines)
-

@@ -497,6 +497,7 @@ def cmd_bench(args) -> int:
                         file=sys.stderr,
                     )
     finally:
+        backend.close()
         if plan is not None:
             inject.uninstall()
     if cache is not None:
@@ -1077,7 +1078,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "every batch")
     p_serve.add_argument("--batch-window", type=float, default=0.02,
                          metavar="SECONDS",
-                         help="micro-batch accumulation window "
+                         help="how long a request that finds the "
+                              "service idle waits for others to batch with; "
+                              "requests queued during a batch skip it "
                               "(default: 0.02)")
     p_serve.add_argument("--retries", type=int, default=2,
                          help="retry budget per task (default: 2)")

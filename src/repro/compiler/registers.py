@@ -28,8 +28,8 @@ code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..circuit.circuit import Register
 from ..errors import AllocationError

@@ -13,11 +13,12 @@ service semantics:
   compile reuses: one frontend pass per new program;
 * **single-flight dedupe** — identical concurrent requests (same task
   fingerprint) share one future and compile exactly once;
-* **micro-batching** — requests arriving within ``batch_window`` of each
-  other run as one backend sweep, so the pool amortizes spawn cost and
-  the two-wave cache discipline (presets before the baselines, such as
-  ``none+peephole``, that resume from them) applies across requests, not
-  just within one;
+* **micro-batching** — a request that finds the service idle waits
+  ``batch_window`` for the rest of its burst, and the requests queued
+  behind a running batch go together into the next one at once; either
+  way a batch is one backend sweep, so the two-wave cache discipline
+  (presets before the baselines, such as ``none+peephole``, that resume
+  from them) applies across requests, not just within one;
 * **durability** — the artifact cache is the only restart store: every
   row lands there sha-enveloped, keyed by source, config and code
   fingerprint, so a restarted server replays a repeat request from it
@@ -36,10 +37,12 @@ lookup, insert and evict, and both memos (and the runner's
 compiled-circuit memo) are bounded, so a long run of distinct programs
 holds a fixed number of them.
 With ``jobs >= 2`` the pool workers run their own frontend and their
-own artifact-cache instance.  Each worker returns its cache's counter
-increments with every row and the sweep adds them to the service's
-cache, so ``/cache/stats`` counts the workers' loads with nothing
-written to disk for them.
+own artifact-cache instance, kept from batch to batch; an inline
+program's source travels with its task.  Each worker returns its cache's
+counter increments with every row and the sweep adds them to the
+service's cache, so ``/cache/stats`` counts the workers' loads with
+nothing written to disk for them.  ``/metrics`` gauges the pools
+started (``pool_spawns``): 1 while the first pool lives.
 """
 
 from __future__ import annotations
@@ -116,12 +119,13 @@ class CompileService:
         self._consumer = asyncio.create_task(self._consume())
 
     async def close(self) -> None:
-        """Drain the queue and finish the in-flight batch."""
+        """Drain the queue, finish the in-flight batch and stop the pool."""
         if self._consumer is not None:
             assert self._queue is not None
             await self._queue.put(None)
             await self._consumer
             self._consumer = None
+        self.backend.close()
 
     def _register_gauges(self) -> None:
         self.metrics.gauge(
@@ -134,6 +138,7 @@ class CompileService:
             lambda: max(self._executions.values(), default=0),
         )
         self.metrics.gauge("completed_keys", lambda: len(self._completed))
+        self.metrics.gauge("pool_spawns", lambda: self.backend.spawns)
 
     # ----------------------------------------------------------- admission
     def lint(
@@ -161,14 +166,12 @@ class CompileService:
     def register_inline(self, source: str, entry: str) -> str:
         """Register an inline source under its content-derived name.
 
-        The name flows through the standard registry, so grid tasks,
-        cache keys and worker pools resolve it exactly like a static
-        benchmark; the backend's ``extra_sources`` replays the
-        registration inside every pool worker.
+        The name flows through the standard registry, so grid tasks and
+        cache keys resolve it exactly like a static benchmark; a pool
+        task for it carries the source to its worker.
         """
         name = inline_name(source, entry)
         register_source(name, source, entry)
-        self.backend.extra_sources[name] = (source, entry)
         return name
 
     @staticmethod
@@ -207,7 +210,12 @@ class CompileService:
         return dict(row)
 
     async def _consume(self) -> None:
-        """The batch consumer: drain a window's requests, run one sweep."""
+        """The batch consumer: drain the queued requests, run one sweep.
+
+        The batch's first request waits ``batch_window`` for company only
+        when nothing else is queued behind it (the service was idle); a
+        backlog that built up during the previous batch is dispatched at
+        once."""
         assert self._queue is not None
         loop = asyncio.get_running_loop()
         closing = False
@@ -216,7 +224,7 @@ class CompileService:
             if item is None:
                 break
             batch: List[Tuple[str, GridTask]] = [item]
-            if self.batch_window > 0:
+            if self.batch_window > 0 and self._queue.empty():
                 await asyncio.sleep(self.batch_window)
             while True:
                 try:

@@ -54,13 +54,14 @@ def clean_rows():
 
 def chaos_run(plan_text, seed, tmp_path, jobs=2, **policy_kwargs):
     inject.install(parse_fault_plan(plan_text, seed=seed))
+    policy = RetryPolicy(backoff_base=0.001, seed=seed, **policy_kwargs)
+    backend = ParallelBackend(jobs=jobs, policy=policy)
     try:
-        policy = RetryPolicy(backoff_base=0.001, seed=seed, **policy_kwargs)
-        backend = ParallelBackend(jobs=jobs, policy=policy)
         return BenchmarkRunner(
             TINY, cache=ArtifactCache(tmp_path), backend=backend
         ).run_grid(GRID)
     finally:
+        backend.close()
         inject.uninstall()
 
 
@@ -126,6 +127,26 @@ def test_repeated_pool_deaths_degrade_to_serial(tmp_path, clean_rows):
     assert stable(result.rows) == clean_rows
 
 
+def test_degraded_wave_leaves_no_pool_and_the_next_starts_one():
+    """A wave that finishes serially keeps no dead pool around; the next
+    wave starts a new one, with its own death budget."""
+    inject.install(parse_fault_plan("crash:pool.spawn:p=1.0", seed=0))
+    policy = RetryPolicy(backoff_base=0.001, max_pool_deaths=0)
+    backend = ParallelBackend(jobs=2, policy=policy)
+    runner = BenchmarkRunner(TINY)
+    tasks = measure_tasks("length", [2])
+    try:
+        first = backend.run(runner, tasks)
+        assert (backend.spawns, backend._pool) == (1, None)
+        second = backend.run(runner, tasks)
+        assert (backend.spawns, backend._pool) == (2, None)
+    finally:
+        backend.close()
+    assert stable(first) == stable(second) == stable(
+        BenchmarkRunner(TINY).run_grid(tasks).rows
+    )
+
+
 # ------------------------------------------------- stranded staging files
 @pytest.mark.slow
 def test_worker_crash_mid_store_strands_then_sweeps_tmp(tmp_path):
@@ -150,6 +171,7 @@ def test_worker_crash_mid_store_strands_then_sweeps_tmp(tmp_path):
         backend = ParallelBackend(jobs=2, policy=policy)
         result = BenchmarkRunner(TINY, cache=cache, backend=backend).run_grid(tasks)
     finally:
+        backend.close()
         inject.uninstall()
     assert not result.failed_rows
     assert stable(result.rows) == stable(
@@ -203,8 +225,11 @@ def test_lost_rows_raise_instead_of_shrinking(monkeypatch, tmp_path):
     monkeypatch.setattr(
         ParallelBackend, "_run_wave", lambda self, *a, **k: None
     )
-    with pytest.raises(RuntimeError, match="lost"):
-        backend.run(BenchmarkRunner(TINY), measure_tasks("length", [2]))
+    try:
+        with pytest.raises(RuntimeError, match="lost"):
+            backend.run(BenchmarkRunner(TINY), measure_tasks("length", [2]))
+    finally:
+        backend.close()
 
 
 # ------------------------------------------------------- interrupt + resume

@@ -19,9 +19,12 @@ from repro.benchsuite import (
     ParallelBackend,
     SerialBackend,
     measure_tasks,
+    parallel,
+    programs,
 )
-from repro.benchsuite.parallel import stable_rows
+from repro.benchsuite.parallel import GridTask, stable_rows
 from repro.config import CompilerConfig
+from repro.serve import inline_name
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "seed_tcounts.json"
 SEED = json.loads(DATA.read_text())
@@ -55,6 +58,13 @@ def serial_rows():
     return runner.run_grid(TASKS).rows
 
 
+@pytest.fixture
+def pool():
+    backend = ParallelBackend(jobs=2)
+    yield backend
+    backend.close()
+
+
 def test_serial_matches_seed(serial_rows):
     by_key = {(r["name"], r["depth"], r["optimization"]): r for r in serial_rows}
     for name, depth, optimizer in SAMPLE:
@@ -78,33 +88,79 @@ def test_cached_cold_and_warm_match_serial(tmp_path, serial_rows):
         assert b["timings"] == a["timings"]
 
 
-def test_parallel_matches_serial(tmp_path, serial_rows):
-    parallel = BenchmarkRunner(
-        CONFIG, cache=ArtifactCache(tmp_path), backend=ParallelBackend(jobs=2)
+def test_parallel_matches_serial(tmp_path, serial_rows, pool):
+    grid = BenchmarkRunner(
+        CONFIG, cache=ArtifactCache(tmp_path), backend=pool
     ).run_grid(TASKS)
-    assert stable_rows(parallel.rows) == stable_rows(serial_rows)
+    assert stable_rows(grid.rows) == stable_rows(serial_rows)
     for name, depth, optimizer in SAMPLE:
-        row = parallel.measure(name, depth, f"none+{optimizer}")
+        row = grid.measure(name, depth, f"none+{optimizer}")
         assert row["t"] == seed_count(name, depth, optimizer)
 
 
-def test_parallel_baselines_resume_from_their_preset(tmp_path):
+def test_parallel_baselines_resume_from_their_preset(tmp_path, pool):
     """With a shared cache, a baseline runs after its preset's compile has
     been stored, even with a pool slot free beside it, so the preset
     compiles in exactly one worker."""
     grid = BenchmarkRunner(
-        CONFIG, cache=ArtifactCache(tmp_path), backend=ParallelBackend(jobs=2)
+        CONFIG, cache=ArtifactCache(tmp_path), backend=pool
     ).run_grid(measure_tasks("length", [4], ["none", "none+peephole"]))
     assert grid.measure("length", 4)["prefix_cached"] == ""
     baseline = grid.measure("length", 4, "none+peephole")
     assert baseline["prefix_cached"] == "alloc,lower"
 
 
-def test_parallel_without_cache_matches_serial(serial_rows):
-    parallel = BenchmarkRunner(CONFIG, backend=ParallelBackend(jobs=2)).run_grid(
-        TASKS
+def test_parallel_without_cache_matches_serial(serial_rows, pool):
+    grid = BenchmarkRunner(CONFIG, backend=pool).run_grid(TASKS)
+    assert stable_rows(grid.rows) == stable_rows(serial_rows)
+
+
+def test_one_pool_serves_every_sweep_of_its_runner(tmp_path, pool):
+    """The pool outlives its sweeps: a cold and a warm sweep of one
+    runner share it, and a runner with another cache gets a new one."""
+    tasks = measure_tasks("length", [2], ["none", "none+peephole"])
+    runner = BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path / "a"), backend=pool)
+    cold = runner.run_grid(tasks)
+    warm = runner.run_grid(tasks)
+    assert pool.spawns == 1
+    assert cold.cached_fraction() == 0.0 and warm.cached_fraction() == 1.0
+    other = BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path / "b"), backend=pool)
+    moved = other.run_grid(tasks)
+    assert pool.spawns == 2
+    serial = BenchmarkRunner(CONFIG).run_grid(tasks)
+    for grid in (cold, warm, moved):
+        assert stable_rows(grid.rows) == stable_rows(serial.rows)
+    pool.close()
+    pool.close()  # idempotent
+    assert pool.spawns == 2
+
+
+def test_worker_task_binds_its_inline_program_for_the_task_only(
+    tmp_path, monkeypatch
+):
+    """A task for an inline program carries its (source, entry): the
+    worker measures the row a serial runner does, and its registry holds
+    the name only while the task runs."""
+    source = programs.get_source("length") + "\n// an inline program\n"
+    name = inline_name(source, "length")
+    task = GridTask(name, 2, "none+peephole")
+    monkeypatch.setattr(
+        parallel,
+        "_WORKER_RUNNER",
+        BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path)),
     )
-    assert stable_rows(parallel.rows) == stable_rows(serial_rows)
+    row, _counts = parallel._run_worker_task(task, 0, (source, "length"))
+    assert name not in programs.SOURCES and name not in programs.ENTRIES
+    monkeypatch.setitem(programs.SOURCES, name, source)
+    monkeypatch.setitem(programs.ENTRIES, name, "length")
+    serial = BenchmarkRunner(CONFIG).measure(name, 2, "none+peephole").row()
+    assert stable_rows([row]) == stable_rows([serial])
+    # the parent sends a program only for a name registered at run time
+    assert programs.runtime_program(name) == (source, "length")
+    assert programs.runtime_program("length") is None
+    # a name the process had bound before the task stays bound after it
+    replayed, _counts = parallel._run_worker_task(task, 0, (source, "length"))
+    assert replayed["cached"] and programs.SOURCES[name] == source
 
 
 def test_optimizer_baseline_on_rehydrated_circuit(tmp_path, monkeypatch):

@@ -463,6 +463,104 @@ def test_rows_match_serial_no_server_baseline(tmp_path):
     assert stable_rows(via_server) == stable_rows(baseline)
 
 
+# -------------------------------------------------------------- worker pool
+def test_pool_forks_once_and_serves_programs_it_never_saw(tmp_path):
+    """At ``--jobs 2`` every batch runs on the pool the first one started:
+    three more batches, each an inline program first seen after that,
+    answer the rows a serial runner measures, with ``pool_spawns`` 1."""
+    from repro.benchsuite.programs import get_source
+
+    sources = [
+        get_source("length") + f"\n// program {index}\n" for index in range(3)
+    ]
+
+    async def main() -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        async with _server(tmp_path, jobs=2) as server:
+            async with Client(server.host, server.port) as client:
+                status, body = await client.post(
+                    "/measure", {"name": "length", "depth": 1}
+                )
+                assert status == 200, body
+                bodies = []
+                for source in sources:
+                    status, body = await client.post(
+                        "/compile",
+                        {
+                            "source": source,
+                            "entry": "length",
+                            "depth": 2,
+                            "optimization": "none+peephole",
+                        },
+                    )
+                    assert status == 200, body
+                    bodies.append(body)
+                _, metrics = await client.get("/metrics")
+        return bodies, metrics
+
+    bodies, metrics = asyncio.run(main())
+    assert metrics["counters"]["batches"] == 4
+    assert metrics["gauges"]["pool_spawns"] == 1
+    for body in bodies:
+        assert not body["row"].get("failed") and not body["row"]["cached"]
+        fresh = BenchmarkRunner(TINY).measure(body["name"], 2, "none+peephole")
+        assert stable_rows([body["row"]]) == stable_rows([fresh.row()])
+
+
+def test_backlog_skips_the_batch_window(monkeypatch):
+    """Only a request that finds the service idle waits ``batch_window``;
+    the requests queued while a batch runs form the next batch at once."""
+    import threading
+
+    service = service_module.CompileService(config=TINY, batch_window=0.5)
+    sleeps: List[float] = []
+    batches: List[List[int]] = []
+    started, release = threading.Event(), threading.Event()
+
+    class ServiceAsyncio:
+        """The service's view of asyncio, with its sleeps recorded."""
+
+        def __getattr__(self, name):
+            return getattr(asyncio, name)
+
+        @staticmethod
+        async def sleep(delay):
+            sleeps.append(delay)
+            await asyncio.sleep(0)
+
+    def run_batch(batch):
+        batches.append([task.depth for _, task in batch])
+        started.set()
+        release.wait(timeout=30)
+        for fp, task in batch:
+            service._loop.call_soon_threadsafe(
+                service._finish, fp, {"depth": task.depth}
+            )
+
+    monkeypatch.setattr(service_module, "asyncio", ServiceAsyncio())
+    monkeypatch.setattr(service, "_run_batch", run_batch)
+
+    async def main() -> None:
+        first = asyncio.ensure_future(service.submit(GridTask("length", 1)))
+        # the idle request's batch is running when the backlog arrives
+        assert await asyncio.to_thread(started.wait, 30)
+        backlog = [
+            asyncio.ensure_future(service.submit(GridTask("length", depth)))
+            for depth in (2, 3)
+        ]
+        for _ in range(100):
+            if service._queue.qsize() == 2:
+                break
+            await asyncio.sleep(0)
+        assert service._queue.qsize() == 2
+        release.set()
+        await asyncio.gather(first, *backlog)
+        await service.close()
+
+    asyncio.run(main())
+    assert batches == [[1], [2, 3]]
+    assert sleeps == [0.5]
+
+
 # ----------------------------------------------------------- metrics & stats
 def test_metrics_and_cache_stats_shape(tmp_path):
     async def main() -> None:
