@@ -86,6 +86,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -104,6 +105,9 @@ POINT_FILE = "point.json"
 CIRCUIT_FILE = "circuit.rqcs"
 QUARANTINE_DIR = "quarantine"
 JOURNAL_DIR = "journal"
+#: per-worker counter files that caches written by older versions hold;
+#: nothing reads them, and :meth:`ArtifactCache.clear` deletes them
+LEGACY_STATS_DIR = "stats"
 
 #: staging-file prefix of :meth:`ArtifactCache._atomic_write`
 TMP_PREFIX = ".tmp-"
@@ -485,7 +489,8 @@ class ArtifactCache:
                 pass
 
     def clear(self) -> int:
-        """Delete every entry (and the quarantine); returns entries removed.
+        """Delete every entry, the quarantine and a legacy ``stats/``
+        directory; returns entries removed.
 
         Unlike a plain point count, an entry holding only a circuit
         snapshot (or a partially written artifact) still counts — the
@@ -505,6 +510,7 @@ class ArtifactCache:
             (self.root / QUARANTINE_DIR).rmdir()
         except OSError:
             pass
+        shutil.rmtree(self.root / LEGACY_STATS_DIR, ignore_errors=True)
         self.sweep_tmp(max_age=0.0)
         self._prune_fanout_dirs()
         return removed

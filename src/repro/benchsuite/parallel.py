@@ -12,14 +12,13 @@ warm points and shares artifacts between workers:
 * :class:`GridTask` / :class:`GridResult` — the unit of work and the
   indexed result set (JSON-ready rows);
 * :class:`SerialBackend` — in-process loop (the reference semantics);
-* :class:`ParallelBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  fan-out with per-worker runner state and shared on-disk artifacts.
-  The backend keeps one pool for its lifetime, so every sweep after the
-  first runs on workers whose memos are warm; :meth:`ParallelBackend.close`
-  terminates it.  Each worker returns its cache's counter increments with
-  every row, and the sweep adds them to the runner's cache, so
-  :meth:`~repro.benchsuite.cache.ArtifactCache.stats` counts the
-  workers' loads too.
+* :class:`ParallelBackend` — ``jobs`` long-lived worker processes.  A
+  task's *key* is its program, depth and compile prefix (``spire`` for
+  ``spire+toffoli-cancel``), and every task of a key runs in one worker,
+  so a baseline resumes from its preset in that worker's memo and a
+  preset compiles once, with or without a cache.  Each worker returns
+  its cache's counter increments with every row, so the runner's
+  :meth:`~repro.benchsuite.cache.ArtifactCache.stats` counts them too.
 
 Every backend produces **bit-identical measurement rows** for a given
 grid: workers run the same deterministic compile/optimize pipeline, and
@@ -30,34 +29,39 @@ T-counts.
 
 **Fault tolerance.**  Backends constructed with a
 :class:`~repro.benchsuite.resilience.RetryPolicy` isolate failures
-instead of aborting the sweep: a task that raises is retried with
-exponential backoff and deterministic jitter, a task that exceeds the
-per-task timeout gets its worker pool torn down and is rescheduled, a
-``BrokenProcessPool`` (worker crash, OOM-kill) respawns the pool and
-requeues everything in flight, and after ``max_pool_deaths`` the sweep
-degrades to serial in-parent execution for the remaining tasks.  A task
-that exhausts its retry budget becomes a structured *failure row*
-(:func:`~repro.benchsuite.resilience.failure_row`) in the result; lost
-tasks — a slot still empty after a non-aborted sweep — raise instead of
-silently shrinking the row list.  The bit-identity contract holds under
-any of this: retries and rescheduling never change what a task computes.
+instead of aborting the sweep: failing tasks are retried with backoff,
+hung or crashed workers are restarted one by one, and past a death
+budget the work runs serially in the parent (:class:`ParallelBackend`
+has the details).  A task that exhausts its retries becomes a
+structured *failure row* (:func:`~repro.benchsuite.resilience.failure_row`);
+a task the scheduler loses raises instead of shrinking the row list.
+Retries and rescheduling never change what a task computes.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict, deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import CompilerConfig
 from ..faults import inject
 from ..passes.pipeline import resolve_pipeline
 from .cache import ArtifactCache
-from .programs import TREE_BENCHMARKS, is_unsized, registered, runtime_program
+from .programs import TREE_BENCHMARKS, is_unsized
 from .resilience import RetryPolicy, failure_row
 
 #: progress callback: (done, total, row) -> None
@@ -66,6 +70,23 @@ ProgressFn = Callable[[int, int, Dict[str, Any]], None]
 #: per-completed-row callback: (task index, row) -> None; fired as each
 #: row lands (in completion order), the checkpoint-journal hook
 RowFn = Callable[[int, Dict[str, Any]], None]
+
+#: keys whose worker a :class:`ParallelBackend` remembers (least recently
+#: used forgotten first; a key with work queued or running is kept).  A
+#: paper grid has at most a few hundred keys, and a worker's compiled
+#: memo holds 64 circuits, so a forgotten key has long left its worker's
+#: memo too.
+KEY_MAP_MAX = 1024
+
+
+def task_key(
+    program: str, depth: Optional[int], optimization: str
+) -> Tuple[str, Optional[int], str]:
+    """A task's key: its program, its depth (None for an unsized program)
+    and its pipeline's compile prefix, so that a preset and every baseline
+    that extends it share a key.  Raises for a bad pipeline spec."""
+    prefix = resolve_pipeline(optimization).compile_prefix()
+    return program, None if is_unsized(program) else depth, prefix.spec()
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,13 @@ class GridTask:
     def label(self) -> str:
         depth = "" if self.depth is None else f"@{self.depth}"
         return f"{self.name}{depth} [{self.optimization}]"
+
+    def key(self) -> Tuple[str, Optional[int], str]:
+        return task_key(self.name, self.depth, self.optimization)
+
+    def run(self, runner) -> Dict[str, Any]:
+        """The task's measurement row on ``runner``."""
+        return runner.measure(self.name, self.depth, self.optimization).row()
 
 
 def measure_tasks(
@@ -178,8 +206,8 @@ class GridResult:
         return iter(self.rows)
 
 
-def execute_task(runner, task: GridTask, attempt: int = 0) -> Dict[str, Any]:
-    """Run one grid task on a runner; returns the JSON-ready row.
+def execute_task(runner, task, attempt: int = 0) -> Dict[str, Any]:
+    """Run one task on a runner; returns its JSON-ready result.
 
     ``attempt`` is the retry counter of the resilience layer; it feeds
     the deterministic fault-injection hook (a chaos fault fired on
@@ -187,12 +215,12 @@ def execute_task(runner, task: GridTask, attempt: int = 0) -> Dict[str, Any]:
     what the task computes.
     """
     inject.fire("worker.execute", key=task.label(), attempt=attempt)
-    return runner.measure(task.name, task.depth, task.optimization).row()
+    return task.run(runner)
 
 
 def run_task_resilient(
     runner,
-    task: GridTask,
+    task,
     policy: RetryPolicy,
     prior_attempts: int = 0,
     prior_failures: int = 0,
@@ -200,12 +228,12 @@ def run_task_resilient(
 ) -> Dict[str, Any]:
     """Execute one task under a retry policy; never raises for task errors.
 
-    Returns the measurement row (annotated with ``attempts`` when it
-    took more than one), or a structured failure row once the retry
-    budget is exhausted.  ``prior_attempts``/``prior_failures`` carry
-    the task's history when execution migrates (e.g. a degraded-serial
-    continuation after pool deaths), so fault-injection attempt numbers
-    and the retry budget stay monotone.
+    Returns the task's result (annotated with ``attempts`` when it took
+    more than one), or a structured failure row once the retry budget is
+    exhausted.  ``prior_attempts``/``prior_failures`` carry the task's
+    history when execution migrates (a serial continuation in the parent
+    after worker deaths), so fault-injection attempt numbers and the
+    retry budget stay monotone.
     """
     attempts = prior_attempts
     failures = prior_failures
@@ -246,6 +274,38 @@ class ExecutionBackend:
         raise NotImplementedError
 
 
+class _SweepState:
+    """Shared bookkeeping of one sweep: rows, counters, abort threshold."""
+
+    def __init__(
+        self,
+        tasks: List[GridTask],
+        policy: Optional[RetryPolicy],
+        progress: Optional[ProgressFn],
+        on_row: Optional[RowFn],
+    ) -> None:
+        self.tasks = tasks
+        self.limit = policy.max_failures if policy is not None else None
+        self.progress = progress
+        self.on_row = on_row
+        self.rows: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
+        self.done = 0
+        self.failures = 0
+        self.aborted = False
+
+    def complete(self, index: int, row: Dict[str, Any]) -> None:
+        self.rows[index] = row
+        self.done += 1
+        if row.get("failed"):
+            self.failures += 1
+            if self.limit is not None and self.failures > self.limit:
+                self.aborted = True  # stop scheduling work
+        if self.on_row is not None:
+            self.on_row(index, row)
+        if self.progress is not None:
+            self.progress(self.done, len(self.tasks), row)
+
+
 class SerialBackend(ExecutionBackend):
     """In-process loop; the reference semantics every backend must match.
 
@@ -262,120 +322,72 @@ class SerialBackend(ExecutionBackend):
         self.policy = policy
 
     def run(self, runner, tasks, progress=None, on_row=None):
-        rows: List[Dict[str, Any]] = []
-        failures = 0
-        for i, task in enumerate(tasks):
+        state = _SweepState(list(tasks), self.policy, progress, on_row)
+        for index, task in enumerate(state.tasks):
             if self.policy is None:
-                row = execute_task(runner, task)
+                state.complete(index, execute_task(runner, task))
             else:
-                row = run_task_resilient(runner, task, self.policy)
-            rows.append(row)
-            if on_row is not None:
-                on_row(i, row)
-            if progress is not None:
-                progress(i + 1, len(tasks), row)
-            if row.get("failed"):
-                failures += 1
-                limit = self.policy.max_failures if self.policy else None
-                if limit is not None and failures > limit:
-                    break  # abort threshold crossed: stop scheduling work
-        return rows
+                state.complete(index, run_task_resilient(runner, task, self.policy))
+            if state.aborted:
+                break
+        return state.rows[: state.done]
 
 
-@dataclass
+@dataclass(eq=False)
 class _Attempt:
-    """Per-task retry state while a wave is in flight."""
+    """One submitted task while the backend holds it."""
 
-    index: int
-    task: GridTask
-    #: total submissions (the fault-injection attempt number)
-    starts: int = 0
-    #: failures attributable to the task (counts against the retry budget);
-    #: pool deaths reschedule without charging it
-    failures: int = 0
-    #: earliest next submission (monotonic clock), set by backoff
-    ready_at: float = 0.0
-
-
-class _SweepState:
-    """Shared bookkeeping of one sweep: rows, counters, abort threshold."""
-
-    def __init__(
-        self,
-        tasks: List[GridTask],
-        policy: RetryPolicy,
-        progress: Optional[ProgressFn],
-        on_row: Optional[RowFn],
-    ) -> None:
-        self.tasks = tasks
-        self.policy = policy
-        self.progress = progress
-        self.on_row = on_row
-        self.rows: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-        self.done = 0
-        self.failures = 0
-        self.aborted = False
-
-    def complete(self, index: int, row: Dict[str, Any]) -> None:
-        self.rows[index] = row
-        self.done += 1
-        if row.get("failed"):
-            self.failures += 1
-            limit = self.policy.max_failures
-            if limit is not None and self.failures > limit:
-                self.aborted = True
-        if self.on_row is not None:
-            self.on_row(index, row)
-        if self.progress is not None:
-            self.progress(self.done, len(self.tasks), row)
+    seq: int
+    task: Any
+    key: Tuple
+    runner: Any
+    future: Future
+    taken: bool = False  # the future was set running
+    starts: int = 0  # the fault-injection attempt number
+    failures: int = 0  # charged to the retry budget; a worker death is not
+    ready_at: float = 0.0  # earliest next start (monotonic), set by backoff
+    deadline: Optional[float] = None
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard: kill workers (hung ones included), drop work."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
+def _terminate(worker: Optional[ProcessPoolExecutor]) -> None:
+    """Tear a worker down hard: kill its process (hung or not), drop work."""
+    if worker is None:
+        return
+    for proc in list((getattr(worker, "_processes", None) or {}).values()):
         try:
             proc.terminate()
         except Exception:
             pass
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
+        worker.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
 
 
 class ParallelBackend(ExecutionBackend):
-    """Fan the grid across a :class:`ProcessPoolExecutor`.
+    """``jobs`` long-lived worker processes, each owning the keys it started.
 
-    The backend keeps one pool for its lifetime.  The first wave that
-    submits work starts it (so the workers inherit a fault plan installed
+    Each worker is a one-process :class:`ProcessPoolExecutor` with one
+    long-lived :class:`BenchmarkRunner`, whose memos (parsed programs,
+    compiled circuits, decompositions) carry over from task to task.  A
+    worker starts with its first task (inheriting a fault plan installed
     after the backend was built), bound to the runner's config and cache
-    root; a wave for another pair closes it and starts another.  Each
-    worker process holds one long-lived :class:`BenchmarkRunner`, so
-    per-process memoization (parsed programs, compiled circuits, the
-    shared decomposition cache) carries over from task to task and from
-    sweep to sweep.  When the runner has an artifact cache, the workers
-    share it through the same cache directory: a warm point replays in
-    the worker that draws it, and the grid runs in two waves, pipelines
-    without gate passes (which store their compiled circuits) before the
-    ones with gate passes (which resume from them), so a grid point's
-    compile happens in exactly one worker.  With ``jobs == 1`` the sweep
-    is a :class:`SerialBackend` one.
+    root; a task for another pair, submitted while no work is held,
+    restarts them.  A scheduler thread gives each worker one task at a
+    time: an idle worker takes the oldest ready task of a key
+    (``task.key()``) it owns or no worker owns, so no worker idles while
+    an unstarted key has work, and a key's tasks run in its owner in
+    submission order.  The key map keeps :data:`KEY_MAP_MAX` keys.  With
+    ``jobs == 1``, :meth:`run` is a :class:`SerialBackend` sweep and
+    :meth:`submit` runs tasks on one thread with the caller's runner.
 
-    A task for a program that
-    :func:`~repro.benchsuite.programs.register_source` added at run time
-    (``repro serve``'s inline sources) carries its ``(source, entry)``,
-    and the worker registers it for that task only.
-
-    Rows come back in task order regardless of completion order.  A
-    failing task is retried per the policy; a crashed or hung worker
-    takes its pool down and the sweep respawns and reschedules; after
-    ``policy.max_pool_deaths`` pool deaths in one wave, the wave's
-    remaining tasks execute serially in the parent, and the next wave
-    starts a new pool.  Every scheduled task ends as either a measurement
-    row or a failure row — a sweep that somehow lost a task raises rather
-    than returning a shorter result.  One sweep at a time uses a backend;
-    :meth:`close` terminates its pool.
+    Failing tasks are retried per the policy.  A task past its deadline
+    restarts its own worker (and is charged a failure), and a worker that
+    died, under a task or idle, is respawned alone (its task rescheduled
+    free); the tasks it owns wait for the new process.  After more than
+    ``policy.max_pool_deaths`` worker deaths before the backend next runs
+    out of work, the tasks it holds run serially in the parent.
+    :meth:`close` stops it all.
     """
 
     name = "parallel"
@@ -387,252 +399,317 @@ class ParallelBackend(ExecutionBackend):
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.policy = policy or RetryPolicy()
-        #: pools started so far: 1 while the first pool lives
-        self.spawns = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: (config fields, cache root) the live pool's workers were built for
-        self._binding: Optional[Tuple[Dict[str, Any], Optional[str]]] = None
+        #: workers started so far: ``jobs`` once each has run a task
+        self.worker_starts = 0
+        # shared with the submitting threads, under the lock
+        self._lock = threading.Lock()
+        self._inbox: List[_Attempt] = []
+        self._doorbell: Future = Future()
+        self._scheduler: Optional[threading.Thread] = None
+        self._closing = False
+        self._outstanding = 0
+        self._seq = 0
+        #: (config, cache root) the workers run for
+        self._binding: Optional[Tuple[CompilerConfig, Optional[str]]] = None
+        self._rebind = False
+        #: the one task thread of ``jobs == 1``
+        self._thread: Optional[ThreadPoolExecutor] = None
+        # the scheduler thread's own
+        self._workers: List[Optional[ProcessPoolExecutor]] = [None] * self.jobs
+        self._queues: Dict[Tuple, Deque[_Attempt]] = {}
+        self._owner: "OrderedDict[Tuple, int]" = OrderedDict()
+        self._running: Dict[Future, Tuple[int, _Attempt]] = {}
+        self._deaths = 0
+        self._degraded = False
 
-    def close(self) -> None:
-        """Terminate the worker pool, if one is running (idempotent)."""
-        if self._pool is not None:
-            _terminate_pool(self._pool)
-            self._pool = None
-            self._binding = None
-
-    def _live_pool(
-        self, binding: Tuple[Dict[str, Any], Optional[str]]
-    ) -> ProcessPoolExecutor:
-        """The running pool, started for ``binding`` when there is none."""
-        if self._pool is None:
-            config_kwargs, cache_root = binding
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(config_kwargs, cache_root, list(sys.path)),
-            )
-            self._binding = binding
-            self.spawns += 1
-        return self._pool
+    def submit(self, runner, task) -> Future:
+        """Hand one task over; the future resolves to ``task.run``'s result
+        on some worker's runner (a :class:`GridTask`'s row), or to a
+        failure row once its retries are spent."""
+        if self.jobs == 1:
+            with self._lock:
+                if self._thread is None:
+                    self._thread = ThreadPoolExecutor(1, "repro-task")
+                    self.worker_starts += 1
+            return self._thread.submit(run_task_resilient, runner, task, self.policy)
+        cache = runner.cache
+        binding = (runner.config, str(cache.root) if cache is not None else None)
+        attempt = _Attempt(0, task, task.key(), runner, Future())
+        with self._lock:
+            if binding != self._binding:
+                if self._outstanding:
+                    raise RuntimeError("the backend is busy with another runner's tasks")
+                self._binding, self._rebind = binding, True
+            self._seq += 1
+            attempt.seq = self._seq
+            self._outstanding += 1
+            self._inbox.append(attempt)
+            self._ring()
+            if self._scheduler is None:
+                self._scheduler = threading.Thread(
+                    target=self._schedule, name="repro-scheduler", daemon=True
+                )
+                self._scheduler.start()
+        return attempt.future
 
     def run(self, runner, tasks, progress=None, on_row=None):
         if self.jobs == 1:
-            return SerialBackend(policy=self.policy).run(
-                runner, tasks, progress=progress, on_row=on_row
-            )
+            return SerialBackend(self.policy).run(runner, tasks, progress, on_row)
         state = _SweepState(list(tasks), self.policy, progress, on_row)
-        pending: List[Tuple[int, GridTask]] = list(enumerate(tasks))
-        waves = [pending]
-        if runner.cache is not None:
-            # With a shared cache, dispatch in two waves: pipelines without
-            # gate passes first (each stores its compiled circuit), then
-            # the ones with gate passes (each resumes from that circuit).
-            # One queue would hand a baseline to a free worker while its
-            # preset still compiles in another, and the baseline would
-            # compile the preset again.
-            gated = {
-                i for i, task in pending
-                if resolve_pipeline(task.optimization).gate_passes
-            }
-            waves = [
-                [(i, task) for i, task in pending if i not in gated],
-                [(i, task) for i, task in pending if i in gated],
-            ]
-        for wave in waves:
-            if wave and not state.aborted:
-                self._run_wave(runner, wave, state)
-        if not state.aborted:
-            lost = [
-                state.tasks[i].label()
-                for i, row in enumerate(state.rows)
-                if row is None
-            ]
-            if lost:
-                raise RuntimeError(
-                    f"grid sweep lost {len(lost)} task(s) without a row "
-                    f"(first: {lost[:3]}); this is a harness bug, not a "
-                    "task failure"
-                )
-        return [row for row in state.rows if row is not None]
-
-    # ------------------------------------------------------------ wave loop
-    def _run_wave(
-        self,
-        runner,
-        wave: List[Tuple[int, GridTask]],
-        state: _SweepState,
-    ) -> None:
-        binding = (
-            asdict(runner.config),
-            str(runner.cache.root) if runner.cache is not None else None,
-        )
-        if binding != self._binding:
-            self.close()  # its workers were built for another runner
-        policy = self.policy
-        queue: List[_Attempt] = [_Attempt(i, task) for i, task in wave]
-        in_flight: Dict[Any, Tuple[_Attempt, Optional[float]]] = {}
-        pool_deaths = 0
-        degraded = False
-
-        def recover_pool(extra: Optional[List[_Attempt]] = None) -> bool:
-            """Requeue in-flight work and tear the pool down (the next
-            submission starts a new one); False once the death budget is
-            spent (caller degrades to serial)."""
-            nonlocal pool_deaths
-            pool_deaths += 1
-            for attempt, _ in in_flight.values():
-                queue.append(attempt)
-            in_flight.clear()
-            if extra:
-                queue.extend(extra)
-            self.close()
-            return pool_deaths <= policy.max_pool_deaths
-
+        futures = {self.submit(runner, task): i for i, task in enumerate(state.tasks)}
         try:
-            while (queue or in_flight) and not state.aborted and not degraded:
-                now = time.monotonic()
-                # fill free slots with backoff-ready tasks
-                while queue and len(in_flight) < self.jobs:
-                    ready = [a for a in queue if a.ready_at <= now]
-                    if not ready:
-                        break
-                    attempt = ready[0]
-                    queue.remove(attempt)
-                    attempt.starts += 1
-                    try:
-                        future = self._live_pool(binding).submit(
-                            _run_worker_task,
-                            attempt.task,
-                            attempt.starts - 1,
-                            runtime_program(attempt.task.name),
-                        )
-                    except BrokenProcessPool:
-                        attempt.starts -= 1
-                        queue.append(attempt)
-                        if not recover_pool():
-                            degraded = True
-                        break
-                    deadline = (
-                        now + policy.task_timeout if policy.task_timeout else None
-                    )
-                    in_flight[future] = (attempt, deadline)
-                if degraded or state.aborted:
-                    break
-                if not in_flight:
-                    if queue:  # everything is backing off: sleep to soonest
-                        pause = min(a.ready_at for a in queue) - time.monotonic()
-                        if pause > 0:
-                            time.sleep(pause)
-                    continue
-                timeout = None
-                wakeups = [d for _, d in in_flight.values() if d is not None]
-                if queue and len(in_flight) < self.jobs:
-                    wakeups.append(min(a.ready_at for a in queue))
-                if wakeups:
-                    timeout = max(0.0, min(wakeups) - time.monotonic())
-                finished, _ = wait(
-                    set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not finished:
-                    # nothing completed before the timeout: reap tasks past
-                    # their deadline.  A hung worker cannot be cancelled
-                    # individually, so the pool is torn down and respawned;
-                    # the timed-out task is charged a failure, innocent
-                    # bystanders are rescheduled for free.
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, deadline) in in_flight.items()
-                        if deadline is not None and now >= deadline
-                    ]
-                    if not expired:
-                        continue  # woke up to submit backoff-ready work
-                    retry: List[_Attempt] = []
-                    for future in expired:
-                        attempt, _ = in_flight.pop(future)
-                        attempt.failures += 1
-                        if attempt.failures > policy.retries:
-                            error = TimeoutError(
-                                f"task exceeded --task-timeout="
-                                f"{policy.task_timeout}s"
-                            )
-                            state.complete(
-                                attempt.index,
-                                failure_row(
-                                    attempt.task, error, "execute", attempt.starts
-                                ),
-                            )
-                        else:
-                            attempt.ready_at = now + policy.backoff_delay(
-                                attempt.task.label(), attempt.failures
-                            )
-                            retry.append(attempt)
-                    if not recover_pool(retry):
-                        degraded = True
-                    continue
-                broken = False
-                for future in finished:
-                    attempt, _ = in_flight.pop(future)
-                    try:
-                        row, counts = future.result()
-                    except BrokenProcessPool:
-                        # worker died (crash, OOM-kill): reschedule; the
-                        # attempt number advanced, so an injected crash
-                        # draws a fresh decision next time
-                        queue.append(attempt)
-                        broken = True
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        attempt.failures += 1
-                        if attempt.failures > policy.retries:
-                            state.complete(
-                                attempt.index,
-                                failure_row(
-                                    attempt.task, exc, "execute", attempt.starts
-                                ),
-                            )
-                        else:
-                            attempt.ready_at = (
-                                time.monotonic()
-                                + policy.backoff_delay(
-                                    attempt.task.label(), attempt.failures
-                                )
-                            )
-                            queue.append(attempt)
-                    else:
-                        if counts:
-                            runner.cache.add_counts(counts)
-                        if attempt.starts > 1 or attempt.failures:
-                            row = dict(row)
-                            row["attempts"] = attempt.starts
-                        state.complete(attempt.index, row)
-                if broken and not state.aborted:
-                    if not recover_pool():
-                        degraded = True
-        finally:
-            if in_flight:
-                # an aborted or interrupted wave: its tasks must not keep
-                # running into the next sweep
-                self.close()
-        if degraded and not state.aborted:
-            # repeated pool deaths: finish the wave serially in the parent,
-            # under the same policy and with the task's attempt history
-            leftovers = sorted(
-                queue + [attempt for attempt, _ in in_flight.values()],
-                key=lambda a: a.index,
-            )
-            for attempt in leftovers:
+            for future in as_completed(futures):
+                state.complete(futures[future], future.result())
                 if state.aborted:
                     break
-                row = run_task_resilient(
-                    runner,
+        finally:
+            for future in futures:
+                future.cancel()  # what an abort left unstarted
+        return [row for row in state.rows if row is not None]
+
+    def worker_pids(self) -> List[Optional[int]]:
+        """The process id of each worker (None: not running)."""
+        return [next(iter(getattr(w, "_processes", None) or {}), None) for w in self._workers]
+
+    def close(self) -> None:
+        """Stop the scheduler and the workers (idempotent); a task still
+        held fails."""
+        with self._lock:
+            self._closing = True
+            self._ring()
+            scheduler = self._scheduler
+        if scheduler is not None:
+            scheduler.join()
+        with self._lock:
+            self._closing = False
+        if self._thread is not None:
+            self._thread.shutdown(wait=True, cancel_futures=True)
+            self._thread = None
+
+    # ------------------------------------------------------------ scheduler
+    def _ring(self) -> None:
+        """Wake the scheduler (under the lock)."""
+        if not self._doorbell.done():
+            self._doorbell.set_result(None)
+
+    def _schedule(self) -> None:
+        """The scheduler thread: start tasks, take their results in."""
+        error: Optional[BaseException] = None
+        try:
+            while True:
+                with self._lock:
+                    if self._closing:
+                        break
+                    inbox, self._inbox = self._inbox, []
+                    rebind, self._rebind = self._rebind, False
+                    if self._doorbell.done():
+                        self._doorbell = Future()
+                    doorbell = self._doorbell
+                if rebind:
+                    self._stop_workers()
+                for attempt in inbox:
+                    self._queues.setdefault(attempt.key, deque()).append(attempt)
+                if not self._queues and not self._running:
+                    self._deaths, self._degraded = 0, False  # out of work
+                if not self._degraded:
+                    self._dispatch()  # a worker that died here may degrade
+                if self._degraded:
+                    self._run_in_parent()
+                else:
+                    self._reap(doorbell)
+        except BaseException as exc:  # a scheduler defect
+            error = exc
+        self._release(error)
+
+    def _dispatch(self) -> None:
+        """Start a task on every idle worker that has one: the oldest ready
+        task of a key the worker owns or no worker owns."""
+        now = time.monotonic()
+        busy = {slot for slot, _ in self._running.values()}
+        for slot in range(self.jobs):
+            while slot not in busy and not self._degraded:
+                ready = [
+                    queue[0] for key, queue in self._queues.items()
+                    if queue[0].ready_at <= now and self._owner.get(key, slot) == slot
+                ]
+                if not ready:
+                    break
+                if self._start(slot, min(ready, key=lambda a: a.seq), now):
+                    busy.add(slot)
+
+    def _take(self, attempt: _Attempt) -> bool:
+        """Unqueue a task about to start; False if it was cancelled first."""
+        queue = self._queues[attempt.key]
+        queue.popleft()
+        if not queue:
+            del self._queues[attempt.key]
+        if attempt.taken:
+            return True
+        attempt.taken = True
+        if not attempt.future.set_running_or_notify_cancel():
+            self._settle()
+            return False
+        return True
+
+    def _start(self, slot: int, attempt: _Attempt, now: float) -> bool:
+        """Send a task to worker ``slot`` (started if it is not running);
+        False if the task did not start."""
+        if not self._take(attempt):
+            return False
+        self._owner[attempt.key] = slot
+        self._owner.move_to_end(attempt.key)
+        if self._workers[slot] is None:
+            config, cache_root = self._binding
+            self._workers[slot] = ProcessPoolExecutor(
+                max_workers=1,
+                initializer=_init_worker,
+                initargs=(asdict(config), cache_root, list(sys.path)),
+            )
+            self.worker_starts += 1
+        attempt.starts += 1
+        try:
+            future = self._workers[slot].submit(
+                _run_worker_task, attempt.task, attempt.starts - 1
+            )
+        except BrokenProcessPool:
+            attempt.starts -= 1
+            self._requeue(attempt)
+            self._worker_died(slot)
+            return False
+        timeout = self.policy.task_timeout
+        attempt.deadline = now + timeout if timeout else None
+        self._running[future] = (slot, attempt)
+        excess = len(self._owner) - KEY_MAP_MAX
+        if excess > 0:  # forget the least recently used idle keys
+            held = set(self._queues) | {a.key for _, a in self._running.values()}
+            for key in [key for key in self._owner if key not in held][:excess]:
+                del self._owner[key]
+        return True
+
+    def _reap(self, doorbell: Future) -> None:
+        """Wait for a result, a submission, a deadline or the end of a
+        backoff; take in what finished and restart what is overdue."""
+        now = time.monotonic()
+        wakeups = [a.deadline for _, a in self._running.values() if a.deadline]
+        wakeups += [q[0].ready_at for q in self._queues.values() if q[0].ready_at > now]
+        if self._queues and not self._running and not wakeups:
+            raise RuntimeError("it holds tasks that no worker takes")
+        timeout = max(0.0, min(wakeups) - now) if wakeups else None
+        finished, _ = wait(
+            [doorbell, *self._running], timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        for future in finished:
+            if future in self._running:
+                self._finish(future)
+        now = time.monotonic()
+        for future, (slot, attempt) in list(self._running.items()):
+            if future in self._running and attempt.deadline and now >= attempt.deadline:
+                # a hung task cannot be cancelled: restart its worker and
+                # charge the task, whose retries bound this, not the death
+                # budget (in the parent no deadline would hold)
+                del self._running[future]
+                timeout = self.policy.task_timeout
+                self._charge(attempt, TimeoutError(f"task exceeded --task-timeout={timeout}s"))
+                _terminate(self._workers[slot])
+                self._workers[slot] = None
+
+    def _finish(self, future: Future) -> None:
+        """Take in the result of a task that came back from its worker."""
+        slot, attempt = self._running.pop(future)
+        try:
+            result, counts = future.result()
+        except BrokenProcessPool:
+            # the worker died (crash, OOM-kill): the attempt number
+            # advanced, so an injected crash draws a fresh decision next time
+            self._requeue(attempt)
+            self._worker_died(slot)
+        except Exception as exc:
+            self._charge(attempt, exc)
+        else:
+            if counts:
+                attempt.runner.cache.add_counts(counts)
+            if attempt.starts > 1 or attempt.failures:
+                result = dict(result)
+                result["attempts"] = attempt.starts
+            attempt.future.set_result(result)
+            self._settle()
+
+    def _charge(self, attempt: _Attempt, error: BaseException) -> None:
+        """Count a failure: retry after a backoff, or give up with a row."""
+        attempt.failures += 1
+        if attempt.failures > self.policy.retries:
+            attempt.future.set_result(
+                failure_row(attempt.task, error, "execute", attempt.starts)
+            )
+            self._settle()
+        else:
+            attempt.ready_at = time.monotonic() + self.policy.backoff_delay(
+                attempt.task.label(), attempt.failures
+            )
+            self._requeue(attempt)
+
+    def _requeue(self, attempt: _Attempt) -> None:
+        self._queues.setdefault(attempt.key, deque()).appendleft(attempt)
+
+    def _settle(self) -> None:
+        """One submitted task is resolved (or was cancelled)."""
+        with self._lock:
+            self._outstanding -= 1
+
+    def _worker_died(self, slot: int) -> None:
+        """Drop worker ``slot``; past the death budget, run in the parent."""
+        _terminate(self._workers[slot])
+        self._workers[slot] = None
+        self._deaths += 1
+        if self._deaths > self.policy.max_pool_deaths:
+            self._degraded = True
+            for _, attempt in self._running.values():
+                self._requeue(attempt)
+            self._running.clear()
+            self._stop_workers()
+
+    def _run_in_parent(self) -> None:
+        """Run the oldest held task in this thread, under the same policy
+        and with the task's attempt history."""
+        attempt = min((queue[0] for queue in self._queues.values()), key=lambda a: a.seq)
+        if self._take(attempt):
+            attempt.future.set_result(
+                run_task_resilient(
+                    attempt.runner,
                     attempt.task,
-                    policy,
+                    self.policy,
                     prior_attempts=attempt.starts,
                     prior_failures=attempt.failures,
                 )
-                state.complete(attempt.index, row)
+            )
+            self._settle()
+
+    def _stop_workers(self) -> None:
+        for slot, worker in enumerate(self._workers):
+            _terminate(worker)
+            self._workers[slot] = None
+        self._owner.clear()
+
+    def _release(self, error: Optional[BaseException]) -> None:
+        """The scheduler stops: end the workers, fail every task held."""
+        self._stop_workers()
+        held = [a for queue in self._queues.values() for a in queue]
+        held += [attempt for _, attempt in self._running.values()]
+        self._queues.clear()
+        self._running.clear()
+        with self._lock:
+            held += self._inbox
+            self._inbox = []
+            self._scheduler = None
+            self._outstanding -= len(held)
+        reason = "the backend closed"
+        if error is not None:
+            reason = f"the scheduler failed ({error!r}); this is a harness bug, not a task failure"
+        for attempt in held:
+            if not attempt.future.done():
+                attempt.future.set_exception(
+                    RuntimeError(f"{reason}: task {attempt.task.label()} lost")
+                )
 
 
 #: worker-process state: one runner per (process, config)
@@ -650,7 +727,7 @@ def _init_worker(
     # A forked worker inherits the parent's signal disposition — under
     # ``repro serve`` that includes asyncio's wakeup-fd handler, whose
     # pipe is shared with the parent after fork.  Left in place, the
-    # SIGTERM of a routine pool teardown would be written into the
+    # SIGTERM of a routine worker restart would be written into the
     # parent's wakeup pipe and trigger the *server's* shutdown handler
     # (and the worker itself would never die, since the handler eats the
     # signal).  Workers take the default dispositions instead.
@@ -675,23 +752,15 @@ def _init_worker(
     _WORKER_RUNNER = BenchmarkRunner(CompilerConfig(**config_kwargs), cache=cache)
 
 
-def _run_worker_task(
-    task: GridTask,
-    attempt: int = 0,
-    program: Optional[Tuple[str, str]] = None,
-) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """The task's row and the worker cache's counter increments since
-    this worker's previous row: a failed attempt's loads come back with
-    the next row, and the parent adds them to its own cache's counters.
-
-    ``program`` is the ``(source, entry)`` of a name registered at run
-    time, ``None`` for a built-in or fuzz name.  The worker binds it for
-    this task only, so a long-lived worker's registry does not grow with
-    the programs it has served."""
-    with registered(task.name, program):
-        row = execute_task(_WORKER_RUNNER, task, attempt=attempt)
+def _run_worker_task(task, attempt: int = 0) -> Tuple[Dict[str, Any], Dict[str, int]]:
+    """The task's result and the worker cache's counter increments since
+    this worker's previous result: a failed attempt's loads come back
+    with the next one, and the parent adds them to its own cache's
+    counters.  A ``repro serve`` task runs its admission lint here, on
+    this worker's frontend memo, before its measure."""
+    result = execute_task(_WORKER_RUNNER, task, attempt=attempt)
     cache = _WORKER_RUNNER.cache
-    return row, cache.take_counts() if cache is not None else {}
+    return result, cache.take_counts() if cache is not None else {}
 
 
 # --------------------------------------------------------------- paper grids

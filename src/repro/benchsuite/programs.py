@@ -31,6 +31,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..bounded import BoundedCache
+
 #: type declarations shared by the list/queue benchmarks
 LIST_PRELUDE = "type list = (uint, ptr<list>);\n"
 
@@ -515,9 +517,20 @@ ENTRIES: Dict[str, str] = {
 #: Benchmarks whose entry point takes no recursion bound.
 UNSIZED: List[str] = ["pop_front"]
 
-#: The built-in benchmark names; any other name in :data:`SOURCES` was
-#: added by :func:`register_source` at run time.
-BUILTIN_NAMES = frozenset(SOURCES)
+#: inline programs ``repro serve`` admitted, kept (least recently used
+#: forgotten) so that this process resolves their ``src:`` names; unlike
+#: :data:`SOURCES` it does not grow with the programs
+INLINE_PROGRAMS_MAX = 256
+_INLINE = BoundedCache(INLINE_PROGRAMS_MAX)
+
+
+def remember_inline(name: str, source: str, entry: str) -> None:
+    _INLINE.get(name, lambda: (source, entry))
+
+
+def inline_program(name: str) -> Optional[Tuple[str, str]]:
+    """``(source, entry)`` of a remembered inline program, or None."""
+    return _INLINE.lookup(name)
 
 
 def is_fuzz_name(name: str) -> bool:
@@ -543,6 +556,9 @@ def get_source(name: str) -> str:
     """
     if name in SOURCES:
         return SOURCES[name]
+    inline = _INLINE.lookup(name)
+    if inline is not None:
+        return inline[0]
     if is_fuzz_name(name):
         from ..fuzz.generator import program_for_spec  # lazy: avoid cycle
 
@@ -554,6 +570,9 @@ def get_entry(name: str) -> str:
     """Entry-point function of a benchmark (``main`` for fuzz workloads)."""
     if name in ENTRIES:
         return ENTRIES[name]
+    inline = _INLINE.lookup(name)
+    if inline is not None:
+        return inline[1]
     if is_fuzz_name(name):
         return "main"
     raise KeyError(f"unknown benchmark {name!r}")
@@ -564,10 +583,11 @@ def register_source(
 ) -> None:
     """Register an ad-hoc program under a benchmark name.
 
-    The compile service uses this for inline-source requests: the source
-    is registered under a content-derived ``src:<sha>`` name so it flows
-    through the same :func:`get_source`-keyed machinery (grid tasks,
-    artifact cache, worker pools) as the static benchmarks.  Re-registering
+    A worker binds an inline program this way for one task (see
+    :func:`registered`): the source, under a content-derived
+    ``src:<sha>`` name, then flows through the same
+    :func:`get_source`-keyed machinery (grid tasks, artifact cache) as the
+    static benchmarks.  Re-registering
     the same (name, source, entry) is a no-op; rebinding a name to
     different content is an error — names are content addresses.
     """
@@ -583,15 +603,6 @@ def register_source(
     ENTRIES[name] = entry
     if unsized and name not in UNSIZED:
         UNSIZED.append(name)
-
-
-def runtime_program(name: str) -> Optional[Tuple[str, str]]:
-    """``(source, entry)`` of a name :func:`register_source` added at run
-    time; ``None`` for a built-in or fuzz name, which every process
-    resolves by itself."""
-    if name in BUILTIN_NAMES or name not in SOURCES:
-        return None
-    return SOURCES[name], ENTRIES[name]
 
 
 @contextmanager

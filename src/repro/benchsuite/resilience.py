@@ -4,7 +4,7 @@ Three pieces the execution backends and the CLI share:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   deterministic jitter, per-task wall-clock timeouts, a sweep-level
-  failure budget (``max_failures``) and a cap on process-pool deaths
+  failure budget (``max_failures``) and a cap on worker deaths
   before the parallel backend degrades to serial execution;
 * :func:`failure_row` — the structured *failure row* a task that
   exhausted its retries becomes (error kind, stage, attempt count,
@@ -46,12 +46,13 @@ class RetryPolicy:
     #: reschedules do not count against it
     retries: int = 2
     #: per-task wall-clock timeout (None: unbounded); a late task's
-    #: worker pool is torn down and respawned, and the task retried
+    #: worker is restarted, and the task retried
     task_timeout: Optional[float] = None
     #: abort the sweep once more than this many tasks have *exhausted*
     #: their retries (None: never abort)
     max_failures: Optional[int] = None
-    #: process-pool deaths tolerated before degrading to serial execution
+    #: worker deaths (crash, OOM-kill) tolerated before degrading to serial
+    #: execution; a worker restarted for a late task does not count
     max_pool_deaths: int = 3
     #: first backoff delay; doubles per failure up to ``backoff_cap``
     backoff_base: float = 0.05

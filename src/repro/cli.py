@@ -816,7 +816,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         jobs=args.jobs,
         policy=policy,
-        batch_window=args.batch_window,
         cache_max_bytes=args.cache_max_bytes,
     )
 
@@ -1069,19 +1068,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8351,
                          help="TCP port (0 picks a free one; default 8351)")
     p_serve.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for batched compiles")
+                         help="worker processes (default 1: requests run "
+                              "on one thread of the server process); a "
+                              "request runs in the worker that owns its "
+                              "program, depth and compile prefix")
     p_serve.add_argument("--cache-dir", default=None,
                          help="shared artifact cache directory (enables warm "
                               "replays, across restarts too)")
     p_serve.add_argument("--cache-max-bytes", type=int, default=None,
-                         help="prune the cache to this size (LRU) after "
-                              "every batch")
-    p_serve.add_argument("--batch-window", type=float, default=0.02,
-                         metavar="SECONDS",
-                         help="how long a request that finds the "
-                              "service idle waits for others to batch with; "
-                              "requests queued during a batch skip it "
-                              "(default: 0.02)")
+                         help="prune the cache to this size (LRU), at "
+                              "most once a second while requests complete")
     p_serve.add_argument("--retries", type=int, default=2,
                          help="retry budget per task (default: 2)")
     p_serve.add_argument("--task-timeout", type=float, default=None,

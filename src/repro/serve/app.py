@@ -3,9 +3,9 @@
 :class:`ReproServer` wires the HTTP framing layer to the endpoint
 handlers around one shared :class:`CompileService`, and owns the
 lifecycle: bind, serve, drain, close.  ``POST /shutdown`` (and SIGINT /
-SIGTERM under :func:`serve_main`) trigger a clean stop — in-flight
-requests finish and the batch consumer drains, so every answered row is
-in the artifact cache with no staging file left behind.
+SIGTERM under :func:`serve_main`) trigger a clean stop — the tasks in
+flight finish before the workers stop, so every answered row is in the
+artifact cache with no staging file left behind.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..benchsuite.resilience import RetryPolicy
 from ..config import CompilerConfig
 from . import handlers
 from .http import render_response, serve_connection
-from .service import DEFAULT_BATCH_WINDOW, CompileService
+from .service import CompileService
 
 EndpointFn = Callable[
     [CompileService, Dict[str, Any]], Awaitable[Tuple[int, Any]]
@@ -48,7 +48,6 @@ class ReproServer:
         port: int = 0,
         jobs: int = 1,
         policy: Optional[RetryPolicy] = None,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         cache_max_bytes: Optional[int] = None,
     ) -> None:
         self.host = host
@@ -58,7 +57,6 @@ class ReproServer:
             cache=cache,
             jobs=jobs,
             policy=policy,
-            batch_window=batch_window,
             cache_max_bytes=cache_max_bytes,
         )
         self._server: Optional[asyncio.base_events.Server] = None
@@ -99,7 +97,6 @@ class ReproServer:
 
     # ------------------------------------------------------------ lifecycle
     async def start(self) -> None:
-        await self.service.start()
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -174,7 +171,6 @@ def serve_main(
     port: int = 8351,
     jobs: int = 1,
     policy: Optional[RetryPolicy] = None,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     cache_max_bytes: Optional[int] = None,
 ) -> int:
     """The blocking entry point behind ``repro serve``."""
@@ -186,7 +182,6 @@ def serve_main(
         port=port,
         jobs=jobs,
         policy=policy,
-        batch_window=batch_window,
         cache_max_bytes=cache_max_bytes,
     )
     try:

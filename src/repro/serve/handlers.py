@@ -1,9 +1,14 @@
 """Endpoint logic of ``repro serve``.
 
 Every handler takes the shared :class:`~repro.serve.service.CompileService`
-plus the decoded JSON request body and returns ``(status, payload)``.
-The status discipline mirrors the linter's exit-code contract
-(``repro lint``: 0 clean / 1 error findings / 2 usage / 3 internal):
+plus the decoded JSON request body and returns ``(status, payload)``.  A
+handler checks the request's fields and builds one
+:class:`~repro.serve.service.ServeTask`; everything that needs the
+program's text parsed — the admission lint, the default entry point,
+whether the entry takes a ``depth`` — runs in that task, off the event
+loop, and its answer is the response.  The status discipline mirrors the
+linter's exit-code contract (``repro lint``: 0 clean / 1 error findings /
+2 usage / 3 internal):
 
 ========  ==========================================================
 status    meaning
@@ -24,13 +29,10 @@ status    meaning
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from ..benchsuite.parallel import GridTask
-from ..benchsuite.programs import is_unsized
-from ..errors import ReproError
-from ..passes import canonical_pipeline
-from .service import CompileService
+from ..benchsuite.programs import SOURCES, inline_program, is_fuzz_name
+from .service import CompileService, ServeTask, source_digest
 
 Response = Tuple[int, Any]
 
@@ -70,92 +72,34 @@ def decode_body(raw: bytes) -> Dict[str, Any]:
     return body
 
 
-def _lint_payload(report, **extra: Any) -> Dict[str, Any]:
-    payload = json.loads(report.render_json())
-    payload.update(extra)
-    return payload
-
-
-def _validate_pipeline(optimization: str) -> None:
-    """Reject a spec naming an unknown pass or a bad pass parameter."""
+async def _submit(service: CompileService, task: ServeTask) -> Response:
+    """The service's answer to ``task``; a 400 for a pipeline spec naming
+    an unknown pass or a bad pass parameter, which has no task key."""
     try:
-        canonical_pipeline(optimization)
+        task.key()
     except Exception as exc:
         raise RequestError(f"bad pipeline spec: {exc}")
-
-
-def _admit(
-    service: CompileService,
-    source: str,
-    entry: Optional[str],
-    size: Optional[int],
-) -> Tuple[Optional[Response], Any]:
-    """Admission lint; (reject-response, report). 422 carries findings."""
-    report = service.lint(source, entry=entry, size=size)
-    if report.errors:
-        service.metrics.count("admission_rejects")
-        return (422, _lint_payload(report, admitted=False)), report
-    return None, report
-
-
-def _missing_depth(entry: str) -> RequestError:
-    """A sized entry cannot compile without a recursion bound: the request
-    is rejected before it reaches the batch thread."""
-    return RequestError(f"missing required field 'depth': {entry!r} takes a recursion bound")
-
-
-def _entry_takes_size(service: CompileService, source: str, entry: str) -> bool:
-    """Whether ``entry`` declares a recursion bound (False when the source
-    does not parse or lacks it; the compile reports those itself).  The
-    parse is the runner's, shared with the lint and the compile."""
-    try:
-        program = service.runner.frontend.program(source)
-        return program.fun(entry).size_param is not None
-    except (ReproError, KeyError):
-        return False
-
-
-async def _run_task(
-    service: CompileService, task: GridTask, extra: Dict[str, Any]
-) -> Response:
-    row = await service.submit(task)
-    if row.get("failed"):
-        return 500, {"row": row, **extra}
-    return 200, {"row": row, **extra}
+    return await service.submit(task)
 
 
 async def handle_compile(
     service: CompileService, body: Dict[str, Any]
 ) -> Response:
-    """Inline-source compile: lint-gate, register, measure one point."""
+    """Inline-source compile: lint-gate and measure one point, in one task."""
     source = _field(body, "source", str, required=True)
     entry = _field(body, "entry", str)
     depth = _field(body, "depth", int)
     optimization = _field(body, "optimization", str, default="none") or "none"
-    _validate_pipeline(optimization)
-    reject, report = _admit(service, source, entry, depth)
-    if reject is not None:
-        return reject
-    resolved = entry or report.entry
-    if resolved is None:
-        raise RequestError("program defines no functions (nothing to compile)")
-    if depth is None and report.size is not None:
-        raise _missing_depth(resolved)
-    name = service.register_inline(source, resolved)
-    task = GridTask(name, depth, optimization)
-    return await _run_task(
-        service,
-        task,
-        {"name": name, "entry": resolved, "warnings": len(report.diagnostics)},
-    )
+    task = ServeTask("compile", source_digest(source), source, entry, None, depth, optimization)
+    return await _submit(service, task)
 
 
 async def handle_measure(
     service: CompileService, body: Dict[str, Any]
 ) -> Response:
-    """Measure one point of a registered (or fuzz) benchmark under the
-    pipeline in ``optimization`` (a circuit-optimizer baseline is spelled
-    ``preset+optimizer``)."""
+    """Measure one point of a built-in, fuzz or recently compiled inline
+    benchmark under the pipeline in ``optimization`` (a circuit-optimizer
+    baseline is spelled ``preset+optimizer``)."""
     if "optimizer" in body or "params" in body:
         raise RequestError(
             "fields 'optimizer' and 'params' are not accepted; name the "
@@ -169,22 +113,16 @@ async def handle_measure(
     lint_gate = body.get("lint", True)
     if not isinstance(lint_gate, bool):
         raise RequestError("field 'lint' must be bool")
-    _validate_pipeline(optimization)
-    known = service.known_source(name)
-    if known is None:
+    source = entry = None
+    program = name
+    inline = inline_program(name)
+    if inline is not None:
+        source, entry = inline
+        program = source_digest(source)
+    elif name not in SOURCES and not is_fuzz_name(name):
         raise RequestError(f"unknown benchmark {name!r}")
-    source, entry = known
-    if is_unsized(name):
-        depth = None
-    elif depth is None and _entry_takes_size(service, source, entry):
-        raise _missing_depth(entry)
-    if lint_gate:
-        reject, _report = _admit(service, source, entry, depth)
-        if reject is not None:
-            return reject
-    return await _run_task(
-        service, GridTask(name, depth, optimization), {"name": name}
-    )
+    task = ServeTask("measure", program, source, entry, name, depth, optimization, lint_gate)
+    return await _submit(service, task)
 
 
 async def handle_lint(
@@ -194,9 +132,7 @@ async def handle_lint(
     source = _field(body, "source", str, required=True)
     entry = _field(body, "entry", str)
     size = _field(body, "size", int)
-    report = service.lint(source, entry=entry, size=size)
-    status = 422 if report.exit_code() else 200
-    return status, _lint_payload(report, exit_code=report.exit_code())
+    return await service.submit(ServeTask("lint", source_digest(source), source, entry, depth=size))
 
 
 async def handle_cache_stats(

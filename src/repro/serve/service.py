@@ -1,75 +1,81 @@
-"""The compile service behind ``repro serve``: admission, dedupe, batching.
+"""The compile service behind ``repro serve``: dedupe, dispatch, memos.
 
-One :class:`CompileService` owns the machinery the CLI's batch sweeps
-already use — a :class:`~repro.benchsuite.runner.BenchmarkRunner`, a
+One :class:`CompileService` owns a
+:class:`~repro.benchsuite.runner.BenchmarkRunner`, a
 :class:`~repro.benchsuite.parallel.ParallelBackend` and the shared
-:class:`~repro.benchsuite.cache.ArtifactCache` — and fronts them with
+:class:`~repro.benchsuite.cache.ArtifactCache`, and fronts them with
 service semantics:
 
-* **admission** — request sources are linted first; error findings keep
-  the work off the pool entirely (the handler turns them into 422).  The
-  lint reads the runner's :class:`~repro.compiler.pipeline.Frontend`, so
-  the parse, desugar and strict typecheck it does are the ones the
-  compile reuses: one frontend pass per new program;
-* **single-flight dedupe** — identical concurrent requests (same task
-  fingerprint) share one future and compile exactly once;
-* **micro-batching** — a request that finds the service idle waits
-  ``batch_window`` for the rest of its burst, and the requests queued
-  behind a running batch go together into the next one at once; either
-  way a batch is one backend sweep, so the two-wave cache discipline
-  (presets before the baselines, such as ``none+peephole``, that resume
-  from them) applies across requests, not just within one;
-* **durability** — the artifact cache is the only restart store: every
-  row lands there sha-enveloped, keyed by source, config and code
-  fingerprint, so a restarted server replays a repeat request from it
-  without recompiling (``cached: True``); nothing else outlives the
+* **one task per request** — a request that needs the compiler goes to
+  the backend on arrival as one :class:`ServeTask`, which runs where the
+  compile runs (the worker that owns its key, or the one task thread at
+  ``--jobs 1``): the admission lint on that runner's frontend memo, whose
+  parse, desugar and strict typecheck the compile reuses, the checks
+  that need the parsed program, and the measure.  A lint with error
+  findings is the task's 422 answer.  The event loop runs HTTP, field
+  checks, dedupe and the memos, and no frontend code;
+* **single-flight dedupe** — identical concurrent requests share one
+  task and compile exactly once;
+* **completed-answer memo** — a repeat of a completed request (a row, a
+  lint report or a rejection) is answered on the event loop with no lint
+  and no task, a row flagged ``cached: True``; an answer evicted past
+  :data:`COMPLETED_MAX` runs as a task again, a row replaying from the
+  artifact cache;
+* **durability** — the artifact cache is the only restart store, keyed
+  by source, config and code fingerprint; nothing else outlives the
   process;
-* **bounded cache** — with ``cache_max_bytes`` set, the shared artifact
-  cache is pruned (LRU, stale temps swept) after every batch.
+* **bounded cache** — with ``cache_max_bytes`` set, the artifact cache
+  is pruned (LRU, stale temps swept) at most once per
+  :data:`PRUNE_INTERVAL`, on a thread of its own.
 
-Threading model: all public coroutines run on the event loop; the
-backend sweep runs on a single executor thread (one batch at a time).
-Results hop back to the loop via ``call_soon_threadsafe``.  The one
-structure both threads use is the runner's frontend memo: the loop
-thread fills it while linting, the executor thread reads it while
-compiling.  Its :class:`~repro.bounded.BoundedCache` tables lock around
-lookup, insert and evict, and both memos (and the runner's
-compiled-circuit memo) are bounded, so a long run of distinct programs
-holds a fixed number of them.
-With ``jobs >= 2`` the pool workers run their own frontend and their
-own artifact-cache instance, kept from batch to batch; an inline
-program's source travels with its task.  Each worker returns its cache's
-counter increments with every row and the sweep adds them to the
-service's cache, so ``/cache/stats`` counts the workers' loads with
-nothing written to disk for them.  ``/metrics`` gauges the pools
-started (``pool_spawns``): 1 while the first pool lives.
+Workers return their cache's counter increments with every row, so
+``/cache/stats`` counts their loads with nothing written to disk for
+them, and ``/metrics`` gauges the workers started (``worker_starts``).
+Admitted inline programs are kept by
+:func:`~repro.benchsuite.programs.remember_inline`, a bounded memo, so
+that ``/measure`` resolves a recent ``src:`` name.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+import json
+import time
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Optional, Tuple
 
-from ..analysis import LintReport, lint_source
+from ..analysis import lint_source
+from ..benchsuite.cache import ArtifactCache
+from ..benchsuite.parallel import ParallelBackend, task_key
+from ..benchsuite.programs import (
+    get_entry,
+    get_source,
+    is_unsized,
+    registered,
+    remember_inline,
+)
+from ..benchsuite.resilience import RetryPolicy
+from ..benchsuite.runner import BenchmarkRunner
 from ..bounded import BoundedCache
 from ..config import CompilerConfig
-from ..benchsuite.cache import ArtifactCache
-from ..benchsuite.parallel import GridTask, ParallelBackend
-from ..benchsuite.programs import get_entry, get_source, register_source
-from ..benchsuite.resilience import RetryPolicy, task_fingerprint
-from ..benchsuite.runner import BenchmarkRunner
+from ..errors import ReproError
 from .dedupe import SingleFlight
 from .metrics import Metrics
 
-#: micro-batch accumulation window: long enough that a burst of
-#: concurrent clients lands in one sweep, short enough to be invisible
-#: next to a compile
-DEFAULT_BATCH_WINDOW = 0.02
+#: completed answers kept for repeats (least recently used evicted)
+COMPLETED_MAX = 4096
 
-#: admission-lint reports kept (least recently used evicted): serve
-#: traffic of new programs would otherwise keep one report per request
-LINT_CACHE_MAX = 1024
+#: recent keys whose compile count the dedupe gauges report
+EXECUTIONS_WINDOW = 4096
+
+#: seconds between two prunes of the artifact cache
+PRUNE_INTERVAL = 1.0
+
+#: a task's answer: ``{"status": int, "body": dict}``
+Answer = Dict[str, Any]
 
 
 def inline_name(source: str, entry: str) -> str:
@@ -78,8 +84,110 @@ def inline_name(source: str, entry: str) -> str:
     return f"src:{digest[:16]}"
 
 
+def source_digest(source: str) -> str:
+    """The identity of an inline program: its source's content digest."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def _answer(status: int, body: Dict[str, Any]) -> Answer:
+    return {"status": status, "body": body}
+
+
+def _error(message: str) -> Answer:
+    """The request is at fault (a 400)."""
+    return _answer(400, {"error": message})
+
+
+def _lint_answer(status: int, report, **extra: Any) -> Answer:
+    return _answer(status, {**json.loads(report.render_json()), **extra})
+
+
+def _missing_depth(entry: str) -> Answer:
+    """A sized entry cannot compile without a recursion bound."""
+    return _error(f"missing required field 'depth': {entry!r} takes a recursion bound")
+
+
+def _takes_size(runner, source: str, entry: str) -> bool:
+    """Whether ``entry`` declares a recursion bound (False when the source
+    does not parse or lacks it; the compile reports those itself).  The
+    parse is the runner's, shared with the lint and the compile."""
+    try:
+        return runner.frontend.program(source).fun(entry).size_param is not None
+    except (ReproError, KeyError):
+        return False
+
+
+@dataclass(frozen=True)
+class ServeTask:
+    """One ``/compile``, ``/measure`` or ``/lint`` request as a backend task:
+    the request's fields (``depth`` is ``/lint``'s size), the ``source`` of
+    an inline program and the ``program``'s identity (a built-in or fuzz
+    name, or :func:`source_digest`)."""
+
+    path: str
+    program: str
+    source: Optional[str] = None
+    entry: Optional[str] = None
+    name: Optional[str] = None
+    depth: Optional[int] = None
+    optimization: str = "none"
+    lint: bool = True
+
+    def key(self) -> Tuple[str, Optional[int], str]:
+        return task_key(self.program, self.depth, self.optimization)
+
+    def label(self) -> str:
+        return f"{self.path} {self.name or self.program[:16]}@{self.depth} [{self.optimization}]"
+
+    def request_key(self, config: CompilerConfig) -> Tuple:
+        """What dedupe and the completed memo key on: everything the
+        service knows before dispatch, the source as its digest."""
+        return replace(self, source=None), config
+
+    def run(self, runner) -> Answer:
+        """Lint, check and measure on ``runner``; the response."""
+        source, entry, name = self.source, self.entry, self.name
+        if source is None:
+            try:
+                source, entry = get_source(name), get_entry(name)
+            except (KeyError, ValueError):
+                return _error(f"unknown benchmark {name!r}")
+        if (
+            self.path == "measure"
+            and self.depth is None
+            and not is_unsized(name)
+            and _takes_size(runner, source, entry)
+        ):
+            return _missing_depth(entry)
+        if self.lint:
+            report = lint_source(
+                source,
+                entry=entry,
+                size=self.depth,
+                config=runner.config,
+                frontend=runner.frontend,
+            )
+            if self.path == "lint":
+                code = report.exit_code()
+                return _lint_answer(422 if code else 200, report, exit_code=code)
+            if report.errors:
+                return _lint_answer(422, report, admitted=False)
+        extra = {"name": name}
+        if self.path == "compile":
+            entry = entry or report.entry
+            if entry is None:
+                return _error("program defines no functions (nothing to compile)")
+            if self.depth is None and report.size is not None:
+                return _missing_depth(entry)
+            name = inline_name(source, entry)
+            extra = {"name": name, "entry": entry, "warnings": len(report.diagnostics)}
+        with registered(name, (source, entry) if self.source is not None else None):
+            row = runner.measure(name, self.depth, self.optimization).row()
+        return _answer(200, {"row": row, **extra})
+
+
 class CompileService:
-    """Admission-checked, deduplicated, batched grid execution."""
+    """Admission-checked, deduplicated grid execution, one task per request."""
 
     def __init__(
         self,
@@ -87,50 +195,34 @@ class CompileService:
         cache: Optional[ArtifactCache] = None,
         jobs: int = 1,
         policy: Optional[RetryPolicy] = None,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         cache_max_bytes: Optional[int] = None,
         metrics: Optional[Metrics] = None,
     ) -> None:
         self.config = config or CompilerConfig()
         self.cache = cache
         self.cache_max_bytes = cache_max_bytes
-        self.batch_window = batch_window
         self.metrics = metrics or Metrics()
         self.backend = ParallelBackend(jobs=jobs, policy=policy)
         self.runner = BenchmarkRunner(self.config, cache=cache)
         self.flight = SingleFlight()
-        #: fingerprint -> completed row of this run
-        self._completed: Dict[str, Dict[str, Any]] = {}
-        #: fingerprint -> times its task actually executed (the dedupe proof:
-        #: the loadgen asserts every value here is exactly 1)
-        self._executions: Dict[str, int] = {}
-        self._lint_cache = BoundedCache(LINT_CACHE_MAX)
-        self._queue: Optional[asyncio.Queue] = None
-        self._consumer: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: request key -> ``(status, body)`` its task answered in this run
+        self._completed = BoundedCache(COMPLETED_MAX)
+        #: request key -> times its task compiled, for the recent keys (the
+        #: dedupe proof: the loadgen asserts every value here is 1)
+        self._executions: "OrderedDict[Tuple, int]" = OrderedDict()
+        #: dispatched tasks and running prunes, awaited by :meth:`close`
+        self._pending: set = set()
+        self._pruned_at = float("-inf")
         self._register_gauges()
 
-    # ----------------------------------------------------------- lifecycle
-    async def start(self) -> None:
-        if self._consumer is not None:
-            return
-        self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
-        self._consumer = asyncio.create_task(self._consume())
-
     async def close(self) -> None:
-        """Drain the queue, finish the in-flight batch and stop the pool."""
-        if self._consumer is not None:
-            assert self._queue is not None
-            await self._queue.put(None)
-            await self._consumer
-            self._consumer = None
+        """Wait for the tasks in flight, then stop the backend."""
+        while self._pending:
+            await asyncio.gather(*list(self._pending), return_exceptions=True)
         self.backend.close()
 
     def _register_gauges(self) -> None:
-        self.metrics.gauge(
-            "queue_depth", lambda: self._queue.qsize() if self._queue else 0
-        )
+        self.metrics.gauge("queue_depth", lambda: len(self._pending))
         self.metrics.gauge("inflight_keys", lambda: len(self.flight))
         self.metrics.gauge("distinct_keys", lambda: len(self._executions))
         self.metrics.gauge(
@@ -138,137 +230,81 @@ class CompileService:
             lambda: max(self._executions.values(), default=0),
         )
         self.metrics.gauge("completed_keys", lambda: len(self._completed))
-        self.metrics.gauge("pool_spawns", lambda: self.backend.spawns)
-
-    # ----------------------------------------------------------- admission
-    def lint(
-        self,
-        source: str,
-        entry: Optional[str] = None,
-        size: Optional[int] = None,
-    ) -> LintReport:
-        """The (memoized, bounded) admission lint of one source/entry/size
-        triple.  Its frontend work stays in the runner's memo for the
-        compile; the report memo keys on a digest of the source, so an
-        entry's cost does not grow with the source's size."""
-        key = (entry, size, hashlib.sha256(source.encode("utf-8")).digest())
-        return self._lint_cache.get(
-            key,
-            lambda: lint_source(
-                source,
-                entry=entry,
-                size=size,
-                config=self.config,
-                frontend=self.runner.frontend,
-            ),
-        )
-
-    def register_inline(self, source: str, entry: str) -> str:
-        """Register an inline source under its content-derived name.
-
-        The name flows through the standard registry, so grid tasks and
-        cache keys resolve it exactly like a static benchmark; a pool
-        task for it carries the source to its worker.
-        """
-        name = inline_name(source, entry)
-        register_source(name, source, entry)
-        return name
-
-    @staticmethod
-    def known_source(name: str) -> Optional[Tuple[str, str]]:
-        """(source, entry) of a registered or generated benchmark name."""
-        try:
-            return get_source(name), get_entry(name)
-        except (KeyError, ValueError):
-            return None
+        self.metrics.gauge("worker_starts", lambda: self.backend.worker_starts)
 
     # ----------------------------------------------------------- execution
-    async def submit(self, task: GridTask) -> Dict[str, Any]:
-        """One grid point, deduplicated and cache-backed.
+    async def submit(self, task: ServeTask) -> Tuple[int, Dict[str, Any]]:
+        """The response to one request: ``(status, body)``.
 
-        Returns the measurement row (or a structured failure row —
-        never raises for task failures).  A fingerprint already completed
-        this run is answered immediately with ``cached: True``: nothing
-        compiled in this call.
+        A request completed before in this run is answered at once, a row
+        with ``cached: True``: nothing runs for it.  Otherwise the request
+        joins the in-flight task of its key, or dispatches one.
         """
-        if self._consumer is None:
-            await self.start()
-        fp = task_fingerprint(task, self.config)
-        done = self._completed.get(fp)
+        key = task.request_key(self.config)
+        done = self._completed.lookup(key)
         if done is not None:
             self.metrics.count("memo_replays")
-            row = dict(done)
-            row["cached"] = True
-            return row
-        leader, future = self.flight.admit(fp)
+            status, body = done
+            if "row" not in body:
+                if status == 422 and task.path != "lint":
+                    self.metrics.count("admission_rejects")
+                return status, dict(body)
+            if task.path == "compile":
+                remember_inline(body["name"], task.source, body["entry"])
+            return status, {**body, "row": {**body["row"], "cached": True}}
+        leader, future = self.flight.admit(key)
         if leader:
-            assert self._queue is not None
-            await self._queue.put((fp, task))
+            work = asyncio.wrap_future(self.backend.submit(self.runner, task))
+            self._track(work)
+            work.add_done_callback(functools.partial(self._finish, key, task))
         else:
             self.metrics.count("dedupe_hits")
-        row = await asyncio.shield(future)
-        return dict(row)
+        status, body = await asyncio.shield(future)
+        return status, dict(body)
 
-    async def _consume(self) -> None:
-        """The batch consumer: drain the queued requests, run one sweep.
+    def _track(self, future: asyncio.Future) -> None:
+        self._pending.add(future)
+        future.add_done_callback(self._pending.discard)
 
-        The batch's first request waits ``batch_window`` for company only
-        when nothing else is queued behind it (the service was idle); a
-        backlog that built up during the previous batch is dispatched at
-        once."""
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        closing = False
-        while not closing:
-            item = await self._queue.get()
-            if item is None:
-                break
-            batch: List[Tuple[str, GridTask]] = [item]
-            if self.batch_window > 0 and self._queue.empty():
-                await asyncio.sleep(self.batch_window)
-            while True:
-                try:
-                    more = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if more is None:
-                    closing = True
-                    break
-                batch.append(more)
-            self.metrics.count("batches")
-            try:
-                await loop.run_in_executor(None, self._run_batch, batch)
-            except Exception as exc:  # backend defect: fail the whole batch
-                for fp, _task in batch:
-                    self.flight.reject(fp, exc)
-
-    def _run_batch(self, batch: List[Tuple[str, GridTask]]) -> None:
-        """Executor-thread body: one backend sweep over the batch."""
-        fps = [fp for fp, _ in batch]
-        tasks = [task for _, task in batch]
-        assert self._loop is not None
-
-        def on_row(index: int, row: Dict[str, Any]) -> None:
-            self._loop.call_soon_threadsafe(self._finish, fps[index], row)
-
+    def _finish(self, key: Tuple, task: ServeTask, work: asyncio.Future) -> None:
+        """Loop-thread completion: record, count, answer the request."""
         try:
-            self.backend.run(self.runner, tasks, on_row=on_row)
-        finally:
-            if self.cache is not None and self.cache_max_bytes is not None:
-                self.cache.prune(self.cache_max_bytes)
-
-    def _finish(self, fp: str, row: Dict[str, Any]) -> None:
-        """Loop-thread completion: record, count, resolve the future."""
-        if not row.get("failed"):
-            self._completed[fp] = row
-            if row.get("cached"):
+            result = work.result()
+        except Exception as exc:  # the backend closed, or a defect
+            self.flight.reject(key, exc)
+            return
+        if result.get("failed"):
+            self.metrics.count("failed_rows")
+            self.flight.resolve(key, (500, {"row": result}))
+            return
+        status, body = result["status"], result["body"]
+        self._completed.get(key, lambda: (status, body))
+        if "row" in body:
+            if result.get("attempts"):
+                body["row"]["attempts"] = result["attempts"]
+            if task.path == "compile":
+                remember_inline(body["name"], task.source, body["entry"])
+            if body["row"].get("cached"):
                 self.metrics.count("cache_replays")
             else:
                 self.metrics.count("compile_executions")
-                self._executions[fp] = self._executions.get(fp, 0) + 1
-        else:
-            self.metrics.count("failed_rows")
-        self.flight.resolve(fp, row)
+                self._executions[key] = self._executions.pop(key, 0) + 1
+                if len(self._executions) > EXECUTIONS_WINDOW:
+                    self._executions.popitem(last=False)
+        elif status == 422 and task.path != "lint":
+            self.metrics.count("admission_rejects")
+        self.flight.resolve(key, (status, body))
+        self._prune()
+
+    def _prune(self) -> None:
+        """Prune the artifact cache, if due, on a thread of its own."""
+        if self.cache is None or self.cache_max_bytes is None:
+            return
+        now = time.monotonic()
+        if now - self._pruned_at >= PRUNE_INTERVAL:
+            self._pruned_at = now
+            loop = asyncio.get_running_loop()
+            self._track(loop.run_in_executor(None, self.cache.prune, self.cache_max_bytes))
 
     # ------------------------------------------------------------- reports
     def cache_stats(self) -> Dict[str, Any]:

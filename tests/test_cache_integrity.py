@@ -192,6 +192,17 @@ def test_clear_removes_quarantine(tmp_path):
     assert list(cache.root.iterdir()) == []
 
 
+def test_clear_removes_a_legacy_stats_directory(tmp_path):
+    """Caches written by older versions hold per-worker counter files
+    under ``stats/``; clearing the cache deletes them with the entries."""
+    cache = ArtifactCache(tmp_path)
+    cache.store_point(KEY, ROW)
+    (tmp_path / "stats").mkdir()
+    (tmp_path / "stats" / "123.json").write_text("{}")
+    assert cache.clear() == 1
+    assert list(cache.root.iterdir()) == []
+
+
 def test_usage_and_prune_evict_oldest_first(tmp_path):
     cache = ArtifactCache(tmp_path)
     keys = [f"{i:02x}" + "0" * 62 for i in range(5)]

@@ -9,6 +9,10 @@ already checkpointed.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.benchsuite import (
@@ -22,6 +26,7 @@ from repro.benchsuite import (
 )
 from repro.config import CompilerConfig
 from repro.faults import inject, parse_fault_plan
+from repro.faults.plan import _decision
 
 TINY = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
 
@@ -127,9 +132,9 @@ def test_repeated_pool_deaths_degrade_to_serial(tmp_path, clean_rows):
     assert stable(result.rows) == clean_rows
 
 
-def test_degraded_wave_leaves_no_pool_and_the_next_starts_one():
-    """A wave that finishes serially keeps no dead pool around; the next
-    wave starts a new one, with its own death budget."""
+def test_degraded_sweep_leaves_no_worker_and_the_next_starts_one():
+    """A sweep that finishes serially keeps no dead worker around; the
+    next sweep starts a new one, with its own death budget."""
     inject.install(parse_fault_plan("crash:pool.spawn:p=1.0", seed=0))
     policy = RetryPolicy(backoff_base=0.001, max_pool_deaths=0)
     backend = ParallelBackend(jobs=2, policy=policy)
@@ -137,14 +142,85 @@ def test_degraded_wave_leaves_no_pool_and_the_next_starts_one():
     tasks = measure_tasks("length", [2])
     try:
         first = backend.run(runner, tasks)
-        assert (backend.spawns, backend._pool) == (1, None)
+        assert (backend.worker_starts, backend.worker_pids()) == (1, [None, None])
         second = backend.run(runner, tasks)
-        assert (backend.spawns, backend._pool) == (2, None)
+        assert (backend.worker_starts, backend.worker_pids()) == (2, [None, None])
     finally:
         backend.close()
     assert stable(first) == stable(second) == stable(
         BenchmarkRunner(TINY).run_grid(tasks).rows
     )
+
+
+@pytest.mark.parametrize("kind", ["hang", "crash"])
+def test_a_hung_or_crashed_worker_restarts_alone(kind):
+    """A task past its deadline, or a worker that dies under its task,
+    restarts only that worker: the other keeps its process, and the rows
+    match a clean run.  The plan's seed is chosen so that exactly one task
+    of the second sweep fires, on its first attempt."""
+    first = measure_tasks(["length", "length-simplified"], [2])
+    second = measure_tasks(["length", "length-simplified"], [3])
+    fires = [False, False, True, False]
+    seed = next(
+        seed
+        for seed in range(1000)
+        if [
+            _decision(seed, kind, "worker.execute", task.label(), 0) < 0.5
+            for task in first + second
+        ]
+        == fires
+    )
+    inject.install(parse_fault_plan(f"{kind}:worker.execute:p=0.5:a=1", seed=seed))
+    policy = RetryPolicy(
+        backoff_base=0.001, task_timeout=2.0 if kind == "hang" else None
+    )
+    backend = ParallelBackend(jobs=2, policy=policy)
+    runner = BenchmarkRunner(TINY)
+    try:
+        rows = backend.run(runner, first)
+        before = backend.worker_pids()
+        rows += backend.run(runner, second)
+        after = backend.worker_pids()
+    finally:
+        backend.close()
+        inject.uninstall()
+    assert None not in before and None not in after
+    assert len(set(before) & set(after)) == 1
+    assert backend.worker_starts == 3
+    assert stable(rows) == stable(BenchmarkRunner(TINY).run_grid(first + second).rows)
+
+
+@pytest.mark.parametrize("max_pool_deaths", [3, 0])
+def test_a_worker_killed_while_idle_is_replaced(max_pool_deaths):
+    """A worker killed between tasks (an OOM-kill, say) is respawned alone
+    within the death budget, and past it the next sweep runs in the
+    parent; either way its rows match a clean run."""
+    tasks = measure_tasks(["length", "length-simplified"], [2])
+    policy = RetryPolicy(backoff_base=0.001, max_pool_deaths=max_pool_deaths)
+    backend = ParallelBackend(jobs=2, policy=policy)
+    runner = BenchmarkRunner(TINY)
+    try:
+        rows = backend.run(runner, tasks)
+        killed, kept = backend.worker_pids()
+        os.kill(killed, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while True:  # until the worker's executor has seen it die and reaped it
+            try:
+                os.kill(killed, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the killed worker was never reaped"
+            time.sleep(0.01)
+        rows += backend.run(runner, tasks)
+        after = backend.worker_pids()
+    finally:
+        backend.close()
+    if max_pool_deaths:
+        assert after[1] == kept and after[0] not in (None, killed)
+        assert backend.worker_starts == 3
+    else:
+        assert after == [None, None]
+    assert stable(rows) == stable(BenchmarkRunner(TINY).run_grid(tasks + tasks).rows)
 
 
 # ------------------------------------------------- stranded staging files
@@ -221,10 +297,10 @@ def test_max_failures_aborts_sweep(tmp_path):
 
 # ----------------------------------------------------------- lost-row guard
 def test_lost_rows_raise_instead_of_shrinking(monkeypatch, tmp_path):
+    """A scheduler that holds tasks no worker takes fails them, and the
+    sweep raises instead of waiting forever or returning fewer rows."""
     backend = ParallelBackend(jobs=2, policy=RetryPolicy())
-    monkeypatch.setattr(
-        ParallelBackend, "_run_wave", lambda self, *a, **k: None
-    )
+    monkeypatch.setattr(ParallelBackend, "_dispatch", lambda self: None)
     try:
         with pytest.raises(RuntimeError, match="lost"):
             backend.run(BenchmarkRunner(TINY), measure_tasks("length", [2]))

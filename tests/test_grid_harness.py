@@ -22,7 +22,8 @@ from repro.benchsuite import (
     parallel,
     programs,
 )
-from repro.benchsuite.parallel import GridTask, stable_rows
+from repro.benchsuite.parallel import stable_rows
+from repro.benchsuite.runner import default_depths
 from repro.config import CompilerConfig
 from repro.serve import inline_name
 
@@ -99,9 +100,9 @@ def test_parallel_matches_serial(tmp_path, serial_rows, pool):
 
 
 def test_parallel_baselines_resume_from_their_preset(tmp_path, pool):
-    """With a shared cache, a baseline runs after its preset's compile has
-    been stored, even with a pool slot free beside it, so the preset
-    compiles in exactly one worker."""
+    """A baseline shares its preset's key, so it runs after the preset in
+    the same worker, even with another worker free beside it, and
+    resumes from the preset's circuit instead of compiling it again."""
     grid = BenchmarkRunner(
         CONFIG, cache=ArtifactCache(tmp_path), backend=pool
     ).run_grid(measure_tasks("length", [4], ["none", "none+peephole"]))
@@ -116,51 +117,107 @@ def test_parallel_without_cache_matches_serial(serial_rows, pool):
 
 
 def test_one_pool_serves_every_sweep_of_its_runner(tmp_path, pool):
-    """The pool outlives its sweeps: a cold and a warm sweep of one
-    runner share it, and a runner with another cache gets a new one."""
+    """The workers outlive their sweeps: a cold and a warm sweep of one
+    runner share them, and a runner with another cache gets new ones.
+    The grid's two tasks share one key, so one worker runs both."""
     tasks = measure_tasks("length", [2], ["none", "none+peephole"])
     runner = BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path / "a"), backend=pool)
     cold = runner.run_grid(tasks)
     warm = runner.run_grid(tasks)
-    assert pool.spawns == 1
+    assert pool.worker_starts == 1
     assert cold.cached_fraction() == 0.0 and warm.cached_fraction() == 1.0
     other = BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path / "b"), backend=pool)
     moved = other.run_grid(tasks)
-    assert pool.spawns == 2
+    assert pool.worker_starts == 2
     serial = BenchmarkRunner(CONFIG).run_grid(tasks)
     for grid in (cold, warm, moved):
         assert stable_rows(grid.rows) == stable_rows(serial.rows)
     pool.close()
     pool.close()  # idempotent
-    assert pool.spawns == 2
+    assert pool.worker_starts == 2 and pool.worker_pids() == [None, None]
 
 
-def test_worker_task_binds_its_inline_program_for_the_task_only(
-    tmp_path, monkeypatch
-):
-    """A task for an inline program carries its (source, entry): the
-    worker measures the row a serial runner does, and its registry holds
-    the name only while the task runs."""
+@pytest.mark.slow
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_paper_grids_compile_each_preset_once(tmp_path, monkeypatch, jobs, cached):
+    """fig15, table2 and fig24 at the paper's depths make 38 compiles at
+    every ``--jobs``, with or without a cache: a baseline runs in the
+    worker of its preset, and a later grid's preset goes to the worker
+    that compiled it.  Workers count their compiles in one file."""
+    import repro.benchsuite.runner as runner_mod
+
+    log = tmp_path / "compiles.log"
+    real_compile = runner_mod.compile_checked
+
+    def counting_compile(checked, *args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{checked.lowered.entry}\n")
+        return real_compile(checked, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "compile_checked", counting_compile)
+    backend = ParallelBackend(jobs=jobs) if jobs > 1 else SerialBackend()
+    cache = ArtifactCache(tmp_path / "cache") if cached else None
+    runner = BenchmarkRunner(CONFIG, cache=cache, backend=backend)
+    try:
+        for selector in ("fig15", "table2", "fig24"):
+            grid = runner.run_grid(parallel.paper_grid(selector, default_depths()))
+            assert not grid.failed_rows
+    finally:
+        backend.close()
+    assert len(log.read_text().splitlines()) == 38
+
+
+def test_tasks_submitted_from_many_threads_all_resolve():
+    """Tasks handed over from four threads at once, to more workers than
+    the machine has cores and with threads switching constantly, resolve
+    to the serial rows, and the backend holds nothing afterwards."""
+    import sys
+    import threading
+
+    tasks = measure_tasks(
+        ["length", "length-simplified", "sum"], [1, 2], ["none", "none+peephole"]
+    )
+    backend = ParallelBackend(jobs=3)
+    runner = BenchmarkRunner(CONFIG)
+    futures = [None] * len(tasks)
+
+    def submit(offset: int) -> None:
+        for index in range(offset, len(tasks), 4):
+            futures[index] = backend.submit(runner, tasks[index])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submit, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        rows = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    serial = SerialBackend().run(BenchmarkRunner(CONFIG), tasks)
+    assert stable_rows(rows) == stable_rows(serial)
+    assert backend._outstanding == 0
+
+
+def test_registered_binds_a_program_for_the_block_only(monkeypatch):
+    """A worker binds an inline program for one task: the name resolves in
+    the block and is gone after it, and a name bound before the block stays
+    bound."""
     source = programs.get_source("length") + "\n// an inline program\n"
     name = inline_name(source, "length")
-    task = GridTask(name, 2, "none+peephole")
-    monkeypatch.setattr(
-        parallel,
-        "_WORKER_RUNNER",
-        BenchmarkRunner(CONFIG, cache=ArtifactCache(tmp_path)),
-    )
-    row, _counts = parallel._run_worker_task(task, 0, (source, "length"))
+    with programs.registered(name, (source, "length")):
+        assert (programs.get_source(name), programs.get_entry(name)) == (source, "length")
     assert name not in programs.SOURCES and name not in programs.ENTRIES
     monkeypatch.setitem(programs.SOURCES, name, source)
     monkeypatch.setitem(programs.ENTRIES, name, "length")
-    serial = BenchmarkRunner(CONFIG).measure(name, 2, "none+peephole").row()
-    assert stable_rows([row]) == stable_rows([serial])
-    # the parent sends a program only for a name registered at run time
-    assert programs.runtime_program(name) == (source, "length")
-    assert programs.runtime_program("length") is None
-    # a name the process had bound before the task stays bound after it
-    replayed, _counts = parallel._run_worker_task(task, 0, (source, "length"))
-    assert replayed["cached"] and programs.SOURCES[name] == source
+    with programs.registered(name, (source, "length")):
+        pass
+    assert programs.SOURCES[name] == source
 
 
 def test_optimizer_baseline_on_rehydrated_circuit(tmp_path, monkeypatch):

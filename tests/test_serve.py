@@ -136,11 +136,21 @@ def test_status_contract(tmp_path):
     asyncio.run(main())
 
 
-def test_sized_entry_without_depth_is_rejected_before_batching(tmp_path):
+def test_sized_entry_without_depth_is_rejected_before_batching(tmp_path, monkeypatch):
     """A sized entry lints at the default size, but cannot compile without
     a recursion bound: the request is at fault (400 naming ``depth``), and
-    no batch runs for it."""
+    nothing compiles for it."""
+    import repro.benchsuite.runner as runner_mod
     from repro.benchsuite.programs import get_source
+
+    compiles: List[str] = []
+    real_compile = runner_mod.compile_checked
+
+    def counting_compile(checked, *args, **kwargs):
+        compiles.append(checked.lowered.entry)
+        return real_compile(checked, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "compile_checked", counting_compile)
 
     async def main() -> None:
         async with _server(tmp_path) as server:
@@ -155,14 +165,16 @@ def test_sized_entry_without_depth_is_rejected_before_batching(tmp_path):
                     assert status == 400, (path, body)
                     assert "'depth'" in body["error"]
                 _, metrics = await client.get("/metrics")
-                assert metrics["counters"].get("batches", 0) == 0
-                # the same requests with a depth are admitted and batched
+                assert compiles == []
+                assert "compile_executions" not in metrics["counters"]
+                # the same request with a depth is admitted and compiles
                 status, _ = await client.post(
                     "/measure", {"name": "length", "depth": 1}
                 )
                 assert status == 200
                 _, metrics = await client.get("/metrics")
-                assert metrics["counters"]["batches"] == 1
+                assert compiles == ["length"]
+                assert metrics["counters"]["compile_executions"] == 1
 
     asyncio.run(main())
 
@@ -253,10 +265,17 @@ def test_concurrent_identical_requests_compile_once(tmp_path, monkeypatch):
     ``max_compiles_per_key`` gauge (what the loadgen asserts)."""
     import repro.benchsuite.runner as runner_mod
 
+    import threading
+
     compiles: List[str] = []
     real_compile = runner_mod.compile_checked
+    admitted = threading.Event()
 
     def counting_compile(checked, *args, **kwargs):
+        # the first compile holds until every request is admitted, so the
+        # duplicates arrive while their leader is in flight — the race the
+        # dedupe exists for
+        assert admitted.wait(timeout=30)
         compiles.append(checked.lowered.entry)
         return real_compile(checked, *args, **kwargs)
 
@@ -265,10 +284,14 @@ def test_concurrent_identical_requests_compile_once(tmp_path, monkeypatch):
     names = [fuzz_name(11, index) for index in range(3)]
 
     async def main() -> None:
-        # a longer batch window guarantees the duplicates are admitted
-        # while the leader is still queued — the race the dedupe exists for
-        async with _server(tmp_path, batch_window=0.1) as server:
+        async with _server(tmp_path) as server:
             clients = [Client(server.host, server.port) for _ in range(8)]
+            flight = server.service.flight
+
+            async def release() -> None:
+                while flight.started + flight.coalesced < len(clients):
+                    await asyncio.sleep(0.001)
+                admitted.set()
 
             async def post(client: Client, name: str):
                 return await client.post(
@@ -276,11 +299,14 @@ def test_concurrent_identical_requests_compile_once(tmp_path, monkeypatch):
                 )
 
             try:
-                results = await asyncio.gather(
-                    *[
-                        post(client, names[index % len(names)])
-                        for index, client in enumerate(clients)
-                    ]
+                results, _ = await asyncio.gather(
+                    asyncio.gather(
+                        *[
+                            post(client, names[index % len(names)])
+                            for index, client in enumerate(clients)
+                        ]
+                    ),
+                    release(),
                 )
                 rows = []
                 for status, body in results:
@@ -331,28 +357,6 @@ def test_single_flight_unit():
     asyncio.run(main())
 
 
-def test_admission_lint_cache_is_bounded(monkeypatch):
-    """Every new program would otherwise leave one lint report behind: the
-    memo keeps at most its bound, and the newest report is still a hit."""
-    calls: List[str] = []
-
-    def fake_lint(source, **kwargs):
-        calls.append(source)
-        return object()
-
-    monkeypatch.setattr(service_module, "lint_source", fake_lint)
-    service = service_module.CompileService(config=TINY)
-    bound = service_module.LINT_CACHE_MAX
-    sources = [f"fun main{i}() {{ }}" for i in range(bound + 50)]
-    reports = [service.lint(source) for source in sources]
-    assert len(calls) == len(sources)
-    assert len(service._lint_cache) == bound
-    assert service.lint(sources[-1]) is reports[-1]
-    assert len(calls) == len(sources)
-    service.lint(sources[0])  # evicted: linted again
-    assert len(calls) == len(sources) + 1
-
-
 def test_lint_cache_tells_no_entry_from_entry_named_none(tmp_path):
     """``None`` is a valid Tower function name: linting the default entry
     (``main``, which does not typecheck) must not answer for it, so a
@@ -361,14 +365,18 @@ def test_lint_cache_tells_no_entry_from_entry_named_none(tmp_path):
         "fun None(x: uint) -> uint { let y <- x + 1; return y; }\n"
         "fun main(x: uint) -> uint { let y <- z; return y; }\n"
     )
-    service = service_module.CompileService(config=TINY)
-    assert [d.code for d in service.lint(source).errors] == ["RPA002"]
-    report = service.lint(source, entry="None")
-    assert report.entry == "None" and not report.diagnostics
 
     async def main() -> None:
         async with _server(tmp_path) as server:
             async with Client(server.host, server.port) as client:
+                status, body = await client.post("/lint", {"source": source})
+                assert status == 422
+                assert [d["code"] for d in body["diagnostics"]] == ["RPA002"]
+                status, body = await client.post(
+                    "/lint", {"source": source, "entry": "None"}
+                )
+                assert status == 200, body
+                assert body["entry"] == "None" and not body["diagnostics"]
                 status, _ = await client.post("/compile", {"source": source})
                 assert status == 422
                 status, body = await client.post(
@@ -439,6 +447,184 @@ def test_one_compile_runs_the_frontend_once(tmp_path, monkeypatch):
     assert stable_rows([body["row"]]) == stable_rows([fresh])
 
 
+def _record_threads(monkeypatch, function, idents: List[int]) -> None:
+    """Record the thread of every call of ``function``, however the
+    package imported it."""
+    import threading
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, attr, recorded)
+
+
+def test_event_loop_runs_no_frontend_and_stays_responsive(tmp_path, monkeypatch):
+    """At ``--jobs 1`` the admission lint runs on the task thread: while
+    one client's ``/compile`` lints for a second, another client's
+    ``/healthz`` and a repeated ``/measure`` answer at once, and no parse,
+    desugar or typecheck ever runs on the event loop."""
+    import threading
+    import time
+
+    from repro.ir.typecheck import check_program
+    from repro.lang.desugar import lower_entry
+    from repro.lang.parser import parse_program
+
+    idents: List[int] = []
+    for function in (parse_program, lower_entry, check_program):
+        _record_threads(monkeypatch, function, idents)
+    real_lint = service_module.lint_source
+
+    def slow_lint(*args, **kwargs):
+        time.sleep(1.0)
+        return real_lint(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "lint_source", slow_lint)
+    repeat = {"name": "length", "depth": 1, "lint": False}
+    served: Dict[str, Any] = {}
+    ready = threading.Event()
+
+    async def serve() -> None:
+        # the server gets a thread and an event loop of its own, so that a
+        # blocked loop shows in the clients' timings
+        async with _server(tmp_path) as server:
+            served.update(
+                server=server,
+                loop=asyncio.get_running_loop(),
+                thread=threading.get_ident(),
+            )
+            ready.set()
+            await server.wait_shutdown()
+
+    thread = threading.Thread(target=asyncio.run, args=(serve(),))
+    thread.start()
+    assert ready.wait(timeout=30)
+    server = served["server"]
+
+    async def main() -> None:
+        async with Client(server.host, server.port) as first, Client(
+            server.host, server.port
+        ) as second:
+            status, _ = await second.post("/measure", repeat)
+            assert status == 200
+            compiling = asyncio.ensure_future(
+                first.post("/compile", {"source": INLINE_OK})
+            )
+            await asyncio.sleep(0.1)  # the compile's lint is running
+            for path, payload in (("/healthz", None), ("/measure", repeat)):
+                start = time.perf_counter()
+                if payload is None:
+                    status, body = await second.get(path)
+                else:
+                    status, body = await second.post(path, payload)
+                assert status == 200, body
+                assert time.perf_counter() - start < 0.2, path
+                assert not compiling.done()
+            assert body["row"]["cached"] is True
+            status, body = await compiling
+            assert status == 200, body
+            await second.post("/shutdown", {})
+
+    try:
+        asyncio.run(main())  # ends with POST /shutdown
+    except BaseException:
+        served["loop"].call_soon_threadsafe(server.request_shutdown)
+        raise
+    finally:
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert idents and served["thread"] not in idents
+
+
+def test_measure_resolves_a_compiled_src_name(tmp_path, monkeypatch):
+    """``/measure`` of a ``src:`` name answers while the service remembers
+    the program; a forgotten one is an unknown benchmark, until a repeat
+    of its ``/compile``, answered from the memo, recalls it."""
+    from repro.benchsuite import programs
+    from repro.bounded import BoundedCache
+
+    monkeypatch.setattr(programs, "_INLINE", BoundedCache(1))
+    other = INLINE_OK + "// another program\n"
+
+    async def main() -> None:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                status, compiled = await client.post("/compile", {"source": INLINE_OK})
+                assert status == 200
+                name = compiled["name"]
+                status, body = await client.post(
+                    "/measure", {"name": name, "optimization": "none"}
+                )
+                assert status == 200, body
+                assert stable_rows([body["row"]]) == stable_rows([compiled["row"]])
+                status, _ = await client.post("/compile", {"source": other})
+                assert status == 200
+                status, body = await client.post(
+                    "/measure", {"name": name, "depth": 1}
+                )
+                assert status == 400 and "unknown benchmark" in body["error"]
+                status, again = await client.post("/compile", {"source": INLINE_OK})
+                assert status == 200 and again["row"]["cached"] is True
+                status, body = await client.post(
+                    "/measure", {"name": name, "depth": 1}
+                )
+                assert status == 200, body
+                assert body["row"]["t"] == compiled["row"]["t"]
+
+    asyncio.run(main())
+    # the tasks bound the program while they ran, and left no binding
+    name = inline_name(INLINE_OK, "main")
+    assert name not in programs.SOURCES and name not in programs.ENTRIES
+
+
+def test_service_maps_stay_bounded(tmp_path, monkeypatch):
+    """The completed-row memo and the per-key compile counts keep their
+    bounds over distinct programs; a request evicted from the memo is
+    dispatched again and replays from the artifact cache, compiling
+    nothing."""
+    import repro.benchsuite.runner as runner_mod
+
+    monkeypatch.setattr(service_module, "COMPLETED_MAX", 4)
+    monkeypatch.setattr(service_module, "EXECUTIONS_WINDOW", 4)
+    compiles: List[str] = []
+    real_compile = runner_mod.compile_checked
+
+    def counting_compile(checked, *args, **kwargs):
+        compiles.append(checked.lowered.entry)
+        return real_compile(checked, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "compile_checked", counting_compile)
+    requests = [
+        {"source": INLINE_OK + f"// program {index}\n"} for index in range(10)
+    ]
+
+    async def main() -> None:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                for payload in requests:
+                    status, _ = await client.post("/compile", payload)
+                    assert status == 200
+                    _, metrics = await client.get("/metrics")
+                    gauges = metrics["gauges"]
+                    assert gauges["completed_keys"] <= 4
+                    assert gauges["distinct_keys"] <= 4
+                assert len(compiles) == 10
+                status, body = await client.post("/compile", requests[0])
+                assert status == 200 and body["row"]["cached"] is True
+                _, metrics = await client.get("/metrics")
+                assert metrics["counters"]["cache_replays"] == 1
+                assert "memo_replays" not in metrics["counters"]
+        assert len(compiles) == 10
+
+    asyncio.run(main())
+
+
 # -------------------------------------------------------- serial bit-identity
 def test_rows_match_serial_no_server_baseline(tmp_path):
     """Rows served over HTTP (cache + batching in play) must be
@@ -465,9 +651,10 @@ def test_rows_match_serial_no_server_baseline(tmp_path):
 
 # -------------------------------------------------------------- worker pool
 def test_pool_forks_once_and_serves_programs_it_never_saw(tmp_path):
-    """At ``--jobs 2`` every batch runs on the pool the first one started:
-    three more batches, each an inline program first seen after that,
-    answer the rows a serial runner measures, with ``pool_spawns`` 1."""
+    """At ``--jobs 2`` the workers outlive their requests: three inline
+    programs first seen after the first request answer the rows a serial
+    runner measures.  One request at a time never leaves the first worker
+    busy, so it takes every one (``worker_starts`` 1)."""
     from repro.benchsuite.programs import get_source
 
     sources = [
@@ -498,67 +685,11 @@ def test_pool_forks_once_and_serves_programs_it_never_saw(tmp_path):
         return bodies, metrics
 
     bodies, metrics = asyncio.run(main())
-    assert metrics["counters"]["batches"] == 4
-    assert metrics["gauges"]["pool_spawns"] == 1
+    assert metrics["gauges"]["worker_starts"] == 1
     for body in bodies:
         assert not body["row"].get("failed") and not body["row"]["cached"]
         fresh = BenchmarkRunner(TINY).measure(body["name"], 2, "none+peephole")
         assert stable_rows([body["row"]]) == stable_rows([fresh.row()])
-
-
-def test_backlog_skips_the_batch_window(monkeypatch):
-    """Only a request that finds the service idle waits ``batch_window``;
-    the requests queued while a batch runs form the next batch at once."""
-    import threading
-
-    service = service_module.CompileService(config=TINY, batch_window=0.5)
-    sleeps: List[float] = []
-    batches: List[List[int]] = []
-    started, release = threading.Event(), threading.Event()
-
-    class ServiceAsyncio:
-        """The service's view of asyncio, with its sleeps recorded."""
-
-        def __getattr__(self, name):
-            return getattr(asyncio, name)
-
-        @staticmethod
-        async def sleep(delay):
-            sleeps.append(delay)
-            await asyncio.sleep(0)
-
-    def run_batch(batch):
-        batches.append([task.depth for _, task in batch])
-        started.set()
-        release.wait(timeout=30)
-        for fp, task in batch:
-            service._loop.call_soon_threadsafe(
-                service._finish, fp, {"depth": task.depth}
-            )
-
-    monkeypatch.setattr(service_module, "asyncio", ServiceAsyncio())
-    monkeypatch.setattr(service, "_run_batch", run_batch)
-
-    async def main() -> None:
-        first = asyncio.ensure_future(service.submit(GridTask("length", 1)))
-        # the idle request's batch is running when the backlog arrives
-        assert await asyncio.to_thread(started.wait, 30)
-        backlog = [
-            asyncio.ensure_future(service.submit(GridTask("length", depth)))
-            for depth in (2, 3)
-        ]
-        for _ in range(100):
-            if service._queue.qsize() == 2:
-                break
-            await asyncio.sleep(0)
-        assert service._queue.qsize() == 2
-        release.set()
-        await asyncio.gather(first, *backlog)
-        await service.close()
-
-    asyncio.run(main())
-    assert batches == [[1], [2, 3]]
-    assert sleeps == [0.5]
 
 
 # ----------------------------------------------------------- metrics & stats
@@ -583,7 +714,8 @@ def test_metrics_and_cache_stats_shape(tmp_path):
                 gauges = metrics["gauges"]
                 assert gauges["queue_depth"] == 0
                 assert gauges["inflight_keys"] == 0
-                assert gauges["completed_keys"] == 1
+                # the lint report, the row and the rejection
+                assert gauges["completed_keys"] == 3
 
                 _, stats = await client.get("/cache/stats")
                 assert stats["cache"] == str(tmp_path / "cache")
@@ -592,6 +724,37 @@ def test_metrics_and_cache_stats_shape(tmp_path):
                 assert set(stats["stats"]) >= {"hits", "misses"}
 
     asyncio.run(main())
+
+
+def test_repeated_lint_and_rejection_are_answered_from_the_memo(tmp_path, monkeypatch):
+    """A repeated ``/lint`` and a repeated rejected ``/compile`` answer as
+    they did the first time, with no second lint."""
+    lints: List[str] = []
+    real_lint = service_module.lint_source
+
+    def counting_lint(source, *args, **kwargs):
+        lints.append(source)
+        return real_lint(source, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "lint_source", counting_lint)
+
+    async def main() -> Dict[str, Any]:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                for path, payload, status in (
+                    ("/lint", {"source": INLINE_OK}, 200),
+                    ("/compile", {"source": INLINE_PARSE_ERROR}, 422),
+                ):
+                    first = await client.post(path, payload)
+                    assert first[0] == status, first
+                    assert await client.post(path, payload) == first
+                _, metrics = await client.get("/metrics")
+        return metrics
+
+    metrics = asyncio.run(main())
+    assert lints == [INLINE_OK, INLINE_PARSE_ERROR]
+    assert metrics["counters"]["memo_replays"] == 2
+    assert metrics["counters"]["admission_rejects"] == 2
 
 
 def test_quantiles_nearest_rank():
