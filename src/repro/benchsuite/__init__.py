@@ -24,13 +24,7 @@ from .programs import (
     get_source,
     is_unsized,
 )
-from .resilience import (
-    RetryPolicy,
-    SweepJournal,
-    failure_row,
-    grid_fingerprint,
-    task_fingerprint,
-)
+from .resilience import RetryPolicy, failure_row
 from .runner import (
     BenchmarkPoint,
     BenchmarkRunner,
@@ -58,10 +52,7 @@ __all__ = [
     "SerialBackend",
     "ParallelBackend",
     "RetryPolicy",
-    "SweepJournal",
     "failure_row",
-    "grid_fingerprint",
-    "task_fingerprint",
     "GridTask",
     "GridResult",
     "measure_tasks",

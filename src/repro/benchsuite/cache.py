@@ -5,7 +5,7 @@ optimization levels and five circuit-optimizer baselines.  Reproducing a
 table re-compiles and re-expands the same circuits from scratch; this
 module makes every grid point a one-time cost.
 
-An :class:`ArtifactCache` maps a *task key* to two artifacts:
+An :class:`ArtifactCache` maps a *task key* to up to two artifacts:
 
 * ``point.json`` — the measurement row (counts, timings, metadata);
 * ``circuit.rqcs`` — the pipeline's circuit as a binary circuit snapshot
@@ -31,10 +31,14 @@ The key is a SHA-256 over the complete provenance of the artifact:
 
 Because keys are per-pipeline-spec, every *prefix* of a pipeline has its
 own entry, and every entry holds the one measurement-row shape: the
-benchmark runner stores the row and circuit at each replayable cut point
-(after ``lower`` and after each gate pass), so a sweep whose pipeline
-shares a prefix with an earlier sweep resumes from the stored snapshot
-instead of recompiling the earlier stages.
+benchmark runner stores the row at each replayable cut point (after
+``lower`` and after each gate pass), and the circuit wherever a later
+measure can resume from it — the compile prefix and each intermediate
+gate-pass output, not a pipeline's final gate-pass output, which no
+measure reads.  A sweep whose pipeline shares a prefix with an earlier
+sweep resumes from the stored snapshot instead of recompiling the
+earlier stages, and a sweep interrupted midway, run again on the same
+cache, replays every row it stored.
 
 Changing any component — editing a benchmark program, widening a word,
 patching an optimizer, upgrading the package — therefore misses cleanly
@@ -66,10 +70,13 @@ its hot entries and evicts the cold ones, not the oldest-written ones.
 atomic :func:`os.replace`; a process killed between the two (the
 ``crash:cache.store_point`` chaos path) strands the temp file.  Stale
 temp files are counted by :meth:`ArtifactCache.usage` and swept by
-:meth:`ArtifactCache.prune` / :meth:`ArtifactCache.clear` (and on
-demand via :meth:`ArtifactCache.sweep_tmp`); only files older than
+:meth:`ArtifactCache.prune` (and on demand via
+:meth:`ArtifactCache.sweep_tmp`); only files older than
 :data:`TMP_SWEEP_AGE` are swept, so a concurrent writer's in-progress
 staging file is never yanked out from under it.
+:meth:`ArtifactCache.clear` deletes them with everything else.  Nothing
+is fsync'd: an entry torn by an OS crash fails its checksum on the next
+read and is quarantined, so the worst case is one recompute.
 
 **Concurrency.**  One :class:`ArtifactCache` instance may serve many
 threads (the compile service shares one across all clients): the
@@ -104,10 +111,6 @@ from ..faults import inject
 POINT_FILE = "point.json"
 CIRCUIT_FILE = "circuit.rqcs"
 QUARANTINE_DIR = "quarantine"
-JOURNAL_DIR = "journal"
-#: per-worker counter files that caches written by older versions hold;
-#: nothing reads them, and :meth:`ArtifactCache.clear` deletes them
-LEGACY_STATS_DIR = "stats"
 
 #: staging-file prefix of :meth:`ArtifactCache._atomic_write`
 TMP_PREFIX = ".tmp-"
@@ -116,9 +119,6 @@ TMP_PREFIX = ".tmp-"
 #: healthy write holds its temp file for well under a second, so
 #: anything this old belongs to a crashed writer
 TMP_SWEEP_AGE = 60.0
-
-#: root-level directories that are not two-char key fanouts
-_META_DIRS = (QUARANTINE_DIR, JOURNAL_DIR)
 
 #: the session counters of :meth:`ArtifactCache.stats`
 _COUNTER_KEYS = ("hits", "misses", "corrupt", "io_errors", "quarantined")
@@ -398,14 +398,10 @@ class ArtifactCache:
 
     # -------------------------------------------------------------- plumbing
     def _entries(self) -> List[Path]:
-        """Every entry directory (excluding the quarantine area)."""
+        """Every entry directory: ``<root>/<key[:2]>/<key[2:]>``."""
         if not self.root.exists():
             return []
-        return [
-            entry
-            for entry in self.root.glob("*/*")
-            if entry.is_dir() and entry.parent.name not in _META_DIRS
-        ]
+        return [entry for entry in self.root.glob("??/*") if entry.is_dir()]
 
     @staticmethod
     def _is_tmp(path: Path) -> bool:
@@ -429,9 +425,9 @@ class ArtifactCache:
         """Remove staging files older than ``max_age`` seconds.
 
         Defaults to :data:`TMP_SWEEP_AGE` so a concurrent writer's live
-        temp file survives; ``0.0`` sweeps unconditionally (used by
-        :meth:`clear`).  Entry directories left empty by the sweep are
-        removed.  Returns the number of files swept.
+        temp file survives; ``0.0`` sweeps unconditionally.  Entry
+        directories left empty by the sweep are removed.  Returns the
+        number of files swept.
         """
         age = TMP_SWEEP_AGE if max_age is None else max_age
         cutoff = time.time() - age
@@ -480,8 +476,8 @@ class ArtifactCache:
         """Drop two-char fanout directories left empty by entry removal."""
         if not self.root.exists():
             return
-        for fanout in self.root.iterdir():
-            if not fanout.is_dir() or fanout.name in _META_DIRS:
+        for fanout in self.root.glob("??"):
+            if not fanout.is_dir():
                 continue
             try:
                 fanout.rmdir()  # fails (correctly) unless empty
@@ -489,30 +485,20 @@ class ArtifactCache:
                 pass
 
     def clear(self) -> int:
-        """Delete every entry, the quarantine and a legacy ``stats/``
-        directory; returns entries removed.
+        """Delete every directory under the root: the entries with their
+        fanout directories and staging files, the quarantine, and any
+        other directory, such as the ``journal/`` and ``stats/``
+        directories older versions wrote.  Returns the entries removed.
 
         Unlike a plain point count, an entry holding only a circuit
         snapshot (or a partially written artifact) still counts — the
-        return value is the number of entry directories deleted, and the
-        two-char fanout directories are pruned rather than left empty.
+        return value is the number of entry directories deleted.
         """
-        removed = 0
-        for entry in self._entries():
-            self._remove_entry(entry)
-            removed += 1
-        for item in self.quarantine_entries():
-            try:
-                item.unlink()
-            except OSError:
-                pass
-        try:
-            (self.root / QUARANTINE_DIR).rmdir()
-        except OSError:
-            pass
-        shutil.rmtree(self.root / LEGACY_STATS_DIR, ignore_errors=True)
-        self.sweep_tmp(max_age=0.0)
-        self._prune_fanout_dirs()
+        removed = len(self._entries())
+        if self.root.is_dir():
+            for item in self.root.iterdir():
+                if item.is_dir():
+                    shutil.rmtree(item, ignore_errors=True)
         return removed
 
     # -------------------------------------------------------------- eviction

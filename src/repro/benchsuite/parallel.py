@@ -67,10 +67,6 @@ from .resilience import RetryPolicy, failure_row
 #: progress callback: (done, total, row) -> None
 ProgressFn = Callable[[int, int, Dict[str, Any]], None]
 
-#: per-completed-row callback: (task index, row) -> None; fired as each
-#: row lands (in completion order), the checkpoint-journal hook
-RowFn = Callable[[int, Dict[str, Any]], None]
-
 #: keys whose worker a :class:`ParallelBackend` remembers (least recently
 #: used forgotten first; a key with work queued or running is kept).  A
 #: paper grid has at most a few hundred keys, and a worker's compiled
@@ -129,7 +125,7 @@ def measure_tasks(
 
 
 #: row keys that legitimately differ between two runs of the same grid
-#: (timings, cache/journal provenance, retry counts) — everything else is
+#: (timings, cache provenance, retry counts) — everything else is
 #: covered by the bit-identity contract that ``--check-against`` and the
 #: loadgen serial baseline enforce
 VOLATILE_ROW_KEYS = frozenset(
@@ -139,7 +135,6 @@ VOLATILE_ROW_KEYS = frozenset(
         "timings",
         "cached",
         "prefix_cached",
-        "journal_resumed",
         "attempts",
     ]
 )
@@ -269,7 +264,6 @@ class ExecutionBackend:
         runner,
         tasks: List[GridTask],
         progress: Optional[ProgressFn] = None,
-        on_row: Optional[RowFn] = None,
     ) -> List[Dict[str, Any]]:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -282,12 +276,10 @@ class _SweepState:
         tasks: List[GridTask],
         policy: Optional[RetryPolicy],
         progress: Optional[ProgressFn],
-        on_row: Optional[RowFn],
     ) -> None:
         self.tasks = tasks
         self.limit = policy.max_failures if policy is not None else None
         self.progress = progress
-        self.on_row = on_row
         self.rows: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
         self.done = 0
         self.failures = 0
@@ -300,8 +292,6 @@ class _SweepState:
             self.failures += 1
             if self.limit is not None and self.failures > self.limit:
                 self.aborted = True  # stop scheduling work
-        if self.on_row is not None:
-            self.on_row(index, row)
         if self.progress is not None:
             self.progress(self.done, len(self.tasks), row)
 
@@ -321,8 +311,8 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, policy: Optional[RetryPolicy] = None) -> None:
         self.policy = policy
 
-    def run(self, runner, tasks, progress=None, on_row=None):
-        state = _SweepState(list(tasks), self.policy, progress, on_row)
+    def run(self, runner, tasks, progress=None):
+        state = _SweepState(list(tasks), self.policy, progress)
         for index, task in enumerate(state.tasks):
             if self.policy is None:
                 state.complete(index, execute_task(runner, task))
@@ -452,10 +442,10 @@ class ParallelBackend(ExecutionBackend):
                 self._scheduler.start()
         return attempt.future
 
-    def run(self, runner, tasks, progress=None, on_row=None):
+    def run(self, runner, tasks, progress=None):
         if self.jobs == 1:
-            return SerialBackend(self.policy).run(runner, tasks, progress, on_row)
-        state = _SweepState(list(tasks), self.policy, progress, on_row)
+            return SerialBackend(self.policy).run(runner, tasks, progress)
+        state = _SweepState(list(tasks), self.policy, progress)
         futures = {self.submit(runner, task): i for i, task in enumerate(state.tasks)}
         try:
             for future in as_completed(futures):

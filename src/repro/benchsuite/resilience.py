@@ -1,6 +1,6 @@
-"""Fault tolerance for grid sweeps: retries, failure rows, checkpoints.
+"""Fault tolerance for grid sweeps: retries and failure rows.
 
-Three pieces the execution backends and the CLI share:
+Two pieces the execution backends share:
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   deterministic jitter, per-task wall-clock timeouts, a sweep-level
@@ -10,29 +10,20 @@ Three pieces the execution backends and the CLI share:
   exhausted its retries becomes (error kind, stage, attempt count,
   traceback digest) instead of aborting the sweep; failure rows travel
   through :class:`~repro.benchsuite.parallel.GridResult` next to
-  measurement rows and are marked ``failed: True``;
-* :class:`SweepJournal` — an append-only JSONL checkpoint of completed
-  rows next to the artifact cache.  An interrupted sweep (Ctrl-C,
-  OOM-kill, crash) resumes via ``repro bench --resume`` replaying the
-  journal and recomputing nothing already done.  The journal header
-  pins the config, package version and code fingerprint; a stale
-  journal is discarded rather than replayed.
+  measurement rows and are marked ``failed: True``.
+
+An interrupted sweep (Ctrl-C, OOM-kill, crash) needs no checkpoint of
+its own: the artifact cache stores each row as it lands, so running the
+same sweep again on the same cache replays what was done and computes
+only the rest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import time
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
-
-from .._version import __version__
-from ..config import CompilerConfig
-from .cache import code_fingerprint
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .parallel import GridTask
@@ -111,177 +102,3 @@ def failure_row(
         "message": str(exc)[:500],
         "traceback_digest": traceback_digest(exc),
     }
-
-
-# ----------------------------------------------------------------- identity
-def task_fingerprint(task: "GridTask", config: CompilerConfig) -> str:
-    """A content address of one task under one config/code state.
-
-    Unlike the artifact-cache key this needs no benchmark-source lookup
-    (journals must be loadable without compiling anything), but it pins
-    the same provenance: config, package version and code fingerprint.
-    """
-    blob = json.dumps(
-        {
-            "name": task.name,
-            "depth": task.depth,
-            "optimization": task.optimization,
-            "config": vars(config),
-            "version": __version__,
-            "code": code_fingerprint(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def grid_fingerprint(
-    tasks: Sequence["GridTask"], config: CompilerConfig
-) -> str:
-    """A stable name for one task grid (the journal file's identity)."""
-    digest = hashlib.sha256()
-    for task in tasks:
-        digest.update(task_fingerprint(task, config).encode("ascii"))
-    return digest.hexdigest()
-
-
-# ------------------------------------------------------------------ journal
-class SweepJournal:
-    """Append-only JSONL checkpoint of one grid sweep's completed rows.
-
-    Line 1 is a header pinning the journal format and provenance meta;
-    each further line is ``{"fp": <task fingerprint>, "row": {...}}``.
-    Rows are flushed as written, so whatever killed the sweep, every
-    fully written line is recoverable — a torn trailing line (the write
-    the crash interrupted) is detected and ignored on load.  Only
-    successful rows are journaled: a failed task runs again on resume.
-    """
-
-    FORMAT = 1
-
-    def __init__(self, path: Union[str, Path], meta: Optional[Dict[str, Any]] = None):
-        self.path = Path(path)
-        self.meta = dict(meta or {})
-        self.meta.setdefault("version", __version__)
-        self.meta.setdefault("code", code_fingerprint())
-        self._handle = None
-
-    @classmethod
-    def for_grid(
-        cls,
-        root: Union[str, Path],
-        label: str,
-        tasks: Sequence["GridTask"],
-        config: CompilerConfig,
-    ) -> "SweepJournal":
-        """The journal of one (grid, config) sweep under ``root/journal/``."""
-        fp = grid_fingerprint(tasks, config)
-        path = Path(root) / "journal" / f"{label}-{fp[:16]}.jsonl"
-        return cls(path, meta={"label": label, "grid": fp})
-
-    # ---------------------------------------------------------------- reads
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Completed rows by task fingerprint (empty if absent or stale)."""
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        lines = text.splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return {}
-        if (
-            not isinstance(header, dict)
-            or header.get("journal") != self.FORMAT
-            or header.get("meta") != self.meta
-        ):
-            return {}
-        rows: Dict[str, Dict[str, Any]] = {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn trailing write: everything before it is good
-            if not isinstance(entry, dict) or "fp" not in entry or "row" not in entry:
-                break
-            rows[entry["fp"]] = entry["row"]
-        return rows
-
-    def _valid_length(self) -> Optional[int]:
-        """Byte length of the journal's valid prefix (``None``: start fresh).
-
-        A torn trailing line — the write a crash interrupted — must be
-        truncated before appending, or rows written after it would sit
-        unreachable behind the break that :meth:`load` stops at.
-        """
-        try:
-            data = self.path.read_bytes()
-        except OSError:
-            return None
-        offset: Optional[int] = None
-        pos = 0
-        for line in data.splitlines(keepends=True):
-            end = pos + len(line)
-            if not line.endswith(b"\n"):
-                break  # torn tail: the crash hit mid-write
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break
-            if offset is None:  # header line
-                if (
-                    not isinstance(entry, dict)
-                    or entry.get("journal") != self.FORMAT
-                    or entry.get("meta") != self.meta
-                ):
-                    return None  # stale or foreign journal: replace it
-            elif not isinstance(entry, dict) or "fp" not in entry or "row" not in entry:
-                break
-            offset = end
-            pos = end
-        return offset
-
-    # --------------------------------------------------------------- writes
-    def _open(self):
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            valid = self._valid_length()
-            if valid is None:
-                self._handle = open(self.path, "w", encoding="utf-8")
-                header = {"journal": self.FORMAT, "meta": self.meta}
-                self._handle.write(json.dumps(header, sort_keys=True) + "\n")
-                self._handle.flush()
-            else:
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(valid)
-                self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
-
-    def append(self, fp: str, row: Dict[str, Any]) -> None:
-        """Checkpoint one completed row (flushed immediately)."""
-        handle = self._open()
-        handle.write(json.dumps({"fp": fp, "row": row}, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def reset(self) -> None:
-        """Discard any previous checkpoint (a non-resume sweep starts clean)."""
-        self.close()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -278,7 +278,7 @@ class BenchmarkRunner:
         name: str,
         depth: Optional[int],
         origin: Origin,
-        steps: Iterable[Tuple[Optional[PassRecord], Tuple[str, Circuit]]],
+        steps: Sequence[Tuple[Optional[PassRecord], Tuple[str, Circuit]]],
         prefix: str,
     ) -> BenchmarkPoint:
         """Build the row of every replayable cut point; returns the last.
@@ -287,11 +287,12 @@ class BenchmarkRunner:
         predicted counts start every row.  ``steps`` pairs each (canonical
         prefix spec, circuit) snapshot with the gate-pass record that
         produced it (``None`` for the circuit ``origin`` compiled).  With
-        an artifact cache, each cut point's row and circuit are stored, so
-        a later pipeline that shares any prefix resumes from it; a stored
-        prefix row equals what measuring that prefix pipeline directly
-        would record.  This is the one builder of :class:`BenchmarkPoint`
-        rows.
+        an artifact cache, each cut point's row is stored, and so is each
+        circuit a later measure can resume from: the compile prefix and
+        every intermediate gate-pass output, but not the output of the
+        pipeline's last gate pass.  A stored prefix row equals what
+        measuring that prefix pipeline directly would record.  This is the
+        one builder of :class:`BenchmarkPoint` rows.
         """
         if isinstance(origin, CompiledProgram):
             timings, predicted = dict(origin.timings), origin.predicted
@@ -299,7 +300,8 @@ class BenchmarkRunner:
             timings = dict(origin["timings"])
             predicted = (origin["predicted_mcx"], origin["predicted_t"])
         point = None
-        for record, (spec, circuit) in steps:
+        last = len(steps) - 1
+        for index, (record, (spec, circuit)) in enumerate(steps):
             if record is not None:
                 add_gate_timing(timings, record)
             point = BenchmarkPoint(
@@ -319,7 +321,8 @@ class BenchmarkRunner:
             if self.cache is not None:
                 key = self._key(name, depth, spec)
                 self.cache.store_point(key, point.row())
-                self.cache.store_circuit(key, circuit)
+                if record is None or index < last:
+                    self.cache.store_circuit(key, circuit)
         return point
 
     def scaling(
@@ -351,77 +354,20 @@ class BenchmarkRunner:
         )
 
     # ------------------------------------------------------------ grid sweeps
-    def run_grid(
-        self,
-        tasks: Iterable["GridTask"],
-        progress=None,
-        journal: Optional["SweepJournal"] = None,
-        resume: bool = False,
-    ) -> "GridResult":
+    def run_grid(self, tasks: Iterable["GridTask"], progress=None) -> "GridResult":
         """Run a (benchmark × depth × pipeline) task grid.
 
         Dispatches to the runner's execution backend (serial when none was
         configured); see :mod:`repro.benchsuite.parallel` for the task and
-        result types and the process-pool backend.
-
-        With a :class:`~repro.benchsuite.resilience.SweepJournal`, every
-        completed row is checkpointed as it lands; ``resume=True`` replays
-        journaled rows (marked ``journal_resumed: True``) and executes
-        only the remainder, while ``resume=False`` discards any previous
-        checkpoint first.  Failure rows are never journaled — a failed
-        task runs again on resume.
+        result types and the process-pool backend.  With an artifact
+        cache, each row is stored as it lands, so a sweep interrupted
+        midway and run again on the same cache replays the points it
+        stored and computes only the rest.
         """
         from .parallel import GridResult, SerialBackend
-        from .resilience import task_fingerprint
 
         backend = self.backend or SerialBackend()
-        task_list = list(tasks)
-        if journal is None:
-            return GridResult(backend.run(self, task_list, progress=progress))
-
-        fingerprints = [task_fingerprint(task, self.config) for task in task_list]
-        if resume:
-            checkpointed = journal.load()
-        else:
-            journal.reset()
-            checkpointed = {}
-        rows_by_index: Dict[int, Dict[str, Any]] = {}
-        pending: List[int] = []
-        for i, fp in enumerate(fingerprints):
-            row = checkpointed.get(fp)
-            if row is None:
-                pending.append(i)
-            else:
-                row = dict(row)
-                row["journal_resumed"] = True
-                rows_by_index[i] = row
-        done = len(rows_by_index)
-        total = len(task_list)
-        if progress is not None:
-            for i in sorted(rows_by_index):
-                progress(done, total, rows_by_index[i])
-
-        def on_row(pending_index: int, row: Dict[str, Any]) -> None:
-            i = pending[pending_index]
-            rows_by_index[i] = row
-            if not row.get("failed"):
-                journal.append(fingerprints[i], row)
-
-        def journal_progress(_done, _total, row):
-            if progress is not None:
-                progress(len(rows_by_index), total, row)
-
-        try:
-            if pending:
-                backend.run(
-                    self,
-                    [task_list[i] for i in pending],
-                    progress=journal_progress,
-                    on_row=on_row,
-                )
-        finally:
-            journal.close()
-        return GridResult([rows_by_index[i] for i in sorted(rows_by_index)])
+        return GridResult(backend.run(self, list(tasks), progress=progress))
 
 
 def default_depths() -> List[int]:

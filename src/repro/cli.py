@@ -325,7 +325,6 @@ def cmd_bench(args) -> int:
         ParallelBackend,
         RetryPolicy,
         SerialBackend,
-        SweepJournal,
         paper_grid,
     )
     from .benchsuite.runner import default_depths
@@ -376,10 +375,6 @@ def cmd_bench(args) -> int:
         ]
 
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
-    if args.resume and cache is None:
-        print("error: --resume needs --cache-dir (the journal lives there)",
-              file=sys.stderr)
-        return 2
     policy = RetryPolicy(
         retries=args.retries,
         task_timeout=args.task_timeout,
@@ -413,19 +408,11 @@ def cmd_bench(args) -> int:
     mismatched = False
     try:
         for selector, tasks in grids:
-            journal = None
-            if cache is not None:
-                journal = SweepJournal.for_grid(
-                    cache.root, selector, tasks, config
-                )
             start = time.perf_counter()
-            result = runner.run_grid(
-                tasks, progress=progress, journal=journal, resume=args.resume
-            )
+            result = runner.run_grid(tasks, progress=progress)
             elapsed = time.perf_counter() - start
             if show:
                 print(file=sys.stderr)
-            resumed = sum(bool(r.get("journal_resumed")) for r in result.rows)
             failed = len(result.failed_rows)
             total_failed += failed
             all_cached = all_cached and result.cached_fraction() == 1.0
@@ -463,8 +450,6 @@ def cmd_bench(args) -> int:
             path.write_text(json.dumps(artifact, indent=1, sort_keys=True) + "\n")
             status = f"{selector}: {len(result)} points in {elapsed:.2f}s " \
                      f"({100 * result.cached_fraction():.0f}% cached)"
-            if resumed:
-                status += f", {resumed} resumed from journal"
             if failed:
                 status += f", {failed} FAILED"
             print(f"{status} -> {path}")
@@ -931,7 +916,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the grid fan-out "
                               "(default 1: the sweep runs serially)")
     p_bench.add_argument("--cache-dir", default=None,
-                         help="artifact cache directory (enables warm replays)")
+                         help="artifact cache directory: stores every row, "
+                              "and the circuits a later pipeline can resume "
+                              "from (compile prefixes and intermediate gate-"
+                              "pass outputs); an interrupted sweep resumes "
+                              "when run again on the same directory")
     p_bench.add_argument("--out", default="bench_artifacts",
                          help="directory for the per-grid JSON artifacts")
     p_bench.add_argument("--depths", default=None,
@@ -954,14 +943,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-task wall-clock timeout; a late task's "
-                              "worker pool is torn down and the task retried")
+                              "worker is restarted and the task retried")
     p_bench.add_argument("--max-failures", type=int, default=None, metavar="N",
                          help="abort the sweep once more than N tasks have "
                               "exhausted their retries (default: never)")
-    p_bench.add_argument("--resume", action="store_true",
-                         help="resume an interrupted sweep from the journal "
-                              "under --cache-dir, recomputing nothing "
-                              "already checkpointed")
     p_bench.add_argument("--inject-faults", default=None, metavar="SPEC",
                          help="deterministic chaos: comma-separated "
                               "kind:site[:p=F][:a=N] fault specs, e.g. "

@@ -69,9 +69,6 @@ class Metrics:
     def count(self, name: str, delta: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + delta
 
-    def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
-
     def gauge(self, name: str, read: Callable[[], Any]) -> None:
         """Register a live-value gauge (sampled at snapshot time)."""
         self._gauges[name] = read

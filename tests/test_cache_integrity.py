@@ -192,13 +192,15 @@ def test_clear_removes_quarantine(tmp_path):
     assert list(cache.root.iterdir()) == []
 
 
-def test_clear_removes_a_legacy_stats_directory(tmp_path):
-    """Caches written by older versions hold per-worker counter files
-    under ``stats/``; clearing the cache deletes them with the entries."""
+@pytest.mark.parametrize("directory", ["stats", "journal"])
+def test_clear_removes_a_legacy_directory(tmp_path, directory):
+    """Caches written by older versions hold per-worker counter files under
+    ``stats/`` or sweep checkpoints under ``journal/``; clearing the cache
+    deletes every directory that is not an entry, with the entries."""
     cache = ArtifactCache(tmp_path)
     cache.store_point(KEY, ROW)
-    (tmp_path / "stats").mkdir()
-    (tmp_path / "stats" / "123.json").write_text("{}")
+    (tmp_path / directory).mkdir()
+    (tmp_path / directory / "legacy.json").write_text("{}")
     assert cache.clear() == 1
     assert list(cache.root.iterdir()) == []
 

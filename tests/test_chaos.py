@@ -3,8 +3,8 @@
 The safety net of the fault-injection harness: a grid executed under any
 fault plan — worker crashes, hung tasks, torn cache writes, flaky I/O —
 produces measurement rows bit-identical to a clean serial run, and an
-interrupted sweep resumes from its journal without re-executing anything
-already checkpointed.
+interrupted sweep, run again on the same artifact cache, replays what it
+stored and measures only the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.benchsuite import (
     ParallelBackend,
     RetryPolicy,
     SerialBackend,
-    SweepJournal,
     measure_tasks,
 )
 from repro.config import CompilerConfig
@@ -37,7 +36,7 @@ GRID = measure_tasks("length", [2, 3]) + measure_tasks(
 
 #: row keys that may legitimately differ between backends / fault runs
 VOLATILE = ("compile_seconds", "wall_seconds", "cached", "timings",
-            "prefix_cached", "journal_resumed", "attempts")
+            "prefix_cached", "attempts")
 
 
 def stable(rows):
@@ -309,55 +308,46 @@ def test_lost_rows_raise_instead_of_shrinking(monkeypatch, tmp_path):
 
 
 # ------------------------------------------------------- interrupt + resume
-def test_interrupt_leaves_resumable_journal(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_sweep_resumes_from_the_cache(tmp_path, jobs):
+    """A sweep interrupted by Ctrl-C after 2 of its 4 tasks has stored
+    their rows; run again on the same cache, it replays them and measures
+    only the 2 missing points.  The last two tasks hang (the plan's seed
+    is chosen so that it fires on exactly those), so at ``jobs`` 2 neither
+    can store a row before the interrupt ends the sweep."""
     tasks = measure_tasks("length", [2, 3, 4, 5])
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    runner = BenchmarkRunner(TINY)
-    real_measure = runner.measure
-    calls = []
-
-    def interrupting(name, depth, optimization="none"):
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        calls.append((name, depth))
-        return real_measure(name, depth, optimization)
-
-    runner.measure = interrupting
-    with pytest.raises(KeyboardInterrupt):
-        runner.run_grid(tasks, journal=journal)
-    # the two completed rows survived the interrupt
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    assert len(journal.load()) == 2
-
-    # resume: only the two un-journaled tasks execute
-    resumed_calls = []
-    resumer = BenchmarkRunner(TINY)
-    real = resumer.measure
-
-    def counting(name, depth, optimization="none"):
-        resumed_calls.append((name, depth))
-        return real(name, depth, optimization)
-
-    resumer.measure = counting
-    result = resumer.run_grid(tasks, journal=journal, resume=True)
-    assert len(result.rows) == 4 and not result.failed_rows
-    assert sorted(resumed_calls) == [("length", 4), ("length", 5)]
-    assert sum(bool(r.get("journal_resumed")) for r in result.rows) == 2
-
-
-def test_fully_journaled_sweep_never_compiles(tmp_path, monkeypatch):
-    tasks = measure_tasks("length", [2, 3])
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    BenchmarkRunner(TINY).run_grid(tasks, journal=journal)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("resume recompiled a journaled point")
-
-    monkeypatch.setattr("repro.benchsuite.runner.compile_checked", forbidden)
-    result = BenchmarkRunner(TINY).run_grid(
-        tasks,
-        journal=SweepJournal.for_grid(tmp_path, "t", tasks, TINY),
-        resume=True,
+    seed = next(
+        seed
+        for seed in range(1000)
+        if [
+            _decision(seed, "hang", "worker.execute", task.label(), 0) < 0.5
+            for task in tasks
+        ]
+        == [False, False, True, True]
     )
-    assert len(result.rows) == 2
-    assert all(r.get("journal_resumed") for r in result.rows)
+
+    def sweep(progress=None):
+        policy = RetryPolicy()
+        backend = ParallelBackend(jobs, policy) if jobs > 1 else SerialBackend(policy)
+        try:
+            return BenchmarkRunner(
+                TINY, cache=ArtifactCache(tmp_path), backend=backend
+            ).run_grid(tasks, progress=progress)
+        finally:
+            backend.close()
+
+    def interrupt_after_two(done, total, row):
+        if done == 2:
+            raise KeyboardInterrupt
+
+    inject.install(parse_fault_plan("hang:worker.execute:p=0.5:s=60", seed=seed))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            sweep(interrupt_after_two)
+    finally:
+        inject.uninstall()
+    assert len(ArtifactCache(tmp_path)) == 2
+
+    result = sweep()
+    assert [row["cached"] for row in result.rows] == [True, True, False, False]
+    assert stable(result.rows) == stable(BenchmarkRunner(TINY).run_grid(tasks).rows)

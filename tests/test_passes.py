@@ -4,8 +4,10 @@ import inspect
 
 import pytest
 
+import repro.benchsuite.runner as runner_mod
 import repro.circopt as circopt
 from repro.benchsuite import ArtifactCache, BenchmarkRunner, get_source, task_key
+from repro.benchsuite.cache import CIRCUIT_FILE, POINT_FILE
 from repro.benchsuite.parallel import stable_rows
 from repro.circuit import DecompositionCache
 from repro.cli import main
@@ -33,6 +35,11 @@ from repro.passes import (
 )
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
+
+
+def _no_compile(*args, **kwargs):
+    raise AssertionError("the measure should have resumed from a stored circuit")
+
 
 #: the ``repro passes --list`` catalog, recorded when the gate passes were
 #: still generated from a separate optimizer registry:
@@ -409,13 +416,7 @@ class TestPrefixReplay:
 
         # a different late pass must resume from the stored prefix
         # without compiling anything
-        import repro.benchsuite.runner as runner_mod
-
         runner2 = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path))
-
-        def _no_compile(*args, **kwargs):
-            raise AssertionError("pipeline prefix should have replayed")
-
         direct = make_pass("toffoli-cancel").run(
             compile_source(get_source("length"), "length", 3, CFG, "spire").circuit,
             DecompositionCache(),
@@ -469,7 +470,6 @@ class TestPrefixReplay:
         """Without a cache, the baselines of one preset share its compiled
         circuit and one Toffoli expansion, whether the preset was measured
         first or the first baseline compiled it into the memo."""
-        import repro.benchsuite.runner as runner_mod
         import repro.circuit.decompose as decompose
 
         calls = {"compile": 0, "toffoli": 0}
@@ -541,6 +541,75 @@ class TestPrefixReplay:
         assert resumed.compile_seconds == pytest.approx(
             sum(resumed.timings.values())
         )
+
+
+#: every gate pass, ``greedy-search`` in its deterministic mode
+GATE_PASSES = [
+    "greedy-search(preprocess_only=true)",
+    "peephole",
+    "rotation-merge",
+    "toffoli-cancel",
+    "zx-like",
+]
+
+
+class TestStoragePolicy:
+    """The cache stores every row, but a circuit only where a later
+    measure can resume from it: the compile prefix and each intermediate
+    gate-pass output, not a pipeline's last gate-pass output."""
+
+    @staticmethod
+    def stored(cache, pipeline):
+        """(row stored, circuit stored) of ``length@2`` under ``pipeline``."""
+        key = BenchmarkRunner(CFG, cache=cache)._key(
+            "length", 2, canonical_pipeline(pipeline)
+        )
+        entry = cache._entry_dir(key)
+        return (entry / POINT_FILE).exists(), (entry / CIRCUIT_FILE).exists()
+
+    @pytest.mark.parametrize("gate_pass", GATE_PASSES)
+    def test_a_baseline_stores_its_row_but_not_its_circuit(self, tmp_path, gate_pass):
+        cache = ArtifactCache(tmp_path)
+        BenchmarkRunner(CFG, cache=cache).measure("length", 2, f"none+{gate_pass}")
+        assert self.stored(cache, "none") == (True, True)
+        assert self.stored(cache, f"none+{gate_pass}") == (True, False)
+
+    @pytest.mark.parametrize("gate_pass", GATE_PASSES)
+    def test_an_intermediate_circuit_is_stored_and_resumed_from(
+        self, tmp_path, monkeypatch, gate_pass
+    ):
+        cache = ArtifactCache(tmp_path)
+        BenchmarkRunner(CFG, cache=cache).measure(
+            "length", 2, f"none+{gate_pass}+toffoli-cancel"
+        )
+        assert self.stored(cache, f"none+{gate_pass}") == (True, True)
+        assert self.stored(cache, f"none+{gate_pass}+toffoli-cancel") == (True, False)
+        sibling = f"none+{gate_pass}+peephole"
+        cold = BenchmarkRunner(CFG).measure("length", 2, sibling)
+        monkeypatch.setattr(runner_mod, "compile_checked", _no_compile)
+        resumed = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, sibling
+        )
+        assert resumed.prefix_cached == canonical_pipeline(f"none+{gate_pass}")
+        assert not resumed.cached
+        assert stable_rows([resumed.row()]) == stable_rows([cold.row()])
+
+    @pytest.mark.parametrize("gate_pass", GATE_PASSES)
+    def test_extending_a_stored_baseline_resumes_from_its_preset(
+        self, tmp_path, monkeypatch, gate_pass
+    ):
+        BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, f"none+{gate_pass}"
+        )
+        extended = f"none+{gate_pass}+toffoli-cancel"
+        cold = BenchmarkRunner(CFG).measure("length", 2, extended)
+        monkeypatch.setattr(runner_mod, "compile_checked", _no_compile)
+        resumed = BenchmarkRunner(CFG, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, extended
+        )
+        # the baseline's circuit was not stored: the preset's was
+        assert resumed.prefix_cached == "alloc,lower"
+        assert stable_rows([resumed.row()]) == stable_rows([cold.row()])
 
 
 class TestBisection:

@@ -1,4 +1,4 @@
-"""Retry policy, failure rows, and the sweep checkpoint journal."""
+"""Retry policy and failure rows."""
 
 from __future__ import annotations
 
@@ -6,21 +6,9 @@ import json
 
 import pytest
 
-from repro.benchsuite import (
-    BenchmarkRunner,
-    GridTask,
-    RetryPolicy,
-    SerialBackend,
-    SweepJournal,
-    failure_row,
-    grid_fingerprint,
-    measure_tasks,
-    task_fingerprint,
-)
+from repro.benchsuite import GridTask, RetryPolicy, SerialBackend, failure_row
 from repro.benchsuite.parallel import GridResult, run_task_resilient
-from repro.config import CompilerConfig
 
-TINY = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
 TASK = GridTask("length", 2)
 
 
@@ -121,109 +109,3 @@ def test_serial_backend_max_failures_aborts():
     rows = SerialBackend(policy).run(FlakyRunner(99), [TASK] * 5)
     assert len(rows) == 1  # stopped right after crossing the threshold
     assert rows[0]["failed"]
-
-
-# ------------------------------------------------------------------ journal
-def test_journal_roundtrip(tmp_path):
-    journal = SweepJournal(tmp_path / "j.jsonl")
-    journal.append("fp-1", {"t": 1})
-    journal.append("fp-2", {"t": 2})
-    journal.close()
-    assert journal.load() == {"fp-1": {"t": 1}, "fp-2": {"t": 2}}
-
-
-def test_journal_ignores_torn_trailing_line(tmp_path):
-    journal = SweepJournal(tmp_path / "j.jsonl")
-    journal.append("fp-1", {"t": 1})
-    journal.close()
-    path = tmp_path / "j.jsonl"
-    path.write_text(path.read_text() + '{"fp": "fp-2", "row": {"t"')
-    assert journal.load() == {"fp-1": {"t": 1}}
-    # appending after a torn line starts a fresh journal or keeps the
-    # good prefix; either way load() keeps returning valid rows only
-    journal.append("fp-3", {"t": 3})
-    journal.close()
-    assert journal.load()["fp-3"] == {"t": 3}
-
-
-def test_journal_stale_meta_is_discarded(tmp_path):
-    journal = SweepJournal(tmp_path / "j.jsonl", meta={"grid": "a"})
-    journal.append("fp-1", {"t": 1})
-    journal.close()
-    other = SweepJournal(tmp_path / "j.jsonl", meta={"grid": "b"})
-    assert other.load() == {}
-
-
-def test_journal_reset_discards(tmp_path):
-    journal = SweepJournal(tmp_path / "j.jsonl")
-    journal.append("fp-1", {"t": 1})
-    journal.reset()
-    assert journal.load() == {}
-
-
-# ------------------------------------------------------------- fingerprints
-def test_task_fingerprint_distinguishes_tasks_and_configs():
-    a = task_fingerprint(GridTask("length", 2), TINY)
-    b = task_fingerprint(GridTask("length", 3), TINY)
-    c = task_fingerprint(
-        GridTask("length", 2), CompilerConfig(word_width=4)
-    )
-    assert len({a, b, c}) == 3
-    assert a == task_fingerprint(GridTask("length", 2), TINY)
-
-
-def test_grid_fingerprint_is_order_sensitive():
-    tasks = measure_tasks("length", [2, 3])
-    assert grid_fingerprint(tasks, TINY) != grid_fingerprint(tasks[::-1], TINY)
-
-
-# --------------------------------------------------------- run_grid journal
-def test_run_grid_checkpoints_and_resumes(tmp_path):
-    runner = BenchmarkRunner(TINY)
-    tasks = measure_tasks("length", [2, 3])
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    first = runner.run_grid(tasks, journal=journal)
-    assert len(first) == 2 and not first.failed_rows
-    assert not any(r.get("journal_resumed") for r in first.rows)
-
-    # a fresh runner resuming the same journal recomputes nothing: any
-    # attempt to compile would blow up on this broken runner
-    class BrokenRunner(BenchmarkRunner):
-        def measure(self, *a, **k):
-            raise AssertionError("resume must not recompute journaled rows")
-
-    resumed = BrokenRunner(TINY).run_grid(
-        tasks,
-        journal=SweepJournal.for_grid(tmp_path, "t", tasks, TINY),
-        resume=True,
-    )
-    assert len(resumed) == 2
-    assert all(r.get("journal_resumed") for r in resumed.rows)
-    stripped = [
-        {k: v for k, v in row.items() if k != "journal_resumed"}
-        for row in resumed.rows
-    ]
-    assert stripped == first.rows
-
-
-def test_run_grid_without_resume_resets_journal(tmp_path):
-    runner = BenchmarkRunner(TINY)
-    tasks = measure_tasks("length", [2])
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    runner.run_grid(tasks, journal=journal)
-    again = BenchmarkRunner(TINY).run_grid(
-        tasks, journal=SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    )
-    assert not any(r.get("journal_resumed") for r in again.rows)
-
-
-def test_run_grid_journal_skips_failure_rows(tmp_path):
-    tasks = [TASK]
-    runner = FlakyRunner(99)
-    runner.config = TINY
-    runner.backend = SerialBackend(RetryPolicy(retries=0, backoff_base=0.0))
-    journal = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    result = BenchmarkRunner.run_grid(runner, tasks, journal=journal)
-    assert result.failed_rows
-    fresh = SweepJournal.for_grid(tmp_path, "t", tasks, TINY)
-    assert fresh.load() == {}  # failed tasks run again on resume
