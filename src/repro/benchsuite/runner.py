@@ -204,8 +204,10 @@ class BenchmarkRunner:
         """The circuit of pipeline ``spec`` the runner already holds.
 
         Looks in the compiled memo, the loaded memo, then the artifact
-        cache (a disk hit joins the loaded memo).  A stable object is
-        returned per (name, depth, spec) so the shared
+        cache (a disk hit joins the loaded memo).  On disk the circuit is
+        probed first: a prefix stored without one (the last gate pass of
+        a pipeline) counts a miss, and its row is never read.  A stable
+        object is returned per (name, depth, spec) so the shared
         :class:`DecompositionCache` keeps working across baselines.
         """
         key = (name, depth, spec)
@@ -216,11 +218,11 @@ class BenchmarkRunner:
         if held is not None or self.cache is None:
             return held
         cache_key = self._key(name, depth, spec)
-        row = self.cache.load_point(cache_key)
-        if row is None:
-            return None
         circuit = self.cache.load_circuit(cache_key)
         if circuit is None:
+            return None
+        row = self.cache.load_point(cache_key)
+        if row is None:
             return None
         return self._loaded.get(key, lambda: (circuit, row))
 

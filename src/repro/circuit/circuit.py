@@ -188,14 +188,22 @@ class Circuit:
         if self._gates is not None:
             self._gates.append(gate)
 
-    def extend(self, gates: Iterable[Gate]) -> None:
-        """Append several gates."""
+    def extend(self, gates: Iterable[Gate]) -> List[int]:
+        """Append several gates; returns their table rows."""
         batch = list(gates)
         if not batch:
-            return
-        self._push(self._intern(batch))
+            return []
+        rows = self._intern(batch)
+        self._push(rows)
         if self._gates is not None:
             self._gates.extend(batch)
+        return rows
+
+    def extend_rows(self, rows: Sequence[int]) -> None:
+        """Append the gates at table rows ``rows`` again."""
+        self._push(rows)
+        if self._gates is not None:
+            self._gates.extend(self.table[r] for r in rows)
 
     def expand_rows(self, expansions: Sequence[Sequence[Gate]]) -> "Circuit":
         """A new circuit with each application of row ``r`` replaced by the

@@ -313,19 +313,21 @@ class Gate:
 # is safe.  Only direct ``Gate(...)`` calls bypass the table.
 #
 # The table is bounded.  When it fills it starts over, together with every
-# memo that holds shared instances (:func:`shared_memo`), so gates built
-# afterwards share with each other again.  A value built before and after
-# a reset is two equal objects, which only costs a circuit holding both a
-# second table row.  Lookups take no lock; a miss stores its gate under
-# ``_LOCK``, so threads that miss on one value get one instance and the
-# bound holds.
+# memo that holds shared instances (:func:`shared_memo`) and every other
+# process memo registered with :func:`clear_with_shared_gates`, so gates
+# built afterwards share with each other again.  A value built before and
+# after a reset is two equal objects, which only costs a circuit holding
+# both a second table row.  Lookups take no lock; a miss stores its gate
+# under ``_LOCK``, so threads that miss on one value get one instance and
+# the bound holds.
 
 #: Bound on the intern table.  Every benchmark's gates fit well under it.
 SHARED_GATES_MAX = 1 << 16
 
 _SHARED: Dict[Tuple[GateKind, Tuple[int, ...], Tuple[int, ...]], Gate] = {}
 
-_MEMOS: List[Callable] = []
+#: what :func:`reset_shared_gates` clears besides the intern table
+_CLEARS: List[Callable[[], None]] = []
 
 _LOCK = threading.RLock()
 
@@ -339,18 +341,23 @@ def shared_memo(fn: Optional[Callable] = None, *, maxsize: Optional[int] = None)
 
     def wrap(fn: Callable) -> Callable:
         memo = lru_cache(maxsize=maxsize)(fn)
-        _MEMOS.append(memo)
+        _CLEARS.append(memo.cache_clear)
         return memo
 
     return wrap if fn is None else wrap(fn)
 
 
+def clear_with_shared_gates(clear: Callable[[], None]) -> None:
+    """Run ``clear`` in :func:`reset_shared_gates`: for a process memo without gates."""
+    _CLEARS.append(clear)
+
+
 def reset_shared_gates() -> None:
-    """Forget every shared instance: the table and every memo start over."""
+    """Forget every shared instance: the table and every process memo start over."""
     with _LOCK:
         _SHARED.clear()
-        for memo in _MEMOS:
-            memo.cache_clear()
+        for clear in _CLEARS:
+            clear()
 
 
 def _share(key: Tuple[GateKind, Tuple[int, ...], Tuple[int, ...]]) -> Gate:

@@ -14,6 +14,14 @@ model of Section 5 prices.
 Memory (``*p <-> x``) expands the qRAM gate of Appendix B.2 over a bounded
 heap: for each address, an equality flag conditions a register/cell swap;
 address 0 (null) is skipped, making null dereference a no-op (Section 4).
+
+A ``with`` block's uncompute repeats its setup's instructions on the same
+registers and scratch.  Within one :func:`expand_program`, a repeated
+memory swap (most of a program's gates), equality or comparison appends
+the circuit rows of its first expansion, and is neither expanded nor
+interned again.  Per-shape templates placed gate by gate build the same
+gates but measured slower: an intern-table probe costs more than the
+memoized ``x``/``cnot``/``toffoli`` builders it replaces.
 """
 
 from __future__ import annotations
@@ -71,6 +79,11 @@ class ScratchPool:
 
     def release(self, reg: Register) -> None:
         self._free.setdefault(reg.width, []).append(reg.offset)
+
+    def peek(self, width: int) -> int:
+        """The offset the next ``acquire(width)`` returns."""
+        free = self._free.get(width)
+        return free[-1] if free else self._next
 
 
 @dataclass(frozen=True)
@@ -460,24 +473,46 @@ class InstructionExpander:
         gates: List[Gate] = []
         eq = self.scratch.acquire(1)
         target = eq.bit(0)
+        select = mcx(addr.qubits, target)  # between the flips: target ^= (addr == a)
         for a in range(1, self.memory.heap_cells + 1):
             cell = self.memory.cell_register(a)
-            forward = [
-                x(addr.bit(i)) for i in range(addr.width) if not (a >> i) & 1
-            ]
-            forward.append(
-                mcx([addr.bit(i) for i in range(addr.width)], target)
-            )
-            payload: List[Gate] = []
-            for j in range(data.width):
-                payload.append(cnot(cell.bit(j), data.bit(j)))
-                payload.append(toffoli(target, data.bit(j), cell.bit(j)))
-                payload.append(cnot(cell.bit(j), data.bit(j)))
-            gates.extend(forward)
-            gates.extend(payload)
-            gates.extend(reversed(forward))
+            flips = [x(q) for i, q in enumerate(addr.qubits) if not (a >> i) & 1]
+            gates += flips
+            gates.append(select)
+            for d, c in zip(data.qubits, cell.qubits):
+                gates += (cnot(c, d), toffoli(target, d, c), cnot(c, d))
+            gates.append(select)
+            gates += reversed(flips)
         self.scratch.release(eq)
         return gates
+
+
+def _ints(*operands: Operand) -> Tuple[int, ...]:
+    """Operands as plain ints: a register's offset and width, or -1 and a constant."""
+    key: Tuple[int, ...] = ()
+    for op in operands:
+        key += (op.offset, op.width) if isinstance(op, Register) else (-1, op)
+    return key
+
+
+def _repeat_key(instr: Instr, scratch: ScratchPool, word_width: int) -> Optional[tuple]:
+    """Plain ints that fix the expansion of a memory swap, an equality or a
+    comparison: operands, controls and the scratch offset it would acquire
+    (keying the smaller kinds too saved little).  A repeat finds that offset
+    on the free list, where expanding would put it back, so appending the
+    first expansion's rows leaves the pool as expanding would."""
+    kind = type(instr)
+    if kind is MemSwapInstr:
+        key = (0, *_ints(instr.addr, instr.data), scratch.peek(1))
+    elif kind is EqConst:
+        key = (1, *_ints(instr.dst, instr.src, instr.value), instr.negate)
+    elif kind is EqReg:
+        key = (2, *_ints(instr.dst, instr.a, instr.b), instr.negate, scratch.peek(instr.a.width))
+    elif kind is LtInto:
+        key = (3, *_ints(instr.dst, instr.a, instr.b), scratch.peek(word_width))
+    else:
+        return None
+    return key + instr.controls
 
 
 def expand_program(
@@ -494,8 +529,17 @@ def expand_program(
     scratch = ScratchPool(abstract.allocator.region_end)
     expander = InstructionExpander(scratch, memory, config.word_width)
     circuit = Circuit(max(scratch.high_water, abstract.allocator.region_end))
+    #: repeat key -> the rows of the first expansion
+    expanded: Dict[Tuple[int, ...], List[int]] = {}
     for instr in abstract.instrs:
-        circuit.extend(expander.expand(instr))
+        key = _repeat_key(instr, scratch, config.word_width)
+        rows = expanded.get(key)
+        if rows is not None:
+            circuit.extend_rows(rows)
+            continue
+        rows = circuit.extend(expander.expand(instr))
+        if key is not None:
+            expanded[key] = rows
     circuit.num_qubits = max(circuit.num_qubits, scratch.high_water)
     for name, reg in abstract.allocator.final_registers().items():
         circuit.add_register(reg)

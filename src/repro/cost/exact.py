@@ -15,15 +15,22 @@ follow the structure of Section 5:
 ``t_complexity`` and ``mcx_complexity`` of a profile then reproduce the
 compiled circuit's counts, which the test suite asserts as equalities on
 benchmarks and on randomly generated programs.
+
+A primitive's profile depends only on its *shape* (the operand widths and
+constants :meth:`ExactCostModel._key` names) and on the architecture, so
+profiles live, with their MCX and T totals, in one bounded process-wide
+table: each shape is lowered once per process.  A full table starts over,
+and :func:`~repro.circuit.gates.reset_shared_gates` clears it.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
-from ..circuit.gates import GateKind
+from ..circuit.gates import GateKind, clear_with_shared_gates
 from ..compiler.lower_gates import InstructionExpander, MemoryLayout, ScratchPool
 from ..compiler.lower_ir import IRLowering
 from ..errors import CostModelError
@@ -33,7 +40,6 @@ from ..ir.core import (
     BinOp,
     Hadamard,
     If,
-    Lit,
     MemSwap,
     Pair,
     Proj,
@@ -44,6 +50,7 @@ from ..ir.core import (
     UnAssign,
     UnOp,
     Var,
+    With,
     encode_value,
     free_vars,
 )
@@ -85,18 +92,34 @@ class ControlProfile:
         total += sum(t_ch(c) * n for c, n in self.h.items())
         return total
 
-    def max_controls(self) -> int:
-        keys = list(self.mcx) + list(self.h)
-        return max(keys, default=0)
+
+class Priced(NamedTuple):
+    """A primitive statement's control profile with its MCX and T totals."""
+
+    profile: ControlProfile
+    mcx: int
+    t: int
+
+
+#: Bound on the process-wide profile table.  Every Table 1 program at depths
+#: 1-4, under ``none`` and ``spire``, prices 58 shapes at one configuration.
+PROFILES_MAX = 1 << 10
+
+#: (architecture, shape) -> the shape's priced profile
+_PROFILES: Dict[tuple, Priced] = {}
+
+_PROFILES_LOCK = threading.Lock()
+
+clear_with_shared_gates(_PROFILES.clear)
 
 
 class ExactCostModel:
     """Computes control profiles for core IR statements.
 
-    Primitive profiles are obtained by lowering the primitive in isolation
-    with the production code path, and memoized on a structural key (the
-    operand widths and constants), so analyzing an inlined program of
-    thousands of repeated primitives stays fast.
+    A primitive's profile comes from lowering one statement of its shape in
+    isolation with the production code path, once per process (see the
+    module docstring), so analyzing an inlined program of thousands of
+    repeated primitives stays fast.
     """
 
     def __init__(
@@ -108,7 +131,9 @@ class ExactCostModel:
         self.table = table
         self.var_types = var_types
         self.cell_bits = cell_bits
-        self._cache: Dict[tuple, ControlProfile] = {}
+        config = table.config
+        self._arch = (config.word_width, config.addr_width, config.heap_cells, cell_bits)
+        self._widths: Dict[str, int] = {}
 
     # ------------------------------------------------------------- interface
     def profile(self, stmt: Stmt) -> ControlProfile:
@@ -121,94 +146,66 @@ class ExactCostModel:
             return result
         if isinstance(stmt, If):
             return self.profile(stmt.body).shifted(1)
-        from ..ir.core import With
-
         if isinstance(stmt, With):
             return self.profile(stmt.setup).scaled(2) + self.profile(stmt.body)
-        return self._primitive(stmt)
-
-    def mcx_complexity(self, stmt: Stmt) -> int:
-        return self.profile(stmt).mcx_complexity()
+        return self.priced(stmt).profile
 
     def t_complexity(self, stmt: Stmt) -> int:
         return self.profile(stmt).t_complexity()
 
     # ------------------------------------------------------------ primitives
-    def _primitive(self, stmt: Stmt) -> ControlProfile:
-        key = self._key(stmt)
-        if key in self._cache:
-            return self._cache[key]
+    def priced(self, stmt: Stmt) -> Priced:
+        """The profile and totals of a primitive statement, from the
+        process-wide table; the first statement of its shape lowers it."""
+        key = (self._arch, self._key(stmt))
+        hit = _PROFILES.get(key)
+        if hit is not None:
+            return hit
         profile = self._lower_primitive(stmt)
-        self._cache[key] = profile
-        return profile
+        priced = Priced(profile, profile.mcx_complexity(), profile.t_complexity())
+        with _PROFILES_LOCK:
+            if len(_PROFILES) >= PROFILES_MAX:
+                _PROFILES.clear()
+            return _PROFILES.setdefault(key, priced)
 
-    def _width_of_atom(self, atom) -> int:
-        if isinstance(atom, Var):
-            ty = self.var_types.get(atom.name)
-            if ty is None:
-                raise CostModelError(f"no type for variable {atom.name!r}")
-            return self.table.width(ty)
-        return self.table.width(atom.value.type_of())
+    def _width(self, name: str) -> int:
+        """Width of a variable, read from its type once per model."""
+        if name not in self._widths:
+            if name not in self.var_types:
+                raise CostModelError(f"no type for variable {name!r}")
+            self._widths[name] = self.table.width(self.var_types[name])
+        return self._widths[name]
 
     def _atom_key(self, atom) -> tuple:
         if isinstance(atom, Var):
-            return ("var", atom.name and self._width_of_atom(atom))
-        return ("lit", encode_value(atom.value, self.table), self._width_of_atom(atom))
+            return ("var", self._width(atom.name))
+        value = atom.value
+        return ("lit", encode_value(value, self.table), self.table.width(value.type_of()))
 
     def _key(self, stmt: Stmt) -> tuple:
         if isinstance(stmt, (Assign, UnAssign)):
-            dst_ty = self.var_types.get(stmt.name)
-            if dst_ty is None:
-                raise CostModelError(f"no type for variable {stmt.name!r}")
-            dst_w = self.table.width(dst_ty)
             expr = stmt.expr
             if isinstance(expr, AtomE):
                 ekey: tuple = ("atom", self._atom_key(expr.atom))
             elif isinstance(expr, Pair):
-                ekey = (
-                    "pair",
-                    self._atom_key(expr.first),
-                    self._atom_key(expr.second),
-                )
+                ekey = ("pair", self._atom_key(expr.first), self._atom_key(expr.second))
             elif isinstance(expr, Proj):
-                src_ty = self.table.resolve(
-                    self.var_types[expr.atom.name]
-                    if isinstance(expr.atom, Var)
-                    else expr.atom.value.type_of()
-                )
-                from ..types import TupleT
-
-                assert isinstance(src_ty, TupleT)
-                ekey = (
-                    "proj",
-                    expr.index,
-                    self.table.width(src_ty.first),
-                    self.table.width(src_ty.second),
-                    self._atom_key(expr.atom),
-                )
+                atom = expr.atom
+                ty = self.var_types[atom.name] if isinstance(atom, Var) else atom.value.type_of()
+                ekey = ("proj", expr.index, self.table.tuple_layout(ty)[1], self._atom_key(atom))
             elif isinstance(expr, UnOp):
                 ekey = ("unop", expr.op, self._atom_key(expr.atom))
             elif isinstance(expr, BinOp):
-                ekey = (
-                    "binop",
-                    expr.op,
-                    self._atom_key(expr.left),
-                    self._atom_key(expr.right),
-                    self._atom_key(expr.left) == self._atom_key(expr.right)
-                    and isinstance(expr.left, Var)
-                    and expr.left == expr.right,
-                )
+                left, right = self._atom_key(expr.left), self._atom_key(expr.right)
+                same = isinstance(expr.left, Var) and expr.left == expr.right
+                ekey = ("binop", expr.op, left, right, same)
             else:  # pragma: no cover
                 raise CostModelError(f"unknown expression {expr!r}")
-            return ("assign", dst_w, ekey)
+            return ("assign", self._width(stmt.name), ekey)
         if isinstance(stmt, Swap):
-            return ("swap", self.table.width(self.var_types[stmt.left]))
+            return ("swap", self._width(stmt.left))
         if isinstance(stmt, MemSwap):
-            return (
-                "memswap",
-                self.table.width(self.var_types[stmt.pointer]),
-                self.table.width(self.var_types[stmt.value]),
-            )
+            return ("memswap", self._width(stmt.pointer), self._width(stmt.value))
         if isinstance(stmt, Hadamard):
             return ("hadamard",)
         raise CostModelError(f"not a primitive statement: {stmt!r}")

@@ -14,8 +14,10 @@
 
 The per-primitive constants ``c_MCX_s`` and ``c_T_s`` are "determined by the
 implementation of s" (Section 5) — we read them off the very lowering the
-compiler uses, via :class:`repro.cost.exact.ExactCostModel`.  The difference
-between this model and the exact one is deliberate: this one charges the
+compiler uses, via :class:`repro.cost.exact.ExactCostModel`, whose
+process-wide table prices each primitive shape once.  Both columns come
+from one walk over the IR that carries the number of enclosing ifs.  The
+difference between this model and the exact one is deliberate: it charges the
 flat ``c_T_ctrl = 14`` for *every* control including the first two (whose
 true marginal costs are 7 and 0/7), which is how the paper states it.  Both
 agree asymptotically; the test suite checks degrees match.
@@ -26,9 +28,8 @@ agree asymptotically; the test suite checks degrees match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
-from ..errors import CostModelError
 from ..ir.core import (
     Assign,
     AtomE,
@@ -69,49 +70,43 @@ class PaperCostModel:
         self.c_t_ctrl = c_t_ctrl
         self.c_t_ch = c_t_ch
 
-    # ------------------------------------------------------- MCX-complexity
+    # ------------------------------------------------------------ equations
     def c_mcx(self, stmt: Stmt) -> int:
-        if isinstance(stmt, Skip):
-            return 0
-        if isinstance(stmt, Seq):
-            return sum(self.c_mcx(sub) for sub in stmt.stmts)
-        if isinstance(stmt, If):
-            return self.c_mcx(stmt.body)
-        if isinstance(stmt, With):
-            return 2 * self.c_mcx(stmt.setup) + self.c_mcx(stmt.body)
-        return self._primitives._primitive(stmt).mcx_complexity()
+        """``C_MCX(stmt)``, the left column."""
+        return self._walk(stmt, 0)[0]
 
-    # --------------------------------------------------------- T-complexity
     def c_t(self, stmt: Stmt, depth: int = 0) -> int:
-        if isinstance(stmt, Skip):
-            return 0
-        if isinstance(stmt, Seq):
-            return sum(self.c_t(sub, depth) for sub in stmt.stmts)
-        if isinstance(stmt, If):
-            return self.c_t(stmt.body, depth + 1)
-        if isinstance(stmt, With):
-            return 2 * self.c_t(stmt.setup, depth) + self.c_t(stmt.body, depth)
-        return self._primitive_t(stmt, depth)
+        """``C_T(stmt)`` under ``depth`` enclosing quantum ifs, the right
+        column."""
+        return self._walk(stmt, depth)[1]
 
-    def _primitive_t(self, stmt: Stmt, depth: int) -> int:
-        profile = self._primitives._primitive(stmt)
-        c_mcx_s = profile.mcx_complexity()
-        c_t_s = profile.t_complexity()
+    def report(self, stmt: Stmt) -> CostReport:
+        mcx, t = self._walk(stmt, 0)
+        return CostReport(mcx=mcx, t=t)
+
+    def _walk(self, stmt: Stmt, depth: int) -> Tuple[int, int]:
+        """``(C_MCX, C_T)`` of ``stmt`` under ``depth`` enclosing ifs."""
+        if isinstance(stmt, Seq):
+            costs = [self._walk(sub, depth) for sub in stmt.stmts]
+            return sum(mcx for mcx, _ in costs), sum(t for _, t in costs)
+        if isinstance(stmt, If):
+            return self._walk(stmt.body, depth + 1)
+        if isinstance(stmt, With):
+            setup_mcx, setup_t = self._walk(stmt.setup, depth)
+            body_mcx, body_t = self._walk(stmt.body, depth)
+            return 2 * setup_mcx + body_mcx, 2 * setup_t + body_t
+        if isinstance(stmt, Skip):
+            return 0, 0
+        priced = self._primitives.priced(stmt)
         if isinstance(stmt, Hadamard):
-            if depth == 0:
-                return 0
-            return self.c_t_ch + (depth - 1) * self.c_t_ctrl
+            return priced.mcx, self.c_t_ch + (depth - 1) * self.c_t_ctrl if depth else 0
         if isinstance(stmt, (Assign, UnAssign)):
             expr = stmt.expr
             if isinstance(expr, AtomE) and isinstance(expr.atom, Lit):
                 # if x { y <- v }: a control on X gates yields CNOTs, which
                 # are Clifford; only levels beyond the first cost anything.
-                return max(0, depth - 1) * self.c_t_ctrl * c_mcx_s
-        return depth * self.c_t_ctrl * c_mcx_s + c_t_s
-
-    # -------------------------------------------------------------- summary
-    def report(self, stmt: Stmt) -> CostReport:
-        return CostReport(mcx=self.c_mcx(stmt), t=self.c_t(stmt))
+                return priced.mcx, max(0, depth - 1) * self.c_t_ctrl * priced.mcx
+        return priced.mcx, depth * self.c_t_ctrl * priced.mcx + priced.t
 
 
 def predicted_counts(

@@ -23,7 +23,8 @@ next uniform seed.  For the same program budget this reaches strictly more
 cumulative branch coverage than uniform seeding (the uniform stream never
 toggles knobs such as ``hadamard_prob`` or ``heap_shapes``, so whole
 lowering paths stay dark); :func:`uniform_run` exists precisely to log
-that comparison.
+that comparison.  Both start from empty process memos, which would
+otherwise skip traced compiler code that an earlier run already warmed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..circuit.gates import reset_shared_gates
 from ..config import CompilerConfig
 from .coverage import CoverageMap, covered_run
 from .generator import GenConfig, HeapShapeInfo, program_seed
@@ -210,6 +212,7 @@ def uniform_run(
     stops scheduling new seeds once it has passed (the in-flight seed
     always finishes, so reports are never torn).
     """
+    reset_shared_gates()
     coverage = CoverageMap()
     reports: List[OracleReport] = []
     frontier: List[ScheduledSeed] = []
@@ -246,6 +249,7 @@ def coverage_guided_run(
     so a run is exactly reproducible; ``deadline`` (absolute
     ``time.perf_counter()`` timestamp) stops it early like ``uniform_run``.
     """
+    reset_shared_gates()
     rng = random.Random(base_seed)
     coverage = CoverageMap()
     reports: List[OracleReport] = []

@@ -1,7 +1,14 @@
 """Cost-model tests: exact soundness (Theorems 5.1/5.2) and the paper model."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
+import repro.cost.exact as exact_mod
+from repro.benchsuite.programs import SOURCES, get_entry, is_unsized
+from repro.circuit.gates import reset_shared_gates
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
 from repro.cost import (
@@ -11,6 +18,7 @@ from repro.cost import (
     PaperCostModel,
     exact_counts,
     fit_report,
+    predicted_counts,
     t_mcx,
 )
 from repro.ir import Assign, AtomE, BinOp, BoolV, Hadamard, If, Lit, UIntV, Var, seq
@@ -152,3 +160,91 @@ class TestAsymptoticPrediction:
             cp = compile_source(length_source, "length", size=d, config=CFG)
             mcx.append(cp.mcx_complexity())
         assert fit_report(depths, mcx).degree == 1
+
+
+
+@pytest.fixture(scope="module")
+def table1():
+    """Every Table 1 program at depth 2, compiled without IR passes."""
+    return {
+        name: compile_source(
+            SOURCES[name], get_entry(name), None if is_unsized(name) else 2, CFG
+        )
+        for name in sorted(SOURCES)
+    }
+
+
+def price(programs):
+    """(MCX, T) of each program by the paper model, each with a new model."""
+    reports = [
+        predicted_counts(cp.core, cp.table, cp.var_types, cp.cell_bits)
+        for cp in programs
+    ]
+    return [(report.mcx, report.t) for report in reports]
+
+
+class TestProfileTable:
+    """Primitive profiles are shared by every model in the process."""
+
+    def test_bounded_table_gives_the_same_predictions(self, table1, monkeypatch):
+        reset_shared_gates()
+        unbounded = price(table1.values())
+        assert len(exact_mod._PROFILES) > 4
+        reset_shared_gates()
+        monkeypatch.setattr(exact_mod, "PROFILES_MAX", 4)
+        assert price(table1.values()) == unbounded
+        assert len(exact_mod._PROFILES) <= 4
+
+    def test_reset_empties_the_table(self, table1):
+        price([table1["length"]])
+        assert exact_mod._PROFILES
+        reset_shared_gates()
+        assert not exact_mod._PROFILES
+
+    def test_a_shared_shape_is_lowered_once(self, table1, monkeypatch):
+        lowered = Counter()
+        real = ExactCostModel._lower_primitive
+
+        def counting(model, stmt):
+            lowered[model._key(stmt)] += 1
+            return real(model, stmt)
+
+        monkeypatch.setattr(ExactCostModel, "_lower_primitive", counting)
+        shapes = {}
+        for name in ("length", "sum"):
+            reset_shared_gates()
+            lowered.clear()
+            price([table1[name]])
+            shapes[name] = set(lowered)
+        shared = shapes["length"] & shapes["sum"]
+        assert shared
+        reset_shared_gates()
+        lowered.clear()
+        price([table1["length"], table1["sum"]])
+        assert lowered == Counter(shapes["length"] | shapes["sum"])
+
+    def test_threads_price_as_one_thread(self, table1, monkeypatch):
+        """More threads than cores, switching often, over a table small
+        enough to fill and clear under them."""
+        reset_shared_gates()
+        expected = price(table1.values())
+        reset_shared_gates()
+        monkeypatch.setattr(exact_mod, "PROFILES_MAX", 4)
+        results = [None] * 4
+
+        def run(slot):
+            results[slot] = price(table1.values())
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+        assert len(exact_mod._PROFILES) <= 4

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuit.gates import reset_shared_gates
 from repro.fuzz.corpus import (
     ScheduleResult,
     coverage_guided_run,
@@ -109,6 +110,20 @@ class TestScheduling:
         again = coverage_guided_run(0, len(guided.reports), GenConfig(), FAST)
         assert [r.seed for r in again.reports] == [r.seed for r in guided.reports]
         assert again.branch_coverage() == guided.branch_coverage()
+
+    def test_a_run_covers_the_same_whatever_ran_before_it(self):
+        """Each run starts from empty process memos.  A uniform run covers
+        the same arcs first, second and after a guided run; a guided run
+        covers the same arcs again, though on warm memos it would miss one
+        that only the cost model's lowering of a new shape reaches."""
+        reset_shared_gates()
+        first = uniform_run(0, 2, GenConfig(), FAST)
+        guided = coverage_guided_run(0, 4, GenConfig(), FAST)
+        second = uniform_run(0, 2, GenConfig(), FAST)
+        again = coverage_guided_run(0, 4, GenConfig(), FAST)
+        after = uniform_run(0, 2, GenConfig(), FAST)
+        assert first.coverage.arcs == second.coverage.arcs == after.coverage.arcs
+        assert again.coverage.arcs == guided.coverage.arcs
 
     def test_knob_mutations_explored(self, runs):
         """The round-robin knob mutations reach the superposition and

@@ -4,14 +4,29 @@ For each instruction the expanded gate sequence is run through the classical
 simulator on exhaustive (small-width) operand values and compared against
 plain Python arithmetic — the gold-standard check of the gate lowering.
 Scratch qubits must always return to zero.
+
+Whole programs lower as their instructions expanded one by one, afresh:
+``expand_program`` appends a repeated memory swap, equality or comparison
+by the rows of its first expansion, and must build the circuit that the
+per-instruction oracle builds.
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+from repro.benchsuite.programs import SOURCES, get_entry, is_unsized
 from repro.circuit.circuit import Circuit, Register
 from repro.circuit import classical_sim
+from repro.compiler import compile_program, compile_source
+from repro.compiler.lower_gates import expand_program
+from repro.compiler.lower_ir import lower_to_abstract
+from repro.config import TINY, CompilerConfig
+from repro.fuzz.corpus import load_corpus, load_seed_manifest
+from repro.fuzz.generator import default_fuzz_config, generate_program
+from repro.fuzz.oracles import OracleConfig
+from repro.lang.parser import parse_program
 from repro.compiler.abstract import (
     AddInto,
     AndBit,
@@ -307,3 +322,102 @@ class TestControls:
             circ = Circuit(max(scratch.high_water, 3 * W), gates + gates)
             for probe in (0, 0b101101, 0b111000):
                 assert classical_sim.run(circ, probe) == probe
+
+
+# ----------------------------------------------------------- program oracle
+#: perfbench's compiler configuration (the ``repro serve`` defaults)
+SERVE_CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
+
+CORPUS = Path(__file__).parent / "corpus"
+
+SEEDS = load_seed_manifest(CORPUS / "seeds.json")
+
+#: a ``with`` block under an ``if``: its memory swap repeats, controlled
+GUARDED_SWAP_SRC = """
+type list = (uint, ptr<list>);
+fun main(c: bool, xs: ptr<list>) -> uint {
+  if c {
+    with {
+      let temp <- default<list>;
+      *xs <-> temp;
+      let v <- temp.1;
+    } do { let out <- v + 1; }
+  }
+  return out;
+}
+"""
+
+
+def lowered_by_oracle(abstract, config, cell_bits):
+    """Every instruction expanded afresh, in order, with no reuse:
+    (gates, qubit count, scratch high water)."""
+    memory = (
+        MemoryLayout(config.heap_cells, cell_bits)
+        if cell_bits and config.heap_cells
+        else None
+    )
+    scratch = ScratchPool(abstract.allocator.region_end)
+    expander = InstructionExpander(scratch, memory, config.word_width)
+    gates = [gate for instr in abstract.instrs for gate in expander.expand(instr)]
+    start = max(scratch.high_water, abstract.allocator.region_end)
+    return gates, Circuit(start, gates).num_qubits, scratch.high_water
+
+
+def assert_lowers_as_oracle(cp):
+    """``expand_program`` on the abstract program of a compile builds the
+    oracle's gates, qubit count and scratch high water, and the circuit
+    the compile built."""
+    memory_qubits = cp.config.heap_cells * cp.cell_bits if cp.cell_bits else 0
+    abstract = lower_to_abstract(
+        cp.core,
+        cp.table,
+        cp.var_types,
+        param_order=list(cp.param_types),
+        base_offset=memory_qubits,
+    )
+    circuit, scratch = expand_program(abstract, cp.config, cp.cell_bits)
+    gates, num_qubits, high_water = lowered_by_oracle(
+        abstract, cp.config, cp.cell_bits
+    )
+    assert circuit.gates == gates
+    assert circuit.num_qubits == num_qubits
+    assert scratch.high_water == high_water
+    assert circuit == cp.circuit
+    return abstract
+
+
+class TestProgramLowering:
+    @pytest.mark.parametrize("config", [TINY, SERVE_CFG], ids=["tiny", "serve"])
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_table1_programs(self, name, config):
+        depths = [None] if is_unsized(name) else [1, 2, 3, 4]
+        program = parse_program(SOURCES[name])
+        for depth in depths:
+            for preset in ("none", "spire"):
+                assert_lowers_as_oracle(
+                    compile_program(program, get_entry(name), depth, config, preset)
+                )
+
+    @pytest.mark.parametrize(
+        "seed,gen", SEEDS, ids=[f"seed{seed}" for seed, _ in SEEDS]
+    )
+    def test_corpus_seeds(self, seed, gen):
+        config = default_fuzz_config(gen)
+        program = generate_program(seed, gen, config)
+        for preset in ("none", "spire"):
+            assert_lowers_as_oracle(compile_program(program, "main", None, config, preset))
+
+    def test_corpus_cases(self):
+        for case in load_corpus(CORPUS / "cases"):
+            config = case.compiler_config(OracleConfig().compiler)
+            program = parse_program(case.source)
+            for preset in ("none", "spire"):
+                assert_lowers_as_oracle(
+                    compile_program(program, case.entry, case.size, config, preset)
+                )
+
+    def test_a_guarded_swap_repeats_under_its_control(self):
+        cp = compile_source(GUARDED_SWAP_SRC, "main", config=SERVE_CFG)
+        abstract = assert_lowers_as_oracle(cp)
+        swaps = [i for i in abstract.instrs if isinstance(i, MemSwapInstr)]
+        assert len(swaps) == 2 and swaps[0] == swaps[1] and swaps[0].controls

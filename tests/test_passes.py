@@ -12,7 +12,7 @@ from repro.benchsuite.parallel import stable_rows
 from repro.circuit import DecompositionCache
 from repro.cli import main
 from repro.compiler import compile_source
-from repro.config import CompilerConfig
+from repro.config import TINY, CompilerConfig
 from repro.errors import ReproError
 from repro.ir.core import If, Seq, Var, Assign
 from repro.passes import (
@@ -610,6 +610,22 @@ class TestStoragePolicy:
         # the baseline's circuit was not stored: the preset's was
         assert resumed.prefix_cached == "alloc,lower"
         assert stable_rows([resumed.row()]) == stable_rows([cold.row()])
+
+    def test_a_prefix_without_its_circuit_is_a_miss(self, tmp_path):
+        """Only the preset's row is read when a stored baseline is
+        extended: the baseline's circuit is probed first, and its absence
+        is a miss, with no read of the baseline's row."""
+        BenchmarkRunner(TINY, cache=ArtifactCache(tmp_path)).measure(
+            "length", 2, "none+peephole"
+        )
+        cache = ArtifactCache(tmp_path)
+        point = BenchmarkRunner(TINY, cache=cache).measure(
+            "length", 2, "none+peephole+toffoli-cancel"
+        )
+        assert point.prefix_cached == "alloc,lower"
+        stats = cache.stats()
+        # misses: the full pipeline's row, then the baseline's circuit
+        assert (stats["hits"], stats["misses"]) == (1, 2)
 
 
 class TestBisection:
