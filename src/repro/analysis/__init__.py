@@ -3,10 +3,10 @@
 The package has four layers:
 
 * :mod:`~repro.analysis.dataflow` — a reusable forward/backward dataflow
-  framework running unchanged over the surface AST and the core IR;
+  framework over the surface AST;
 * concrete analyses — uncomputation safety
   (:mod:`~repro.analysis.uncompute`), dead code
-  (:mod:`~repro.analysis.deadcode`), superposition reachability
+  (:mod:`~repro.analysis.deadcode`), the superposition budget
   (:mod:`~repro.analysis.superpos`) and symbolic cost bounds
   (:mod:`~repro.analysis.costbound`);
 * the diagnostics engine (:mod:`~repro.analysis.diagnostics`) with the
@@ -36,12 +36,7 @@ from .dataflow import (
     SETUP,
     UNCOMPUTE,
     Analysis,
-    CoreAdapter,
     NodeView,
-    SurfaceAdapter,
-    fixpoint,
-    run_analysis,
-    run_core,
     run_surface,
 )
 from .deadcode import (
@@ -73,8 +68,6 @@ from .lint import (
 from .superpos import (
     DEFAULT_SUPPORT_CAP,
     check_hadamard_budget,
-    inlined_hadamard_count,
-    superposed_registers,
 )
 from .uncompute import (
     check_dead_bindings,
@@ -98,12 +91,7 @@ __all__ = [
     "SETUP",
     "UNCOMPUTE",
     "Analysis",
-    "CoreAdapter",
     "NodeView",
-    "SurfaceAdapter",
-    "fixpoint",
-    "run_analysis",
-    "run_core",
     "run_surface",
     "check_dead_branches",
     "check_empty_blocks",
@@ -127,8 +115,6 @@ __all__ = [
     "pick_entry",
     "DEFAULT_SUPPORT_CAP",
     "check_hadamard_budget",
-    "inlined_hadamard_count",
-    "superposed_registers",
     "check_dead_bindings",
     "check_guarded_redeclare",
     "check_with_mod",

@@ -38,7 +38,7 @@ from ..cost.asymptotics import fit_polynomial, format_polynomial
 from ..cost.exact import exact_counts
 from ..errors import AnalysisError
 from ..ir import core
-from ..ir.typecheck import infer_types
+from ..ir.typecheck import check_program
 from ..lang import ast
 from ..lang.desugar import lower_entry
 from ..passes.manager import rewrite_ir
@@ -60,8 +60,9 @@ def counts_for_stmt(
     table: TypeTable,
     param_types: Mapping[str, Type],
 ) -> Tuple[int, int]:
-    """(MCX, T) of a core statement by the exact cost model."""
-    var_types = infer_types(stmt, table, dict(param_types))
+    """(MCX, T) of a core statement by the exact cost model, at the
+    widths its relaxed check (Figure 20) types its names at."""
+    var_types = check_program(stmt, table, param_types, relaxed=True).types
     cell_bits = infer_cell_bits(stmt, table, var_types)
     return exact_counts(stmt, table, var_types, cell_bits)
 

@@ -1,24 +1,23 @@
-"""A reusable dataflow framework over core IR and the surface AST.
+"""A reusable dataflow framework over the surface AST.
 
 Tower programs are *structured*: there is no unstructured control flow, so
 an analysis is a fold over the statement tree rather than a worklist over
 a CFG.  What the framework provides:
 
 * a **normalized node view** (:class:`NodeView`): one vocabulary of atomic
-  statement kinds with ``reads``/``writes`` sets, produced by two adapters
-  — :class:`SurfaceAdapter` for :class:`~repro.lang.ast.SStmt` and
-  :class:`CoreAdapter` for :class:`~repro.ir.core.Stmt` — so every
-  analysis runs unchanged over both representations;
-* **forward and backward drivers** (:func:`run_analysis`) with the
+  statement kinds with ``reads``/``writes`` sets, for every
+  :class:`~repro.lang.ast.SStmt`;
+* **forward and backward drivers** (:func:`run_surface`) with the
   quantum-control semantics baked in: an ``if`` body runs *conditionally*
   (the result joins with the fall-through state), and a ``with`` runs
   ``setup; body; setup⁻¹`` — the driver replays the setup's transfer
   functions for the uncomputation leg (hookable per analysis);
-* a bounded **fixpoint** combinator (:func:`fixpoint`) and a surface
-  :class:`CallGraph` with bounded-recursion structure (call sites with
-  their :class:`~repro.lang.ast.SizeExpr`, recursion-nesting depth — the
-  degree bound of the symbolic cost analysis, summary iteration for
-  interprocedural analyses).
+* a surface :class:`CallGraph` with bounded-recursion structure (call
+  sites with their :class:`~repro.lang.ast.SizeExpr`, recursion-nesting
+  depth — the degree bound of the symbolic cost analysis).
+
+The core-IR lint (RPA101) and the superposition budget (RPA301) need no
+dataflow: they walk the checked entry's core IR directly.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -36,7 +34,6 @@ from typing import (
 )
 
 from ..errors import AnalysisError, Span
-from ..ir import core
 from ..lang import ast
 
 FORWARD = "forward"
@@ -48,11 +45,10 @@ State = Any
 # ------------------------------------------------------------- node views
 @dataclass(frozen=True)
 class NodeView:
-    """One atomic statement, normalized across IR levels.
+    """One atomic surface statement, normalized.
 
     ``kind`` is one of ``skip``, ``let``, ``unlet``, ``swap``, ``memswap``,
-    ``had``, ``if`` (the condition read), ``with`` (structural marker) or
-    ``call`` (surface only; core IR has calls inlined away).
+    ``had`` or ``if`` (the condition read).
     """
 
     kind: str
@@ -114,122 +110,55 @@ def _surface_call_writes(expr: ast.SExpr) -> Tuple[str, ...]:
     return tuple(names)
 
 
-class SurfaceAdapter:
-    """Normalize :class:`~repro.lang.ast.SStmt` nodes."""
-
-    level = "surface"
-
-    def classify(self, stmt: ast.SStmt) -> Tuple[str, Any]:
-        """``("atom", view)`` | ``("if", view, branches)`` |
-        ``("with", view, setup, body)``; blocks are statement tuples."""
-        if isinstance(stmt, ast.SSkip):
-            return ("atom", NodeView("skip", node=stmt, span=stmt.span))
-        if isinstance(stmt, ast.SLet):
-            reads = _surface_expr_vars(stmt.expr)
-            writes = (stmt.name,) + _surface_call_writes(stmt.expr)
-            kind = "let" if stmt.forward else "unlet"
-            if not stmt.forward:
-                reads = reads + (stmt.name,)
-            return (
-                "atom",
-                NodeView(kind, reads, writes, node=stmt, span=stmt.span),
-            )
-        if isinstance(stmt, ast.SSwapS):
-            pair = (stmt.left, stmt.right)
-            return (
-                "atom",
-                NodeView("swap", pair, pair, node=stmt, span=stmt.span),
-            )
-        if isinstance(stmt, ast.SMemSwap):
-            return (
-                "atom",
-                NodeView(
-                    "memswap",
-                    (stmt.pointer, stmt.value),
-                    (stmt.value,),
-                    node=stmt,
-                    span=stmt.span,
-                ),
-            )
-        if isinstance(stmt, ast.SHadamard):
-            name = (stmt.name,)
-            return (
-                "atom",
-                NodeView("had", name, name, node=stmt, span=stmt.span),
-            )
-        if isinstance(stmt, ast.SIf):
-            reads = _surface_expr_vars(stmt.cond)
-            writes = _surface_call_writes(stmt.cond)
-            view = NodeView("if", reads, writes, node=stmt, span=stmt.span)
-            branches = [stmt.then]
-            if stmt.otherwise is not None:
-                branches.append(stmt.otherwise)
-            return ("if", view, branches)
-        if isinstance(stmt, ast.SWith):
-            view = NodeView("with", node=stmt, span=stmt.span)
-            return ("with", view, stmt.setup, stmt.body)
-        raise AnalysisError(f"unknown surface statement {stmt!r}")
-
-
-def _core_expr_vars(expr: core.Expr) -> Tuple[str, ...]:
-    return tuple(
-        atom.name for atom in expr.atoms() if isinstance(atom, core.Var)
-    )
-
-
-class CoreAdapter:
-    """Normalize :class:`~repro.ir.core.Stmt` nodes."""
-
-    level = "core"
-
-    def classify(self, stmt: core.Stmt) -> Tuple[str, Any]:
-        if isinstance(stmt, core.Skip):
-            return ("atom", NodeView("skip", node=stmt))
-        if isinstance(stmt, core.Seq):
-            return ("seq", stmt.stmts)
-        if isinstance(stmt, core.Assign):
-            return (
-                "atom",
-                NodeView(
-                    "let",
-                    _core_expr_vars(stmt.expr),
-                    (stmt.name,),
-                    node=stmt,
-                ),
-            )
-        if isinstance(stmt, core.UnAssign):
-            return (
-                "atom",
-                NodeView(
-                    "unlet",
-                    _core_expr_vars(stmt.expr) + (stmt.name,),
-                    (stmt.name,),
-                    node=stmt,
-                ),
-            )
-        if isinstance(stmt, core.Swap):
-            pair = (stmt.left, stmt.right)
-            return ("atom", NodeView("swap", pair, pair, node=stmt))
-        if isinstance(stmt, core.MemSwap):
-            return (
-                "atom",
-                NodeView(
-                    "memswap",
-                    (stmt.pointer, stmt.value),
-                    (stmt.value,),
-                    node=stmt,
-                ),
-            )
-        if isinstance(stmt, core.Hadamard):
-            name = (stmt.name,)
-            return ("atom", NodeView("had", name, name, node=stmt))
-        if isinstance(stmt, core.If):
-            view = NodeView("if", (stmt.cond,), (), node=stmt)
-            return ("if", view, [(stmt.body,)])
-        if isinstance(stmt, core.With):
-            view = NodeView("with", node=stmt)
-            return ("with", view, (stmt.setup,), (stmt.body,))
-        raise AnalysisError(f"unknown core statement {stmt!r}")
+def _classify(stmt: ast.SStmt) -> Tuple[Any, ...]:
+    """``("atom", view)`` | ``("if", view, branches)`` |
+    ``("with", setup, body)``; blocks are statement tuples."""
+    if isinstance(stmt, ast.SSkip):
+        return ("atom", NodeView("skip", node=stmt, span=stmt.span))
+    if isinstance(stmt, ast.SLet):
+        reads = _surface_expr_vars(stmt.expr)
+        writes = (stmt.name,) + _surface_call_writes(stmt.expr)
+        kind = "let" if stmt.forward else "unlet"
+        if not stmt.forward:
+            reads = reads + (stmt.name,)
+        return (
+            "atom",
+            NodeView(kind, reads, writes, node=stmt, span=stmt.span),
+        )
+    if isinstance(stmt, ast.SSwapS):
+        pair = (stmt.left, stmt.right)
+        return (
+            "atom",
+            NodeView("swap", pair, pair, node=stmt, span=stmt.span),
+        )
+    if isinstance(stmt, ast.SMemSwap):
+        return (
+            "atom",
+            NodeView(
+                "memswap",
+                (stmt.pointer, stmt.value),
+                (stmt.value,),
+                node=stmt,
+                span=stmt.span,
+            ),
+        )
+    if isinstance(stmt, ast.SHadamard):
+        name = (stmt.name,)
+        return (
+            "atom",
+            NodeView("had", name, name, node=stmt, span=stmt.span),
+        )
+    if isinstance(stmt, ast.SIf):
+        reads = _surface_expr_vars(stmt.cond)
+        writes = _surface_call_writes(stmt.cond)
+        view = NodeView("if", reads, writes, node=stmt, span=stmt.span)
+        branches = [stmt.then]
+        if stmt.otherwise is not None:
+            branches.append(stmt.otherwise)
+        return ("if", view, branches)
+    if isinstance(stmt, ast.SWith):
+        return ("with", stmt.setup, stmt.body)
+    raise AnalysisError(f"unknown surface statement {stmt!r}")
 
 
 # --------------------------------------------------------------- analyses
@@ -248,8 +177,8 @@ class Analysis:
     :data:`UNCOMPUTE` for the reversed setup replay the driver schedules
     after the with-body (uncomputation touches exactly the same variables,
     so the default transfer ignores the role; lifecycle-sensitive analyses
-    branch on it).  Structural hooks (:meth:`observe_if`,
-    :meth:`enter_with`, :meth:`exit_with`) have sound defaults.
+    branch on it).  The structural hook :meth:`observe_if` has a sound
+    default.
     """
 
     direction = FORWARD
@@ -269,43 +198,29 @@ class Analysis:
         branches, with the condition's reads in ``view``."""
         return self.transfer(view, state, role)
 
-    def enter_with(self, view: NodeView, state: State) -> State:
-        return state
 
-    def exit_with(self, view: NodeView, state: State) -> State:
-        return state
-
-
-Adapter = Any  # SurfaceAdapter | CoreAdapter (duck-typed via .classify)
-Block = Sequence[Any]
+Block = Sequence[ast.SStmt]
 
 
 def _run_block(
     block: Block,
     state: State,
     analysis: Analysis,
-    adapter: Adapter,
     role: str = BODY,
 ) -> State:
     stmts = list(block)
     if analysis.direction == BACKWARD:
         stmts = stmts[::-1]
     for stmt in stmts:
-        state = _run_stmt(stmt, state, analysis, adapter, role)
+        state = _run_stmt(stmt, state, analysis, role)
     return state
 
 
 def _run_stmt(
-    stmt: Any,
-    state: State,
-    analysis: Analysis,
-    adapter: Adapter,
-    role: str,
+    stmt: ast.SStmt, state: State, analysis: Analysis, role: str
 ) -> State:
-    shape = adapter.classify(stmt)
+    shape = _classify(stmt)
     kind = shape[0]
-    if kind == "seq":
-        return _run_block(shape[1], state, analysis, adapter, role)
     if kind == "atom":
         return analysis.transfer(shape[1], state, role)
     if kind == "if":
@@ -315,65 +230,32 @@ def _run_stmt(
             out = state  # the branch is conditional: fall-through joins in
             for branch in branches:
                 out = analysis.join(
-                    out,
-                    _run_block(branch, state, analysis, adapter, role),
+                    out, _run_block(branch, state, analysis, role)
                 )
             return out
         out = state
         for branch in branches:
-            out = analysis.join(
-                out,
-                _run_block(branch, state, analysis, adapter, role),
-            )
+            out = analysis.join(out, _run_block(branch, state, analysis, role))
         return analysis.observe_if(view, out, role)
     if kind == "with":
-        _, view, setup, body = shape
+        _, setup, body = shape
         # statements nested anywhere inside an outer setup inherit its
         # role: the outer reversal owns their lifecycle too
         setup_role = SETUP if role == BODY else role
         unc_role = UNCOMPUTE if role == BODY else role
-        state = analysis.enter_with(view, state)
         if analysis.direction == FORWARD:
-            state = _run_block(setup, state, analysis, adapter, setup_role)
-            state = _run_block(body, state, analysis, adapter, role)
-            state = _run_block(setup, state, analysis, adapter, unc_role)
-        else:
-            state = _run_block(setup, state, analysis, adapter, unc_role)
-            state = _run_block(body, state, analysis, adapter, role)
-            state = _run_block(setup, state, analysis, adapter, setup_role)
-        return analysis.exit_with(view, state)
+            state = _run_block(setup, state, analysis, setup_role)
+            state = _run_block(body, state, analysis, role)
+            return _run_block(setup, state, analysis, unc_role)
+        state = _run_block(setup, state, analysis, unc_role)
+        state = _run_block(body, state, analysis, role)
+        return _run_block(setup, state, analysis, setup_role)
     raise AnalysisError(f"unknown node shape {kind!r}")  # pragma: no cover
 
 
-def run_analysis(
-    block: Block, analysis: Analysis, adapter: Adapter
-) -> State:
+def run_surface(block: Block, analysis: Analysis) -> State:
     """Run one analysis over a statement block, returning the final state."""
-    return _run_block(block, analysis.initial(), analysis, adapter)
-
-
-def run_surface(block: Sequence[ast.SStmt], analysis: Analysis) -> State:
-    return run_analysis(block, analysis, SurfaceAdapter())
-
-
-def run_core(stmt: core.Stmt, analysis: Analysis) -> State:
-    return run_analysis((stmt,), analysis, CoreAdapter())
-
-
-# ---------------------------------------------------------------- fixpoint
-def fixpoint(
-    step: Callable[[State], State], init: State, max_iter: int = 256
-) -> State:
-    """Iterate ``step`` to a fixed point (states compared with ``==``)."""
-    state = init
-    for _ in range(max_iter):
-        nxt = step(state)
-        if nxt == state:
-            return state
-        state = nxt
-    raise AnalysisError(
-        f"dataflow fixpoint did not converge within {max_iter} iterations"
-    )
+    return _run_block(block, analysis.initial(), analysis)
 
 
 # -------------------------------------------------------------- call graph
@@ -471,28 +353,3 @@ class CallGraph:
                 if site.callee not in seen:
                     stack.append(site.callee)
         return seen
-
-    def summaries(
-        self,
-        init: Callable[[ast.FunDef], State],
-        step: Callable[[ast.FunDef, Dict[str, State]], State],
-        max_iter: int = 64,
-    ) -> Dict[str, State]:
-        """Interprocedural summary fixpoint over all functions.
-
-        ``init`` seeds each function's summary; ``step`` recomputes one
-        summary given the current map (reading callee summaries through
-        it).  Iterates until the whole map is stable — bounded-recursion
-        unrolling is the callee's own responsibility (it sees the sizes
-        at each call site via the :class:`CallSite` list).
-        """
-        state: Dict[str, State] = {
-            f.name: init(f) for f in self.program.fundefs
-        }
-
-        def advance(current: Dict[str, State]) -> Dict[str, State]:
-            return {
-                f.name: step(f, current) for f in self.program.fundefs
-            }
-
-        return fixpoint(advance, state, max_iter)

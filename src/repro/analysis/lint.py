@@ -9,7 +9,7 @@ and whose renderers are shared with ``repro analyze --symbolic``:
 * the surface analyses (dead bindings, guarded re-declarations, dead
   branches, empty blocks, zero-bound calls) run per function definition;
 * the core-IR analysis (the Figure 20 ``mod`` side condition, RPA101) and
-  the superposition budget (RPA301) run on the lowered entry point,
+  the superposition budget (RPA301) run on the checked entry point,
   because both need inlining to be precise.
 
 The lowered entry point is a *checked entry*
@@ -190,9 +190,7 @@ def lint_program(
         check_with_mod(lowered.stmt, function=resolved, span=fdef.span)
     )
     report.extend(
-        check_hadamard_budget(
-            program, resolved, use_size, support_cap=support_cap
-        )
+        check_hadamard_budget(lowered.stmt, fdef, support_cap=support_cap)
     )
     return report
 

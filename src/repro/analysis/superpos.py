@@ -1,55 +1,29 @@
-"""Superposition reachability: taint tracking for Hadamards, RPA301.
+"""Superposition budget: RPA301.
 
-Two cooperating analyses over the surface AST:
-
-* **register taint** — which variables can an ``H`` reach: a Hadamard
-  taints its target, assignments propagate taint from their reads, swaps
-  propagate both ways, ``*p <-> x`` moves taint through the heap, and
-  calls propagate through an interprocedural summary fixpoint
-  (:meth:`~repro.analysis.dataflow.CallGraph.summaries`);
-* **multiplicity-aware Hadamard counting** — the *inlined* number of
-  ``H`` statements reachable from the entry, mirroring the inliner
-  exactly: a call ``f[k]`` expands ``f`` at sizes ``k, k-1, ..., 1`` (and
-  ``f[0]`` is a zero value), so one surface ``H`` inside a recursive
-  function contributes ``k`` live Hadamards.  This is the static
-  reproduction of the fuzz generator's multiplicity-aware Hadamard budget
-  (the PR-4 defect: budgeting *surface* H counts undercounted inlined
-  ones and let sparse-simulation support explode as ``2^H``).
+A program with ``H`` statements branches into superposition, and a
+sparse simulation of its circuit carries up to ``2^H`` branches.  The
+count is the number of ``H`` statements in the *checked entry* — the
+entry point after inlining, exactly the core IR a compile lowers — so
+one surface ``H`` inside a recursive function counts once per inlined
+copy (a budget on *surface* H counts undercounts them and lets the
+simulated support explode as ``2^H``), and an ``H`` the desugarer
+drops (under a statically false ``if``) does not count.
 
 RPA301 fires when ``2^H`` exceeds the sparse-simulation support cap.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import Span
+from ..ir import core
 from ..lang import ast
-from .dataflow import (
-    BODY,
-    CallGraph,
-    FORWARD,
-    UNCOMPUTE,
-    Analysis,
-    NodeView,
-    iter_stmts,
-    run_surface,
-    stmt_exprs,
-    surface_calls,
-)
+from .dataflow import iter_stmts
 from .diagnostics import Diagnostic, make_diagnostic
-
-#: pseudo-register standing for the whole heap in the taint domain
-HEAP = "*heap*"
 
 #: the sparse statevector support cap the fuzz oracles simulate under
 DEFAULT_SUPPORT_CAP = 1 << 12
-
-
-def _local_hadamards(fdef: ast.FunDef) -> int:
-    return sum(
-        1 for s in iter_stmts(fdef.body) if isinstance(s, ast.SHadamard)
-    )
 
 
 def _first_hadamard_span(fdef: ast.FunDef) -> Optional[Span]:
@@ -59,176 +33,21 @@ def _first_hadamard_span(fdef: ast.FunDef) -> Optional[Span]:
     return fdef.span
 
 
-# ------------------------------------------------- inlined Hadamard count
-def inlined_hadamard_count(
-    program: ast.Program, entry: str, size: Optional[int]
-) -> int:
-    """The number of ``H`` statements the fully-inlined entry contains.
-
-    Mirrors the desugarer: sized calls are expanded at their evaluated
-    bound, ``f[k <= 0]`` is a zero value (no body, no Hadamards), unsized
-    calls are inlined once.  Exact, not an upper bound — validated against
-    a count over the lowered core IR.
-    """
-    graph = CallGraph(program)
-    memo: Dict[Tuple[str, Optional[int]], int] = {}
-
-    def count(name: str, bound: Optional[int]) -> int:
-        if not program.has_fun(name):
-            return 0
-        fdef = program.fun(name)
-        if fdef.size_param is not None:
-            if bound is None or bound <= 0:
-                return 0  # zero value: nothing is inlined
-        key = (name, bound)
-        if key in memo:
-            return memo[key]
-        memo[key] = 0  # recursion guard; real cycles go through sizes
-        env = (
-            {fdef.size_param: bound}
-            if fdef.size_param is not None and bound is not None
-            else {}
-        )
-        total = _local_hadamards(fdef)
-        for site in graph.callees(name):
-            if site.size is None:
-                total += count(site.callee, None)
-            else:
-                try:
-                    total += count(site.callee, site.size.evaluate(env))
-                except KeyError:
-                    # un-evaluable bound (free size variable): assume the
-                    # worst sized expansion observed at the entry bound
-                    total += count(site.callee, bound)
-        memo[key] = total
-        return total
-
-    return count(entry, size)
-
-
-# ------------------------------------------------------ taint reachability
-class _Taint(Analysis):
-    """Forward taint: the frozenset of registers an ``H`` can reach."""
-
-    direction = FORWARD
-
-    def __init__(self, introduces: Dict[str, bool]) -> None:
-        self._introduces = introduces
-
-    def initial(self) -> FrozenSet[str]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a | b
-
-    def _call_taints(
-        self, stmt: ast.SStmt, state: FrozenSet[str]
-    ) -> Tuple[bool, List[str]]:
-        """(does any call introduce/receive taint, argument registers)."""
-        introduced = False
-        arg_vars: List[str] = []
-        for expr in stmt_exprs(stmt):
-            for call in surface_calls(expr):
-                names = [
-                    a.name for a in call.args if isinstance(a, ast.EVar)
-                ]
-                arg_vars.extend(names)
-                if self._introduces.get(call.func, False):
-                    introduced = True
-                if any(n in state for n in names):
-                    introduced = True
-        return introduced, arg_vars
-
-    def transfer(
-        self,
-        view: NodeView,
-        state: FrozenSet[str],
-        role: str = BODY,
-    ) -> FrozenSet[str]:
-        if view.kind == "had":
-            return state | frozenset(view.writes)
-        if view.kind in ("let", "unlet"):
-            stmt = view.node
-            introduced, arg_vars = self._call_taints(stmt, state)
-            tainted = introduced or any(r in state for r in view.reads)
-            if view.kind == "unlet":
-                return state - {stmt.name}
-            if role == UNCOMPUTE:
-                return state - {stmt.name}
-            if tainted:
-                # the result and (through aliasing) every argument
-                # register may now be in superposition
-                return state | {stmt.name} | frozenset(arg_vars)
-            return state - {stmt.name}
-        if view.kind == "swap":
-            left, right = view.writes
-            if left in state or right in state:
-                return state | {left, right}
-            return state
-        if view.kind == "memswap":
-            pointer, value = view.reads
-            out = state
-            if value in state:
-                out = out | {HEAP}
-            if HEAP in state:
-                out = out | {value}
-            return out
-        return state
-
-    def observe_if(
-        self, view: NodeView, state: FrozenSet[str], role: str = BODY
-    ) -> FrozenSet[str]:
-        return state
-
-
-def _introduces_map(program: ast.Program) -> Dict[str, bool]:
-    """Interprocedural fixpoint: which functions can introduce an ``H``."""
-    graph = CallGraph(program)
-
-    def init(fdef: ast.FunDef) -> bool:
-        return _local_hadamards(fdef) > 0
-
-    def step(fdef: ast.FunDef, current: Dict[str, bool]) -> bool:
-        if current.get(fdef.name, False):
-            return True
-        for site in graph.callees(fdef.name):
-            dead = (
-                site.size is not None
-                and site.size.var is None
-                and site.size.offset <= 0
-            )
-            if not dead and current.get(site.callee, False):
-                return True
-        return False
-
-    return graph.summaries(init, step)
-
-
-def superposed_registers(
-    program: ast.Program, entry: str
-) -> FrozenSet[str]:
-    """Entry-level registers (and possibly the heap) an ``H`` can reach."""
-    introduces = _introduces_map(program)
-    fdef = program.fun(entry)
-    analysis = _Taint(introduces)
-    return run_surface(fdef.body, analysis)
-
-
-# ------------------------------------------------------------------ RPA301
 def check_hadamard_budget(
-    program: ast.Program,
-    entry: str,
-    size: Optional[int],
+    stmt: core.Stmt,
+    fdef: ast.FunDef,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> List[Diagnostic]:
-    """RPA301: worst-case superposition support vs. the simulation cap."""
-    total = inlined_hadamard_count(program, entry, size)
-    if total <= 0:
-        return []
+    """RPA301: worst-case superposition support vs. the simulation cap.
+
+    ``stmt`` is the checked entry's core IR and ``fdef`` the entry's
+    surface definition, whose first ``H`` (else the definition itself)
+    the finding points at.
+    """
+    total = sum(1 for node in stmt.walk() if isinstance(node, core.Hadamard))
     cap_bits = max(0, support_cap.bit_length() - 1)
     if total <= cap_bits:
         return []
-    fdef = program.fun(entry)
     return [
         make_diagnostic(
             "RPA301",
@@ -236,6 +55,6 @@ def check_hadamard_budget(
             f"superposition support 2^{total} exceeds the sparse-"
             f"simulation cap of {support_cap} (2^{cap_bits}) branches",
             span=_first_hadamard_span(fdef),
-            function=entry,
+            function=fdef.name,
         )
     ]

@@ -16,7 +16,7 @@ RPA103 (surface, forward scope tracking) marks the guarded-XOR
 re-declaration idiom: a ``with`` setup re-declaring a name bound in the
 enclosing scope.  That idiom is *legal* (the desugarer maps it to the same
 core register, accumulating with XOR) but it is the exact shape that
-exposed the binding-count defect in ``infer_types``
+exposed a binding-count defect in a since-removed second typing walk
 (``tests/corpus/cases/infer-types-guarded-redeclare.json``), so the lint
 records it at info severity.
 """

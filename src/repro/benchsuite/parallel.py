@@ -340,16 +340,23 @@ class _Attempt:
 
 
 def _terminate(worker: Optional[ProcessPoolExecutor]) -> None:
-    """Tear a worker down hard: kill its process (hung or not), drop work."""
+    """Tear a worker down hard: kill its process (hung or not), drop work,
+    and wait for the executor's manager thread to see the death and exit.
+
+    A manager thread left running past the teardown races the
+    interpreter's exit hook, which wakes it through a pipe the thread may
+    be closing (``Exception ignored ... Bad file descriptor``).  SIGKILL,
+    which no inherited handler can swallow, keeps the wait short.
+    """
     if worker is None:
         return
     for proc in list((getattr(worker, "_processes", None) or {}).values()):
         try:
-            proc.terminate()
+            proc.kill()
         except Exception:
             pass
     try:
-        worker.shutdown(wait=False, cancel_futures=True)
+        worker.shutdown(wait=True, cancel_futures=True)
     except Exception:
         pass
 

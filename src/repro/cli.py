@@ -174,14 +174,13 @@ def cmd_analyze(args) -> int:
         return _analyze_symbolic(args, source)
     lowered = lower_source(source, args.entry, args.size, _config(args))
     from .compiler.pipeline import infer_cell_bits
-    from .ir import check_program, infer_types
+    from .ir import check_program
 
     pipeline = resolve_pipeline(args.optimize)
     stmt = rewrite_ir(pipeline, lowered.stmt, lowered.table, lowered.param_types)
     # rewritten programs satisfy a relaxed S-If domain condition only
-    check_program(stmt, lowered.table, lowered.param_types,
-                  relaxed=bool(pipeline.ir_passes))
-    var_types = infer_types(stmt, lowered.table, lowered.param_types)
+    var_types = check_program(stmt, lowered.table, lowered.param_types,
+                              relaxed=bool(pipeline.ir_passes)).types
     cell_bits = infer_cell_bits(stmt, lowered.table, var_types)
     model = PaperCostModel(lowered.table, var_types, cell_bits)
     report = model.report(stmt)

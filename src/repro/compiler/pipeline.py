@@ -121,6 +121,9 @@ class CheckedEntry:
     typecheck: what every compile of it starts from."""
 
     lowered: Lowered
+    #: the strict check's type of every name the entry binds: what
+    #: ``alloc`` reads when the pipeline has no IR passes
+    var_types: Dict[str, Type]
     #: wall time of the strict typecheck, charged to each compile of the
     #: entry (``timings["optimize"]``), wherever the check itself ran
     check_seconds: float
@@ -135,8 +138,8 @@ def check_entry(
     """Lower one entry point and check it strictly; raises on failure."""
     lowered = lower_entry(program, entry, size, config)
     start = time.perf_counter()
-    check_program(lowered.stmt, lowered.table, lowered.param_types)
-    return CheckedEntry(lowered, time.perf_counter() - start)
+    checked = check_program(lowered.stmt, lowered.table, lowered.param_types)
+    return CheckedEntry(lowered, checked.types, time.perf_counter() - start)
 
 
 class Frontend:
@@ -192,11 +195,12 @@ def compile_core(
     (``--verify-passes``).
     """
     start = time.perf_counter()
-    check_program(stmt, table, param_types)
+    checked = check_program(stmt, table, param_types)
     return _run_pipeline(
         stmt,
         table,
         param_types,
+        checked.types,
         time.perf_counter() - start,
         optimization,
         return_var,
@@ -214,6 +218,7 @@ def compile_checked(
         lowered.stmt,
         lowered.table,
         lowered.param_types,
+        checked.var_types,
         checked.check_seconds,
         optimization,
         lowered.return_var,
@@ -225,14 +230,16 @@ def _run_pipeline(
     stmt: Stmt,
     table: TypeTable,
     param_types: Dict[str, Type],
+    var_types: Dict[str, Type],
     check_seconds: float,
     optimization: str,
     return_var: Optional[str],
     verify: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
-    """Run the pipeline over strictly checked core IR; ``check_seconds``,
-    the strict check's time, counts as part of ``timings["optimize"]``."""
+    """Run the pipeline over strictly checked core IR; ``var_types`` are
+    the strict check's types, and ``check_seconds``, its time, counts as
+    part of ``timings["optimize"]``."""
     # function-level import: repro.compiler must be importable before
     # repro.passes has finished initializing (the pass framework's lowering
     # passes import back into this package)
@@ -245,7 +252,7 @@ def _run_pipeline(
         verify=verify,
         decomposition_cache=decomposition_cache,
     )
-    run = manager.run(stmt, table, param_types)
+    run = manager.run(stmt, table, param_types, var_types)
     run.timings["optimize"] += check_seconds
 
     return CompiledProgram(

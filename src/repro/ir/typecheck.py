@@ -10,7 +10,14 @@ Implements Figures 18–20 (Appendix B.1) with the paper's two extensions:
 The context Γ is a mapping from variable names to types.  The paper's
 ordered-context shadowing discipline is unnecessary here because the
 frontend alpha-renames all binders; re-declaration at the *same* type is the
-only form of name reuse that reaches the core IR.
+only form of name reuse that reaches the core IR.  A name therefore has one
+type for the whole program, even after its scope closes: binding it at
+another type is an error.
+
+The check is the compiler's only typing walk.  The context that
+:func:`check_program` returns types every name the program binds, inputs
+included (:attr:`Context.types`), so register allocation and the cost
+model read their widths from the check that already ran.
 """
 
 from __future__ import annotations
@@ -52,7 +59,6 @@ from .core import (
     UnOp,
     Var,
     With,
-    mod_set,
 )
 
 
@@ -64,12 +70,14 @@ class Context:
     (Appendix B.1); since re-declaration requires the same type here,
     ``counts`` tracks the number of live bindings per name — the reverse of
     a guarded re-declaration un-assigns a name as many times as it was
-    declared.
+    declared.  ``types`` keeps the type of every name ever bound, live or
+    not.
     """
 
     table: TypeTable
     vars: Dict[str, Type] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
+    types: Dict[str, Type] = field(default_factory=dict)
 
     def lookup(self, name: str) -> Type:
         if name not in self.vars:
@@ -77,6 +85,13 @@ class Context:
         return self.vars[name]
 
     def bind(self, name: str, ty: Type) -> None:
+        known = self.types.get(name)
+        if known is not None and known is not ty:
+            if not self.table.equal(known, ty):
+                raise TypeCheckError(
+                    f"{name!r} used at two types: {known} and {ty}"
+                )
+        self.types[name] = ty
         self.vars[name] = ty
         self.counts[name] = self.counts.get(name, 0) + 1
 
@@ -89,7 +104,9 @@ class Context:
             self.counts[name] = count - 1
 
     def copy(self) -> "Context":
-        return Context(self.table, dict(self.vars), dict(self.counts))
+        return Context(
+            self.table, dict(self.vars), dict(self.counts), dict(self.types)
+        )
 
 
 def type_of_atom(ctx: Context, atom: Atom) -> Type:
@@ -273,64 +290,12 @@ def check_program(
     inputs: Optional[Dict[str, Type]] = None,
     relaxed: bool = False,
 ) -> Context:
-    """Check a whole program given its input variable types."""
-    ctx = Context(table, dict(inputs or {}))
-    for name in inputs or {}:
-        ctx.counts[name] = 1
-    return check_stmt(ctx, stmt, relaxed)
+    """Check a whole program given its input variable types.
 
-
-def infer_types(
-    stmt: Stmt,
-    table: TypeTable,
-    inputs: Optional[Dict[str, Type]] = None,
-) -> Dict[str, Type]:
-    """Map every variable declared anywhere in ``stmt`` to its type.
-
-    Used by the compiler and the cost model, which need register widths for
-    every variable including ones whose scope has closed.
+    The returned context's :attr:`~Context.types` maps every name the
+    program binds, inputs included, to its one type: the register width
+    of every variable, including ones whose scope has closed.
     """
-    types: Dict[str, Type] = dict(inputs or {})
-
-    def visit(ctx: Context, s: Stmt) -> Context:
-        if isinstance(s, Seq):
-            for sub in s.stmts:
-                ctx = visit(ctx, sub)
-            return ctx
-        if isinstance(s, Assign):
-            ty = type_of_expr(ctx, s.expr)
-            if s.name in types and not table.equal(types[s.name], ty):
-                raise TypeCheckError(
-                    f"{s.name!r} used at two types: {types[s.name]} and {ty}"
-                )
-            types[s.name] = ty
-            ctx.bind(s.name, ty)
-            return ctx
-        if isinstance(s, UnAssign):
-            # lenient: guarded re-declarations are un-assigned repeatedly in
-            # with-reversals (multi-binding contexts, Appendix B.1); strict
-            # enforcement is check_program's job.  Binding counts matter
-            # here: un-assigning one binding of a multiply-declared name
-            # (e.g. a with-setup's guarded XOR re-declaration of an outer
-            # variable) must leave the outer binding visible, or later
-            # reads of the variable fail to type.
-            ty = ctx.vars.get(s.name) or types.get(s.name)
-            if ty is not None:
-                types.setdefault(s.name, ty)
-            ctx.unbind(s.name)
-            return ctx
-        if isinstance(s, If):
-            return visit(ctx, s.body)
-        if isinstance(s, With):
-            ctx2 = visit(ctx, s.setup)
-            ctx3 = visit(ctx2, s.body)
-            from .reverse import reverse
-
-            return visit(ctx3, reverse(s.setup))
-        return ctx
-
-    ctx = Context(table, dict(inputs or {}))
-    for name in ctx.vars:
-        ctx.counts[name] = 1
-    visit(ctx, stmt)
-    return types
+    inputs = dict(inputs or {})
+    ctx = Context(table, dict(inputs), dict.fromkeys(inputs, 1), inputs)
+    return check_stmt(ctx, stmt, relaxed)

@@ -16,14 +16,16 @@ to the core intermediate representation" step does (Section 7):
   one function maps to the same core name, preserving the XOR-accumulation
   idiom the optimized programs of Figures 10 and 11 rely on.
 
-The result carries the core statement, the type table, the entry function's
-parameter/return information, and the inferred types of all variables —
-everything the compiler and the cost model need.
+The result carries the core statement, the type table and the entry
+function's parameter/return information.  The desugarer types every
+expression it emits (it rejects a re-declaration at another type), but the
+types the compiler and the cost model read come from the Figure 20 check
+of its output (:func:`repro.ir.typecheck.check_program`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CompilerConfig
@@ -91,7 +93,6 @@ class Lowered:
     size: Optional[int]
     param_types: Dict[str, Type]
     return_var: Optional[str]
-    var_types: Dict[str, Type] = field(default_factory=dict)
 
 
 class _Scope:
@@ -506,7 +507,6 @@ def lower_entry(
         size=size,
         param_types=param_types,
         return_var=return_var,
-        var_types=dict(engine.types),
     )
 
 

@@ -10,8 +10,8 @@ IR rewrites (stage ``ir``)
     rules at each node).
 
 Structural passes (stage ``lower``)
-    ``alloc`` (type inference, cell-width inference, register allocation,
-    abstract lowering) and ``lower`` (MCX gate expansion).  Every pipeline
+    ``alloc`` (cell-width inference, register allocation, abstract
+    lowering) and ``lower`` (MCX gate expansion).  Every pipeline
     contains both, exactly once.
 
 Gate passes (stage ``gates``)
@@ -26,7 +26,6 @@ from typing import Callable, Dict, FrozenSet
 
 from ..errors import LoweringError
 from ..ir.core import Stmt, free_vars
-from ..ir.typecheck import infer_types
 from ..opt.spire import _Rewriter
 from .base import (
     DETERMINISTIC,
@@ -92,7 +91,12 @@ class NarrowPass(Pass):
 # ---------------------------------------------------------- structural stages
 @register_pass
 class AllocPass(Pass):
-    """Type inference, cell-width inference and abstract lowering (Section 7)."""
+    """Cell-width inference, register allocation and abstract lowering (Section 7).
+
+    The register widths come from the last check the pipeline ran
+    (``ctx.var_types``): the frontend's strict check, or the relaxed
+    check the pass manager runs after the pipeline's IR passes.
+    """
 
     name = "alloc"
     stage = LOWER
@@ -103,7 +107,6 @@ class AllocPass(Pass):
         from ..compiler.pipeline import infer_cell_bits
 
         config = ctx.config
-        ctx.var_types = infer_types(ctx.stmt, ctx.table, ctx.param_types)
         if config.cell_bits is not None:
             cell_bits = config.cell_bits
             needed = infer_cell_bits(ctx.stmt, ctx.table, ctx.var_types)

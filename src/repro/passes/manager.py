@@ -3,8 +3,8 @@
 One manager executes one :class:`~repro.passes.pipeline.Pipeline` over a
 core-IR statement, producing a :class:`PipelineRun` that bundles the final
 circuit with every intermediate the rest of the system needs (the
-post-rewrite core IR for the cost model, inferred types, per-pass timing
-records).  :meth:`PassManager.run_gate_suffix` resumes the gate passes
+post-rewrite core IR for the cost model, the checked types, per-pass
+timing records).  :meth:`PassManager.run_gate_suffix` resumes the gate passes
 from a circuit and returns the circuit at every replayable prefix, which
 the benchmark cache stores for pass-granular warm replays.
 :func:`rewrite_ir` applies only a pipeline's IR passes, with the same
@@ -209,19 +209,23 @@ class PassManager:
         stmt: Stmt,
         table: TypeTable,
         param_types: Dict[str, Type],
+        var_types: Dict[str, Type],
     ) -> PipelineRun:
         """Compile ``stmt`` through the full pipeline.
 
         ``stmt`` must already have passed the strict (Figure 20) typecheck
-        (:func:`repro.compiler.pipeline.compile_core` runs it); the
-        relaxed check runs after the pipeline's IR passes, if it has any,
-        and in verify mode after every IR pass.
+        (:func:`repro.compiler.pipeline.compile_core` runs it), whose
+        types are ``var_types``.  The relaxed check runs after the
+        pipeline's IR passes, if it has any, and in verify mode after
+        every IR pass; each such check's types replace ``var_types``, so
+        ``alloc`` reads the types of the program it lowers.
         """
         ctx = PassContext(
             table=table,
             param_types=dict(param_types),
             config=table.config,
             stmt=stmt,
+            var_types=var_types,
             decomposition_cache=self.decomposition_cache,
             pipeline=self.pipeline,
         )
@@ -241,9 +245,9 @@ class PassManager:
                 if self.pipeline.ir_passes:
                     # optimizer output satisfies a relaxed S-If domain
                     # condition only
-                    check_program(
+                    ctx.var_types = check_program(
                         ctx.stmt, table, ctx.param_types, relaxed=True
-                    )
+                    ).types
                 relaxed_seconds = time.perf_counter() - start
             record = self._run_group(ctx, group)
             records.append(record)
@@ -372,9 +376,9 @@ class PassManager:
         if self.verify:
             if stage == IR:
                 try:
-                    check_program(
+                    ctx.var_types = check_program(
                         ctx.stmt, ctx.table, ctx.param_types, relaxed=True
-                    )
+                    ).types
                 except ReproError as exc:
                     raise PassVerificationError(
                         name, PRESERVES_TYPES, str(exc)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import FrozenSet
 
-import pytest
-
 from repro.analysis import (
     BACKWARD,
     BODY,
@@ -15,13 +13,8 @@ from repro.analysis import (
     UNCOMPUTE,
     Analysis,
     NodeView,
-    fixpoint,
-    run_core,
     run_surface,
 )
-from repro.errors import AnalysisError
-from repro.ir import core
-from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
 
 WITH_SRC = """
@@ -136,36 +129,6 @@ class TestJoins:
         assert "y" in out
 
 
-class TestCoreAdapter:
-    def test_same_analysis_runs_over_core_ir(self):
-        program = parse_program(WITH_SRC)
-        lowered = lower_entry(program, "main", None)
-        out = run_core(lowered.stmt, _Defined())
-        assert isinstance(out, frozenset)
-        tr = _Trace()
-        run_core(lowered.stmt, tr)
-        kinds = {k for k, _ in tr.events}
-        assert "let" in kinds
-
-    def test_core_with_roles(self):
-        stmt = core.With(
-            core.Assign("a", core.AtomE(core.Lit(core.UIntV(1)))),
-            core.Assign("b", core.AtomE(core.Var("a"))),
-        )
-        tr = _Trace()
-        run_core(stmt, tr)
-        assert [r for _, r in tr.events] == [SETUP, BODY, UNCOMPUTE]
-
-
-class TestFixpoint:
-    def test_converges(self):
-        assert fixpoint(lambda s: min(s + 1, 5), 0) == 5
-
-    def test_divergence_raises(self):
-        with pytest.raises(AnalysisError):
-            fixpoint(lambda s: s + 1, 0, max_iter=10)
-
-
 class TestCallGraph:
     def test_recursion_depth_and_reachability(self, length_source):
         program = parse_program(length_source)
@@ -185,32 +148,3 @@ class TestCallGraph:
         # contains recurses and calls recursive compare: two levels
         assert graph.recursion_depth("contains") == 2
         assert set(graph.reachable("contains")) == {"contains", "compare"}
-
-    def test_summaries_fixpoint(self):
-        src = """
-        fun helper(x: uint) -> uint {
-          H(x);
-          return x;
-        }
-        fun main(x: uint) -> uint {
-          let y <- helper(x);
-          return y;
-        }
-        """
-        program = parse_program(src)
-        graph = CallGraph(program)
-
-        def init(fdef):
-            from repro.analysis.superpos import _local_hadamards
-
-            return _local_hadamards(fdef) > 0
-
-        def step(fdef, current):
-            if current[fdef.name]:
-                return True
-            return any(
-                current.get(s.callee, False) for s in graph.callees(fdef.name)
-            )
-
-        result = graph.summaries(init, step)
-        assert result == {"helper": True, "main": True}

@@ -15,7 +15,6 @@ from repro.analysis import (
     check_empty_blocks,
     check_hadamard_budget,
     check_zero_bound_calls,
-    inlined_hadamard_count,
     lint_core_stmt,
     lint_source,
     pick_entry,
@@ -26,6 +25,7 @@ from repro.benchsuite.programs import (
     get_source,
     is_unsized,
 )
+from repro.compiler.pipeline import Frontend
 from repro.ir import core
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
@@ -38,6 +38,15 @@ fun walk[n](x: bool) -> bool {
   H(x);
   let y <- walk[n-1](x);
   return y;
+}
+"""
+
+IF_FALSE_H_SRC = """
+fun main(x: bool) -> bool {
+  if false { H(x); }
+  let t <- true;
+  if t { H(x); }
+  return x;
 }
 """
 
@@ -66,23 +75,34 @@ class TestHistoricalBugs:
         inlining): a single textual H in a recursive function multiplies
         with the bound. RPA301 must fire from the *inlined* count."""
         program = parse_program(H_WALK_SRC)
-        # one textual H, `size` inlined copies
-        assert inlined_hadamard_count(program, "walk", 5) == 5
-        assert not check_hadamard_budget(program, "walk", 12)
-        diags = check_hadamard_budget(program, "walk", 13)
+        walk = program.fun("walk")
+
+        def budget(size, cap=1 << 12):
+            stmt = lower_entry(program, "walk", size).stmt
+            return check_hadamard_budget(stmt, walk, support_cap=cap)
+
+        # one textual H, `size` inlined copies (a cap of 2^4 lets 5 fire)
+        assert budget(5, cap=1 << 4)[0].message.startswith("5 Hadamards")
+        assert not budget(12)
+        diags = budget(13)
         assert _codes(diags) == ["RPA301"]
         assert "2^13" in diags[0].message
 
-    def test_inlined_count_matches_lowered_core(self):
-        program = parse_program(H_WALK_SRC)
-        for size in (1, 3, 5):
-            lowered = lower_entry(program, "walk", size)
-            direct = sum(
-                1
-                for s in lowered.stmt.walk()
-                if isinstance(s, core.Hadamard)
-            )
-            assert inlined_hadamard_count(program, "walk", size) == direct
+    @pytest.mark.parametrize(
+        "source,expected",
+        [(IF_FALSE_H_SRC, 1), (get_source("fuzz:0:10:h"), 1)],
+        ids=["if-false", "fuzz:0:10:h"],
+    )
+    def test_rpa301_counts_the_checked_entry(self, source, expected):
+        """RPA301 counts the Hadamards of the core IR a compile lowers: an
+        ``H`` the desugarer drops under a statically false ``if`` does not
+        count (both programs hold two ``H`` statements on the surface)."""
+        frontend = Frontend()
+        stmt = frontend.checked(source, "main").lowered.stmt
+        assert sum(isinstance(n, core.Hadamard) for n in stmt.walk()) == expected
+        report = lint_source(source, support_cap=1, frontend=frontend)
+        [diag] = [d for d in report.diagnostics if d.code == "RPA301"]
+        assert diag.message.startswith(f"{expected} Hadamards reachable")
 
 
 class TestCodes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -220,6 +221,59 @@ def test_a_worker_killed_while_idle_is_replaced(max_pool_deaths):
     else:
         assert after == [None, None]
     assert stable(rows) == stable(BenchmarkRunner(TINY).run_grid(tasks + tasks).rows)
+
+
+def _manager_threads():
+    from concurrent.futures.process import _ExecutorManagerThread
+
+    return {
+        t for t in threading.enumerate()
+        if isinstance(t, _ExecutorManagerThread) and t.is_alive()
+    }
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["close", "hang-restart"])
+def test_worker_teardown_waits_for_the_manager_thread(monkeypatch, restart):
+    """Tearing a worker down, on ``close()`` or when a task passes
+    ``--task-timeout``, returns only once its executor's manager thread
+    has exited.  A thread left running races the interpreter's exit hook,
+    which wakes it through a pipe the thread may be closing and prints
+    ``Exception ignored ... OSError: [Errno 9] Bad file descriptor``."""
+    from repro.benchsuite import parallel
+
+    tasks = measure_tasks(["length", "length-simplified"], [2])
+    policy = RetryPolicy(backoff_base=0.001)
+    if restart:
+        # a seed on which exactly the first task hangs, on its first attempt
+        seed = next(
+            seed for seed in range(1000)
+            if [_decision(seed, "hang", "worker.execute", task.label(), 0) < 0.5
+                for task in tasks] == [True, False]
+        )
+        inject.install(parse_fault_plan("hang:worker.execute:p=0.5:a=1:s=60", seed=seed))
+        policy = RetryPolicy(backoff_base=0.001, task_timeout=2.0)
+    alive_after_teardown = []
+    terminate = parallel._terminate
+
+    def watched(worker):
+        thread = getattr(worker, "_executor_manager_thread", None)
+        terminate(worker)
+        if thread is not None:
+            alive_after_teardown.append(thread.is_alive())
+
+    monkeypatch.setattr(parallel, "_terminate", watched)
+    before = _manager_threads()
+    backend = ParallelBackend(jobs=2, policy=policy)
+    try:
+        rows = backend.run(BenchmarkRunner(TINY), tasks)
+        restarts = len(alive_after_teardown)
+    finally:
+        backend.close()
+        inject.uninstall()
+    assert restarts == (1 if restart else 0)
+    assert alive_after_teardown and not any(alive_after_teardown)
+    assert not _manager_threads() - before
+    assert stable(rows) == stable(BenchmarkRunner(TINY).run_grid(tasks).rows)
 
 
 # ------------------------------------------------- stranded staging files

@@ -23,7 +23,6 @@ from repro.ir import (
     Var,
     With,
     check_program,
-    infer_types,
     seq,
 )
 from repro.types import BOOL, UINT, NamedT, PtrT, TupleT, TypeTable
@@ -211,12 +210,35 @@ class TestDataStatements:
             check_program(s, table)
 
 
-class TestInferTypes:
+class TestCheckedTypes:
+    """The check's context types every name the program binds."""
+
     def test_collects_all_variables(self, table):
+        # t's scope closes with the with, but its register still needs a width
         s = With(Assign("t", lit(1)), Assign("y", AtomE(Var("t"))))
-        types = infer_types(s, table)
-        assert set(types) == {"t", "y"}
+        ctx = check_program(s, table)
+        assert ctx.types == {"t": UINT, "y": UINT}
+        assert set(ctx.vars) == {"y"}
 
     def test_includes_inputs(self, table):
-        types = infer_types(Assign("y", AtomE(Var("x"))), table, {"x": UINT})
-        assert set(types) == {"x", "y"}
+        ctx = check_program(Assign("y", AtomE(Var("x"))), table, {"x": UINT})
+        assert ctx.types == {"x": UINT, "y": UINT}
+
+    def test_name_bound_at_a_second_type_after_its_scope_closed(self, table):
+        # t is live only inside the with; re-binding it afterwards at another
+        # type would give one register two widths
+        s = seq(
+            With(Assign("t", lit(1)), Assign("y", AtomE(Var("t")))),
+            Assign("t", AtomE(Lit(BoolV(True)))),
+        )
+        with pytest.raises(TypeCheckError, match="'t' used at two types"):
+            check_program(s, table)
+        with pytest.raises(TypeCheckError, match="'t' used at two types"):
+            check_program(s, table, relaxed=True)
+
+    def test_name_bound_again_at_its_type_after_its_scope_closed(self, table):
+        s = seq(
+            With(Assign("t", lit(1)), Assign("y", AtomE(Var("t")))),
+            Assign("t", lit(2)),
+        )
+        assert check_program(s, table).types == {"t": UINT, "y": UINT}

@@ -28,7 +28,7 @@ from repro.compiler import compile_source, infer_cell_bits
 from repro.config import CompilerConfig
 from repro.cost.exact import exact_counts
 from repro.fuzz.generator import GenConfig, generate_workload, program_seed
-from repro.ir.typecheck import infer_types
+from repro.ir.typecheck import check_program
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
 from repro.opt import flatten_only, narrow_only, spire_optimize
@@ -58,7 +58,7 @@ PIPELINE_VS_MONOLITHIC = [
 
 def _exact_t(stmt, table, param_types):
     """Exact-model T-count of a core statement (no circuit expansion)."""
-    var_types = infer_types(stmt, table, param_types)
+    var_types = check_program(stmt, table, param_types, relaxed=True).types
     cell_bits = infer_cell_bits(stmt, table, var_types)
     return exact_counts(stmt, table, var_types, cell_bits)[1]
 

@@ -54,7 +54,7 @@ CATALOG = [
      "spire", "Conditional narrowing (Section 6.2): if x { with { s1 } do "
      "{ s2 } } ~> with { s1 } do { if x { s2 } }."),
     ("alloc", "lower", "deterministic semantics_preserving", "",
-     "Type inference, cell-width inference and abstract lowering (Section 7)."),
+     "Cell-width inference, register allocation and abstract lowering (Section 7)."),
     ("lower", "lower", "deterministic semantics_preserving", "",
      "MCX gate expansion of the abstract circuit (Section 7, Figure 5)."),
     ("greedy-search", "gates",

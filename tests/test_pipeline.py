@@ -51,6 +51,46 @@ class TestBasicCompilation:
         assert set(cp.timings) == {"optimize", "typecheck", "lower_ir", "lower_gates"}
 
 
+class TestOneTypingWalk:
+    @pytest.mark.parametrize("optimization,checks", [("none", 1), ("spire", 2)])
+    def test_alloc_reads_the_checks_types(
+        self, monkeypatch, length_source, optimization, checks
+    ):
+        """A compile types the program in the frontend's strict check, plus
+        one relaxed check after IR passes; ``alloc`` binds no name."""
+        from repro.ir import typecheck
+        from repro.passes.builtin import AllocPass
+
+        walks, binds, in_alloc = [], [], []
+        check_stmt, bind, apply = (
+            typecheck.check_stmt, typecheck.Context.bind, AllocPass.apply
+        )
+
+        def counted_check(*args, **kwargs):
+            walks.append(1)
+            return check_stmt(*args, **kwargs)
+
+        def counted_bind(self, name, ty):
+            binds.append(bool(in_alloc))
+            bind(self, name, ty)
+
+        def marked_apply(self, ctx):
+            in_alloc.append(1)
+            try:
+                apply(self, ctx)
+            finally:
+                in_alloc.pop()
+
+        monkeypatch.setattr(typecheck, "check_stmt", counted_check)
+        monkeypatch.setattr(typecheck.Context, "bind", counted_bind)
+        monkeypatch.setattr(AllocPass, "apply", marked_apply)
+        cp = compile_source(length_source, "length", size=2, config=CFG,
+                            optimization=optimization)
+        assert len(walks) == checks
+        assert binds and not any(binds)
+        assert cp.var_types and set(cp.circuit.registers) >= set(cp.param_types)
+
+
 class TestDifferential:
     """The compiled circuit and the IR interpreter must agree exactly."""
 
