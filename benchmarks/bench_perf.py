@@ -158,11 +158,13 @@ def _grid_section(mode: str) -> dict:
 
 
 def _passes_section(mode: str) -> list:
-    """Per-pass timing breakdown of full pipelines (pass-manager records).
+    """Per-step timing breakdown of full pipelines (pass-manager records).
 
-    Future perf PRs read this to target the slowest pass; the entries are
+    Performance work reads this to target the slowest step; the entries are
     informational (wall clocks), but each must carry a complete record
-    list — one row per executed pass, IR rewrites fused as in production.
+    list — one row per compile step: the strict typecheck, the IR
+    rewrites fused as in production, the relaxed typecheck after them,
+    ``alloc``, ``lower`` and each gate pass.
     """
     from repro.benchsuite import get_entry, get_source
     from repro.compiler import compile_source

@@ -3,8 +3,9 @@
 Compiles ``length-simplified`` (Section 8's comparison workload), runs each
 circuit-optimizer baseline on the unoptimized circuit, and contrasts with
 Spire and with Spire + circuit optimizer.  A baseline is the pipeline with
-its gate pass appended (``none+peephole``); the pass's time is the
-pipeline's ``opt:<name>`` timing.
+its gate pass appended (``none+peephole``).  Every step of a compile has
+one :class:`~repro.passes.PassRecord`: a strategy's time is the sum of its
+compile's records, and a baseline's time is its gate pass's record.
 """
 
 from repro import CompilerConfig, compile_source
@@ -28,8 +29,12 @@ def main() -> None:
     print(f"length-simplified at n={DEPTH}: {baseline} T gates unoptimized\n")
     print(f"{'strategy':<34} {'T gates':>8} {'reduction':>10} {'seconds':>8}")
 
+    def seconds(compiled, step=None) -> float:
+        return sum(r.seconds for r in compiled.pass_records
+                   if step is None or r.name == step)
+
     row = "{:<34} {:>8} {:>9.1f}% {:>8.3f}"
-    spire_time = sum(spire.timings.values())
+    spire_time = seconds(spire)
     print(row.format("Spire (program-level)", spire.t_complexity(),
                      100 * (1 - spire.t_complexity() / baseline), spire_time))
 
@@ -41,12 +46,12 @@ def main() -> None:
         result = compile_with(f"none+{spec}")
         print(row.format(f"{name} ({cls.models})"[:34], result.t_complexity(),
                          100 * (1 - result.t_complexity() / baseline),
-                         result.timings[f"opt:{name}"]))
+                         seconds(result, name)))
 
     combined = compile_with("spire+toffoli-cancel")
     print(row.format("Spire + toffoli-cancel", combined.t_complexity(),
                      100 * (1 - combined.t_complexity() / baseline),
-                     sum(combined.timings.values())))
+                     seconds(combined)))
 
 
 if __name__ == "__main__":

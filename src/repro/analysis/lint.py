@@ -190,7 +190,7 @@ def lint_program(
         check_with_mod(lowered.stmt, function=resolved, span=fdef.span)
     )
     report.extend(
-        check_hadamard_budget(lowered.stmt, fdef, support_cap=support_cap)
+        check_hadamard_budget(lowered, fdef, support_cap=support_cap)
     )
     return report
 

@@ -14,37 +14,31 @@ RPA301 fires when ``2^H`` exceeds the sparse-simulation support cap.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..errors import Span
 from ..ir import core
 from ..lang import ast
-from .dataflow import iter_stmts
+from ..lang.desugar import Lowered
 from .diagnostics import Diagnostic, make_diagnostic
 
 #: the sparse statevector support cap the fuzz oracles simulate under
 DEFAULT_SUPPORT_CAP = 1 << 12
 
 
-def _first_hadamard_span(fdef: ast.FunDef) -> Optional[Span]:
-    for s in iter_stmts(fdef.body):
-        if isinstance(s, ast.SHadamard):
-            return s.span
-    return fdef.span
-
-
 def check_hadamard_budget(
-    stmt: core.Stmt,
+    lowered: Lowered,
     fdef: ast.FunDef,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> List[Diagnostic]:
     """RPA301: worst-case superposition support vs. the simulation cap.
 
-    ``stmt`` is the checked entry's core IR and ``fdef`` the entry's
-    surface definition, whose first ``H`` (else the definition itself)
-    the finding points at.
+    ``lowered`` is the checked entry and ``fdef`` the entry's surface
+    definition.  The finding points at the first ``H`` the count
+    includes (else at the definition).
     """
-    total = sum(1 for node in stmt.walk() if isinstance(node, core.Hadamard))
+    total = sum(
+        1 for node in lowered.stmt.walk() if isinstance(node, core.Hadamard)
+    )
     cap_bits = max(0, support_cap.bit_length() - 1)
     if total <= cap_bits:
         return []
@@ -54,7 +48,7 @@ def check_hadamard_budget(
             f"{total} Hadamards reachable after inlining: worst-case "
             f"superposition support 2^{total} exceeds the sparse-"
             f"simulation cap of {support_cap} (2^{cap_bits}) branches",
-            span=_first_hadamard_span(fdef),
+            span=lowered.hadamard_span or fdef.span,
             function=fdef.name,
         )
     ]

@@ -44,7 +44,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
 from ..compiler.pipeline import CompiledProgram, Frontend, compile_checked
 from ..config import DEFAULT, CompilerConfig
-from ..passes.manager import PassManager, PassRecord, add_gate_timing
+from ..passes.manager import PassManager, PassRecord
 from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
@@ -72,14 +72,17 @@ Origin = Union[CompiledProgram, Dict[str, Any]]
 class BenchmarkPoint:
     """Measurements of one benchmark at one depth under one pipeline.
 
-    ``compile_seconds`` is the sum of the stage timings of the cold run
-    and is only ever measured once per point; ``wall_seconds`` is the
-    wall clock of *this* :meth:`BenchmarkRunner.measure` call.  When
-    ``cached`` is true the compile work did not happen in this call
-    (in-memory memo or artifact-cache hit) and the two may differ by orders
-    of magnitude — Table 2's timing reproduction must use
-    ``compile_seconds`` and treat cached points as replays.  A gate pass's
-    time is ``timings["opt:<name>"]``.
+    ``timings`` holds the cold run's seconds per compile step, keyed by
+    :class:`~repro.passes.PassRecord` name (``typecheck``,
+    ``flatten+narrow``, ``alloc``, ``lower``, a gate pass's name; a step
+    that runs twice, as ``typecheck`` does after IR passes, counts both
+    runs).  ``compile_seconds`` is their sum and is only ever measured
+    once per point; ``wall_seconds`` is the wall clock of *this*
+    :meth:`BenchmarkRunner.measure` call.  When ``cached`` is true the
+    compile work did not happen in this call (in-memory memo or
+    artifact-cache hit) and the two may differ by orders of magnitude —
+    Table 2's timing reproduction must use ``compile_seconds`` and treat
+    cached points as replays.
     """
 
     name: str
@@ -285,8 +288,8 @@ class BenchmarkRunner:
     ) -> BenchmarkPoint:
         """Build the row of every replayable cut point; returns the last.
 
-        ``origin`` is where the first circuit came from: its timings and
-        predicted counts start every row.  ``steps`` pairs each (canonical
+        ``origin`` is where the first circuit came from: its step timings
+        and predicted counts start every row.  ``steps`` pairs each (canonical
         prefix spec, circuit) snapshot with the gate-pass record that
         produced it (``None`` for the circuit ``origin`` compiled).  With
         an artifact cache, each cut point's row is stored, and so is each
@@ -297,7 +300,8 @@ class BenchmarkRunner:
         one builder of :class:`BenchmarkPoint` rows.
         """
         if isinstance(origin, CompiledProgram):
-            timings, predicted = dict(origin.timings), origin.predicted
+            timings, predicted = {}, origin.predicted
+            _add_seconds(timings, origin.pass_records)
         else:
             timings = dict(origin["timings"])
             predicted = (origin["predicted_mcx"], origin["predicted_t"])
@@ -305,7 +309,7 @@ class BenchmarkRunner:
         last = len(steps) - 1
         for index, (record, (spec, circuit)) in enumerate(steps):
             if record is not None:
-                add_gate_timing(timings, record)
+                _add_seconds(timings, [record])
             point = BenchmarkPoint(
                 name=name,
                 depth=depth,
@@ -370,6 +374,12 @@ class BenchmarkRunner:
 
         backend = self.backend or SerialBackend()
         return GridResult(backend.run(self, list(tasks), progress=progress))
+
+
+def _add_seconds(timings: Dict[str, float], records: Iterable[PassRecord]) -> None:
+    """Add each record's seconds to ``timings[record.name]``."""
+    for record in records:
+        timings[record.name] = timings.get(record.name, 0.0) + record.seconds
 
 
 def default_depths() -> List[int]:

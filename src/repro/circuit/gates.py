@@ -321,7 +321,14 @@ class Gate:
 # under ``_LOCK``, so threads that miss on one value get one instance and
 # the bound holds.
 
-#: Bound on the intern table.  Every benchmark's gates fit well under it.
+#: Bound on the intern table.  One benchmark's gates fit under it, but a
+#: process that compiles many fills it: the 12 Table-1 programs at depths
+#: 1-4 under ``none`` and ``spire`` (90 compiles in one process) reset it
+#: twice at the ``DEFAULT`` config, and leave 57,114 gates interned at
+#: word and address width 3 with 6 heap cells.  An interned gate holds
+#: about 0.56 KB with its record and the memos a reset clears
+#: (tracemalloc), so a full table is about 36 MB.  A reset changes which
+#: objects are shared, never a count.
 SHARED_GATES_MAX = 1 << 16
 
 _SHARED: Dict[Tuple[GateKind, Tuple[int, ...], Tuple[int, ...]], Gate] = {}

@@ -848,7 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "passes (re-typecheck after IR rewrites, "
                                 "T-count monotonicity after gate passes)")
     p_compile.add_argument("--show-passes", action="store_true",
-                           help="print the per-pass timing breakdown")
+                           help="print the time of every compile step "
+                                "(typechecks and passes)")
     p_compile.add_argument("--emit", help="write the circuit in .qc format")
     p_compile.set_defaults(func=cmd_compile)
 

@@ -18,7 +18,8 @@ pre-refactor outputs bit-identically (``tests/data/seed_tcounts.json``).
 
 The result bundles the circuit with everything needed by the evaluation
 harness: the (optimized) core IR for the cost model, the register map for
-simulation, complexity counts, per-pass records, and stage timings.
+simulation, complexity counts, and one :class:`~repro.passes.PassRecord`
+per step of the compile, the strict check first.
 
 A compile of source starts from a *checked entry* (:func:`check_entry`):
 the entry point lowered to core IR and checked strictly (Figure 20).
@@ -29,7 +30,6 @@ whose admission lint builds the checked entry its compile then reuses.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
@@ -39,10 +39,11 @@ from ..circuit.circuit import Circuit, Register
 from ..config import CompilerConfig
 from ..errors import LoweringError
 from ..ir.core import MemSwap, Stmt
-from ..ir.typecheck import check_program
 from ..lang.ast import Program
 from ..lang.desugar import Lowered, lower_entry
 from ..lang.parser import parse_program
+from ..passes.manager import PassManager, PassRecord, timed_check
+from ..passes.pipeline import resolve_pipeline
 from ..types import Type, TypeTable
 
 #: sources one :class:`Frontend` keeps (least recently used evicted).  A
@@ -64,11 +65,11 @@ class CompiledProgram:
     param_types: Dict[str, Type]
     return_var: Optional[str]
     var_types: Dict[str, Type] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
     #: the canonical pipeline spec the circuit was produced by
     pipeline: str = ""
-    #: per-pass execution records (:class:`repro.passes.PassRecord`)
-    pass_records: List[Any] = field(default_factory=list)
+    #: one record per step, in order: the strict check, then the
+    #: pipeline's (:meth:`repro.passes.PassManager.run`)
+    pass_records: List[PassRecord] = field(default_factory=list)
     #: the analyze stage's static cost bound
     #: (:class:`repro.analysis.passes.StaticCostBound`), when the
     #: pipeline included an ``analyze`` pass
@@ -124,9 +125,9 @@ class CheckedEntry:
     #: the strict check's type of every name the entry binds: what
     #: ``alloc`` reads when the pipeline has no IR passes
     var_types: Dict[str, Type]
-    #: wall time of the strict typecheck, charged to each compile of the
-    #: entry (``timings["optimize"]``), wherever the check itself ran
-    check_seconds: float
+    #: the strict check's ``typecheck`` record, the first step of each
+    #: compile of the entry, wherever the check itself ran
+    record: PassRecord
 
 
 def check_entry(
@@ -137,9 +138,9 @@ def check_entry(
 ) -> CheckedEntry:
     """Lower one entry point and check it strictly; raises on failure."""
     lowered = lower_entry(program, entry, size, config)
-    start = time.perf_counter()
-    checked = check_program(lowered.stmt, lowered.table, lowered.param_types)
-    return CheckedEntry(lowered, checked.types, time.perf_counter() - start)
+    return CheckedEntry(
+        lowered, *timed_check(lowered.stmt, lowered.table, lowered.param_types)
+    )
 
 
 class Frontend:
@@ -194,14 +195,11 @@ def compile_core(
     ``verify`` enables between-pass invariant checking
     (``--verify-passes``).
     """
-    start = time.perf_counter()
-    checked = check_program(stmt, table, param_types)
     return _run_pipeline(
         stmt,
         table,
         param_types,
-        checked.types,
-        time.perf_counter() - start,
+        *timed_check(stmt, table, param_types),
         optimization,
         return_var,
         verify=verify,
@@ -219,7 +217,7 @@ def compile_checked(
         lowered.table,
         lowered.param_types,
         checked.var_types,
-        checked.check_seconds,
+        checked.record,
         optimization,
         lowered.return_var,
         **kwargs,
@@ -231,43 +229,32 @@ def _run_pipeline(
     table: TypeTable,
     param_types: Dict[str, Type],
     var_types: Dict[str, Type],
-    check_seconds: float,
+    check: PassRecord,
     optimization: str,
     return_var: Optional[str],
     verify: bool = False,
     decomposition_cache=None,
 ) -> CompiledProgram:
     """Run the pipeline over strictly checked core IR; ``var_types`` are
-    the strict check's types, and ``check_seconds``, its time, counts as
-    part of ``timings["optimize"]``."""
-    # function-level import: repro.compiler must be importable before
-    # repro.passes has finished initializing (the pass framework's lowering
-    # passes import back into this package)
-    from ..passes.manager import PassManager
-    from ..passes.pipeline import resolve_pipeline
-
+    the strict check's types, and ``check`` its record."""
     pipeline = resolve_pipeline(optimization)
-    manager = PassManager(
+    ctx = PassManager(
         pipeline,
         verify=verify,
         decomposition_cache=decomposition_cache,
-    )
-    run = manager.run(stmt, table, param_types, var_types)
-    run.timings["optimize"] += check_seconds
-
+    ).run(stmt, table, param_types, var_types, check)
     return CompiledProgram(
-        circuit=run.circuit,
-        core=run.stmt,
+        circuit=ctx.circuit,
+        core=ctx.stmt,
         table=table,
         config=table.config,
-        cell_bits=run.cell_bits,
-        param_types=dict(param_types),
+        cell_bits=ctx.cell_bits,
+        param_types=ctx.param_types,
         return_var=return_var,
-        var_types=run.var_types,
-        timings=run.timings,
+        var_types=ctx.var_types,
         pipeline=pipeline.spec(),
-        pass_records=run.records,
-        analysis=run.analysis,
+        pass_records=ctx.records,
+        analysis=ctx.analysis,
     )
 
 

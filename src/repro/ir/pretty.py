@@ -1,12 +1,9 @@
-"""Pretty-printing of core IR statements as re-parseable Tower-like text.
+"""Pretty-printing of core IR statements as Tower-like text.
 
 :func:`pretty` renders a statement tree one statement per line with nested
-braces; :func:`parse_pretty` parses that exact grammar back into a
-structurally equal tree, which makes the pair a serialization format for
-core IR (and gives the test suite a print/parse round-trip oracle over
-every lowered program).
+braces.
 
-The grammar is the core IR of Figure 13 with three value spellings that
+The text is the core IR of Figure 13 with three value spellings that
 plain Tower source lacks, because core literals carry information surface
 syntax infers from context:
 
@@ -15,17 +12,13 @@ syntax infers from context:
 * ``#(v1, v2)`` — a tuple *value* (distinct from the pair *expression*
   ``(x1, x2)``, whose components are atoms).
 
-Identifiers may contain the desugarer's decorations (``%t1``, ``out$2``),
-so the identifier class is ``[A-Za-z_%][A-Za-z0-9_$%]*``.
+Identifiers keep the desugarer's decorations (``%t1``, ``out$2``).
 """
 
 from __future__ import annotations
 
-import re
-from typing import List, Tuple
-
 from ..errors import ParseError
-from ..types import BOOL, UINT, NamedT, PtrT, TupleT, Type, UnitT
+from ..types import Type
 from .core import (
     Assign,
     Atom,
@@ -52,7 +45,6 @@ from .core import (
     Value,
     Var,
     With,
-    seq,
 )
 
 _INDENT = "  "
@@ -129,227 +121,3 @@ def pretty(stmt: Stmt, indent: int = 0) -> str:
         body = pretty(stmt.body, indent + 1)
         return f"{pad}with {{\n{setup}\n{pad}}} do {{\n{body}\n{pad}}}"
     raise ValueError(f"unknown statement {stmt!r}")  # pragma: no cover
-
-
-def stmt_size(stmt: Stmt) -> int:
-    """Number of nodes in a statement tree (used in tests and reports)."""
-    return sum(1 for _ in stmt.walk())
-
-
-# ------------------------------------------------------------------ parsing
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow><->|<-|->)
-  | (?P<op>&&|\|\||==|!=)
-  | (?P<num>\d+)
-  | (?P<name>[A-Za-z_%][A-Za-z0-9_$%]*)
-  | (?P<punct>[{}()\[\],;.*#<>+\-])
-    """,
-    re.VERBOSE,
-)
-
-_BINOPS = frozenset({"&&", "||", "+", "-", "*", "==", "!=", "<", ">"})
-
-
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"cannot tokenize pretty text at {text[pos:pos+20]!r}")
-        pos = match.end()
-        if match.lastgroup != "ws":
-            tokens.append(match.group())
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser over the pretty token stream."""
-
-    def __init__(self, tokens: List[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.tokens[index] if index < len(self.tokens) else ""
-
-    def next(self) -> str:
-        token = self.peek()
-        if not token:
-            raise ParseError("unexpected end of pretty text")
-        self.pos += 1
-        return token
-
-    def expect(self, token: str) -> None:
-        got = self.next()
-        if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}")
-
-    # ----------------------------------------------------------------- types
-    def type_(self) -> Type:
-        token = self.next()
-        if token == "(":
-            if self.peek() == ")":
-                self.next()
-                return UnitT()
-            first = self.type_()
-            self.expect(",")
-            second = self.type_()
-            self.expect(")")
-            return TupleT(first, second)
-        if token == "uint":
-            return UINT
-        if token == "bool":
-            return BOOL
-        if token == "ptr":
-            self.expect("<")
-            elem = self.type_()
-            self.expect(">")
-            return PtrT(elem)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
-            return NamedT(token)
-        raise ParseError(f"expected a type, got {token!r}")
-
-    # ---------------------------------------------------------------- values
-    def value(self) -> Value:
-        token = self.next()
-        if token == "(":
-            self.expect(")")
-            return UnitV()
-        if token.isdigit():
-            return UIntV(int(token))
-        if token in ("true", "false"):
-            return BoolV(token == "true")
-        if token == "null":
-            self.expect("<")
-            elem = self.type_()
-            self.expect(">")
-            return PtrV(0, elem)
-        if token == "ptr":
-            self.expect("<")
-            elem = self.type_()
-            self.expect(">")
-            self.expect("[")
-            addr = int(self.next())
-            self.expect("]")
-            return PtrV(addr, elem)
-        if token == "#":
-            self.expect("(")
-            first = self.value()
-            self.expect(",")
-            second = self.value()
-            self.expect(")")
-            return TupleV(first, second)
-        raise ParseError(f"expected a value, got {token!r}")
-
-    def _at_value(self) -> bool:
-        token = self.peek()
-        return (
-            token.isdigit()
-            or token in ("true", "false", "null", "ptr", "#")
-            or (token == "(" and self.peek(1) == ")")
-        )
-
-    def atom(self) -> Atom:
-        if self._at_value():
-            return Lit(self.value())
-        token = self.next()
-        if re.fullmatch(r"[A-Za-z_%][A-Za-z0-9_$%]*", token):
-            return Var(token)
-        raise ParseError(f"expected an atom, got {token!r}")
-
-    # ----------------------------------------------------------- expressions
-    def expr(self) -> Expr:
-        token = self.peek()
-        if token in ("not", "test"):
-            self.next()
-            return UnOp(token, self.atom())
-        if token == "(" and self.peek(1) != ")":
-            self.next()
-            first = self.atom()
-            self.expect(",")
-            second = self.atom()
-            self.expect(")")
-            return Pair(first, second)
-        atom = self.atom()
-        follow = self.peek()
-        if follow == ".":
-            self.next()
-            index = int(self.next())
-            return Proj(index, atom)
-        if follow in _BINOPS:
-            self.next()
-            return BinOp(follow, atom, self.atom())
-        return AtomE(atom)
-
-    # ------------------------------------------------------------ statements
-    def block(self) -> Stmt:
-        stmts: List[Stmt] = []
-        while self.peek() and self.peek() != "}":
-            stmts.append(self.stmt())
-        return seq(*stmts)
-
-    def stmt(self) -> Stmt:
-        token = self.peek()
-        if token == "skip":
-            self.next()
-            self.expect(";")
-            return Skip()
-        if token == "let":
-            self.next()
-            name = self.next()
-            arrow = self.next()
-            if arrow not in ("<-", "->"):
-                raise ParseError(f"expected an arrow after let, got {arrow!r}")
-            expr = self.expr()
-            self.expect(";")
-            return Assign(name, expr) if arrow == "<-" else UnAssign(name, expr)
-        if token == "H":
-            self.next()
-            self.expect("(")
-            name = self.next()
-            self.expect(")")
-            self.expect(";")
-            return Hadamard(name)
-        if token == "*":
-            self.next()
-            pointer = self.next()
-            self.expect("<->")
-            value = self.next()
-            self.expect(";")
-            return MemSwap(pointer, value)
-        if token == "if":
-            self.next()
-            cond = self.next()
-            self.expect("{")
-            body = self.block()
-            self.expect("}")
-            return If(cond, body)
-        if token == "with":
-            self.next()
-            self.expect("{")
-            setup = self.block()
-            self.expect("}")
-            self.expect("do")
-            self.expect("{")
-            body = self.block()
-            self.expect("}")
-            return With(setup, body)
-        # register swap: NAME <-> NAME;
-        left = self.next()
-        self.expect("<->")
-        right = self.next()
-        self.expect(";")
-        return Swap(left, right)
-
-
-def parse_pretty(text: str) -> Stmt:
-    """Parse :func:`pretty` output back into a core IR statement."""
-    parser = _Parser(_tokenize(text))
-    stmt = parser.block()
-    if parser.peek():
-        raise ParseError(f"trailing tokens after statement: {parser.peek()!r}")
-    return stmt

@@ -25,11 +25,11 @@ of its output (:func:`repro.ir.typecheck.check_program`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CompilerConfig
-from ..errors import InlineError, TypeCheckError
+from ..errors import InlineError, Span, TypeCheckError
 from ..ir.core import (
     Assign,
     Atom,
@@ -93,6 +93,10 @@ class Lowered:
     size: Optional[int]
     param_types: Dict[str, Type]
     return_var: Optional[str]
+    #: where the first ``H`` lowered into ``stmt`` is written (an ``H``
+    #: under a statically false ``if`` is dropped, so it is never this);
+    #: like every span, it takes no part in equality
+    hadamard_span: Optional[Span] = field(default=None, compare=False)
 
 
 class _Scope:
@@ -113,6 +117,7 @@ class Desugarer:
         self._temp_counter = 0
         self._instance_counter = 0
         self._unsized_stack: List[str] = []
+        self.hadamard_span: Optional[Span] = None
 
     # ------------------------------------------------------------ utilities
     def fresh_temp(self) -> str:
@@ -242,6 +247,8 @@ class Desugarer:
             value = self._lookup(s.value, scope, span=s.span)
             return MemSwap(pointer, value)
         if isinstance(s, SHadamard):
+            if self.hadamard_span is None:
+                self.hadamard_span = s.span
             return Hadamard(self._lookup(s.name, scope, span=s.span))
         if isinstance(s, SWith):
             setup = self.lower_stmts(s.setup, scope)
@@ -507,6 +514,7 @@ def lower_entry(
         size=size,
         param_types=param_types,
         return_var=return_var,
+        hadamard_span=engine.hadamard_span,
     )
 
 

@@ -40,7 +40,7 @@ from .pipeline import (
     canonical_pipeline,
     resolve_pipeline,
 )
-from .manager import PassContext, PassManager, PassRecord, PipelineRun, rewrite_ir
+from .manager import PassContext, PassManager, PassRecord, rewrite_ir
 
 # importing the analysis pass module registers the 'analyze' stage pass,
 # and importing repro.circopt registers its optimizers, the gate passes;
@@ -80,6 +80,5 @@ __all__ = [
     "PassContext",
     "PassManager",
     "PassRecord",
-    "PipelineRun",
     "rewrite_ir",
 ]

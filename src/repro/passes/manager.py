@@ -1,15 +1,20 @@
 """The :class:`PassManager`: run a pipeline with timing and checks.
 
 One manager executes one :class:`~repro.passes.pipeline.Pipeline` over a
-core-IR statement, producing a :class:`PipelineRun` that bundles the final
-circuit with every intermediate the rest of the system needs (the
-post-rewrite core IR for the cost model, the checked types, per-pass
-timing records).  :meth:`PassManager.run_gate_suffix` resumes the gate passes
+core-IR statement and returns the :class:`PassContext` it threaded
+through the passes: the final circuit, the post-rewrite core IR for the
+cost model, the checked types and one :class:`PassRecord` per step.
+:meth:`PassManager.run_gate_suffix` resumes the gate passes
 from a circuit and returns the circuit at every replayable prefix, which
 the benchmark cache stores for pass-granular warm replays.
 :func:`rewrite_ir` applies only a pipeline's IR passes, with the same
 grouping, so the static cost analysis prices exactly the rewrite a
 compile runs.
+
+A :class:`PassRecord` is the one timer of a compile.  Each pass group
+makes one, and so does each Figure-20 check (:func:`timed_check`): the
+strict check of the compiled entry and the relaxed check the manager
+runs after a pipeline's IR passes are both named ``typecheck``.
 
 Between-pass verification (``verify=True``, the CLI's ``--verify-passes``)
 checks the machine-checkable declared invariants:
@@ -45,7 +50,6 @@ from ..ir.core import Stmt
 from ..ir.typecheck import check_program
 from ..types import Type, TypeTable
 from .base import (
-    ANALYZE,
     CLIFFORD_T_OUTPUT,
     GATES,
     IR,
@@ -78,11 +82,23 @@ class PassContext:
     pipeline: Optional[Pipeline] = None
     #: analyze-stage output (:class:`repro.analysis.passes.StaticCostBound`)
     analysis: Any = None
+    #: one record per step run so far, in order
+    records: List[PassRecord] = field(default_factory=list)
+
+
+#: the stage of a typecheck's record: a step of every compile, not a pass
+CHECK = "check"
 
 
 @dataclass
 class PassRecord:
-    """Bookkeeping for one executed pass (or fused pass group)."""
+    """The one timer of a compile step: a pass, a fused pass group, or a
+    Figure-20 check (named ``typecheck``, stage :data:`CHECK`).
+
+    A row's ``timings`` are its records' seconds keyed by ``name`` (a
+    step that runs twice counts both runs), and its ``compile_seconds``
+    is their sum.
+    """
 
     name: str
     stage: str
@@ -104,34 +120,17 @@ class PassRecord:
         }
 
 
-@dataclass
-class PipelineRun:
-    """Everything a pipeline execution produced."""
-
-    pipeline: Pipeline
-    stmt: Stmt
-    var_types: Dict[str, Type]
-    cell_bits: int
-    abstract: Any
-    circuit: Circuit
-    records: List[PassRecord]
-    #: legacy stage timings (``optimize``/``typecheck``/``lower_ir``/
-    #: ``lower_gates`` plus ``opt:<name>``, the summed time of every run
-    #: of that gate pass); ``optimize``
-    #: covers the IR passes, and :mod:`repro.compiler.pipeline` adds the
-    #: strict check's time to it
-    timings: Dict[str, float]
-    #: the analyze stage's output (a
-    #: :class:`repro.analysis.passes.StaticCostBound`), when the pipeline
-    #: included an ``analyze`` pass
-    analysis: Any = None
-
-
-def add_gate_timing(timings: Dict[str, float], record: PassRecord) -> None:
-    """Add a gate pass's time to ``timings["opt:<name>"]``: a pass that
-    runs twice in one pipeline counts both runs."""
-    key = f"opt:{record.name}"
-    timings[key] = timings.get(key, 0.0) + record.seconds
+def timed_check(
+    stmt: Stmt,
+    table: TypeTable,
+    param_types: Dict[str, Type],
+    relaxed: bool = False,
+) -> Tuple[Dict[str, Type], PassRecord]:
+    """Check ``stmt`` under the Figure-20 rules (relaxed, for optimizer
+    output): its types and the check's ``typecheck`` record."""
+    start = time.perf_counter()
+    types = check_program(stmt, table, param_types, relaxed=relaxed).types
+    return types, PassRecord("typecheck", CHECK, time.perf_counter() - start)
 
 
 def _group_passes(pipeline: Pipeline) -> List[List[Tuple[int, PassSpec]]]:
@@ -210,13 +209,15 @@ class PassManager:
         table: TypeTable,
         param_types: Dict[str, Type],
         var_types: Dict[str, Type],
-    ) -> PipelineRun:
+        check: PassRecord,
+    ) -> PassContext:
         """Compile ``stmt`` through the full pipeline.
 
         ``stmt`` must already have passed the strict (Figure 20) typecheck
         (:func:`repro.compiler.pipeline.compile_core` runs it), whose
-        types are ``var_types``.  The relaxed check runs after the
-        pipeline's IR passes, if it has any, and in verify mode after
+        types are ``var_types`` and whose record ``check`` is the first
+        of the returned context's records.  The relaxed check runs after
+        the pipeline's IR passes, if it has any, and in verify mode after
         every IR pass; each such check's types replace ``var_types``, so
         ``alloc`` reads the types of the program it lowers.
         """
@@ -228,41 +229,18 @@ class PassManager:
             var_types=var_types,
             decomposition_cache=self.decomposition_cache,
             pipeline=self.pipeline,
+            records=[check],
         )
-        records: List[PassRecord] = []
-        timings: Dict[str, float] = {}
-
-        groups = _group_passes(self.pipeline)
-        ir_seconds = 0.0
-        relaxed_seconds = 0.0
-        relaxed_done = False
-        for group in groups:
-            first_index, first = group[0]
-            stage = get_pass_class(first.name).stage
-            if stage not in (ANALYZE, IR) and not relaxed_done:
-                relaxed_done = True
-                start = time.perf_counter()
-                if self.pipeline.ir_passes:
-                    # optimizer output satisfies a relaxed S-If domain
-                    # condition only
-                    ctx.var_types = check_program(
-                        ctx.stmt, table, ctx.param_types, relaxed=True
-                    ).types
-                relaxed_seconds = time.perf_counter() - start
-            record = self._run_group(ctx, group)
-            records.append(record)
-            if stage == ANALYZE:
-                timings["analyze"] = (
-                    timings.get("analyze", 0.0) + record.seconds
+        for group in _group_passes(self.pipeline):
+            first = group[0][1]
+            if first.name == "alloc" and self.pipeline.ir_passes:
+                # optimizer output satisfies a relaxed S-If domain
+                # condition only
+                ctx.var_types, record = timed_check(
+                    ctx.stmt, table, ctx.param_types, relaxed=True
                 )
-            elif stage == IR:
-                ir_seconds += record.seconds
-            elif first.name == "alloc":
-                timings["lower_ir"] = record.seconds
-            elif first.name == "lower":
-                timings["lower_gates"] = record.seconds
-            else:
-                add_gate_timing(timings, record)
+                ctx.records.append(record)
+            ctx.records.append(self._run_group(ctx, group))
             if (
                 self.verify
                 and first.name == "lower"
@@ -285,20 +263,7 @@ class PassManager:
                     f"gate passes regressed the static T bound: "
                     f"{final_t} > {ctx.analysis.t}",
                 )
-
-        timings["optimize"] = ir_seconds
-        timings["typecheck"] = relaxed_seconds
-        return PipelineRun(
-            pipeline=self.pipeline,
-            stmt=ctx.stmt,
-            var_types=ctx.var_types,
-            cell_bits=ctx.cell_bits,
-            abstract=ctx.abstract,
-            circuit=ctx.circuit,
-            records=records,
-            timings=timings,
-            analysis=ctx.analysis,
-        )
+        return ctx
 
     def run_gate_suffix(
         self, circuit: Circuit, start: int
@@ -324,14 +289,12 @@ class PassManager:
             circuit=circuit,
             decomposition_cache=self.decomposition_cache,
         )
-        records: List[PassRecord] = []
         snapshots: List[Tuple[str, Circuit]] = []
         for offset, spec in enumerate(specs):
-            record = self._run_group(ctx, [(start + offset, spec)])
-            records.append(record)
+            ctx.records.append(self._run_group(ctx, [(start + offset, spec)]))
             prefix = Pipeline(self.pipeline.passes[: start + offset + 1])
             snapshots.append((prefix.spec(), ctx.circuit))
-        return ctx.circuit, records, snapshots
+        return ctx.circuit, ctx.records, snapshots
 
     # ------------------------------------------------------------ internals
     def _check_static_bound_at_lower(self, ctx: PassContext) -> None:

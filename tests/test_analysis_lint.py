@@ -78,8 +78,8 @@ class TestHistoricalBugs:
         walk = program.fun("walk")
 
         def budget(size, cap=1 << 12):
-            stmt = lower_entry(program, "walk", size).stmt
-            return check_hadamard_budget(stmt, walk, support_cap=cap)
+            lowered = lower_entry(program, "walk", size)
+            return check_hadamard_budget(lowered, walk, support_cap=cap)
 
         # one textual H, `size` inlined copies (a cap of 2^4 lets 5 fire)
         assert budget(5, cap=1 << 4)[0].message.startswith("5 Hadamards")
@@ -103,6 +103,13 @@ class TestHistoricalBugs:
         report = lint_source(source, support_cap=1, frontend=frontend)
         [diag] = [d for d in report.diagnostics if d.code == "RPA301"]
         assert diag.message.startswith(f"{expected} Hadamards reachable")
+
+    def test_rpa301_points_at_a_counted_hadamard(self):
+        """The finding points at the first ``H`` the count includes (line
+        5), not at the one the desugarer drops under ``if false`` (line 3)."""
+        report = lint_source(IF_FALSE_H_SRC, support_cap=1)
+        [diag] = [d for d in report.diagnostics if d.code == "RPA301"]
+        assert (diag.span.line, diag.span.column) == (5, 10)
 
 
 class TestCodes:

@@ -105,32 +105,34 @@ def test_failures_are_not_memoized():
 
 def test_compile_checked_charges_the_strict_check(monkeypatch):
     """The compile of a checked entry runs no strict typecheck of its own,
-    yet its ``optimize`` timing (and so ``compile_seconds``) includes the
-    one the entry carries, and its circuit is the direct compile's."""
+    yet its first step (and so its ``compile_seconds``) is the check the
+    entry carries, and its circuit is the direct compile's."""
     program = parse_program(get_source("length"))
     checked = check_entry(program, "length", 2, TINY)
-    assert checked.check_seconds > 0
+    assert checked.record.name == "typecheck"
+    assert checked.record.seconds > 0
 
     strict: List[object] = []
-    real = pipeline.check_program
+    import repro.passes.manager as manager_mod
+
+    real = manager_mod.check_program
 
     def counting(*args, **kwargs):
         if not kwargs.get("relaxed"):
             strict.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "check_program", counting)
-    import repro.passes.manager as manager_mod
-
     monkeypatch.setattr(manager_mod, "check_program", counting)
     compiled = compile_checked(checked, "spire")
     assert strict == []
-    assert compiled.timings["optimize"] >= checked.check_seconds
+    assert compiled.pass_records[0] is checked.record
     direct = compile_program(program, "length", 2, TINY, "spire")
     assert len(strict) == 1  # compile_program checks the program it lowers
     assert compiled.circuit.t_complexity() == direct.circuit.t_complexity()
     assert compiled.circuit.mcx_complexity() == direct.circuit.mcx_complexity()
-    assert set(compiled.timings) == set(direct.timings)
+    assert [r.name for r in compiled.pass_records] == [
+        r.name for r in direct.pass_records
+    ]
 
 
 def test_compile_core_still_checks_raw_core_ir():

@@ -202,6 +202,37 @@ class TestSharedInstances:
             out.append(s(0))
             assert len(out.table) == len(set(out.table))
 
+    @pytest.mark.parametrize(
+        "optimization", ["spire", "none+peephole", "none+zx-like"]
+    )
+    def test_a_compile_across_resets_measures_the_same(
+        self, monkeypatch, optimization
+    ):
+        """A table far smaller than one compile's gates starts over
+        mid-compile, together with the memos and the cost model's profile
+        table, and the measured and predicted counts stay the same."""
+        from repro.benchsuite import BenchmarkRunner
+        from repro.config import TINY
+
+        def counts(point):
+            return (point.mcx, point.t, point.qubits,
+                    point.predicted_mcx, point.predicted_t)
+
+        expected = counts(BenchmarkRunner(TINY).measure("length", 3, optimization))
+        resets = []
+        real = gates.reset_shared_gates
+
+        def counting():
+            resets.append(len(gates._SHARED))
+            real()
+
+        monkeypatch.setattr(gates, "reset_shared_gates", counting)
+        monkeypatch.setattr(gates, "SHARED_GATES_MAX", 64)
+        real()
+        got = counts(BenchmarkRunner(TINY).measure("length", 3, optimization))
+        assert resets and set(resets) == {64}
+        assert got == expected
+
     def test_from_rows_merges_one_object_at_two_rows(self):
         a, b = mcx([0, 1, 2], 3), cnot(0, 1)
         table = [a, b, a, Gate(GateKind.MCX, (0,), (1,))]

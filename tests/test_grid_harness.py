@@ -242,3 +242,46 @@ def test_unsized_benchmark_normalizes_depth(tmp_path):
     grid = runner.run_grid(measure_tasks("pop_front", [7]))
     assert grid.measure("pop_front", None)["depth"] is None
     assert grid.measure("pop_front", 7) is grid.measure("pop_front", None)
+
+
+#: Table 2's grid at depth 2: ``length`` and ``length-simplified`` under
+#: ``none`` and ``spire``, each also with ``toffoli-cancel`` and ``zx-like``
+TABLE2 = parallel.paper_grid("table2", [2])
+
+
+@pytest.fixture(scope="module")
+def table2_rows():
+    grid = BenchmarkRunner(CONFIG).run_grid(TABLE2)
+    return {(row["name"], row["optimization"]): row for row in grid.rows}
+
+
+@pytest.mark.parametrize("program", ["length", "length-simplified"])
+def test_table2_spire_row_times_every_compile_step(table2_rows, program):
+    """``benchmarks/bench_table2.py`` reports Spire's ``compile_seconds``:
+    both typechecks, the fused rewrite, ``alloc`` and ``lower``."""
+    row = table2_rows[(program, "spire")]
+    assert set(row["timings"]) == {"typecheck", "flatten+narrow", "alloc", "lower"}
+
+
+@pytest.mark.parametrize(
+    "program,optimization",
+    [(t.name, t.optimization) for t in TABLE2 if "+" in t.optimization],
+)
+def test_table2_baseline_row_adds_its_pass(table2_rows, program, optimization):
+    """A baseline's timings are its preset's plus one entry, its gate
+    pass's, which is the time Table 2 reports for the optimizer."""
+    preset, gate_pass = optimization.split("+")
+    row = table2_rows[(program, optimization)]
+    assert row["timings"] == {
+        **table2_rows[(program, preset)]["timings"],
+        gate_pass: row["timings"][gate_pass],
+    }
+    assert len(row["timings"]) == len(table2_rows[(program, preset)]["timings"]) + 1
+
+
+@pytest.mark.parametrize(
+    "program,optimization", [(t.name, t.optimization) for t in TABLE2]
+)
+def test_table2_compile_seconds_sums_the_timings(table2_rows, program, optimization):
+    row = table2_rows[(program, optimization)]
+    assert row["compile_seconds"] == sum(row["timings"].values())

@@ -6,7 +6,7 @@ import pytest
 
 import repro.benchsuite.runner as runner_mod
 import repro.circopt as circopt
-from repro.benchsuite import ArtifactCache, BenchmarkRunner, get_source, task_key
+from repro.benchsuite import ArtifactCache, BenchmarkRunner, SOURCES, get_source, task_key
 from repro.benchsuite.cache import CIRCUIT_FILE, POINT_FILE
 from repro.benchsuite.parallel import stable_rows
 from repro.circuit import DecompositionCache
@@ -35,6 +35,13 @@ from repro.passes import (
 )
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=5)
+
+#: the steps a compile records, in order, under each preset without IR
+#: passes and with them (a relaxed check follows the IR rewrite)
+PRESET_STEPS = {
+    "none": ["typecheck", "alloc", "lower"],
+    "spire": ["typecheck", "flatten+narrow", "typecheck", "alloc", "lower"],
+}
 
 
 def _no_compile(*args, **kwargs):
@@ -268,20 +275,41 @@ class TestRegistry:
 
 class TestPassManager:
     def test_fused_record_and_timings(self, length_source):
+        """Every step of a compile is one record: the strict check, the
+        fused IR rewrite, the relaxed check after it, alloc and lower."""
         cp = compile_source(length_source, "length", 3, CFG, "spire")
-        names = [r.name for r in cp.pass_records]
-        assert names == ["flatten+narrow", "alloc", "lower"]
-        fused = cp.pass_records[0]
+        assert [r.name for r in cp.pass_records] == PRESET_STEPS["spire"]
+        assert [r.stage for r in cp.pass_records] == [
+            "check", "ir", "check", "lower", "lower"
+        ]
+        fused = cp.pass_records[1]
         assert fused.members == ("flatten", "narrow")
-        assert set(cp.timings) == {
-            "optimize", "typecheck", "lower_ir", "lower_gates"
+        assert all(r.seconds > 0 for r in cp.pass_records)
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_STEPS))
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_every_program_times_every_step(self, name, preset):
+        """Each Table-1 program's compile records the same steps, and its
+        row's ``compile_seconds`` is the sum of their timings."""
+        runner = BenchmarkRunner(CFG)
+        point = runner.measure(name, 2, preset)
+        compiled = runner.compile(name, 2, preset)
+        assert [r.name for r in compiled.pass_records] == PRESET_STEPS[preset]
+        assert point.timings == {
+            step: sum(r.seconds for r in compiled.pass_records if r.name == step)
+            for step in PRESET_STEPS[preset]
         }
+        assert point.compile_seconds == sum(point.timings.values())
 
     def test_gate_pass_timings_recorded(self, length_source):
         cp = compile_source(length_source, "length", 3, CFG, "spire+peephole")
-        assert "opt:peephole" in cp.timings
+        assert [r.name for r in cp.pass_records][-2:] == ["lower", "peephole"]
         assert cp.pass_records[-1].stage == "gates"
         assert cp.circuit.is_clifford_t()
+        point = BenchmarkRunner(CFG).measure("length", 3, "spire+peephole")
+        assert set(point.timings) == {
+            "typecheck", "flatten+narrow", "alloc", "lower", "peephole"
+        }
 
     def test_snapshots_at_replayable_prefixes(self, length_source):
         # the post-lower circuit is the MCX circuit, before the gate passes
@@ -305,7 +333,8 @@ class TestPassManager:
         gate_record = cp.pass_records[-1]
         assert "tcount_nonincreasing" in gate_record.verified
         assert "clifford_t_output" in gate_record.verified
-        assert "preserves_types" in cp.pass_records[0].verified
+        [fused] = [r for r in cp.pass_records if r.stage == IR]
+        assert "preserves_types" in fused.verified
 
     def test_verify_catches_type_breaking_ir_pass(self, length_source):
         @register_pass
@@ -525,21 +554,63 @@ class TestPrefixReplay:
         for point in (from_memo, from_disk, cold):
             assert point.compile_seconds == sum(point.timings.values())
 
-    def test_repeated_gate_pass_times_add_up(self, tmp_path, length_source):
+    def test_repeated_gate_pass_times_add_up(
+        self, tmp_path, monkeypatch, length_source
+    ):
         """A gate pass that runs twice counts both runs in
-        ``timings["opt:<name>"]``, on the cold and the resumed route."""
+        ``timings["<name>"]``, on the cold and the resumed route."""
         cp = compile_source(length_source, "length", 2, CFG, "none+peephole+peephole")
-        runs = [r.seconds for r in cp.pass_records if r.name == "peephole"]
-        assert len(runs) == 2
-        assert cp.timings["opt:peephole"] == pytest.approx(sum(runs))
+        assert [r.name for r in cp.pass_records].count("peephole") == 2
+        suffixes = []
+        real = PassManager.run_gate_suffix
+
+        def recording(self, circuit, start):
+            result = real(self, circuit, start)
+            suffixes.append([r.seconds for r in result[1] if r.name == "peephole"])
+            return result
+
+        monkeypatch.setattr(PassManager, "run_gate_suffix", recording)
+        cold = BenchmarkRunner(CFG).measure("length", 2, "none+peephole+peephole")
         cache = ArtifactCache(tmp_path)
-        BenchmarkRunner(CFG, cache=cache).measure("length", 2, "none")
+        preset = BenchmarkRunner(CFG, cache=cache).measure("length", 2, "none")
         resumed = BenchmarkRunner(CFG, cache=cache).measure(
             "length", 2, "none+peephole+peephole"
         )
         assert resumed.prefix_cached == "alloc,lower"
-        assert resumed.compile_seconds == pytest.approx(
-            sum(resumed.timings.values())
+        cold_runs, _preset_runs, resumed_runs = suffixes
+        assert len(cold_runs) == len(resumed_runs) == 2
+        assert cold.timings["peephole"] == pytest.approx(sum(cold_runs))
+        assert resumed.timings["peephole"] == pytest.approx(sum(resumed_runs))
+        assert resumed.timings["typecheck"] == preset.timings["typecheck"]
+        for point in (cold, resumed):
+            assert point.compile_seconds == sum(point.timings.values())
+
+    @pytest.mark.parametrize("route", ["cold", "memo", "disk", "replay"])
+    @pytest.mark.parametrize(
+        "pipeline,steps",
+        [
+            ("spire+toffoli-cancel",
+             {"typecheck", "flatten+narrow", "alloc", "lower", "toffoli-cancel"}),
+            ("none+peephole+peephole", {"typecheck", "alloc", "lower", "peephole"}),
+        ],
+    )
+    def test_rows_add_up_their_steps(self, tmp_path, route, pipeline, steps):
+        """A row compiled cold, resumed from the memo or from disk, or
+        replayed whole times the same steps, and its ``compile_seconds``
+        is their sum (a replay sums the stored keys in sorted order)."""
+        cache = ArtifactCache(tmp_path) if route in ("disk", "replay") else None
+        runner = BenchmarkRunner(CFG, cache=cache)
+        if route != "cold":
+            first = pipeline if route == "replay" else pipeline.split("+")[0]
+            runner.measure("length", 2, first)
+        if cache is not None:
+            runner = BenchmarkRunner(CFG, cache=cache)
+        point = runner.measure("length", 2, pipeline)
+        assert point.cached == (route == "replay")
+        assert bool(point.prefix_cached) == (route in ("memo", "disk"))
+        assert set(point.timings) == steps
+        assert point.compile_seconds == pytest.approx(
+            sum(point.timings.values()), rel=1e-12
         )
 
 
@@ -721,6 +792,23 @@ class TestPassesCli:
         out = capsys.readouterr().out
         assert "flatten,narrow,alloc,lower,peephole" in out
         assert "pass flatten+narrow" in out
+
+    def test_show_passes_lists_every_step(self, tmp_path, length_source, capsys):
+        path = tmp_path / "length.twr"
+        path.write_text(length_source)
+        assert main([
+            "compile", str(path), "--entry", "length", "--size", "2",
+            "--word-width", "3", "--addr-width", "3", "--heap-cells", "5",
+            "--optimize", "spire", "--show-passes",
+        ]) == 0
+        lines = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        assert [line[1] for line in lines] == PRESET_STEPS["spire"]
+        assert [line[2] for line in lines] == [
+            "[check]", "[ir", "[check]", "[lower]", "[lower]"
+        ]
 
     @pytest.mark.parametrize(
         "command", ["compile", "analyze", "optimizers", "resources"]
