@@ -13,6 +13,11 @@ An :class:`ArtifactCache` maps a *task key* to up to two artifacts:
   baseline such as ``none+peephole`` — resumes from it instead of
   recompiling, even in a cold process.
 
+An entry of a third kind, ``program.json``, holds the source and entry of
+an inline program under a key derived from its ``src:`` name
+(:func:`program_key`), so that the name resolves in any process on the
+cache.  It is not a point: it counts toward no hit, miss or ``len``.
+
 The key is a SHA-256 over the complete provenance of the artifact:
 
 * the SHA-256 of the benchmark's Tower **source text**,
@@ -100,16 +105,18 @@ import time
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .._version import __version__
 from ..circuit.circuit import Circuit
 from ..circuit import snapshot
 from ..config import CompilerConfig
 from ..faults import inject
+from .programs import Benchmark, inline_benchmark
 
 POINT_FILE = "point.json"
 CIRCUIT_FILE = "circuit.rqcs"
+PROGRAM_FILE = "program.json"
 QUARANTINE_DIR = "quarantine"
 
 #: staging-file prefix of :meth:`ArtifactCache._atomic_write`
@@ -142,6 +149,11 @@ def row_checksum(row: Dict[str, Any]) -> str:
 def source_sha(source: str) -> str:
     """SHA-256 of a benchmark's Tower source text."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def program_key(name: str) -> str:
+    """The entry key of the program record stored under ``name``."""
+    return hashlib.sha256(f"program\n{name}".encode("utf-8")).hexdigest()
 
 
 @lru_cache(maxsize=1)
@@ -243,23 +255,9 @@ class ArtifactCache:
         unreadable (I/O error) — are counted separately; only genuine
         misses increment ``misses``.
         """
-        path = self._entry_dir(key) / POINT_FILE
-        try:
-            inject.fire("cache.load_point", key=key)
-            data = path.read_bytes()
-        except _MISS_ERRORS:
-            self._count("misses")
-            return None
-        except OSError:
-            self._count("io_errors")
-            return None
-        row = self._verify_point(data)
-        if row is None:
-            self._count("corrupt")
-            self._quarantine(path, key)
-            return None
-        self._count("hits")
-        self._touch(path)
+        row = self._load(key, POINT_FILE, self._verify_point, "cache.load_point")
+        if row is not None:
+            self._count("hits")
         return row
 
     @staticmethod
@@ -278,15 +276,45 @@ class ArtifactCache:
             return None
         return row
 
+    @staticmethod
+    def _envelope(row: Dict[str, Any]) -> bytes:
+        """A row in its checksum envelope, as stored."""
+        envelope = {"format": POINT_FORMAT, "sha256": row_checksum(row), "row": row}
+        return (json.dumps(envelope, sort_keys=True) + "\n").encode("utf-8")
+
     def store_point(self, key: str, row: Dict[str, Any]) -> None:
         """Persist a measurement row in a checksum envelope (atomic)."""
-        envelope = {"format": POINT_FORMAT, "sha256": row_checksum(row), "row": row}
-        data = (json.dumps(envelope, sort_keys=True) + "\n").encode("utf-8")
-        data = inject.mangle("cache.store_point", key, data)
+        data = inject.mangle("cache.store_point", key, self._envelope(row))
         self._atomic_write(
             self._entry_dir(key) / POINT_FILE, data,
             site="cache.store_point", key=key,
         )
+
+    # -------------------------------------------------------------- programs
+    def load_program(self, name: str) -> Optional[Benchmark]:
+        """The inline program stored under its ``src:`` name, or ``None``.
+
+        A record that fails its checksum, or whose source and entry do
+        not hash to ``name``, is quarantined and counted corrupt; an
+        unreadable one counts as an I/O error.  A record is not a point:
+        a load counts no hit and no miss.
+        """
+
+        def verify(data: bytes) -> Optional[Benchmark]:
+            record = self._verify_point(data)
+            if record is None or not {"source", "entry"} <= record.keys():
+                return None
+            program = inline_benchmark(record["source"], record["entry"])
+            return program if program.name == name else None
+
+        return self._load(program_key(name), PROGRAM_FILE, verify, count_miss=False)
+
+    def store_program(self, program: Benchmark) -> None:
+        """Persist an inline program under its ``src:`` name (atomic), in
+        an entry of its own that :meth:`prune` evicts like any other."""
+        record = {"source": program.source, "entry": program.entry}
+        path = self._entry_dir(program_key(program.name)) / PROGRAM_FILE
+        self._atomic_write(path, self._envelope(record))
 
     # -------------------------------------------------------------- circuits
     def load_circuit(self, key: str) -> Optional[Circuit]:
@@ -299,23 +327,35 @@ class ArtifactCache:
         conflated with a plain miss.  A found circuit counts no hit: the
         row read with it does.
         """
-        path = self._entry_dir(key) / CIRCUIT_FILE
+        return self._load(key, CIRCUIT_FILE, self._verify_circuit, "cache.load_circuit")
+
+    def _load(
+        self, key: str, filename: str, verify: Callable[[bytes], Any],
+        site: str = "", count_miss: bool = True,
+    ) -> Any:
+        """The artifact ``filename`` of entry ``key`` as ``verify`` decodes
+        it, or ``None``: an absent file counts a miss (if ``count_miss``),
+        an unreadable one an I/O error, and one ``verify`` rejects is
+        quarantined and counted corrupt.  A found artifact is touched."""
+        path = self._entry_dir(key) / filename
         try:
-            inject.fire("cache.load_circuit", key=key)
+            if site:
+                inject.fire(site, key=key)
             data = path.read_bytes()
         except _MISS_ERRORS:
-            self._count("misses")
+            if count_miss:
+                self._count("misses")
             return None
         except OSError:
             self._count("io_errors")
             return None
-        circuit = self._verify_circuit(data)
-        if circuit is None:
+        value = verify(data)
+        if value is None:
             self._count("corrupt")
             self._quarantine(path, key)
             return None
         self._touch(path)
-        return circuit
+        return value
 
     @staticmethod
     def _touch(path: Path) -> None:

@@ -24,14 +24,23 @@ linked-list strings, with a full ``compare`` per level: the paper's radix
 tree has the same cost recurrence (an O(d) string compare under each of d
 nested conditionals), which is what Table 1 measures —
 ``insert``/``contains`` are O(d^2) MCX and O(d^3) T before optimization.
+
+Every benchmark name resolves, through :func:`resolve`, to one
+:class:`Benchmark` value: a Table 1 name, a generated ``fuzz:`` name, or
+the ``src:`` name of an inline program (:func:`inline_name`), which
+resolves from the program record an artifact cache holds.  The tables
+here are read-only; nothing registers a program at run time.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+import hashlib
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
-from ..bounded import BoundedCache
+if TYPE_CHECKING:
+    from .cache import ArtifactCache
 
 #: type declarations shared by the list/queue benchmarks
 LIST_PRELUDE = "type list = (uint, ptr<list>);\n"
@@ -482,8 +491,8 @@ fun insert[d](t: ptr<node>, key: ptr<str>, fresh: ptr<node>) -> bool {
 }
 """ + COMPARE.replace(STR_PRELUDE, "")
 
-#: All benchmark sources keyed by Table 1 name.
-SOURCES: Dict[str, str] = {
+#: All benchmark sources keyed by Table 1 name (read-only).
+SOURCES: Mapping[str, str] = MappingProxyType({
     "length": LENGTH,
     "length-simplified": LENGTH_SIMPLIFIED,
     "sum": SUM,
@@ -496,46 +505,40 @@ SOURCES: Dict[str, str] = {
     "compare": COMPARE,
     "insert": INSERT,
     "contains": CONTAINS,
-}
+})
 
-#: Entry-point function name per benchmark.
-ENTRIES: Dict[str, str] = {
-    "length": "length",
-    "length-simplified": "length_simplified",
-    "sum": "sum",
-    "find_pos": "find_pos",
-    "remove": "remove",
-    "push_back": "push_back",
-    "pop_front": "pop_front",
-    "is_prefix": "is_prefix",
-    "num_matching": "num_matching",
-    "compare": "compare",
-    "insert": "insert",
-    "contains": "contains",
-}
+#: Entry-point function per benchmark: its name, ``_`` for ``-`` (read-only).
+ENTRIES: Mapping[str, str] = MappingProxyType({name: name.replace("-", "_") for name in SOURCES})
 
 #: Benchmarks whose entry point takes no recursion bound.
-UNSIZED: List[str] = ["pop_front"]
+UNSIZED: Tuple[str, ...] = ("pop_front",)
 
-#: inline programs ``repro serve`` admitted, kept (least recently used
-#: forgotten) so that this process resolves their ``src:`` names; unlike
-#: :data:`SOURCES` it does not grow with the programs
-INLINE_PROGRAMS_MAX = 256
-_INLINE = BoundedCache(INLINE_PROGRAMS_MAX)
+#: prefix of the content-derived name of an inline program
+INLINE_PREFIX = "src:"
 
 
-def remember_inline(name: str, source: str, entry: str) -> None:
-    _INLINE.get(name, lambda: (source, entry))
+@dataclass(frozen=True)
+class Benchmark:
+    """One program under its benchmark name: what a name resolves to.
 
+    ``unsized`` says the entry point takes no recursion bound, so the
+    program is measured at depth None.
+    """
 
-def inline_program(name: str) -> Optional[Tuple[str, str]]:
-    """``(source, entry)`` of a remembered inline program, or None."""
-    return _INLINE.lookup(name)
+    name: str
+    source: str
+    entry: str
+    unsized: bool = False
 
 
 def is_fuzz_name(name: str) -> bool:
     """Whether a benchmark name denotes a generated fuzz workload."""
     return name.startswith("fuzz:")
+
+
+def is_inline_name(name: str) -> bool:
+    """Whether a benchmark name has the shape of :func:`inline_name`'s."""
+    return name.startswith(INLINE_PREFIX)
 
 
 def is_unsized(name: str) -> bool:
@@ -547,78 +550,59 @@ def is_unsized(name: str) -> bool:
     return name in UNSIZED or is_fuzz_name(name)
 
 
-def get_source(name: str) -> str:
-    """Tower source of a benchmark, resolving generated fuzz workloads.
+def inline_name(source: str, entry: str) -> str:
+    """The content-derived benchmark name of an inline program."""
+    digest = hashlib.sha256(f"{entry}\n{source}".encode("utf-8")).hexdigest()
+    return f"{INLINE_PREFIX}{digest[:16]}"
 
-    ``fuzz:<seed>:<index>[:<max_depth>]`` names synthesize their program
-    deterministically from the name itself, so grid workers and artifact
-    caches need no side channel to agree on the workload.
+
+def inline_benchmark(source: str, entry: str) -> Benchmark:
+    """An inline program under its :func:`inline_name` (never ``unsized``)."""
+    return Benchmark(inline_name(source, entry), source, entry)
+
+
+def resolve(name: str, cache: Optional["ArtifactCache"] = None) -> Benchmark:
+    """The program a benchmark name denotes.
+
+    A built-in name is a Table 1 program.  A
+    ``fuzz:<seed>:<index>[:<max_depth>][:<flags>]`` name synthesizes its
+    program deterministically from the name itself, so grid workers and
+    artifact caches need no side channel to agree on the workload.  A
+    ``src:`` name resolves from the program record ``cache`` holds for it
+    (:meth:`~repro.benchsuite.cache.ArtifactCache.load_program`).
+    Anything else raises :class:`KeyError`.
     """
     if name in SOURCES:
-        return SOURCES[name]
-    inline = _INLINE.lookup(name)
-    if inline is not None:
-        return inline[0]
+        return Benchmark(name, SOURCES[name], ENTRIES[name], name in UNSIZED)
     if is_fuzz_name(name):
         from ..fuzz.generator import program_for_spec  # lazy: avoid cycle
 
-        return program_for_spec(name)[0]
+        try:
+            source, entry = program_for_spec(name)
+        except ValueError as exc:
+            raise KeyError(f"unknown benchmark {name!r}: {exc}") from None
+        return Benchmark(name, source, entry, unsized=True)
+    if is_inline_name(name):
+        if cache is None:
+            raise KeyError(
+                f"unknown benchmark {name!r}: a src: name resolves only "
+                "from an artifact cache (--cache-dir)"
+            )
+        program = cache.load_program(name)
+        if program is not None:
+            return program
     raise KeyError(f"unknown benchmark {name!r}")
+
+
+def get_source(name: str) -> str:
+    """Tower source of a built-in or fuzz benchmark (see :func:`resolve`)."""
+    return resolve(name).source
 
 
 def get_entry(name: str) -> str:
-    """Entry-point function of a benchmark (``main`` for fuzz workloads)."""
-    if name in ENTRIES:
-        return ENTRIES[name]
-    inline = _INLINE.lookup(name)
-    if inline is not None:
-        return inline[1]
-    if is_fuzz_name(name):
-        return "main"
-    raise KeyError(f"unknown benchmark {name!r}")
-
-
-def register_source(
-    name: str, source: str, entry: str = "main", unsized: bool = False
-) -> None:
-    """Register an ad-hoc program under a benchmark name.
-
-    A worker binds an inline program this way for one task (see
-    :func:`registered`): the source, under a content-derived
-    ``src:<sha>`` name, then flows through the same
-    :func:`get_source`-keyed machinery (grid tasks, artifact cache) as the
-    static benchmarks.  Re-registering
-    the same (name, source, entry) is a no-op; rebinding a name to
-    different content is an error — names are content addresses.
-    """
-    if is_fuzz_name(name):
-        raise ValueError(f"cannot register under a fuzz name: {name!r}")
-    if name in SOURCES:
-        if SOURCES[name] != source or ENTRIES[name] != entry:
-            raise ValueError(
-                f"benchmark name {name!r} is already bound to different content"
-            )
-        return
-    SOURCES[name] = source
-    ENTRIES[name] = entry
-    if unsized and name not in UNSIZED:
-        UNSIZED.append(name)
-
-
-@contextmanager
-def registered(name: str, program: Optional[Tuple[str, str]]) -> Iterator[None]:
-    """Bind ``name`` to ``program``, a ``(source, entry)`` pair, for the
-    duration of the block, then drop the binding again.  A name bound
-    before the block stays bound; ``program=None`` binds nothing."""
-    added = program is not None and name not in SOURCES
-    if program is not None:
-        register_source(name, *program)
-    try:
-        yield
-    finally:
-        if added:
-            del SOURCES[name]
-            del ENTRIES[name]
+    """Entry-point function of a built-in or fuzz benchmark (``main`` for
+    fuzz workloads)."""
+    return resolve(name).entry
 
 
 #: Benchmarks measured in tree depth d (the set) rather than length n.

@@ -49,7 +49,7 @@ from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
 from .cache import ArtifactCache
-from .programs import get_entry, get_source, is_unsized
+from .programs import Benchmark, resolve
 
 #: compiled and cache-loaded circuits a runner keeps per memo (least
 #: recently used evicted).  A paper grid lists every preset measure
@@ -142,11 +142,13 @@ class BenchmarkRunner:
         #: to re-derive the (very large) Clifford+T expansion each time
         self.decomposition_cache = DecompositionCache()
 
-    def program(self, name: str):
-        return self.frontend.program(get_source(name))
+    def _resolve(self, program: Union[str, Benchmark]) -> Benchmark:
+        """A benchmark name's program, ``src:`` names from the runner's cache."""
+        return resolve(program, self.cache) if isinstance(program, str) else program
 
     def compile(
-        self, name: str, depth: Optional[int] = None, optimization: str = "none"
+        self, program: Union[str, Benchmark], depth: Optional[int] = None,
+        optimization: str = "none",
     ) -> CompiledProgram:
         """Compile a benchmark (cached).
 
@@ -154,26 +156,25 @@ class BenchmarkRunner:
         raw pipeline spec; the in-memory memo is keyed by the canonical
         pipeline spec, so equivalent spellings share one compile.
         """
-        if is_unsized(name):
+        benchmark = self._resolve(program)
+        if benchmark.unsized:
             depth = None
-        key = (name, depth, canonical_pipeline(optimization))
+        key = (benchmark.name, depth, canonical_pipeline(optimization))
         return self._compiled.get(
             key,
             lambda: compile_checked(
-                self.frontend.checked(
-                    get_source(name), get_entry(name), depth, self.config
-                ),
+                self.frontend.checked(benchmark.source, benchmark.entry, depth, self.config),
                 optimization,
                 decomposition_cache=self.decomposition_cache,
             ),
         )
 
     # -------------------------------------------------------- artifact cache
-    def _key(self, name: str, depth: Optional[int], spec: str) -> str:
+    def _key(self, program: Benchmark, depth: Optional[int], spec: str) -> str:
         """The artifact-cache key of one canonical pipeline spec."""
         return self.cache.key(
-            source=get_source(name),
-            entry=get_entry(name),
+            source=program.source,
+            entry=program.entry,
             config=self.config,
             depth=depth,
             pipeline=spec,
@@ -181,14 +182,14 @@ class BenchmarkRunner:
 
     def _replay(
         self,
-        name: str,
+        program: Benchmark,
         depth: Optional[int],
         optimization: str,
         spec: str,
         start: float,
     ) -> Optional[BenchmarkPoint]:
         """The stored row of a full-pipeline hit, or ``None``."""
-        row = self.cache.load_point(self._key(name, depth, spec))
+        row = self.cache.load_point(self._key(program, depth, spec))
         if row is None:
             return None
         row = dict(row)
@@ -196,13 +197,13 @@ class BenchmarkRunner:
         # identity fields are as THIS call spelled them: keys are
         # content-addressed over the source text and the canonical
         # pipeline, so two spellings can share an entry
-        row["name"] = name
+        row["name"] = program.name
         row["optimization"] = optimization
         row["wall_seconds"] = time.perf_counter() - start
         return BenchmarkPoint(**row)
 
     def _held(
-        self, name: str, depth: Optional[int], spec: str
+        self, program: Benchmark, depth: Optional[int], spec: str
     ) -> Optional[Tuple[Circuit, Origin]]:
         """The circuit of pipeline ``spec`` the runner already holds.
 
@@ -213,14 +214,14 @@ class BenchmarkRunner:
         object is returned per (name, depth, spec) so the shared
         :class:`DecompositionCache` keeps working across baselines.
         """
-        key = (name, depth, spec)
+        key = (program.name, depth, spec)
         compiled = self._compiled.lookup(key)
         if compiled is not None:
             return compiled.circuit, compiled
         held = self._loaded.lookup(key)
         if held is not None or self.cache is None:
             return held
-        cache_key = self._key(name, depth, spec)
+        cache_key = self._key(program, depth, spec)
         circuit = self.cache.load_circuit(cache_key)
         if circuit is None:
             return None
@@ -231,29 +232,32 @@ class BenchmarkRunner:
 
     # ----------------------------------------------------------- measurement
     def measure(
-        self, name: str, depth: Optional[int] = None, optimization: str = "none"
+        self, program: Union[str, Benchmark], depth: Optional[int] = None,
+        optimization: str = "none",
     ) -> BenchmarkPoint:
         """Compile (or replay) one grid point and report its metrics.
 
-        In order: a stored full-pipeline row replays; otherwise the
-        pipeline's gate passes run from the longest prefix circuit the
-        runner holds (:meth:`_held`), so editing a late pass — or adding an
-        optimizer baseline — never recompiles the earlier stages; otherwise
-        the pipeline's compile prefix compiles into the memo, where every
-        later pipeline that extends it finds it, and all its gate passes
-        run on that circuit.
+        ``program`` is a benchmark name, resolved once here, or the
+        :class:`Benchmark` it resolves to.  In order: a stored
+        full-pipeline row replays; otherwise the pipeline's gate passes run
+        from the longest prefix circuit the runner holds (:meth:`_held`),
+        so editing a late pass — or adding an optimizer baseline — never
+        recompiles the earlier stages; otherwise the pipeline's compile
+        prefix compiles into the memo, where every later pipeline that
+        extends it finds it, and all its gate passes run on that circuit.
         """
-        if is_unsized(name):
-            depth = None
         start = time.perf_counter()
+        program = self._resolve(program)
+        if program.unsized:
+            depth = None
         pipeline = resolve_pipeline(optimization)
         if self.cache is not None:
-            replayed = self._replay(name, depth, optimization, pipeline.spec(), start)
+            replayed = self._replay(program, depth, optimization, pipeline.spec(), start)
             if replayed is not None:
                 return replayed
         cached = False
         for prefix in pipeline.gate_prefixes():
-            held = self._held(name, depth, prefix.spec())
+            held = self._held(program, depth, prefix.spec())
             if held is not None:
                 circuit, origin = held
                 steps, resumed = [], prefix.spec()
@@ -261,8 +265,8 @@ class BenchmarkRunner:
         else:
             prefix = pipeline.compile_prefix()
             # a preset measured again is a memo hit: no work in this call
-            cached = self._compiled.lookup((name, depth, prefix.spec())) is not None
-            origin = self.compile(name, depth, prefix.spec())
+            cached = self._compiled.lookup((program.name, depth, prefix.spec())) is not None
+            origin = self.compile(program, depth, prefix.spec())
             circuit = origin.circuit
             steps, resumed = [(None, (prefix.spec(), circuit))], ""
         manager = PassManager(pipeline, decomposition_cache=self.decomposition_cache)
@@ -270,7 +274,7 @@ class BenchmarkRunner:
             circuit, start=len(prefix.passes)
         )
         steps += zip(records, snapshots)
-        point = self._cut_points(name, depth, origin, steps, resumed)
+        point = self._cut_points(program, depth, origin, steps, resumed)
         return replace(
             point,
             optimization=optimization,
@@ -280,7 +284,7 @@ class BenchmarkRunner:
 
     def _cut_points(
         self,
-        name: str,
+        program: Benchmark,
         depth: Optional[int],
         origin: Origin,
         steps: Sequence[Tuple[Optional[PassRecord], Tuple[str, Circuit]]],
@@ -311,7 +315,7 @@ class BenchmarkRunner:
             if record is not None:
                 _add_seconds(timings, [record])
             point = BenchmarkPoint(
-                name=name,
+                name=program.name,
                 depth=depth,
                 optimization=spec,
                 mcx=circuit.mcx_complexity(),
@@ -325,7 +329,7 @@ class BenchmarkRunner:
                 prefix_cached=prefix,
             )
             if self.cache is not None:
-                key = self._key(name, depth, spec)
+                key = self._key(program, depth, spec)
                 self.cache.store_point(key, point.row())
                 if record is None or index < last:
                     self.cache.store_circuit(key, circuit)

@@ -353,18 +353,20 @@ def cmd_bench(args) -> int:
         print("error: --benchmarks needs --pipeline: the paper grids "
               "name their own benchmarks", file=sys.stderr)
         return 2
+    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     if args.pipeline:
-        from .benchsuite import get_source, measure_tasks
+        from .benchsuite import measure_tasks
+        from .benchsuite.programs import resolve
 
         # validate the spec (pass names and parameters) and the benchmark
-        # names before any task runs
+        # names, src: names against the cache, before any task runs
         canonical_pipeline(args.pipeline)
         names = args.benchmarks or ["length", "length-simplified"]
         for name in names:
             try:
-                get_source(name)
-            except (KeyError, ValueError):
-                print(f"error: unknown benchmark {name!r}", file=sys.stderr)
+                resolve(name, cache)
+            except KeyError as exc:
+                print(f"error: {exc.args[0]}", file=sys.stderr)
                 return 2
         grids = [("pipeline", measure_tasks(names, depths, [args.pipeline]))]
     else:
@@ -373,7 +375,6 @@ def cmd_bench(args) -> int:
             for selector in selectors
         ]
 
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     policy = RetryPolicy(
         retries=args.retries,
         task_timeout=args.task_timeout,

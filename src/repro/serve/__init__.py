@@ -25,7 +25,7 @@ from .dedupe import SingleFlight
 from .http import Client
 from .loadgen import build_traffic, run_loadgen
 from .metrics import Metrics
-from .service import CompileService, inline_name
+from .service import CompileService
 
 __all__ = [
     "Client",
@@ -34,7 +34,6 @@ __all__ = [
     "ReproServer",
     "SingleFlight",
     "build_traffic",
-    "inline_name",
     "run_loadgen",
     "run_server",
     "serve_main",

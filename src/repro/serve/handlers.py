@@ -17,7 +17,9 @@ status    meaning
 422       the *program* is at fault — admission lint found errors
 400       the *request* is at fault — missing/ill-typed fields (a
           sized entry without ``depth`` included), unknown
-          benchmark, bad pipeline spec (an unknown pass, or a
+          benchmark (a ``src:`` name whose program the artifact
+          cache does not hold, or any ``src:`` name on a server
+          without one), bad pipeline spec (an unknown pass, or a
           parameter the pass does not declare or of the wrong type),
           or an ``optimizer``/``params`` field, since a baseline is
           named in ``optimization`` (exit 2's analog)
@@ -31,8 +33,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Tuple
 
-from ..benchsuite.programs import SOURCES, inline_program, is_fuzz_name
-from .service import CompileService, ServeTask, source_digest
+from ..benchsuite.cache import source_sha
+from ..benchsuite.programs import SOURCES, is_fuzz_name, is_inline_name
+from .service import CompileService, ServeTask
 
 Response = Tuple[int, Any]
 
@@ -90,16 +93,17 @@ async def handle_compile(
     entry = _field(body, "entry", str)
     depth = _field(body, "depth", int)
     optimization = _field(body, "optimization", str, default="none") or "none"
-    task = ServeTask("compile", source_digest(source), source, entry, None, depth, optimization)
+    task = ServeTask("compile", source_sha(source), source, entry, None, depth, optimization)
     return await _submit(service, task)
 
 
 async def handle_measure(
     service: CompileService, body: Dict[str, Any]
 ) -> Response:
-    """Measure one point of a built-in, fuzz or recently compiled inline
+    """Measure one point of a built-in, fuzz or compiled inline (``src:``)
     benchmark under the pipeline in ``optimization`` (a circuit-optimizer
-    baseline is spelled ``preset+optimizer``)."""
+    baseline is spelled ``preset+optimizer``).  Only the name's shape is
+    checked here: the task resolves it."""
     if "optimizer" in body or "params" in body:
         raise RequestError(
             "fields 'optimizer' and 'params' are not accepted; name the "
@@ -113,15 +117,9 @@ async def handle_measure(
     lint_gate = body.get("lint", True)
     if not isinstance(lint_gate, bool):
         raise RequestError("field 'lint' must be bool")
-    source = entry = None
-    program = name
-    inline = inline_program(name)
-    if inline is not None:
-        source, entry = inline
-        program = source_digest(source)
-    elif name not in SOURCES and not is_fuzz_name(name):
+    if name not in SOURCES and not is_fuzz_name(name) and not is_inline_name(name):
         raise RequestError(f"unknown benchmark {name!r}")
-    task = ServeTask("measure", program, source, entry, name, depth, optimization, lint_gate)
+    task = ServeTask("measure", name, None, None, name, depth, optimization, lint_gate)
     return await _submit(service, task)
 
 
@@ -132,7 +130,7 @@ async def handle_lint(
     source = _field(body, "source", str, required=True)
     entry = _field(body, "entry", str)
     size = _field(body, "size", int)
-    return await service.submit(ServeTask("lint", source_digest(source), source, entry, depth=size))
+    return await service.submit(ServeTask("lint", source_sha(source), source, entry, depth=size))
 
 
 async def handle_cache_stats(

@@ -158,10 +158,12 @@ async def serve_connection(
         # callback" for every open keep-alive connection.
         pass
     finally:
+        # the event loop's shutdown can cancel this task while it waits
+        # for the close: swallowed for the same reason
         try:
             writer.close()
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
+        except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
             pass
 
 

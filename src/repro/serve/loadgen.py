@@ -31,18 +31,12 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..benchsuite.parallel import (
-    GridTask,
-    SerialBackend,
-    paper_grid,
-    stable_rows,
-)
-from ..benchsuite.programs import is_unsized, register_source
+from ..benchsuite.parallel import paper_grid, stable_rows
+from ..benchsuite.programs import inline_benchmark
 from ..benchsuite.runner import BenchmarkRunner
 from ..config import CompilerConfig
 from ..fuzz.generator import fuzz_name
 from .http import Client
-from .service import inline_name
 
 #: a tiny well-formed inline program (lints clean, compiles fast)
 INLINE_OK = """\
@@ -119,26 +113,6 @@ def build_traffic(
         }
     )
     return requests
-
-
-def _baseline_task(request: Dict[str, Any]) -> Optional[GridTask]:
-    """The grid task a successful request measures (None: not a measure)."""
-    payload = request["payload"]
-    if request["path"] == "/measure":
-        name = payload["name"]
-        depth = None if is_unsized(name) else payload.get("depth")
-        return GridTask(name, depth, payload.get("optimization", "none"))
-    if request["path"] == "/compile" and request["expect"] == "ok":
-        source = payload["source"]
-        entry = payload.get("entry") or "main"
-        name = inline_name(source, entry)
-        register_source(name, source, entry)
-        return GridTask(
-            name,
-            payload.get("depth"),
-            payload.get("optimization", "none"),
-        )
-    return None
 
 
 async def _drive(
@@ -294,21 +268,17 @@ def _serial_baseline(
     config: CompilerConfig,
     problems: List[str],
 ) -> int:
-    """Recompute every measured point serially and demand bit-identity."""
-    pairs: List[Tuple[GridTask, Dict[str, Any]]] = []
-    for index, request in enumerate(requests):
-        task = _baseline_task(request)
-        if task is None:
-            continue
-        row = rows_by_request.get(index)
-        if row is None:
-            continue  # already reported as a problem upstream
-        pairs.append((task, row))
+    """Recompute every served row serially and demand bit-identity: a
+    ``/measure`` names its benchmark, a ``/compile`` brings its program."""
     runner = BenchmarkRunner(config)
-    baseline = SerialBackend().run(runner, [task for task, _ in pairs])
-    for (task, served), computed in zip(pairs, baseline):
-        want = stable_rows([computed])[0]
-        got = stable_rows([served])[0]
+    for index in sorted(rows_by_request):
+        payload = requests[index]["payload"]
+        program = payload.get("name") or inline_benchmark(
+            payload["source"], payload.get("entry") or "main"
+        )
+        depth, optimization = payload.get("depth"), payload.get("optimization", "none")
+        want = stable_rows([runner.measure(program, depth, optimization).row()])[0]
+        got = stable_rows([rows_by_request[index]])[0]
         if want != got:
             diff = {
                 key: (want.get(key), got.get(key))
@@ -316,9 +286,10 @@ def _serial_baseline(
                 if want.get(key) != got.get(key)
             }
             problems.append(
-                f"row mismatch vs serial baseline for {task.label()}: {diff}"
+                f"row mismatch vs serial baseline for {want['name']}"
+                f"@{depth} [{optimization}]: {diff}"
             )
-    return len(pairs)
+    return len(rows_by_request)
 
 
 def run_loadgen(

@@ -9,21 +9,25 @@ service semantics:
 * **one task per request** — a request that needs the compiler goes to
   the backend on arrival as one :class:`ServeTask`, which runs where the
   compile runs (the worker that owns its key, or the one task thread at
-  ``--jobs 1``): the admission lint on that runner's frontend memo, whose
-  parse, desugar and strict typecheck the compile reuses, the checks
-  that need the parsed program, and the measure.  A lint with error
-  findings is the task's 422 answer.  The event loop runs HTTP, field
-  checks, dedupe and the memos, and no frontend code;
+  ``--jobs 1``): a ``/measure`` name resolved on that runner, the
+  admission lint on its frontend memo, whose parse, desugar and strict
+  typecheck the compile reuses, the checks that need the parsed program,
+  and the measure.  A lint with error findings is the task's 422 answer.
+  The event loop runs HTTP, field checks, dedupe and the memos, and no
+  frontend code;
 * **single-flight dedupe** — identical concurrent requests share one
   task and compile exactly once;
 * **completed-answer memo** — a repeat of a completed request (a row, a
   lint report or a rejection) is answered on the event loop with no lint
   and no task, a row flagged ``cached: True``; an answer evicted past
   :data:`COMPLETED_MAX` runs as a task again, a row replaying from the
-  artifact cache;
+  artifact cache.  A 400 is not kept: a ``src:`` name may resolve once
+  its program is compiled;
 * **durability** — the artifact cache is the only restart store, keyed
   by source, config and code fingerprint; nothing else outlives the
-  process;
+  process.  A ``/compile`` stores its program's record there, so a
+  ``/measure`` of its ``src:`` name resolves in any process on the cache
+  (and on a server without one not at all);
 * **bounded cache** — with ``cache_max_bytes`` set, the artifact cache
   is pruned (LRU, stale temps swept) at most once per
   :data:`PRUNE_INTERVAL`, on a thread of its own.
@@ -31,16 +35,12 @@ service semantics:
 Workers return their cache's counter increments with every row, so
 ``/cache/stats`` counts their loads with nothing written to disk for
 them, and ``/metrics`` gauges the workers started (``worker_starts``).
-Admitted inline programs are kept by
-:func:`~repro.benchsuite.programs.remember_inline`, a bounded memo, so
-that ``/measure`` resolves a recent ``src:`` name.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
-import hashlib
 import json
 import time
 from collections import OrderedDict
@@ -50,13 +50,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..analysis import lint_source
 from ..benchsuite.cache import ArtifactCache
 from ..benchsuite.parallel import ParallelBackend, task_key
-from ..benchsuite.programs import (
-    get_entry,
-    get_source,
-    is_unsized,
-    registered,
-    remember_inline,
-)
+from ..benchsuite.programs import inline_benchmark, resolve
 from ..benchsuite.resilience import RetryPolicy
 from ..benchsuite.runner import BenchmarkRunner
 from ..bounded import BoundedCache
@@ -76,17 +70,6 @@ PRUNE_INTERVAL = 1.0
 
 #: a task's answer: ``{"status": int, "body": dict}``
 Answer = Dict[str, Any]
-
-
-def inline_name(source: str, entry: str) -> str:
-    """The content-derived benchmark name of an inline-source request."""
-    digest = hashlib.sha256(f"{entry}\n{source}".encode("utf-8")).hexdigest()
-    return f"src:{digest[:16]}"
-
-
-def source_digest(source: str) -> str:
-    """The identity of an inline program: its source's content digest."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def _answer(status: int, body: Dict[str, Any]) -> Answer:
@@ -121,8 +104,9 @@ def _takes_size(runner, source: str, entry: str) -> bool:
 class ServeTask:
     """One ``/compile``, ``/measure`` or ``/lint`` request as a backend task:
     the request's fields (``depth`` is ``/lint``'s size), the ``source`` of
-    an inline program and the ``program``'s identity (a built-in or fuzz
-    name, or :func:`source_digest`)."""
+    an inline program and the ``program``'s identity (the benchmark name of
+    a ``/measure``, or the :func:`~repro.benchsuite.cache.source_sha` of
+    an inline source)."""
 
     path: str
     program: str
@@ -145,20 +129,17 @@ class ServeTask:
         return replace(self, source=None), config
 
     def run(self, runner) -> Answer:
-        """Lint, check and measure on ``runner``; the response."""
-        source, entry, name = self.source, self.entry, self.name
+        """Resolve, lint, check and measure on ``runner`` (a ``/compile``
+        stores its program's record in the runner's cache); the response."""
+        source, entry, program = self.source, self.entry, None
         if source is None:
             try:
-                source, entry = get_source(name), get_entry(name)
-            except (KeyError, ValueError):
-                return _error(f"unknown benchmark {name!r}")
-        if (
-            self.path == "measure"
-            and self.depth is None
-            and not is_unsized(name)
-            and _takes_size(runner, source, entry)
-        ):
-            return _missing_depth(entry)
+                program = resolve(self.name, runner.cache)
+            except KeyError as exc:
+                return _error(exc.args[0])
+            source, entry = program.source, program.entry
+            if self.depth is None and not program.unsized and _takes_size(runner, source, entry):
+                return _missing_depth(entry)
         if self.lint:
             report = lint_source(
                 source,
@@ -172,17 +153,18 @@ class ServeTask:
                 return _lint_answer(422 if code else 200, report, exit_code=code)
             if report.errors:
                 return _lint_answer(422, report, admitted=False)
-        extra = {"name": name}
+        extra = {"name": self.name}
         if self.path == "compile":
             entry = entry or report.entry
             if entry is None:
                 return _error("program defines no functions (nothing to compile)")
             if self.depth is None and report.size is not None:
                 return _missing_depth(entry)
-            name = inline_name(source, entry)
-            extra = {"name": name, "entry": entry, "warnings": len(report.diagnostics)}
-        with registered(name, (source, entry) if self.source is not None else None):
-            row = runner.measure(name, self.depth, self.optimization).row()
+            program = inline_benchmark(source, entry)
+            extra = {"name": program.name, "entry": entry, "warnings": len(report.diagnostics)}
+        row = runner.measure(program, self.depth, self.optimization).row()
+        if self.path == "compile" and runner.cache is not None:
+            runner.cache.store_program(program)
         return _answer(200, {"row": row, **extra})
 
 
@@ -237,8 +219,10 @@ class CompileService:
         """The response to one request: ``(status, body)``.
 
         A request completed before in this run is answered at once, a row
-        with ``cached: True``: nothing runs for it.  Otherwise the request
-        joins the in-flight task of its key, or dispatches one.
+        with ``cached: True``: nothing runs for it (a ``/compile`` stores
+        its program's record again, which the cache may have evicted).
+        Otherwise the request joins the in-flight task of its key, or
+        dispatches one.
         """
         key = task.request_key(self.config)
         done = self._completed.lookup(key)
@@ -249,8 +233,10 @@ class CompileService:
                 if status == 422 and task.path != "lint":
                     self.metrics.count("admission_rejects")
                 return status, dict(body)
-            if task.path == "compile":
-                remember_inline(body["name"], task.source, body["entry"])
+            if task.path == "compile" and self.cache is not None:
+                program = inline_benchmark(task.source, body["entry"])
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(None, self.cache.store_program, program)
             return status, {**body, "row": {**body["row"], "cached": True}}
         leader, future = self.flight.admit(key)
         if leader:
@@ -278,12 +264,11 @@ class CompileService:
             self.flight.resolve(key, (500, {"row": result}))
             return
         status, body = result["status"], result["body"]
-        self._completed.get(key, lambda: (status, body))
+        if status != 400:
+            self._completed.get(key, lambda: (status, body))
         if "row" in body:
             if result.get("attempts"):
                 body["row"]["attempts"] = result["attempts"]
-            if task.path == "compile":
-                remember_inline(body["name"], task.source, body["entry"])
             if body["row"].get("cached"):
                 self.metrics.count("cache_replays")
             else:

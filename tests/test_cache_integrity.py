@@ -16,12 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchsuite import ArtifactCache
-from repro.benchsuite.cache import CIRCUIT_MAGIC, POINT_FILE, CIRCUIT_FILE
+from repro.benchsuite.cache import (
+    CIRCUIT_FILE,
+    CIRCUIT_MAGIC,
+    POINT_FILE,
+    PROGRAM_FILE,
+    program_key,
+)
+from repro.benchsuite.programs import inline_benchmark
 from repro.circuit.circuit import Circuit
 from repro.circuit.gates import Gate, GateKind
 
 KEY = "ab" + "0" * 62
 ROW = {"name": "length", "depth": 3, "optimization": "none", "t": 123}
+PROGRAM = inline_benchmark("fun main(x: uint) -> uint {\n  return x;\n}\n", "main")
 
 
 def small_circuit() -> Circuit:
@@ -37,6 +45,11 @@ def small_circuit() -> Circuit:
 
 def entry_file(cache: ArtifactCache, name: str):
     return cache.root / KEY[:2] / KEY[2:] / name
+
+
+def program_file(cache: ArtifactCache, name: str):
+    key = program_key(name)
+    return cache.root / key[:2] / key[2:] / PROGRAM_FILE
 
 
 # ------------------------------------------------------------- clean paths
@@ -232,3 +245,54 @@ def test_prune_noop_when_under_budget(tmp_path):
     report = cache.prune(max_bytes=10**9)
     assert report["removed_entries"] == 0
     assert cache.load_point(KEY) == ROW
+
+
+# ---------------------------------------------------------- program records
+def test_program_record_roundtrips_and_is_not_a_point(tmp_path):
+    cache = ArtifactCache(tmp_path)
+    assert cache.load_program(PROGRAM.name) is None
+    cache.store_program(PROGRAM)
+    envelope = json.loads(program_file(cache, PROGRAM.name).read_text())
+    assert envelope["row"] == {"source": PROGRAM.source, "entry": "main"}
+    assert cache.load_program(PROGRAM.name) == PROGRAM
+    stats = cache.stats()
+    assert stats["hits"] == stats["misses"] == stats["corrupt"] == 0
+    assert len(cache) == 0 and stats["entries"] == 0
+    assert cache.usage()["entries"] == 1  # an entry directory of its own
+
+
+@pytest.mark.parametrize("tamper", ["truncated", "another program"])
+def test_corrupt_program_record_is_quarantined(tmp_path, tamper):
+    """A record that fails its checksum, or whose source and entry do not
+    hash to its name, is quarantined and counted corrupt, never served."""
+    cache = ArtifactCache(tmp_path)
+    cache.store_program(PROGRAM)
+    path = program_file(cache, PROGRAM.name)
+    if tamper == "truncated":
+        path.write_bytes(path.read_bytes()[:-9])
+    else:
+        other = inline_benchmark(PROGRAM.source + "// another program\n", "main")
+        cache.store_program(other)
+        os.replace(program_file(cache, other.name), path)
+    assert cache.load_program(PROGRAM.name) is None
+    stats = cache.stats()
+    assert stats["corrupt"] == 1 and stats["quarantined"] == 1
+    assert stats["hits"] == stats["misses"] == 0
+    assert cache.load_program(PROGRAM.name) is None  # gone, not corrupt again
+    assert cache.stats()["corrupt"] == 1
+
+
+def test_prune_evicts_a_program_record_like_any_entry(tmp_path):
+    """A load refreshes a record's recency, and a prune evicts it by it."""
+    cache = ArtifactCache(tmp_path)
+    cache.store_point(KEY, ROW)
+    cache.store_program(PROGRAM)
+    for path in (entry_file(cache, POINT_FILE), program_file(cache, PROGRAM.name)):
+        os.utime(path, (1_000_000, 1_000_000))
+    assert cache.load_program(PROGRAM.name) == PROGRAM
+    budget = program_file(cache, PROGRAM.name).stat().st_size
+    assert cache.prune(max_bytes=budget)["removed_entries"] == 1
+    assert cache.load_point(KEY) is None
+    assert cache.load_program(PROGRAM.name) == PROGRAM
+    assert cache.prune(max_bytes=0)["removed_entries"] == 1
+    assert cache.load_program(PROGRAM.name) is None

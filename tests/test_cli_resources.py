@@ -54,7 +54,7 @@ class TestCli:
         assert "T-depth" in out and "area-latency" in out
 
     def test_optimizers(self, tmp_path, capsys):
-        # the registered program, so each printed T-count can be checked
+        # the built-in program, so each printed T-count can be checked
         # against the runner's row for the same pipeline
         path = tmp_path / "length.twr"
         path.write_text(get_source("length"))

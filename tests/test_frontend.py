@@ -17,7 +17,7 @@ import pytest
 import repro.benchsuite.runner as runner_mod
 from repro.benchsuite import ArtifactCache, BenchmarkRunner
 from repro.benchsuite.parallel import GRID_SELECTORS, paper_grid, stable_rows
-from repro.benchsuite.programs import get_source
+from repro.benchsuite.programs import get_source, resolve
 from repro.benchsuite.runner import default_depths
 from repro.bounded import BoundedCache
 from repro.compiler import pipeline
@@ -190,9 +190,10 @@ def test_loaded_circuit_memo_is_bounded(tmp_path, monkeypatch):
     for name, depth, optimization in points:
         BenchmarkRunner(TINY, cache=cache).measure(name, depth, optimization)
     fresh = BenchmarkRunner(TINY, cache=cache)
-    circuits = [fresh._held(name, depth, "alloc,lower")[0] for name, depth, _ in points]
+    length = resolve("length")
+    circuits = [fresh._held(length, depth, "alloc,lower")[0] for _, depth, _ in points]
     assert len(fresh._loaded) == 8
     assert len(fresh._compiled) == 0  # every circuit came from disk
     # the newest point is still the same object (the decomposition cache
     # keys on circuit identity)
-    assert fresh._held("length", 10, "alloc,lower")[0] is circuits[-1]
+    assert fresh._held(length, 10, "alloc,lower")[0] is circuits[-1]

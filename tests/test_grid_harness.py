@@ -25,7 +25,6 @@ from repro.benchsuite import (
 from repro.benchsuite.parallel import stable_rows
 from repro.benchsuite.runner import default_depths
 from repro.config import CompilerConfig
-from repro.serve import inline_name
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "seed_tcounts.json"
 SEED = json.loads(DATA.read_text())
@@ -204,20 +203,58 @@ def test_tasks_submitted_from_many_threads_all_resolve():
     assert backend._outstanding == 0
 
 
-def test_registered_binds_a_program_for_the_block_only(monkeypatch):
-    """A worker binds an inline program for one task: the name resolves in
-    the block and is gone after it, and a name bound before the block stays
-    bound."""
+def test_every_name_kind_resolves_to_one_benchmark(tmp_path):
+    """Built-in and fuzz names resolve anywhere; a ``src:`` name resolves
+    from the program record a cache holds, and only there."""
+    assert programs.resolve("pop_front") == programs.Benchmark(
+        "pop_front", programs.SOURCES["pop_front"], "pop_front", unsized=True
+    )
+    fuzz = programs.resolve("fuzz:0:1")
+    assert fuzz.entry == "main" and fuzz.unsized
     source = programs.get_source("length") + "\n// an inline program\n"
-    name = inline_name(source, "length")
-    with programs.registered(name, (source, "length")):
-        assert (programs.get_source(name), programs.get_entry(name)) == (source, "length")
-    assert name not in programs.SOURCES and name not in programs.ENTRIES
-    monkeypatch.setitem(programs.SOURCES, name, source)
-    monkeypatch.setitem(programs.ENTRIES, name, "length")
-    with programs.registered(name, (source, "length")):
-        pass
-    assert programs.SOURCES[name] == source
+    inline = programs.inline_benchmark(source, "length")
+    assert inline.name == programs.inline_name(source, "length")
+    assert not inline.unsized
+    cache = ArtifactCache(tmp_path)
+    for name, where in ((inline.name, cache), ("nosuch", cache), ("fuzz:1", None)):
+        with pytest.raises(KeyError):
+            programs.resolve(name, where)
+    cache.store_program(inline)
+    assert programs.resolve(inline.name, cache) == inline
+    with pytest.raises(KeyError, match="--cache-dir"):
+        programs.resolve(inline.name)
+
+
+def test_program_tables_are_read_only():
+    """Nothing registers a program at run time: the built-in tables refuse
+    writes."""
+    with pytest.raises(TypeError):
+        programs.SOURCES["x"] = "fun main() -> uint { return 0; }"
+    with pytest.raises(TypeError):
+        programs.ENTRIES["x"] = "main"
+    with pytest.raises(AttributeError):
+        programs.UNSIZED.append("x")
+
+
+def test_a_src_name_measures_from_its_cache_record_in_every_backend(tmp_path):
+    """Grid workers resolve a ``src:`` name from their cache: a parallel
+    sweep and a cached replay give the rows of the program measured
+    directly."""
+    source = programs.get_source("length") + "\n// an inline program\n"
+    inline = programs.inline_benchmark(source, "length")
+    cache = ArtifactCache(tmp_path)
+    cache.store_program(inline)
+    pipelines = ["none", "none+peephole"]
+    tasks = measure_tasks(inline.name, [2], pipelines)
+    direct = [BenchmarkRunner(CONFIG).measure(inline, 2, spec).row() for spec in pipelines]
+    backend = ParallelBackend(jobs=2)
+    try:
+        pooled = BenchmarkRunner(CONFIG, cache=cache, backend=backend).run_grid(tasks).rows
+    finally:
+        backend.close()
+    replayed = SerialBackend().run(BenchmarkRunner(CONFIG, cache=cache), tasks)
+    assert all(row["cached"] for row in replayed)
+    assert stable_rows(pooled) == stable_rows(direct) == stable_rows(replayed)
 
 
 def test_optimizer_baseline_on_rehydrated_circuit(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The pass framework: specs, registry, manager, caching, bisection, CLI."""
 
 import inspect
+import json
 
 import pytest
 
@@ -8,6 +9,7 @@ import repro.benchsuite.runner as runner_mod
 import repro.circopt as circopt
 from repro.benchsuite import ArtifactCache, BenchmarkRunner, SOURCES, get_source, task_key
 from repro.benchsuite.cache import CIRCUIT_FILE, POINT_FILE
+from repro.benchsuite.programs import inline_benchmark, resolve
 from repro.benchsuite.parallel import stable_rows
 from repro.circuit import DecompositionCache
 from repro.cli import main
@@ -633,7 +635,7 @@ class TestStoragePolicy:
     def stored(cache, pipeline):
         """(row stored, circuit stored) of ``length@2`` under ``pipeline``."""
         key = BenchmarkRunner(CFG, cache=cache)._key(
-            "length", 2, canonical_pipeline(pipeline)
+            resolve("length"), 2, canonical_pipeline(pipeline)
         )
         entry = cache._entry_dir(key)
         return (entry / POINT_FILE).exists(), (entry / CIRCUIT_FILE).exists()
@@ -859,6 +861,24 @@ class TestPassesCli:
         ]) == 2
         assert "error: unknown benchmark 'nosuch'" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_bench_resolves_a_src_name_from_its_cache(self, tmp_path, capsys):
+        """A ``src:`` name resolves from the program record in the
+        ``--cache-dir`` cache, and without one is refused before any task
+        runs."""
+        program = inline_benchmark(get_source("length") + "\n// inline\n", "length")
+        ArtifactCache(tmp_path / "cache").store_program(program)
+        out_dir = tmp_path / "arts"
+        base = ["bench", "--pipeline", "none", "--benchmarks", program.name,
+                "--depths", "2", "--out", str(out_dir), "--quiet"]
+        assert main(base) == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main([*base, "--cache-dir", str(tmp_path / "cache")]) == 0
+        (row,) = json.loads((out_dir / "pipeline.json").read_text())["rows"]
+        config = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)  # bench's
+        fresh = BenchmarkRunner(config).measure(program, 2).row()
+        assert stable_rows([row]) == stable_rows([fresh])
 
     def test_bench_benchmarks_needs_pipeline(self, tmp_path, capsys):
         out_dir = tmp_path / "arts"

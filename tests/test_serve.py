@@ -10,20 +10,28 @@ real HTTP framing with the package's own :class:`~repro.serve.http.Client`
   once (monkeypatch-counted at ``compile_checked``, and cross-checked
   against the server's own ``max_compiles_per_key`` gauge);
 * bit-identical rows versus a clean serial no-server run;
-* durability: a restarted server answers repeats from the artifact
-  cache without recompiling;
+* durability: a restarted server, in this process or a new one,
+  answers repeats and ``src:`` names from the artifact cache without
+  recompiling;
 * the ``/metrics`` and ``/cache/stats`` payload shapes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import pathlib
+import re
+import subprocess
 import sys
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.benchsuite import ArtifactCache
+from repro.benchsuite.cache import PROGRAM_FILE, program_key
+from repro.benchsuite.programs import inline_benchmark, inline_name
 from repro.benchsuite.parallel import (
     GridTask,
     SerialBackend,
@@ -32,20 +40,29 @@ from repro.benchsuite.parallel import (
 from repro.benchsuite.runner import BenchmarkRunner
 from repro.config import TINY
 from repro.fuzz.generator import fuzz_name
-from repro.serve import Client, ReproServer, SingleFlight, inline_name
+from repro.serve import Client, ReproServer, SingleFlight
 from repro.serve import service as service_module
 from repro.serve.loadgen import (
     INLINE_OK,
     INLINE_PARSE_ERROR,
     INLINE_TYPE_ERROR,
+    _serial_baseline,
     build_traffic,
 )
 from repro.serve.metrics import Metrics, quantile
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
 def _server(tmp_path=None, **kwargs) -> ReproServer:
     cache = ArtifactCache(tmp_path / "cache") if tmp_path else None
     return ReproServer(config=TINY, cache=cache, port=0, **kwargs)
+
+
+def _program_file(cache: ArtifactCache, name: str) -> pathlib.Path:
+    key = program_key(name)
+    return cache.root / key[:2] / key[2:] / PROGRAM_FILE
 
 
 # ------------------------------------------------------------ status contract
@@ -443,8 +460,8 @@ def test_one_compile_runs_the_frontend_once(tmp_path, monkeypatch):
     strict = [kwargs for _, kwargs in checks if not kwargs.get("relaxed")]
     assert len(strict) == 1
     monkeypatch.undo()
-    fresh = BenchmarkRunner(TINY).measure(body["name"], 2, "spire").row()
-    assert stable_rows([body["row"]]) == stable_rows([fresh])
+    fresh = BenchmarkRunner(TINY).measure(inline_benchmark(source, "length"), 2, "spire")
+    assert stable_rows([body["row"]]) == stable_rows([fresh.row()])
 
 
 def _record_threads(monkeypatch, function, idents: List[int]) -> None:
@@ -542,45 +559,115 @@ def test_event_loop_runs_no_frontend_and_stays_responsive(tmp_path, monkeypatch)
     assert idents and served["thread"] not in idents
 
 
-def test_measure_resolves_a_compiled_src_name(tmp_path, monkeypatch):
-    """``/measure`` of a ``src:`` name answers while the service remembers
-    the program; a forgotten one is an unknown benchmark, until a repeat
-    of its ``/compile``, answered from the memo, recalls it."""
-    from repro.benchsuite import programs
-    from repro.bounded import BoundedCache
+def test_measure_resolves_a_compiled_src_name(tmp_path):
+    """``/measure`` of a ``src:`` name resolves from the program record its
+    ``/compile`` stored in the artifact cache.  A pruned or corrupt record
+    makes the name unknown (400) until a repeat of the ``/compile``,
+    answered from the memo, stores the record again.  A server without a
+    cache resolves no ``src:`` name, and still measures its ``/compile``."""
 
-    monkeypatch.setattr(programs, "_INLINE", BoundedCache(1))
-    other = INLINE_OK + "// another program\n"
-
-    async def main() -> None:
+    async def cached() -> Dict[str, Any]:
         async with _server(tmp_path) as server:
+            cache = server.service.cache
             async with Client(server.host, server.port) as client:
                 status, compiled = await client.post("/compile", {"source": INLINE_OK})
                 assert status == 200
                 name = compiled["name"]
-                status, body = await client.post(
-                    "/measure", {"name": name, "optimization": "none"}
-                )
+                status, body = await client.post("/measure", {"name": name})
                 assert status == 200, body
                 assert stable_rows([body["row"]]) == stable_rows([compiled["row"]])
-                status, _ = await client.post("/compile", {"source": other})
-                assert status == 200
-                status, body = await client.post(
-                    "/measure", {"name": name, "depth": 1}
-                )
-                assert status == 400 and "unknown benchmark" in body["error"]
-                status, again = await client.post("/compile", {"source": INLINE_OK})
-                assert status == 200 and again["row"]["cached"] is True
-                status, body = await client.post(
-                    "/measure", {"name": name, "depth": 1}
-                )
-                assert status == 200, body
-                assert body["row"]["t"] == compiled["row"]["t"]
+                path = _program_file(cache, name)
+                for damage, pipeline in (
+                    ("pruned", "none+peephole"),
+                    ("corrupt", "none+toffoli-cancel"),
+                ):
+                    if damage == "pruned":
+                        os.utime(path, (1_000_000, 1_000_000))  # least recently used
+                        cache.prune(cache.usage()["bytes"] - path.stat().st_size)
+                        assert not path.exists()
+                    else:
+                        path.write_bytes(b"not a record")
+                    payload = {"name": name, "optimization": pipeline}
+                    status, body = await client.post("/measure", payload)
+                    assert status == 400 and "unknown benchmark" in body["error"], damage
+                    status, again = await client.post("/compile", {"source": INLINE_OK})
+                    assert status == 200 and again["row"]["cached"] is True
+                    status, body = await client.post("/measure", payload)
+                    assert status == 200, (damage, body)
+                    assert body["row"]["t"] <= compiled["row"]["t"]
+                _, stats = await client.get("/cache/stats")
+                _, metrics = await client.get("/metrics")
+        assert stats["stats"]["corrupt"] == 1
+        return metrics
 
-    asyncio.run(main())
-    # the tasks bound the program while they ran, and left no binding
-    name = inline_name(INLINE_OK, "main")
-    assert name not in programs.SOURCES and name not in programs.ENTRIES
+    metrics = asyncio.run(cached())
+    assert metrics["counters"]["memo_replays"] == 2
+
+    async def cacheless() -> None:
+        async with _server() as server:
+            async with Client(server.host, server.port) as client:
+                status, compiled = await client.post(
+                    "/compile", {"source": INLINE_OK, "optimization": "none+peephole"}
+                )
+                assert status == 200 and not compiled["row"]["cached"]
+                status, body = await client.post("/measure", {"name": compiled["name"]})
+                assert status == 400 and "--cache-dir" in body["error"]
+
+    asyncio.run(cacheless())
+
+
+def test_a_src_name_resolves_after_a_restart_in_a_new_process(tmp_path):
+    """The artifact cache is the only restart store: ``repro serve``
+    started in a new process on the same cache answers ``/measure`` of a
+    ``src:`` name compiled before the restart from the cache, compiling
+    nothing, and shuts down without a traceback."""
+
+    async def compile_once() -> Dict[str, Any]:
+        async with _server(tmp_path) as server:
+            async with Client(server.host, server.port) as client:
+                status, body = await client.post("/compile", {"source": INLINE_OK})
+                assert status == 200, body
+                return body
+
+    compiled = asyncio.run(compile_once())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    log = tmp_path / "serve.log"
+    command = [
+        sys.executable, "-m", "repro", "serve", "--port", "0",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--word-width", str(TINY.word_width),
+        "--addr-width", str(TINY.addr_width),
+        "--heap-cells", str(TINY.heap_cells),
+    ]
+    with open(log, "wb") as handle:
+        proc = subprocess.Popen(command, stdout=handle, stderr=subprocess.STDOUT, env=env)
+    try:
+        deadline = time.monotonic() + 60
+        banner = None
+        while banner is None:
+            assert proc.poll() is None and time.monotonic() < deadline, log.read_text()
+            time.sleep(0.05)
+            banner = re.search(r"listening on http://[\d.]+:(\d+)", log.read_text())
+
+        async def measure() -> Tuple[int, Dict[str, Any], Dict[str, Any]]:
+            async with Client("127.0.0.1", int(banner.group(1))) as client:
+                status, body = await client.post("/measure", {"name": compiled["name"]})
+                _, metrics = await client.get("/metrics")
+                await client.post("/shutdown", {})
+            return status, body, metrics
+
+        status, body, metrics = asyncio.run(measure())
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert status == 200, body
+    assert body["row"]["cached"] is True
+    assert stable_rows([body["row"]]) == stable_rows([compiled["row"]])
+    assert "compile_executions" not in metrics["counters"]
+    assert "Traceback" not in log.read_text()
 
 
 def test_service_maps_stay_bounded(tmp_path, monkeypatch):
@@ -686,9 +773,10 @@ def test_pool_forks_once_and_serves_programs_it_never_saw(tmp_path):
 
     bodies, metrics = asyncio.run(main())
     assert metrics["gauges"]["worker_starts"] == 1
-    for body in bodies:
+    for source, body in zip(sources, bodies):
         assert not body["row"].get("failed") and not body["row"]["cached"]
-        fresh = BenchmarkRunner(TINY).measure(body["name"], 2, "none+peephole")
+        program = inline_benchmark(source, "length")
+        fresh = BenchmarkRunner(TINY).measure(program, 2, "none+peephole")
         assert stable_rows([body["row"]]) == stable_rows([fresh.row()])
 
 
@@ -801,6 +889,28 @@ def test_shutdown_endpoint_drains_and_refuses_new_connections(tmp_path):
     asyncio.run(main())
 
 
+def test_closing_after_a_keep_alive_request_logs_no_loop_exception():
+    """A client still holding its keep-alive connection when the server
+    closes: the connection's task ends without an exception on the event
+    loop (no "Exception in callback" at shutdown)."""
+    errors: List[Dict[str, Any]] = []
+
+    async def main() -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        server = _server()
+        await server.start()
+        client = Client(server.host, server.port)
+        status, _ = await client.get("/healthz")
+        assert status == 200
+        await server.close()
+        await client.close()
+
+    asyncio.run(main())
+    assert errors == []
+
+
 # ------------------------------------------------------------------- loadgen
 def test_build_traffic_mix():
     requests = build_traffic([1], fuzz_count=4, fuzz_seed=3)
@@ -815,3 +925,28 @@ def test_build_traffic_mix():
     assert all(r["path"] == "/compile" for r in rejects)
     # deterministic: the same seed builds the same traffic
     assert build_traffic([1], fuzz_count=4, fuzz_seed=3) == requests
+
+
+def test_serial_baseline_measures_each_served_row_by_name_or_program():
+    """The loadgen's serial baseline recomputes a ``/measure`` row by its
+    name and a ``/compile`` row by its inline program (no name registry),
+    and reports a served row that differs."""
+    requests = build_traffic([1], fuzz_count=1)
+    runner = BenchmarkRunner(TINY)
+    served: Dict[int, Dict[str, Any]] = {}
+    for index, request in enumerate(requests):
+        payload = request["payload"]
+        if request["path"] == "/measure":
+            point = (payload["name"], payload.get("depth"), payload["optimization"])
+        elif request["path"] == "/compile" and request["expect"] == "ok":
+            point = (inline_benchmark(payload["source"], "main"), payload["depth"], "none")
+        else:
+            continue
+        served[index] = runner.measure(*point).row()
+    problems: List[str] = []
+    assert _serial_baseline(requests, served, TINY, problems) == len(served) == 8
+    assert problems == []
+    (compiled,) = [i for i, row in served.items() if row["name"].startswith("src:")]
+    served[compiled] = dict(served[compiled], t=served[compiled]["t"] + 1)
+    _serial_baseline(requests, served, TINY, problems)
+    assert len(problems) == 1 and inline_name(INLINE_OK, "main") in problems[0]
